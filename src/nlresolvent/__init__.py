@@ -27,6 +27,7 @@ from .graphs import (
     weighted_degree,
 )
 from .nonlinearity import (
+    ArrayForms,
     Nonlinearity,
     Phi_numeric,
     RangeError,
@@ -104,7 +105,7 @@ __all__ = [
     "graph_from_json", "graph_to_json", "laplacian_apply",
     "materialization_cap", "validate", "weighted_degree",
     # nonlinearity
-    "Nonlinearity", "RangeError", "identity", "odd_power", "odd_log",
+    "ArrayForms", "Nonlinearity", "RangeError", "identity", "odd_power", "odd_log",
     "bounded_atan", "builtin", "parse_phi", "phi_inv_numeric", "Phi_numeric",
     # solver
     "Potential", "SolveOptions", "SolveResult", "SolveError",

@@ -150,7 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="materialization cap (overrides NLRESOLVENT_MAX_VERTICES)")
         p.add_argument("--sweep-tol", type=float, dest="sweep_tol")
         p.add_argument("--residual-tol", type=float, dest="residual_tol")
-        p.add_argument("--max-sweeps", type=int, dest="max_sweeps")
+        p.add_argument("--max-sweeps", type=int, dest="max_sweeps",
+                       help="cap on passes over each solve's vertex set: "
+                       "conjugate-gradient iterations of the Newton solver, or "
+                       "rounds of scalar solves where phi falls back to "
+                       "Gauss-Seidel (default 100000)")
         p.add_argument("--scalar-root-tol", type=float, dest="scalar_root_tol")
         p.add_argument("--sweep-order", dest="sweep_order",
                        choices=("natural", "bfs-from-root"))

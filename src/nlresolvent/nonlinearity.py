@@ -11,7 +11,9 @@ negative axis as odd functions, phi(-t) = -phi(t).  That choice is free
 for everything computed here, which only depends on phi restricted to
 [0, oo), and it keeps Phi even.  Custom nonlinearities may supply any
 subset of {inverse, antiderivative, derivative}; missing pieces fall
-back to safeguarded bisection and adaptive quadrature.
+back to safeguarded bisection and adaptive quadrature.  The builtins
+also carry :class:`ArrayForms`, vectorized versions of the same calculus
+that the solver's Newton path evaluates on whole vertex sets.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ import math
 from dataclasses import dataclass
 from collections.abc import Callable
 
+import numpy as np
+
 __all__ = [
     "RangeError",
+    "ArrayForms",
     "Nonlinearity",
     "identity",
     "odd_power",
@@ -49,6 +54,21 @@ class RangeError(ValueError):
 
 
 @dataclass(frozen=True)
+class ArrayForms:
+    """phi, phi', phi^{-1} and Phi as numpy expressions on float arrays.
+
+    Callers evaluate them under ``np.errstate``: overflow yields +-inf,
+    which the solver reports as a range violation or an infinite
+    residual.  ``inv`` is only asked for values inside ran phi.
+    """
+
+    phi: Callable[[np.ndarray], np.ndarray]
+    deriv: Callable[[np.ndarray], np.ndarray]
+    inv: Callable[[np.ndarray], np.ndarray]
+    antideriv: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
 class Nonlinearity:
     """phi together with its range and optional closed-form helpers.
 
@@ -66,6 +86,12 @@ class Nonlinearity:
         Closed form of Phi(s) = integral_0^s 2 phi(t) dt.
     deriv : callable or None
         phi' where it exists; used to accelerate root finding.
+    arrays : ArrayForms or None
+        Vectorized phi, phi', phi^{-1} and Phi.  With them, and a finite
+        phi'(0), the solver runs Newton on whole vertex sets; without
+        them it falls back to per-vertex Gauss-Seidel.  They must agree
+        with the scalar fields, which ``dataclasses.replace`` does not
+        check.
     """
 
     name: str
@@ -75,6 +101,7 @@ class Nonlinearity:
     inv: Callable[[float], float] | None = None
     antideriv: Callable[[float], float] | None = None
     deriv: Callable[[float], float] | None = None
+    arrays: ArrayForms | None = None
 
     def __call__(self, t: float) -> float:
         return self.phi(t)
@@ -205,14 +232,17 @@ def identity() -> Nonlinearity:
         inv=lambda s: s,
         antideriv=lambda s: s * s,
         deriv=lambda t: 1.0,
+        arrays=ArrayForms(phi=lambda t: t, deriv=np.ones_like, inv=lambda s: s,
+                          antideriv=np.square),
     )
 
 
 def odd_power(p: float) -> Nonlinearity:
     """phi(t) = sign(t) |t|^p for p > 0; Phi(s) = 2 |s|^(p+1) / (p+1).
 
-    p < 1 has an infinite derivative at 0 (the hint returns inf there
-    and root finders fall back to bisection); p > 1 has derivative 0.
+    p < 1 has an infinite derivative at 0 (the hint returns inf there,
+    root finders fall back to bisection and the solver to Gauss-Seidel);
+    p > 1 has derivative 0.
     """
     p = float(p)
     if p <= 0.0:
@@ -248,8 +278,15 @@ def odd_power(p: float) -> Nonlinearity:
         except OverflowError:
             return math.inf
 
+    arrays = ArrayForms(
+        phi=lambda t: np.sign(t) * np.abs(t) ** p,
+        deriv=lambda t: p * np.abs(t) ** (p - 1.0),
+        inv=lambda s: np.sign(s) * np.abs(s) ** (1.0 / p),
+        antideriv=lambda s: 2.0 * np.abs(s) ** (p + 1.0) / (p + 1.0),
+    )
     return Nonlinearity(
-        name=f"power:{p:g}", phi=phi, inv=inv, antideriv=antideriv, deriv=deriv
+        name=f"power:{p:g}", phi=phi, inv=inv, antideriv=antideriv, deriv=deriv,
+        arrays=arrays,
     )
 
 
@@ -269,12 +306,21 @@ def odd_log() -> Nonlinearity:
         a = abs(s)
         return 2.0 * ((1.0 + a) * math.log1p(a) - a)
 
+    def deriv(t):  # floats and numpy arrays alike
+        return 1.0 / (1.0 + abs(t))
+
     return Nonlinearity(
         name="log",
         phi=phi,
         inv=inv,
         antideriv=antideriv,
-        deriv=lambda t: 1.0 / (1.0 + abs(t)),
+        deriv=deriv,
+        arrays=ArrayForms(
+            phi=lambda t: np.sign(t) * np.log1p(np.abs(t)),
+            deriv=deriv,
+            inv=lambda s: np.sign(s) * np.expm1(np.abs(s)),
+            antideriv=lambda s: 2.0 * ((1.0 + np.abs(s)) * np.log1p(np.abs(s)) - np.abs(s)),
+        ),
     )
 
 
@@ -285,6 +331,10 @@ def bounded_atan() -> Nonlinearity:
     inverse raises RangeError outside it, which downstream code reports
     as a range-violation state rather than a crash.
     """
+
+    def deriv(t):  # floats and numpy arrays alike
+        return 1.0 / (1.0 + t * t)
+
     return Nonlinearity(
         name="atan",
         phi=math.atan,
@@ -292,7 +342,13 @@ def bounded_atan() -> Nonlinearity:
         hi=0.5 * math.pi,
         inv=math.tan,
         antideriv=lambda s: 2.0 * s * math.atan(s) - math.log1p(s * s),
-        deriv=lambda t: 1.0 / (1.0 + t * t),
+        deriv=deriv,
+        arrays=ArrayForms(
+            phi=np.arctan,
+            deriv=deriv,
+            inv=np.tan,
+            antideriv=lambda s: 2.0 * s * np.arctan(s) - np.log1p(s * s),
+        ),
     )
 
 

@@ -10,8 +10,9 @@ are interpreted downstream: a tiny increment certifies that the lower
 bound has stabilized, not that it is close to the limit.
 
 Each step is warm-started from the previous solution (extended by
-zero), which keeps the sweep iteration monotone and cuts sweep counts
-sharply on the larger sets.
+zero).  For f >= 0 that start lies below the new solution, so the
+solver's ``max_decrease`` certifies the monotonicity vertex by vertex,
+and it saves sweeps on the larger sets.
 """
 
 from __future__ import annotations

@@ -13,8 +13,22 @@ characterized by the per-vertex stationarity conditions
 
 equivalently phi^{-1}(L u) + W u = f on U, with u = 0 off U.
 
-Method: nonlinear Gauss-Seidel.  Each sweep revisits the vertices of U
-and re-solves the scalar stationarity equation at x in the unknown
+Method: damped Newton on E over whole arrays.  The in-U graph is
+assembled once per solve into coordinate arrays; A denotes the Dirichlet
+Laplacian, deg(x) on the diagonal and -b(x,y) off it, so that
+Q(u, u) = u.A u for u supported in U.  The gradient of E is
+2(A u - m phi(f - W u)) and its Hessian 2(A + diag(m W phi'(f - W u)))
+is symmetric positive definite once each component of U has an edge
+leaving U or a vertex where phi' > 0.  Each Newton step is solved by Jacobi-preconditioned conjugate
+gradients down to float noise and damped by a backtracking line search
+on E (Nocedal & Wright, Numerical Optimization, 2006, ch. 3); since E is
+strictly convex this converges from any start.  One conjugate-gradient
+iteration, a single pass over the arrays, counts as one sweep.
+
+Newton needs the nonlinearity's array forms and a finite phi'(0).  A
+custom phi without array forms, or odd_power(p < 1) with phi'(0) = oo,
+takes the fallback: nonlinear Gauss-Seidel, which revisits the vertices
+of U and re-solves the scalar stationarity equation at x in the unknown
 t = u(x), holding neighbors fixed.  That scalar function
 
     F(t) = (deg(x) t - S) / m(x) - phi(f(x) - W(x) t),  S = sum b(x,y) u(y),
@@ -24,10 +38,14 @@ is strictly increasing, and as long as all neighbor values stay in
 nonpositive at -K and nonnegative at +K there).  Roots are found by
 bisection on the certified bracket [-K-1, K+1], accelerated by Newton
 steps whenever a derivative hint exists and the step stays inside the
-shrinking bracket.  Starting from u = 0 with f >= 0 the sweep map is
-monotone, so iterates increase toward the minimizer; for general f the
-same map is a contraction in the sup norm with factor bounded by
-deg / (deg + m W0) < 1 at each vertex.
+shrinking bracket.  There a sweep is one pass of scalar solves over U.
+Starting from u = 0 with f >= 0 the sweep map is monotone, so iterates
+increase toward the minimizer; for general f the same map is a
+contraction in the sup norm with factor bounded by deg / (deg + m W0)
+< 1 at each vertex.
+
+Both paths share the assembly, which rejects non-finite inputs, and the
+residual check on the assembled arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +54,8 @@ import math
 from dataclasses import dataclass
 from collections import deque
 from collections.abc import Callable, Iterable
+
+import numpy as np
 
 from .graphs import VertexFunction, WeightedGraph, energy, laplacian_apply
 from .nonlinearity import Nonlinearity, RangeError
@@ -89,6 +109,14 @@ class SolveOptions:
     order one that is the plain absolute test, while at very large f
     (potentials like deg^2 push f beyond 1e40) float64 cannot represent
     an absolute residual below the rounding of f itself.
+
+    A sweep is one pass over the in-U arrays: on the Newton path one
+    conjugate-gradient iteration, on the Gauss-Seidel fallback one round
+    of scalar solves.  ``max_sweeps`` caps their total.  ``sweep_tol``
+    bounds the error left after the last update: Newton estimates it
+    from the ratio of successive steps, Gauss-Seidel takes the update
+    itself.  ``scalar_root_tol`` and ``sweep_order`` only concern the
+    Gauss-Seidel fallback.
     """
 
     sweep_tol: float = 1e-10
@@ -110,11 +138,14 @@ class SolveOptions:
 class SolveResult:
     """Outcome of one Dirichlet solve.
 
-    ``max_decrease`` is the largest single-update decrease observed
-    across all sweeps; for f >= 0 started at zero (or warm-started from
-    a smaller problem) the iteration is monotone and this stays at
-    root-finder noise.  ``range_violations`` lists vertices where the
-    final L u left ran phi, which forces ``converged = False``.
+    ``sweeps_used`` counts passes over the arrays as ``SolveOptions``
+    defines them (conjugate-gradient iterations on the Newton path).
+    ``max_decrease`` is the largest decrease of any vertex value from
+    the start (zero, or the warm start) to the returned solution; for
+    f >= 0 started at zero or warm-started from a smaller problem the
+    solution dominates the start and this stays at float noise.
+    ``range_violations`` lists vertices where the final L u left ran
+    phi, which forces ``converged = False``.
     """
 
     u: VertexFunction
@@ -174,6 +205,9 @@ def _sweep_order(g: WeightedGraph, U: list[int], mode: str) -> list[int]:
 # the root value (a = deg/m grows like 4^x on fast branching graphs), so
 # |F| cannot be resolved below a few ulp of those terms.
 _FT_NOISE = 8.0 * math.ulp(1.0)
+# Relative rounding of E and of the Newton iterates: E sums O(deg u^2)
+# terms, so values of E closer than this times those terms are equal.
+_NOISE = 64.0 * math.ulp(1.0)
 
 
 def _scalar_root(a, s_over_m, fx, wx, phi, deriv, lo, hi, t, tol):
@@ -235,6 +269,202 @@ def _scalar_root(a, s_over_m, fx, wx, phi, deriv, lo, hi, t, tol):
     )
 
 
+class _System:
+    """One solve's data on U in array form.
+
+    ``rows``/``cols``/``b`` list the in-U edges with b > 0 in coordinate
+    form, rows ascending, so ``apply`` is the Dirichlet Laplacian
+    A u = deg u - sum_y b(., y) u(y) with u = 0 off U.
+    """
+
+    def __init__(self, g: WeightedGraph, W: Potential, f: VertexFunction, order: list[int]):
+        self.order = order
+        index = {x: i for i, x in enumerate(order)}
+        cols: list[int] = []
+        b: list[float] = []
+        counts: list[int] = []
+        for x in order:
+            k = len(cols)
+            for y, w in g.neighbors(x):
+                j = index.get(y)
+                if j is not None and w > 0.0:
+                    cols.append(j)
+                    b.append(w)
+            counts.append(len(cols) - k)
+        n = len(order)
+        self.rows = np.repeat(np.arange(n), counts)
+        self.cols = np.array(cols, dtype=np.intp)
+        self.b = np.array(b, dtype=float)
+        self.m = np.array([g.measure(x) for x in order], dtype=float)
+        self.deg = np.array([g.degree(x) for x in order], dtype=float)
+        self.w = np.array([W(x) for x in order], dtype=float)
+        self.f = np.array([f(x) for x in order], dtype=float)
+        for name, arr in (("m", self.m), ("deg", self.deg), ("W", self.w), ("f", self.f)):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                x = order[bad[0]]
+                raise ValueError(f"{name}({x}) = {float(arr[bad[0]])} is not finite")
+        low = np.flatnonzero(self.w < W.W0)
+        if low.size:
+            x = order[low[0]]
+            raise ValueError(f"W({x}) = {float(self.w[low[0]])} violates the certified bound W0 = {W.W0}")
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        off = np.bincount(self.rows, self.b * u[self.cols], minlength=u.size)
+        return self.deg * u - off
+
+    def residual(self, nl: Nonlinearity, u: np.ndarray):
+        """Raw and data-scaled sup residual at u, and the range violations.
+
+        A NaN residual propagates into both sups, so it fails the test.
+        """
+        lu = self.apply(u) / self.m
+        ok = (nl.lo < lu) & (lu < nl.hi)
+        if nl.arrays is not None:
+            inv = nl.arrays.inv(np.where(ok, lu, 0.0))
+        else:
+            inv = np.zeros_like(lu)
+            for i in np.flatnonzero(ok):
+                try:
+                    inv[i] = nl.inverse(float(lu[i]))
+                except RangeError:
+                    # inside ran phi mathematically but past float representability
+                    ok[i] = False
+        r = np.abs(inv + self.w * u - self.f)[ok]
+        sup = float(np.max(r, initial=0.0))
+        scaled = float(np.max(r / (1.0 + np.abs(self.f[ok])), initial=0.0))
+        return sup, scaled, tuple(self.order[i] for i in np.flatnonzero(~ok))
+
+
+def _pcg(sys_: _System, c: np.ndarray, rhs: np.ndarray, budget: int):
+    """Jacobi-preconditioned CG for (A + diag(c)) x = rhs from x = 0.
+
+    Runs until the preconditioned residual falls to float noise or the
+    budget of iterations is spent; returns x and the iterations used.
+    """
+    diag = sys_.deg + c
+    inv_diag = np.where(diag > 0.0, 1.0 / diag, 0.0)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    stop = (_NOISE * _NOISE) * rz
+    its = 0
+    while its < budget and rz > stop:
+        q = sys_.apply(p) + c * p
+        pq = float(p @ q)
+        if not pq > 0.0:
+            break
+        a = rz / pq
+        x += a * p
+        r -= a * q
+        its += 1
+        z = inv_diag * r
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return x, its
+
+
+def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
+    """Damped Newton on E from u; returns the iterate, sweeps and convergence."""
+    arr = nl.arrays
+    m, w, f = sys_.m, sys_.w, sys_.f
+
+    def grad(v):  # half the gradient of E
+        return sys_.apply(v) - m * arr.phi(f - w * v)
+
+    def energy(v):  # E up to a constant, and the size of its rounding
+        kappa = arr.antideriv(f - w * v) * m / w
+        return v @ sys_.apply(v) + kappa.sum(), sys_.deg @ (v * v) + np.abs(kappa).sum()
+
+    sweeps, last, step, tiny, stalls = 0, math.inf, math.inf, False, 0
+    while True:
+        _, scaled, violations = sys_.residual(nl, u)
+        ok = not violations and scaled <= opts.residual_tol
+        if ok and tiny:
+            return u, sweeps, True
+        if sweeps >= opts.max_sweeps or stalls >= 2:
+            return u, sweeps, False  # budget spent, or steps at float noise
+        c = m * w * arr.deriv(f - w * u)
+        g = grad(u)
+        d, its = _pcg(sys_, c, -g, opts.max_sweeps - sweeps)
+        sweeps += its
+        # backtracking on E; where E cannot tell the points apart, a
+        # smaller gradient decides instead
+        e0, n0 = energy(u)
+        slope = min(2.0 * float(g @ d), 0.0)
+        g0 = np.max(np.abs(g), initial=0.0)
+        t = 1.0
+        for _ in range(64):
+            v = u + t * d
+            e1, n1 = energy(v)
+            if e1 <= e0 + 1e-4 * t * slope:
+                break
+            if abs(e1 - e0) <= _NOISE * max(n0, n1) and np.max(np.abs(grad(v)), initial=0.0) < g0:
+                break
+            t *= 0.5
+        else:
+            return u, sweeps, ok  # no representable descent left
+        last, step = step, float(np.max(np.abs(t * d), initial=0.0))
+        if step == 0.0:
+            return u, sweeps, ok
+        u = v
+        # error left after this step, from the contraction rate of the last
+        # two; the first step counts as exact, as it is for quadratic E
+        rate = step / last
+        noise = step <= _NOISE * np.max(np.abs(u))
+        stalls = stalls + 1 if noise else 0
+        tiny = noise or step * rate <= opts.sweep_tol * (1.0 - rate)
+
+
+def _gauss_seidel(sys_: _System, nl: Nonlinearity, u: np.ndarray, k_bound: float,
+                  opts: SolveOptions):
+    """Per-vertex nonlinear Gauss-Seidel from u; returns the iterate, sweeps and convergence."""
+    n_u = len(sys_.order)
+    starts = np.searchsorted(sys_.rows, np.arange(n_u + 1)).tolist()
+    cols, bs = sys_.cols.tolist(), sys_.b.tolist()
+    m_arr, deg_arr = sys_.m.tolist(), sys_.deg.tolist()
+    w_arr, f_arr = sys_.w.tolist(), sys_.f.tolist()
+    lo, hi = -k_bound - 1.0, k_bound + 1.0
+    u = u.tolist()
+    phi, deriv, root_tol = nl.phi, nl.deriv, opts.scalar_root_tol
+    sweeps = 0
+    zero_stalls = 0
+    while sweeps < opts.max_sweeps:
+        sweeps += 1
+        delta = 0.0
+        for i in range(n_u):
+            s = 0.0
+            for k in range(starts[i], starts[i + 1]):
+                s += bs[k] * u[cols[k]]
+            mi = m_arr[i]
+            t = _scalar_root(
+                deg_arr[i] / mi, s / mi, f_arr[i], w_arr[i],
+                phi, deriv, lo, hi, u[i], root_tol,
+            )
+            d = abs(t - u[i])
+            if d > delta:
+                delta = d
+            u[i] = t
+        # residual checks are gated on sweep stagnation, plus a periodic
+        # check so convergence is still detected if updates keep dancing
+        # at float granularity above sweep_tol
+        if delta > opts.sweep_tol and sweeps % 64 != 0:
+            zero_stalls = 0
+            continue
+        _, scaled, violations = sys_.residual(nl, np.array(u))
+        if not violations and scaled <= opts.residual_tol:
+            return np.array(u), sweeps, True
+        if delta == 0.0:
+            zero_stalls += 1
+            if zero_stalls >= 2:
+                break  # exact fixed point of the scalar solves; no further progress
+        else:
+            zero_stalls = 0
+    return np.array(u), sweeps, False
+
+
 def solve_dirichlet(
     g: WeightedGraph,
     W: Potential,
@@ -247,9 +477,11 @@ def solve_dirichlet(
     """Minimize the Dirichlet energy over functions supported in U.
 
     Returns a flagged (never raising) result: ``converged`` is False
-    when max_sweeps ran out, when progress stalled at exact zero while
-    the residual test still failed, or when L u left ran phi at some
-    vertex.  The 1-neighborhood of U is materialized as a side effect.
+    when max_sweeps ran out, when progress stalled while the residual
+    test still failed, or when L u left ran phi at some vertex.  Raises
+    ValueError, naming the vertex, when m, deg, W or f is not finite
+    there or W falls below W0.  The 1-neighborhood of U is materialized
+    as a side effect.
     """
     opts = opts or SolveOptions()
     u_list = list(dict.fromkeys(U))
@@ -261,100 +493,24 @@ def solve_dirichlet(
             energy_value=energy_functional(g, W, nl, f, VertexFunction.zero(), ()),
             converged=True,
         )
-    order = _sweep_order(g, u_list, opts.sweep_order)
-    n_u = len(order)
-    index = {x: i for i, x in enumerate(order)}
-
-    m_arr = [g.measure(x) for x in order]
-    deg_arr = [g.degree(x) for x in order]
-    w_arr = [float(W(x)) for x in order]
-    f_arr = [f(x) for x in order]
-    for i, x in enumerate(order):
-        if w_arr[i] < W.W0:
-            raise ValueError(f"W({x}) = {w_arr[i]} violates the certified bound W0 = {W.W0}")
-
-    # in-U neighbor lists; off-U neighbors contribute nothing to S since u = 0 there
-    nbr_idx: list[list[int]] = []
-    nbr_w: list[list[float]] = []
-    for x in order:
-        ji: list[int] = []
-        jw: list[float] = []
-        for y, w in g.neighbors(x):
-            j = index.get(y)
-            if j is not None and w > 0.0:
-                ji.append(j)
-                jw.append(w)
-        nbr_idx.append(ji)
-        nbr_w.append(jw)
-
-    f_sup = max((abs(v) for v in f_arr), default=0.0)
-    k_bound = f_sup / W.W0
-    lo, hi = -k_bound - 1.0, k_bound + 1.0
-
-    u = [0.0] * n_u
-    if start is not None:
-        for i, x in enumerate(order):
-            # clamp into the certified box so brackets stay valid
-            u[i] = min(max(start(x), -k_bound), k_bound)
-
-    phi = nl.phi
-    deriv = nl.deriv
-    root_tol = opts.scalar_root_tol
-    max_dec = 0.0
-    sweeps = 0
-    converged = False
-    resid_inf = math.inf
-    violations: tuple[int, ...] = ()
-    zero_stalls = 0
-
-    while sweeps < opts.max_sweeps:
-        sweeps += 1
-        delta = 0.0
-        for i in range(n_u):
-            ji = nbr_idx[i]
-            jw = nbr_w[i]
-            s = 0.0
-            for k in range(len(ji)):
-                s += jw[k] * u[ji[k]]
-            mi = m_arr[i]
-            t = _scalar_root(
-                deg_arr[i] / mi, s / mi, f_arr[i], w_arr[i],
-                phi, deriv, lo, hi, u[i], root_tol,
-            )
-            d = t - u[i]
-            if d < 0.0 and -d > max_dec:
-                max_dec = -d
-            if d < 0.0:
-                d = -d
-            if d > delta:
-                delta = d
-            u[i] = t
-        # residual checks are gated on sweep stagnation, plus a periodic
-        # check so convergence is still detected if updates keep dancing
-        # at float granularity above sweep_tol
-        if delta > opts.sweep_tol and sweeps % 64 != 0:
-            zero_stalls = 0
-            continue
-        resid_inf, scaled, violations = _residual_arrays(
-            g, nl, order, u, index, m_arr, deg_arr, w_arr, f_arr
-        )
-        if not violations and scaled <= opts.residual_tol:
-            converged = True
-            break
-        if delta == 0.0:
-            zero_stalls += 1
-            if zero_stalls >= 2:
-                break  # exact fixed point of the scalar solves; no further progress
+    with np.errstate(all="ignore"):
+        newton = nl.arrays is not None and np.isfinite(nl.arrays.deriv(np.zeros(1))).all()
+        order = u_list if newton else _sweep_order(g, u_list, opts.sweep_order)
+        sys_ = _System(g, W, f, order)
+        k_bound = float(np.max(np.abs(sys_.f))) / W.W0
+        u0 = np.zeros(len(order))
+        if start is not None:
+            u0 = np.array([start(x) for x in order], dtype=float)
+        # clamp into the certified box, where the solution lies
+        u = np.clip(u0, -k_bound, k_bound)
+        if newton:
+            u, sweeps, converged = _newton(sys_, nl, u, opts)
         else:
-            zero_stalls = 0
+            u, sweeps, converged = _gauss_seidel(sys_, nl, u, k_bound, opts)
+        resid_inf, _, violations = sys_.residual(nl, u)
+        max_dec = max(float(np.max(u0 - u)), 0.0)
 
-    if not converged:
-        # measure at the final iterate; mid-loop values may be stale
-        resid_inf, _, violations = _residual_arrays(
-            g, nl, order, u, index, m_arr, deg_arr, w_arr, f_arr
-        )
-
-    u_fn = VertexFunction({x: u[i] for i, x in enumerate(order)})
+    u_fn = VertexFunction(dict(zip(order, u.tolist())))
     e_val = energy_functional(g, W, nl, f, u_fn, u_list)
     return SolveResult(
         u=u_fn,
@@ -365,36 +521,6 @@ def solve_dirichlet(
         max_decrease=max_dec,
         range_violations=violations,
     )
-
-
-def _residual_arrays(g, nl, order, u, index, m_arr, deg_arr, w_arr, f_arr):
-    """Raw and data-scaled sup residual over the solve arrays."""
-    sup = 0.0
-    scaled = 0.0
-    violations: list[int] = []
-    for i, x in enumerate(order):
-        s = 0.0
-        for y, w in g.neighbors(x):
-            j = index.get(y)
-            if j is not None:
-                s += w * u[j]
-        lu = (deg_arr[i] * u[i] - s) / m_arr[i]
-        if not nl.contains(lu):
-            violations.append(x)
-            continue
-        try:
-            r = nl.inverse(lu) + w_arr[i] * u[i] - f_arr[i]
-        except RangeError:
-            # inside ran phi mathematically but past float representability
-            violations.append(x)
-            continue
-        r = abs(r)
-        if r > sup:
-            sup = r
-        rs = r / (1.0 + abs(f_arr[i]))
-        if rs > scaled:
-            scaled = rs
-    return sup, scaled, tuple(violations)
 
 
 def energy_functional(

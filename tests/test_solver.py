@@ -1,17 +1,30 @@
 """Dirichlet solver: exact small solutions, flags, residuals, energy."""
 
+import dataclasses
+import math
+import random
+import warnings
+
 import pytest
 
 from nlresolvent import (
     ExplicitGraph,
     Potential,
+    ProceduralGraph,
     SolveOptions,
     VertexFunction,
+    ball,
     bounded_atan,
     energy_functional,
+    extended_resolvent,
     finite_path,
     identity,
+    lattice_z,
+    make_exhaustion,
+    micro_suite,
+    odd_log,
     odd_power,
+    random_sparse,
     residual,
     solve_dirichlet,
 )
@@ -181,3 +194,89 @@ def test_options_validation():
         SolveOptions(max_sweeps=0)
     with pytest.raises(ValueError):
         SolveOptions(sweep_order="spiral")
+
+
+@pytest.mark.parametrize("nl", [ID, odd_power(0.5)], ids=["newton", "gauss-seidel"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_potential_rejected(path3, nl, bad):
+    W = Potential(lambda x: bad if x == 1 else 1.0, W0=1.0)
+    with pytest.raises(ValueError, match=r"W\(1\) = .* is not finite"):
+        solve_dirichlet(path3, W, nl, VertexFunction.delta(0), [0, 1, 2])
+
+
+def test_non_finite_weight_rejected(unit_potential):
+    g = ProceduralGraph(0, lambda x: [(x + 1, math.inf if x == 2 else 1.0)])
+    with pytest.raises(ValueError, match=r"deg\(2\) = inf is not finite"):
+        solve_dirichlet(g, unit_potential, ID, VertexFunction.delta(0), [0, 1, 2])
+
+
+# --- Newton path against the Gauss-Seidel fallback ---------------------------
+
+BUILTINS = (ID, odd_power(3.0), odd_log(), bounded_atan())
+
+
+def _without_arrays(nl):
+    """The same phi with no array forms, which forces Gauss-Seidel."""
+    return dataclasses.replace(nl, name=f"{nl.name}/scalar", arrays=None)
+
+
+@pytest.mark.parametrize("nl", BUILTINS, ids=lambda nl: nl.name)
+def test_newton_agrees_with_gauss_seidel_on_random_graphs(nl):
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(2, 40)
+        g = random_sparse(n, density=rng.uniform(0.05, 0.4), seed=seed)
+        wmap = {x: rng.uniform(0.5, 3.0) for x in range(n)}
+        W = Potential.from_callable(lambda x, m=wmap: m[x], W0=0.5)
+        f = VertexFunction({x: rng.uniform(-2.0, 2.0) for x in range(n)})
+        U = sorted(rng.sample(range(n), rng.randint(1, n)))
+        a = solve_dirichlet(g, W, nl, f, U)
+        b = solve_dirichlet(g, W, _without_arrays(nl), f, U)
+        assert a.converged and b.converged
+        assert max(abs(a.u(x) - b.u(x)) for x in U) <= 1e-9
+
+
+@pytest.mark.parametrize("nl", BUILTINS, ids=lambda nl: nl.name)
+def test_newton_agrees_with_gauss_seidel_on_lattice_ball(nl, unit_potential):
+    g = lattice_z()
+    U = ball(g, 0, 25)
+    f = VertexFunction({x: 1.0 for x in U})
+    a = solve_dirichlet(g, unit_potential, nl, f, U)
+    b = solve_dirichlet(g, unit_potential, _without_arrays(nl), f, U)
+    assert a.converged and b.converged
+    assert max(abs(a.u(x) - b.u(x)) for x in U) <= 1e-9
+
+
+def test_square_root_power_takes_the_fallback(path3, unit_potential):
+    # phi'(0) is infinite, so Newton cannot run; Gauss-Seidel still solves
+    nl = odd_power(0.5)
+    f = VertexFunction({0: 1.0, 1: -2.0, 2: 0.5})
+    res = solve_dirichlet(path3, unit_potential, nl, f, [0, 1, 2])
+    scalar = solve_dirichlet(path3, unit_potential, _without_arrays(nl), f, [0, 1, 2])
+    assert res.converged
+    assert res.sweeps_used == scalar.sweeps_used
+    rep = residual(path3, unit_potential, nl, f, res.u, [0, 1, 2])
+    assert rep.ok and rep.sup <= 1e-8
+
+
+def test_array_forms_raise_no_numpy_warnings(path3, unit_potential):
+    # overflow inside phi, expm1 or tan must surface as inf or a range
+    # violation, never as a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for case in micro_suite():
+            for nl in BUILTINS:
+                res = solve_dirichlet(case["g"], case["W"], nl, case["f"], case["U"])
+                assert res.converged
+        g = lattice_z()
+        ex = make_exhaustion(g, 0, [25, 50, 100])
+        est = extended_resolvent(g, unit_potential, odd_power(3.0), lambda x: 1.0, ex)
+        assert est.final_solve.converged
+        # data whose phi overflows float64: flagged, not warned about
+        huge = VertexFunction({0: 1e200, 1: -1e200})
+        for nl in (odd_power(3.0), bounded_atan()):
+            res = solve_dirichlet(path3, unit_potential, nl, huge, [0, 1, 2])
+            assert not res.converged
+        # probing phi'(0) = inf for the fallback choice divides by zero
+        assert solve_dirichlet(path3, unit_potential, odd_power(0.5),
+                               VertexFunction.delta(0), [0, 1, 2]).converged
