@@ -25,6 +25,7 @@ from .graphs import (
     materialization_cap,
     validate,
     weighted_degree,
+    write_graph_json,
 )
 from .nonlinearity import (
     ArrayForms,
@@ -103,7 +104,7 @@ __all__ = [
     "GraphError", "WeightedGraph", "ExplicitGraph", "ProceduralGraph",
     "VertexFunction", "ValidationReport", "ball", "edge_weight", "energy",
     "graph_from_json", "graph_to_json", "laplacian_apply",
-    "materialization_cap", "validate", "weighted_degree",
+    "materialization_cap", "validate", "weighted_degree", "write_graph_json",
     # nonlinearity
     "ArrayForms", "Nonlinearity", "RangeError", "identity", "odd_power", "odd_log",
     "bounded_atan", "builtin", "parse_phi", "phi_inv_numeric", "Phi_numeric",

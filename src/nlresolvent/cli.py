@@ -44,8 +44,8 @@ from .graphs import (
     WeightedGraph,
     ball,
     graph_from_json,
-    graph_to_json,
     validate,
+    write_graph_json,
 )
 from .nonlinearity import Nonlinearity, RangeError, parse_phi
 from .resolvent import (
@@ -517,7 +517,7 @@ def _run_resolve(cfg: RunConfig) -> int:
                                  opts=cfg.solve_options())
     except SolveError as exc:
         if outdir:
-            _write_trace(outdir, CSV_HEADER, [])
+            _write_trace(outdir, CSV_HEADER, exc.partial.csv_rows() if exc.partial else [])
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     rows = est.csv_rows()
@@ -546,7 +546,8 @@ def _run_classify(cfg: RunConfig) -> int:
                                 "radii_resolved": list(ex.radii),
                                 "alpha_resolved": list(grid)})
     # the alpha loop runs here, not in classify(), so an aborted run
-    # still leaves the completed alphas' rows as a reproducible trace
+    # still leaves the completed alphas' rows, and the completed steps of
+    # the failed one, as a reproducible trace
     rows: list[tuple] = []
     estimates = []
     try:
@@ -557,6 +558,8 @@ def _run_classify(cfg: RunConfig) -> int:
             estimates.append(est)
             rows.extend(est.alpha_rows())
     except SolveError as exc:
+        if exc.partial:
+            rows.extend(exc.partial.alpha_rows())
         if outdir:
             _write_trace(outdir, CLASSIFY_CSV_HEADER, rows)
         print(f"error: {exc}", file=sys.stderr)
@@ -618,7 +621,8 @@ def _run_verify_liouville(cfg: RunConfig) -> int:
                                opts=cfg.solve_options(), seed=cfg.seed)
     except SolveError as exc:
         if outdir:
-            _write_trace(outdir, CLASSIFY_CSV_HEADER, [])
+            _write_trace(outdir, CLASSIFY_CSV_HEADER,
+                         exc.partial.alpha_rows() if exc.partial else [])
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     rows = rep.defect.alpha_rows()
@@ -664,19 +668,15 @@ def _run_gen(cfg: RunConfig) -> int:
         g = generate(family_from_spec(spec))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if isinstance(g, ExplicitGraph):
-        doc = graph_to_json(g)
-    else:
+    verts = None
+    if not isinstance(g, ExplicitGraph):
         if not cfg.radii:
             raise CliError("procedural families need --radii to pick a finite ball")
-        r = _parse_radii(cfg)[0]
-        doc = graph_to_json(g, ball(g, g.root, r, max_vertices=cfg.max_vertices))
+        verts = ball(g, g.root, _parse_radii(cfg)[0], max_vertices=cfg.max_vertices)
     _prepare_out(cfg)
     path = os.path.join(cfg.out, "graph.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {path} ({len(doc['vertices'])} vertices, {len(doc['edges'])} edges)")
+    n_verts, n_edges = write_graph_json(path, g, verts)
+    print(f"wrote {path} ({n_verts} vertices, {n_edges} edges)")
     return EXIT_OK
 
 

@@ -26,7 +26,7 @@ from collections.abc import Iterable
 from .graphs import WeightedGraph, ball, edge_weight, laplacian_apply
 from .nonlinearity import Nonlinearity
 from .resolvent import CSV_HEADER, Exhaustion, ResolventEstimate, extended_resolvent
-from .solver import Potential, SolveOptions
+from .solver import Potential, SolveError, SolveOptions
 
 __all__ = [
     "CLASSIFY_CSV_HEADER",
@@ -162,15 +162,25 @@ def conservation_defect(
 
     Needs alpha >= 0 and W bounded on the materialized sets (the data
     alpha*W is sampled there).  Solver non-convergence propagates from
-    the resolvent; the values of an unconverged solve would certify
+    the resolvent, its ``partial`` turned into the DefectEstimate of the
+    completed steps; the values of an unconverged solve would certify
     nothing.
     """
     alpha = float(alpha)
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    est = extended_resolvent(
-        g, W, nl, lambda x: alpha * W(x), ex, probes=probes, tol=tol, opts=opts
-    )
+    try:
+        est = extended_resolvent(
+            g, W, nl, lambda x: alpha * W(x), ex, probes=probes, tol=tol, opts=opts
+        )
+    except SolveError as exc:
+        if exc.partial is not None:
+            exc.partial = _defect_estimate(alpha, exc.partial)
+        raise
+    return _defect_estimate(alpha, est)
+
+
+def _defect_estimate(alpha: float, est: ResolventEstimate) -> DefectEstimate:
     defects = {p: tuple(alpha - v for v in est.values[p]) for p in est.probes}
     increments = {p: tuple(-v for v in est.increments[p]) for p in est.probes}
     bounds_ok = all(

@@ -10,19 +10,19 @@ supported functions by
 
 Two backends share one interface: :class:`ExplicitGraph` keeps a finite
 adjacency table, :class:`ProceduralGraph` generates neighbors from a rule
-and materializes vertices on demand (with an internal lock, so shared
-instances are safe to probe from several threads).  Both are immutable
-after construction.
+and materializes vertices on demand.  Both are immutable after
+construction.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from itertools import islice
 
 __all__ = [
     "GraphError",
@@ -39,6 +39,7 @@ __all__ = [
     "edge_weight",
     "graph_from_json",
     "graph_to_json",
+    "write_graph_json",
     "materialization_cap",
 ]
 
@@ -198,8 +199,8 @@ class ProceduralGraph(WeightedGraph):
     """Infinite (or just implicit) graph given by a neighbor rule.
 
     ``neighbor_rule(x)`` returns the (y, b(x, y)) pairs at x and
-    ``measure_rule(x)`` the vertex measure; results are memoized under a
-    lock the first time a vertex is touched.  The rule must be
+    ``measure_rule(x)`` the vertex measure; results are memoized the
+    first time a vertex is touched.  The rule must be
     symmetric; :func:`validate` can spot-check that on any probe set.
     """
 
@@ -219,22 +220,18 @@ class ProceduralGraph(WeightedGraph):
         self._nbrs: dict[int, tuple[tuple[int, float], ...]] = {}
         self._deg: dict[int, float] = {}
         self._m: dict[int, float] = {}
-        self._lock = threading.Lock()
 
     def _materialize(self, x: int) -> None:
-        if x in self._nbrs:
-            return
-        nbrs = tuple((int(y), float(w)) for y, w in self._nbr_rule(x))
+        nbrs = tuple([(int(y), float(w)) for y, w in self._nbr_rule(x)])
         for y, w in nbrs:
             if y == x:
                 raise GraphError(f"neighbor rule produced a self-loop at {x}")
             if w < 0:
                 raise GraphError(f"neighbor rule produced b({x},{y}) = {w} < 0")
         m = 1.0 if self._m_rule is None else float(self._m_rule(x))
-        with self._lock:
-            self._nbrs.setdefault(x, nbrs)
-            self._deg.setdefault(x, math.fsum(w for _, w in nbrs))
-            self._m.setdefault(x, m)
+        self._nbrs[x] = nbrs
+        self._deg[x] = math.fsum([w for _, w in nbrs])
+        self._m[x] = m
 
     def measure(self, x: int) -> float:
         if x not in self._m:
@@ -475,19 +472,79 @@ def graph_from_json(doc: Mapping | str) -> ExplicitGraph:
     return ExplicitGraph(measures, adj)
 
 
-def graph_to_json(g: WeightedGraph, vertices: Iterable[int] | None = None) -> dict:
-    """Serialize (a finite piece of) a graph to the JSON document form."""
+def _vertex_list(g: WeightedGraph, vertices: Iterable[int] | None) -> list[int]:
     if vertices is None:
         if not isinstance(g, ExplicitGraph):
             raise GraphError("procedural graphs need an explicit vertex list to serialize")
-        verts = g.vertices()
-    else:
-        verts = list(dict.fromkeys(int(v) for v in vertices))
+        return g.vertices()
+    return list(dict.fromkeys(int(v) for v in vertices))
+
+
+def _edges(g: WeightedGraph, verts: list[int]) -> Iterator[tuple[int, int, float]]:
+    """(x, y, b) for each undirected edge with both ends in verts, listed once."""
     vset = set(verts)
-    rows = [{"id": x, "m": g.measure(x)} for x in verts]
-    edges = []
     for x in verts:
         for y, w in g.neighbors(x):
             if y in vset and x < y and w > 0.0:
-                edges.append({"u": x, "v": y, "b": w})
+                yield x, y, w
+
+
+def graph_to_json(g: WeightedGraph, vertices: Iterable[int] | None = None) -> dict:
+    """Serialize (a finite piece of) a graph to the JSON document form."""
+    verts = _vertex_list(g, vertices)
+    rows = [{"id": x, "m": g.measure(x)} for x in verts]
+    edges = [{"u": x, "v": y, "b": w} for x, y, w in _edges(g, verts)]
     return {"vertices": rows, "edges": edges}
+
+
+def _json_number(v: float) -> str:
+    # the spelling json.dumps gives a float, non-finite values included
+    if math.isfinite(v):
+        return repr(v)
+    return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
+
+
+def _write_array(fh, items: Iterator[str]) -> int:
+    """Write an indent=2 JSON array, one level deep, of preformatted items."""
+    n = 0
+    sep = "\n    "
+    while chunk := list(islice(items, 4096)):
+        fh.write(sep + ",\n    ".join(chunk))
+        sep = ",\n    "
+        n += len(chunk)
+    fh.write("\n  ]" if n else "]")
+    return n
+
+
+def write_graph_json(
+    path: str, g: WeightedGraph, vertices: Iterable[int] | None = None
+) -> tuple[int, int]:
+    """Write graph_to_json(g, vertices) to path without building the document.
+
+    The file holds the same bytes as ``json.dump(doc, fh, indent=2,
+    sort_keys=True)`` followed by a newline, streamed straight from the
+    graph.  Returns the vertex and edge counts.  On an error the partial
+    file is removed.
+    """
+    verts = _vertex_list(g, vertices)
+    edges = (
+        f'{{\n      "b": {_json_number(w)},\n      "u": {x},\n      "v": {y}\n    }}'
+        for x, y, w in _edges(g, verts)
+    )
+    rows = (
+        f'{{\n      "id": {x},\n      "m": {_json_number(g.measure(x))}\n    }}'
+        for x in verts
+    )
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write('{\n  "edges": [')
+            n_edges = _write_array(fh, edges)
+            fh.write(',\n  "vertices": [')
+            _write_array(fh, rows)
+            fh.write("\n}\n")
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
+    return len(verts), n_edges

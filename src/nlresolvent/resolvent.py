@@ -162,7 +162,8 @@ def extended_resolvent(
     on each set of the exhaustion (for rule-defined data like multiples
     of the potential; it must be bounded for the limit to be finite).
     A solve that fails to converge raises SolveError carrying the
-    offending result; a schedule that merely has not stabilized yet is
+    offending result and, as ``partial``, the estimate over the steps
+    completed before it; a schedule that merely has not stabilized yet is
     not an error and comes back with converged flags down.
     """
     if tol <= 0:
@@ -216,6 +217,7 @@ def extended_resolvent(
                     f"(radius {r}, {len(K)} vertices): residual {res.residual_inf:.3g} "
                     f"after {res.sweeps_used} sweeps",
                     result=res,
+                    partial=_estimate(values, steps, max_dec, tol, prev) if steps else None,
                 )
             sweeps = res.sweeps_used
             if res.max_decrease > max_dec:
@@ -226,11 +228,20 @@ def extended_resolvent(
                                 sweeps=sweeps, residual_inf=res.residual_inf))
         prev = res
         prev_size = len(K)
+    return _estimate(values, steps, max_dec, tol, prev)
 
+
+def _estimate(
+    values: dict[int, list[float]],
+    steps: list[StepRecord],
+    max_dec: float,
+    tol: float,
+    final_solve: SolveResult,
+) -> ResolventEstimate:
+    """The estimate over the steps solved so far (at least one)."""
     increments: dict[int, tuple[float, ...]] = {}
     converged: dict[int, bool] = {}
-    for p in probe_list:
-        seq = values[p]
+    for p, seq in values.items():
         inc = [seq[0]]
         inc.extend(b - a for a, b in zip(seq, seq[1:]))
         for step_inc in inc[1:]:
@@ -240,12 +251,12 @@ def extended_resolvent(
         converged[p] = all(abs(v) <= tol for v in inc[-2:])
 
     return ResolventEstimate(
-        probes=tuple(probe_list),
+        probes=tuple(values),
         values={p: tuple(v) for p, v in values.items()},
         increments=increments,
-        final={p: values[p][-1] for p in probe_list},
+        final={p: seq[-1] for p, seq in values.items()},
         converged=converged,
         max_decrease=max_dec,
         steps=tuple(steps),
-        final_solve=prev,
+        final_solve=final_solve,
     )

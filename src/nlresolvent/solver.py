@@ -171,11 +171,19 @@ class ResidualReport:
 
 
 class SolveError(RuntimeError):
-    """A solve that was required to converge did not."""
+    """A solve that was required to converge did not.
 
-    def __init__(self, message: str, result: SolveResult | None = None):
+    ``result`` is the unconverged solve.  A failure inside a sequence of
+    solves also carries ``partial``: the estimate over the steps that
+    completed before it, of the type the failing call would have
+    returned (None when no step completed).
+    """
+
+    def __init__(self, message: str, result: SolveResult | None = None,
+                 partial=None):
         super().__init__(message)
         self.result = result
+        self.partial = partial
 
 
 def _sweep_order(g: WeightedGraph, U: list[int], mode: str) -> list[int]:
@@ -556,7 +564,7 @@ def residual(
 
     A vertex where L u falls outside ran phi is reported as a range
     violation instead of a number; the sup is taken over the vertices
-    with a defined residual.
+    with a defined residual, and is NaN if any of them is NaN.
     """
     values: dict[int, float] = {}
     violations: list[tuple[int, float]] = []
@@ -569,5 +577,6 @@ def residual(
             values[x] = nl.inverse(lu) + W(x) * u(x) - f(x)
         except RangeError:
             violations.append((x, lu))
-    sup = max((abs(v) for v in values.values()), default=0.0)
+    # np.max propagates NaN, whatever the order of the values
+    sup = float(np.max(np.abs(np.fromiter(values.values(), float, len(values))), initial=0.0))
     return ResidualReport(values=values, sup=sup, range_violations=tuple(violations))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from collections.abc import Callable
 
@@ -119,38 +120,28 @@ def symmetric_tree(branching: int | Callable[[int], int]) -> ProceduralGraph:
         rule = branching
 
     offsets = [0, 1]  # offsets[d] = first id at depth d
-    counts = [1]
+    ks: list[int] = []  # ks[d] = branching at depth d, so len(ks) == len(offsets) - 2
 
-    def _extend_to(depth: int) -> None:
-        while len(offsets) <= depth + 1:
-            d = len(counts) - 1
-            k = int(rule(d))
-            if k < 1:
-                raise GraphError(f"branching rule gave {k} at depth {d}")
-            counts.append(counts[-1] * k)
-            offsets.append(offsets[-1] + counts[-1])
-
-    def _depth_of(v: int) -> int:
-        d = 0
-        while True:
-            _extend_to(d)
-            if v < offsets[d + 1]:
-                return d
-            d += 1
+    def _grow() -> None:
+        d = len(ks)
+        k = int(rule(d))
+        if k < 1:
+            raise GraphError(f"branching rule gave {k} at depth {d}")
+        ks.append(k)
+        offsets.append(offsets[-1] + (offsets[-1] - offsets[-2]) * k)
 
     def nbrs(v: int):
         if v < 0:
             raise GraphError(f"tree ids are nonnegative, got {v}")
-        d = _depth_of(v)
+        # offsets[-2] > v means v's depth d already has its branching ks[d]
+        while offsets[-2] <= v:
+            _grow()
+        d = bisect_right(offsets, v) - 1
         i = v - offsets[d]
-        k = int(rule(d))
-        _extend_to(d + 1)
-        out = []
+        first_child = offsets[d + 1] + i * ks[d]
+        out = [(y, 1.0) for y in range(first_child, first_child + ks[d])]
         if d > 0:
-            kp = int(rule(d - 1))
-            out.append((offsets[d - 1] + i // kp, 1.0))
-        first_child = offsets[d + 1] + i * k
-        out.extend((first_child + j, 1.0) for j in range(k))
+            out.insert(0, (offsets[d - 1] + i // ks[d - 1], 1.0))
         return tuple(out)
 
     return ProceduralGraph(root=0, neighbor_rule=nbrs, name="symmetric-tree")

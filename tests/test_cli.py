@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from nlresolvent import graph_from_json, validate
+from nlresolvent import ball, graph_from_json, graph_to_json, symmetric_tree, validate
 from nlresolvent.cli import main
 
 
@@ -58,6 +58,28 @@ def test_solve_starved_of_sweeps_exits_3_with_artifacts(tmp_path, capsys):
     result = json.loads((out_dir / "result.json").read_text())
     assert result["converged"] is False
     assert result["sweeps"] == 3
+
+
+# a birth-death:4 exhaustion whose step 0 (radius 2) converges and whose
+# step 1 (radius 40) runs out of sweeps; the completed step's rows must
+# equal those of a run that stops at radius 2 (for verify-liouville: the
+# defect rows classify writes for it)
+@pytest.mark.parametrize("mode, args, ref_mode", [
+    ("resolve", ("--f", "delta:0"), "resolve"),
+    ("classify", ("--alpha", "1"), "classify"),
+    ("verify-liouville", ("--alpha", "1"), "classify"),
+], ids=["resolve", "classify", "verify-liouville"])
+def test_exit_3_keeps_completed_steps(tmp_path, capsys, mode, args, ref_mode):
+    common = ("--graph", "birth-death:4", "--max-sweeps", "8", *args)
+    code, _, _ = run_cli(capsys, mode, *common, "--radii", "2,40",
+                         "--out", str(tmp_path / "cut"))
+    assert code == 3
+    code, _, _ = run_cli(capsys, ref_mode, *common, "--radii", "2",
+                         "--out", str(tmp_path / "step0"))
+    assert code == 0
+    rows = [(d / "trace.csv").read_text().splitlines()[1:]
+            for d in (tmp_path / "cut", tmp_path / "step0")]
+    assert rows[0] and rows[0] == rows[1]
 
 
 def test_u_all_on_procedural_graph_is_config_error(capsys):
@@ -234,6 +256,18 @@ def test_gen_procedural_family_needs_radii(tmp_path, capsys):
     assert code == 0
     g = graph_from_json(str(out_dir / "graph.json"))
     assert len(g.vertices()) == 9  # ball of radius 4 around 0 in Z
+
+
+def test_gen_tree_bytes_match_reference(tmp_path, capsys):
+    out_dir = tmp_path / "gen"
+    code, out, _ = run_cli(capsys, "gen", "--family", "tree:2", "--radii", "5",
+                           "--out", str(out_dir))
+    assert code == 0
+    assert "(63 vertices, 62 edges)" in out
+    g = symmetric_tree(2)
+    doc = graph_to_json(g, ball(g, g.root, 5))
+    expect = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert (out_dir / "graph.json").read_text(encoding="utf-8") == expect
 
 
 # --- installed entry point -----------------------------------------------------

@@ -1,5 +1,6 @@
 """Graph layer: balls, Laplacian, energy form, validation, JSON."""
 
+import json
 import math
 
 import pytest
@@ -9,17 +10,22 @@ from hypothesis import strategies as st
 from nlresolvent import (
     ExplicitGraph,
     GraphError,
+    ProceduralGraph,
     VertexFunction,
     ball,
     edge_weight,
     energy,
+    finite_path,
     graph_from_json,
     graph_to_json,
     laplacian_apply,
     materialization_cap,
+    random_sparse,
     star,
+    symmetric_tree,
     validate,
     weighted_degree,
+    write_graph_json,
 )
 
 
@@ -259,3 +265,43 @@ def test_json_keeps_conflicting_rows_for_validate():
     rep = validate(g, [0, 1])
     assert not rep.ok
     assert any("symmetry" in f for f in rep.failures)
+
+
+def _inf_edge_graph():
+    # b(1, 2) = inf, which json spells Infinity
+    def rule(x):
+        out = [(y, math.inf if {x, y} == {1, 2} else 1.0) for y in (x - 1, x + 1)]
+        return [(y, w) for y, w in out if 0 <= y <= 3]
+    return ProceduralGraph(0, rule), [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("case", ["tree", "random-sparse", "single-vertex", "inf-weight"])
+def test_write_graph_json_matches_reference_bytes(tmp_path, case):
+    if case == "tree":
+        g = symmetric_tree(2)
+        verts = ball(g, g.root, 6)
+    elif case == "random-sparse":
+        g, verts = random_sparse(30, 0.2, seed=3), None
+    elif case == "single-vertex":
+        g, verts = finite_path(1), None
+    else:
+        g, verts = _inf_edge_graph()
+    path = tmp_path / "graph.json"
+    counts = write_graph_json(str(path), g, verts)
+    doc = graph_to_json(g, verts)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert counts == (len(doc["vertices"]), len(doc["edges"]))
+    if case == "single-vertex":
+        assert '"edges": [],' in text
+    if case == "inf-weight":
+        assert '"b": Infinity' in text
+
+
+def test_write_graph_json_leaves_no_file_on_error(tmp_path):
+    def rule(x):
+        return [(x, 1.0)] if x == 3 else [(x + 1, 1.0)]
+    path = tmp_path / "graph.json"
+    with pytest.raises(GraphError, match="self-loop at 3"):
+        write_graph_json(str(path), ProceduralGraph(0, rule), [0, 1, 2, 3])
+    assert not path.exists()

@@ -136,6 +136,22 @@ def test_unconverged_step_raises_solve_error(chain4, unit_potential):
                            opts=SolveOptions(max_sweeps=1))
 
 
+def test_solve_error_carries_completed_steps(chain4, unit_potential):
+    opts = SolveOptions(max_sweeps=8)
+    f = VertexFunction.delta(0)
+    with pytest.raises(SolveError) as info:
+        extended_resolvent(chain4, unit_potential, ID, f,
+                           make_exhaustion(chain4, 0, [2, 40]), probes=[0, 1], opts=opts)
+    done = extended_resolvent(chain4, unit_potential, ID, f,
+                              make_exhaustion(chain4, 0, [2]), probes=[0, 1], opts=opts)
+    assert info.value.partial.csv_rows() == done.csv_rows()
+    # nothing completed before a failure at step 0
+    with pytest.raises(SolveError) as info:
+        extended_resolvent(chain4, unit_potential, ID, f,
+                           make_exhaustion(chain4, 0, [40]), opts=opts)
+    assert info.value.partial is None
+
+
 def test_probe_deduplication_and_default(lattice, unit_potential):
     ex = make_exhaustion(lattice, 0, [3, 6])
     est = extended_resolvent(lattice, unit_potential, ID, lambda x: 1.0, ex,

@@ -187,6 +187,15 @@ def test_residual_report_at_solution(pair, unit_potential):
     assert set(rep.values) == {0, 1}
 
 
+@pytest.mark.parametrize("U", [[0, 1, 2], [1, 0, 2]])
+def test_residual_sup_propagates_nan_in_any_order(path3, U):
+    W = Potential(lambda x: math.nan if x == 1 else 1.0, W0=1.0)
+    u = VertexFunction({0: 1.0, 1: 1.0, 2: 1.0})
+    rep = residual(path3, W, ID, VertexFunction.delta(0), u, U)
+    assert math.isnan(rep.values[1])
+    assert math.isnan(rep.sup)
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(sweep_tol=0.0)

@@ -88,6 +88,29 @@ def test_symmetric_tree_depth_rule():
     assert len(ball(g, g.root, 2)) == 4
 
 
+def test_symmetric_tree_neighbors_match_offsets_table():
+    def rule(d):
+        return 1 + d % 3
+
+    offsets, count = [0], 1  # offsets[d] = first id at depth d
+    for d in range(12):
+        offsets.append(offsets[-1] + count)
+        count *= rule(d)
+
+    def expected(v):
+        d = max(e for e in range(len(offsets)) if offsets[e] <= v)
+        i = v - offsets[d]
+        out = [(offsets[d - 1] + i // rule(d - 1), 1.0)] if d > 0 else []
+        first = offsets[d + 1] + i * rule(d)
+        return tuple(out + [(first + j, 1.0) for j in range(rule(d))])
+
+    g = symmetric_tree(rule)
+    deep = offsets[9] + 5  # queried first, so the table grows many depths at once
+    queries = [deep, *range(offsets[5]), offsets[9] - 1, offsets[10] - 1]
+    for v in queries:
+        assert g.neighbors(v) == expected(v), v
+
+
 def test_complete_graph_and_star():
     k = complete_graph(4)
     assert all(weighted_degree(k, x) == 3.0 for x in k.vertices())
