@@ -24,7 +24,6 @@ from .graphs import (
     laplacian_apply,
     materialization_cap,
     validate,
-    weighted_degree,
     write_graph_json,
 )
 from .nonlinearity import (
@@ -33,7 +32,6 @@ from .nonlinearity import (
     Phi_numeric,
     RangeError,
     bounded_atan,
-    builtin,
     identity,
     odd_log,
     odd_power,
@@ -76,7 +74,6 @@ from .completeness import (
     default_probes,
     large_potential,
     path_criterion,
-    report_from_estimates,
     verify_liouville,
 )
 from .testkit import (
@@ -104,10 +101,10 @@ __all__ = [
     "GraphError", "WeightedGraph", "ExplicitGraph", "ProceduralGraph",
     "VertexFunction", "ValidationReport", "ball", "edge_weight", "energy",
     "graph_from_json", "graph_to_json", "laplacian_apply",
-    "materialization_cap", "validate", "weighted_degree", "write_graph_json",
+    "materialization_cap", "validate", "write_graph_json",
     # nonlinearity
     "ArrayForms", "Nonlinearity", "RangeError", "identity", "odd_power", "odd_log",
-    "bounded_atan", "builtin", "parse_phi", "phi_inv_numeric", "Phi_numeric",
+    "bounded_atan", "parse_phi", "phi_inv_numeric", "Phi_numeric",
     # solver
     "Potential", "SolveOptions", "SolveResult", "SolveError",
     "ResidualReport", "solve_dirichlet", "energy_functional", "residual",
@@ -119,7 +116,7 @@ __all__ = [
     "VERDICT_COMPLETE", "VERDICT_INCOMPLETE", "VERDICT_INCONCLUSIVE", "Thresholds",
     "DefectEstimate", "ClassificationReport", "PathCriterionReport",
     "LiouvilleReport", "conservation_defect", "classify",
-    "report_from_estimates", "default_probes", "path_criterion",
+    "default_probes", "path_criterion",
     "large_potential", "verify_liouville",
     # testkit
     "GraphFamily", "generate", "family_from_spec", "lattice_z",

@@ -3,14 +3,16 @@
 Subcommands: validate, solve, resolve, classify, path-criterion,
 verify-liouville, gen.  Each run can emit three artifacts into --out:
 ``config.json`` (the fully resolved configuration, seed included),
-``trace.csv`` (per-step rows, written even when a run aborts on
-non-convergence so partial traces stay reproducible), and
-``result.json`` (the summary; every number in it also appears in the
-trace, so results are auditable against the raw rows).
+``trace.csv`` (per-step rows), and ``result.json`` (the summary; every
+number in it also appears in the trace, so results are auditable
+against the raw rows).
 
 Exit codes: 0 for a completed run (an inconclusive verdict is a
 result, not a failure), 2 for configuration and input errors, 3 when
-a solve that the mode depends on did not converge.
+a solve that the mode depends on did not converge.  On exit 3 the
+trace keeps the rows of the steps that completed, so partial traces
+stay reproducible, and ``result.json`` holds
+``{"converged": false, "error": ...}``.
 
 CSV numbers are written with 17 significant digits and '.' decimal
 regardless of locale; identical configuration and seed reproduce
@@ -24,17 +26,16 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .completeness import (
     CLASSIFY_CSV_HEADER,
     DEFAULT_ALPHA_GRID,
     Thresholds,
-    conservation_defect,
+    classify,
     default_probes,
     large_potential,
     path_criterion,
-    report_from_estimates,
     verify_liouville,
 )
 from .graphs import (
@@ -90,8 +91,6 @@ class RunConfig:
     sweep_tol: float = 1e-10
     residual_tol: float = 1e-9
     max_sweeps: int = 100_000
-    scalar_root_tol: float = 1e-12
-    sweep_order: str = "bfs-from-root"
     complete_tol: float = 1e-4
     stabilization_tol: float = 1e-6
     incomplete_floor: float = 1e-2
@@ -103,8 +102,6 @@ class RunConfig:
                 sweep_tol=self.sweep_tol,
                 residual_tol=self.residual_tol,
                 max_sweeps=self.max_sweeps,
-                scalar_root_tol=self.scalar_root_tol,
-                sweep_order=self.sweep_order,
             )
         except ValueError as exc:
             raise CliError(str(exc)) from exc
@@ -144,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--W", help="const:C | degm:C (deg/m + C) | large-potential "
                        "(default const:1)")
         p.add_argument("--config", help="JSON file of option values; explicit flags win")
-        p.add_argument("--seed", type=int, help="seed for probe selection (default 0)")
+        p.add_argument("--seed", type=int, help="seed for probe selection and for a "
+                       "random-sparse family whose spec has no seed= (default 0)")
         p.add_argument("--out", help="directory for config.json/trace.csv/result.json")
         p.add_argument("--max-vertices", type=int, dest="max_vertices",
                        help="materialization cap (overrides NLRESOLVENT_MAX_VERTICES)")
@@ -155,9 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "conjugate-gradient iterations of the Newton solver, or "
                        "rounds of scalar solves where phi falls back to "
                        "Gauss-Seidel (default 100000)")
-        p.add_argument("--scalar-root-tol", type=float, dest="scalar_root_tol")
-        p.add_argument("--sweep-order", dest="sweep_order",
-                       choices=("natural", "bfs-from-root"))
         return p
 
     p = sp("validate", "check graph axioms and report failures")
@@ -261,8 +256,17 @@ def _load_graph(cfg: RunConfig) -> WeightedGraph:
         if not report.ok:
             raise CliError(f"graph file {path} is {report}")
         return g
+    return _generate(spec, cfg.seed)
+
+
+def _generate(spec: str, seed: int) -> WeightedGraph:
+    """The family graph of ``spec``; ``seed`` seeds a random-sparse spec
+    without ``seed=``, so gen and --graph build the same graph."""
     try:
-        return generate(family_from_spec(spec))
+        fam = family_from_spec(spec)
+        if fam.kind == "random-sparse":
+            fam = replace(fam, params={"seed": seed, **fam.params})
+        return generate(fam)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -374,7 +378,7 @@ def _parse_alpha_grid(cfg: RunConfig) -> tuple[float, ...]:
         grid = tuple(float(v) for v in str(cfg.alpha).split(","))
     except ValueError:
         raise CliError(f"bad alpha list {cfg.alpha!r}") from None
-    if not grid or any(a <= 0 for a in grid):
+    if not grid or min(grid) <= 0:
         raise CliError(f"alpha grid must be positive, got {cfg.alpha!r}")
     return grid
 
@@ -512,17 +516,10 @@ def _run_resolve(cfg: RunConfig) -> int:
     probes = _parse_probes(cfg, g, ex)
     f = _parse_f(cfg)
     outdir = _prepare_out(cfg, {"probes_resolved": list(probes), "radii_resolved": list(ex.radii)})
-    try:
-        est = extended_resolvent(g, W, nl, f, ex, probes=probes, tol=cfg.tol,
-                                 opts=cfg.solve_options())
-    except SolveError as exc:
-        if outdir:
-            _write_trace(outdir, CSV_HEADER, exc.partial.csv_rows() if exc.partial else [])
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    rows = est.csv_rows()
+    est = extended_resolvent(g, W, nl, f, ex, probes=probes, tol=cfg.tol,
+                             opts=cfg.solve_options())
     if outdir:
-        _write_trace(outdir, CSV_HEADER, rows)
+        _write_trace(outdir, CSV_HEADER, est.csv_rows())
         _write_json(outdir, "result.json", {
             "final": {str(p): est.final[p] for p in est.probes},
             "converged": {str(p): est.converged[p] for p in est.probes},
@@ -545,28 +542,10 @@ def _run_classify(cfg: RunConfig) -> int:
     outdir = _prepare_out(cfg, {"probes_resolved": list(probes),
                                 "radii_resolved": list(ex.radii),
                                 "alpha_resolved": list(grid)})
-    # the alpha loop runs here, not in classify(), so an aborted run
-    # still leaves the completed alphas' rows, and the completed steps of
-    # the failed one, as a reproducible trace
-    rows: list[tuple] = []
-    estimates = []
-    try:
-        for a in grid:
-            est = conservation_defect(g, W, nl, a, ex, probes=probes,
-                                      tol=th.stabilization_tol,
-                                      opts=cfg.solve_options())
-            estimates.append(est)
-            rows.extend(est.alpha_rows())
-    except SolveError as exc:
-        if exc.partial:
-            rows.extend(exc.partial.alpha_rows())
-        if outdir:
-            _write_trace(outdir, CLASSIFY_CSV_HEADER, rows)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    report = report_from_estimates(estimates, th)
+    report = classify(g, W, nl, ex, alpha_grid=grid, probes=probes, thresholds=th,
+                      opts=cfg.solve_options())
     if outdir:
-        _write_trace(outdir, CLASSIFY_CSV_HEADER, rows)
+        _write_trace(outdir, CLASSIFY_CSV_HEADER, report.csv_rows())
         _write_json(outdir, "result.json", report.to_json_doc())
     print(f"verdict: {report.verdict}")
     for est in report.estimates:
@@ -616,16 +595,9 @@ def _run_verify_liouville(cfg: RunConfig) -> int:
     alpha = _parse_alpha_single(cfg)
     outdir = _prepare_out(cfg, {"probes_resolved": list(probes),
                                 "radii_resolved": list(ex.radii)})
-    try:
-        rep = verify_liouville(g, W, nl, ex, alpha, probes=probes, tol=cfg.tol,
-                               opts=cfg.solve_options(), seed=cfg.seed)
-    except SolveError as exc:
-        if outdir:
-            _write_trace(outdir, CLASSIFY_CSV_HEADER,
-                         exc.partial.alpha_rows() if exc.partial else [])
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    rows = rep.defect.alpha_rows()
+    rep = verify_liouville(g, W, nl, ex, alpha, probes=probes, tol=cfg.tol,
+                           opts=cfg.solve_options(), seed=cfg.seed)
+    rows = rep.defect.csv_rows()
     last = rep.defect.resolvent.steps[-1]
     rows.extend(
         (alpha, last.n + 1, last.radius, last.set_size, p,
@@ -664,10 +636,7 @@ def _run_gen(cfg: RunConfig) -> int:
         raise CliError("--family is required for gen")
     if not cfg.out:
         raise CliError("--out is required for gen")
-    try:
-        g = generate(family_from_spec(spec))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    g = _generate(spec, cfg.seed)
     verts = None
     if not isinstance(g, ExplicitGraph):
         if not cfg.radii:
@@ -692,11 +661,24 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute a resolved configuration; returns the process exit code."""
+    """Execute a resolved configuration; returns the process exit code.
+
+    A SolveError ends the run with exit 3.  With --out, trace.csv then
+    holds the rows of the completed steps (its ``partial``) under the
+    mode's header, and result.json records the error.
+    """
     runner = _RUNNERS.get(config.mode)
     if runner is None:
         raise CliError(f"unknown mode {config.mode!r}")
-    return runner(config)
+    try:
+        return runner(config)
+    except SolveError as exc:
+        if config.out:
+            header = CSV_HEADER if config.mode == "resolve" else CLASSIFY_CSV_HEADER
+            _write_trace(config.out, header, exc.partial.csv_rows() if exc.partial else [])
+            _write_json(config.out, "result.json", {"converged": False, "error": str(exc)})
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 def main(argv=None) -> int:
@@ -711,9 +693,6 @@ def main(argv=None) -> int:
     except (GraphError, RangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

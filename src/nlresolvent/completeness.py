@@ -25,7 +25,9 @@ from collections.abc import Iterable
 
 from .graphs import WeightedGraph, ball, edge_weight, laplacian_apply
 from .nonlinearity import Nonlinearity
-from .resolvent import CSV_HEADER, Exhaustion, ResolventEstimate, extended_resolvent
+from .resolvent import (
+    CSV_HEADER, Exhaustion, ResolventEstimate, _trace_rows, extended_resolvent,
+)
 from .solver import Potential, SolveError, SolveOptions
 
 __all__ = [
@@ -42,7 +44,6 @@ __all__ = [
     "default_probes",
     "conservation_defect",
     "classify",
-    "report_from_estimates",
     "path_criterion",
     "large_potential",
     "verify_liouville",
@@ -119,20 +120,10 @@ class DefectEstimate:
         return self.stabilization_error(probe) <= tol
 
     def csv_rows(self) -> list[tuple]:
-        """Rows matching CSV_HEADER with defect values and increments."""
-        rows = []
-        for i, st in enumerate(self.resolvent.steps):
-            for p in self.probes:
-                rows.append(
-                    (st.n, st.radius, st.set_size, p,
-                     self.defects[p][i], self.increments[p][i],
-                     st.sweeps, st.residual_inf)
-                )
-        return rows
-
-    def alpha_rows(self) -> list[tuple]:
-        """csv_rows with the alpha value prepended to every row."""
-        return [(self.alpha,) + row for row in self.csv_rows()]
+        """Rows matching CLASSIFY_CSV_HEADER: alpha, then the resolvent
+        columns with defect values and increments."""
+        return _trace_rows(self.resolvent.steps, self.probes, self.defects,
+                           self.increments, prefix=(self.alpha,))
 
 
 def default_probes(g: WeightedGraph, ex: Exhaustion, seed: int = 0, count: int = 4) -> tuple[int, ...]:
@@ -204,6 +195,17 @@ def _defect_estimate(alpha: float, est: ResolventEstimate) -> DefectEstimate:
 
 
 @dataclass(frozen=True)
+class _DefectRows:
+    """Per-alpha defect estimates in grid order, without a verdict: the
+    rows of a classification, and the ``partial`` of a failed one."""
+
+    estimates: tuple[DefectEstimate, ...]
+
+    def csv_rows(self) -> list[tuple]:
+        return [row for est in self.estimates for row in est.csv_rows()]
+
+
+@dataclass(frozen=True)
 class ClassificationReport:
     verdict: str
     alpha_grid: tuple[float, ...]
@@ -236,10 +238,7 @@ class ClassificationReport:
 
     def csv_rows(self) -> list[tuple]:
         """Defect rows for all alphas, prefixed by an alpha column."""
-        rows = []
-        for est in self.estimates:
-            rows.extend(est.alpha_rows())
-        return rows
+        return _DefectRows(self.estimates).csv_rows()
 
 
 def classify(
@@ -260,6 +259,10 @@ def classify(
     some stabilized defect at or above incomplete_floor; anything else
     is inconclusive (a verdict, not an error).  Per-alpha runs are
     independent; they execute sequentially here for determinism.
+
+    A failed solve raises SolveError whose ``partial`` holds the rows of
+    the alphas completed before it and of the failed alpha's completed
+    steps (None when nothing completed).
     """
     grid = tuple(float(a) for a in (DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid))
     if not grid:
@@ -269,24 +272,18 @@ def classify(
     th = thresholds or Thresholds()
     probe_list = tuple(probes) if probes is not None else default_probes(g, ex, seed=seed)
 
-    estimates = tuple(
-        conservation_defect(
-            g, W, nl, a, ex, probes=probe_list, tol=th.stabilization_tol, opts=opts
-        )
-        for a in grid
-    )
-    return report_from_estimates(estimates, th)
-
-
-def report_from_estimates(
-    estimates: Iterable[DefectEstimate],
-    thresholds: Thresholds | None = None,
-) -> ClassificationReport:
-    """Assemble the verdict from already-computed per-alpha estimates."""
-    ests = tuple(estimates)
-    if not ests:
-        raise ValueError("need at least one defect estimate")
-    th = thresholds or Thresholds()
+    done: list[DefectEstimate] = []
+    for a in grid:
+        try:
+            done.append(conservation_defect(
+                g, W, nl, a, ex, probes=probe_list, tol=th.stabilization_tol, opts=opts
+            ))
+        except SolveError as exc:
+            if exc.partial is not None:
+                done.append(exc.partial)
+            exc.partial = _DefectRows(tuple(done)) if done else None
+            raise
+    ests = tuple(done)
     stabilization = {
         est.alpha: {p: est.stabilization_error(p) for p in est.probes}
         for est in ests
@@ -312,7 +309,7 @@ def report_from_estimates(
 
     return ClassificationReport(
         verdict=verdict,
-        alpha_grid=tuple(est.alpha for est in ests),
+        alpha_grid=grid,
         probes=ests[0].probes,
         thresholds=th,
         estimates=ests,

@@ -31,7 +31,6 @@ __all__ = [
     "ProceduralGraph",
     "VertexFunction",
     "ValidationReport",
-    "weighted_degree",
     "laplacian_apply",
     "energy",
     "ball",
@@ -311,11 +310,6 @@ class ValidationReport:
         if self.ok:
             return "valid"
         return "invalid:\n" + "\n".join(f"  - {f}" for f in self.failures)
-
-
-def weighted_degree(g: WeightedGraph, x: int) -> float:
-    """deg(x) = sum_y b(x, y); zero for an isolated vertex."""
-    return g.degree(x)
 
 
 def edge_weight(g: WeightedGraph, x: int, y: int) -> float:

@@ -32,7 +32,6 @@ __all__ = [
     "odd_power",
     "odd_log",
     "bounded_atan",
-    "builtin",
     "parse_phi",
     "phi_inv_numeric",
     "Phi_numeric",
@@ -127,12 +126,6 @@ class Nonlinearity:
             return self.antideriv(s)
         return Phi_numeric(self, s)
 
-    def derivative(self, t: float) -> float | None:
-        """phi'(t) when a derivative hint was provided, else None."""
-        if self.deriv is None:
-            return None
-        return self.deriv(t)
-
 
 def phi_inv_numeric(
     n: Nonlinearity,
@@ -151,7 +144,7 @@ def phi_inv_numeric(
     if not n.contains(s):
         raise RangeError(s, n.lo, n.hi, n.name)
     tol = atol + rtol * abs(s)
-    phi = n.phi
+    phi, deriv = n.phi, n.deriv
     if abs(s) <= tol and abs(phi(0.0)) <= tol:
         return 0.0
     lo, hi = -1.0, 1.0
@@ -175,7 +168,7 @@ def phi_inv_numeric(
         else:
             hi = t
         step_done = False
-        d = n.derivative(t)
+        d = deriv(t) if deriv is not None else None
         if d is not None and math.isfinite(d) and d > 0.0:
             tn = t - ft / d
             if lo < tn < hi:
@@ -350,22 +343,6 @@ def bounded_atan() -> Nonlinearity:
             antideriv=lambda s: 2.0 * s * np.arctan(s) - np.log1p(s * s),
         ),
     )
-
-
-def builtin(kind: str, p: float | None = None) -> Nonlinearity:
-    """Look up a builtin by name: identity, odd_power (needs p), odd_log, bounded_atan."""
-    kind = kind.strip().lower().replace("-", "_")
-    if kind == "identity":
-        return identity()
-    if kind == "odd_power":
-        if p is None:
-            raise ValueError("odd_power needs an exponent p > 0")
-        return odd_power(p)
-    if kind == "odd_log":
-        return odd_log()
-    if kind == "bounded_atan":
-        return bounded_atan()
-    raise ValueError(f"unknown nonlinearity kind {kind!r}")
 
 
 def parse_phi(spec: str) -> Nonlinearity:

@@ -135,15 +135,24 @@ class ResolventEstimate:
 
     def csv_rows(self) -> list[tuple]:
         """Rows matching CSV_HEADER, step-major then probe order."""
-        rows = []
-        for i, st in enumerate(self.steps):
-            for p in self.probes:
-                rows.append(
-                    (st.n, st.radius, st.set_size, p,
-                     self.values[p][i], self.increments[p][i],
-                     st.sweeps, st.residual_inf)
-                )
-        return rows
+        return _trace_rows(self.steps, self.probes, self.values, self.increments)
+
+
+def _trace_rows(
+    steps: tuple[StepRecord, ...],
+    probes: tuple[int, ...],
+    values: dict[int, tuple[float, ...]],
+    increments: dict[int, tuple[float, ...]],
+    prefix: tuple = (),
+) -> list[tuple]:
+    """The trace layout: one row per step and probe, step-major, each
+    row ``prefix`` followed by the CSV_HEADER columns."""
+    return [
+        (*prefix, st.n, st.radius, st.set_size, p,
+         values[p][i], increments[p][i], st.sweeps, st.residual_inf)
+        for i, st in enumerate(steps)
+        for p in probes
+    ]
 
 
 def extended_resolvent(

@@ -27,9 +27,10 @@ iteration, a single pass over the arrays, counts as one sweep.
 
 Newton needs the nonlinearity's array forms and a finite phi'(0).  A
 custom phi without array forms, or odd_power(p < 1) with phi'(0) = oo,
-takes the fallback: nonlinear Gauss-Seidel, which revisits the vertices
-of U and re-solves the scalar stationarity equation at x in the unknown
-t = u(x), holding neighbors fixed.  That scalar function
+takes the fallback: nonlinear Gauss-Seidel, which visits the vertices of
+U in the order given (breadth-first from the root for the balls of an
+exhaustion) and re-solves the scalar stationarity equation at x in the
+unknown t = u(x), holding neighbors fixed.  That scalar function
 
     F(t) = (deg(x) t - S) / m(x) - phi(f(x) - W(x) t),  S = sum b(x,y) u(y),
 
@@ -38,7 +39,8 @@ is strictly increasing, and as long as all neighbor values stay in
 nonpositive at -K and nonnegative at +K there).  Roots are found by
 bisection on the certified bracket [-K-1, K+1], accelerated by Newton
 steps whenever a derivative hint exists and the step stays inside the
-shrinking bracket.  There a sweep is one pass of scalar solves over U.
+shrinking bracket, to a fixed step tolerance of 1e-12.  There a sweep is
+one pass of scalar solves over U.
 Starting from u = 0 with f >= 0 the sweep map is monotone, so iterates
 increase toward the minimizer; for general f the same map is a
 contraction in the sup norm with factor bounded by deg / (deg + m W0)
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections import deque
 from collections.abc import Callable, Iterable
 
 import numpy as np
@@ -115,23 +116,18 @@ class SolveOptions:
     of scalar solves.  ``max_sweeps`` caps their total.  ``sweep_tol``
     bounds the error left after the last update: Newton estimates it
     from the ratio of successive steps, Gauss-Seidel takes the update
-    itself.  ``scalar_root_tol`` and ``sweep_order`` only concern the
-    Gauss-Seidel fallback.
+    itself.
     """
 
     sweep_tol: float = 1e-10
     residual_tol: float = 1e-9
     max_sweeps: int = 100_000
-    scalar_root_tol: float = 1e-12
-    sweep_order: str = "bfs-from-root"
 
     def __post_init__(self):
-        if self.sweep_tol <= 0 or self.residual_tol <= 0 or self.scalar_root_tol <= 0:
+        if self.sweep_tol <= 0 or self.residual_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        if self.sweep_order not in ("natural", "bfs-from-root"):
-            raise ValueError(f"unknown sweep_order {self.sweep_order!r}")
 
 
 @dataclass(frozen=True)
@@ -175,8 +171,8 @@ class SolveError(RuntimeError):
 
     ``result`` is the unconverged solve.  A failure inside a sequence of
     solves also carries ``partial``: the estimate over the steps that
-    completed before it, of the type the failing call would have
-    returned (None when no step completed).
+    completed before it, whose ``csv_rows()`` gives their trace rows
+    (None when no step completed).
     """
 
     def __init__(self, message: str, result: SolveResult | None = None,
@@ -186,29 +182,6 @@ class SolveError(RuntimeError):
         self.partial = partial
 
 
-def _sweep_order(g: WeightedGraph, U: list[int], mode: str) -> list[int]:
-    if mode == "natural":
-        return U
-    uset = set(U)
-    order: list[int] = []
-    seen: set[int] = set()
-    seeds = [g.root] if g.root in uset else []
-    seeds += sorted(uset)
-    for s in seeds:
-        if s in seen:
-            continue
-        seen.add(s)
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            order.append(x)
-            for y, w in g.neighbors(x):
-                if w > 0.0 and y in uset and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-    return order
-
-
 # F is evaluated as a difference of terms that can sit many orders above
 # the root value (a = deg/m grows like 4^x on fast branching graphs), so
 # |F| cannot be resolved below a few ulp of those terms.
@@ -216,6 +189,8 @@ _FT_NOISE = 8.0 * math.ulp(1.0)
 # Relative rounding of E and of the Newton iterates: E sums O(deg u^2)
 # terms, so values of E closer than this times those terms are equal.
 _NOISE = 64.0 * math.ulp(1.0)
+# Newton step size at which the scalar root finder accepts its landing point
+_ROOT_TOL = 1e-12
 
 
 def _scalar_root(a, s_over_m, fx, wx, phi, deriv, lo, hi, t, tol):
@@ -436,7 +411,7 @@ def _gauss_seidel(sys_: _System, nl: Nonlinearity, u: np.ndarray, k_bound: float
     w_arr, f_arr = sys_.w.tolist(), sys_.f.tolist()
     lo, hi = -k_bound - 1.0, k_bound + 1.0
     u = u.tolist()
-    phi, deriv, root_tol = nl.phi, nl.deriv, opts.scalar_root_tol
+    phi, deriv = nl.phi, nl.deriv
     sweeps = 0
     zero_stalls = 0
     while sweeps < opts.max_sweeps:
@@ -449,7 +424,7 @@ def _gauss_seidel(sys_: _System, nl: Nonlinearity, u: np.ndarray, k_bound: float
             mi = m_arr[i]
             t = _scalar_root(
                 deg_arr[i] / mi, s / mi, f_arr[i], w_arr[i],
-                phi, deriv, lo, hi, u[i], root_tol,
+                phi, deriv, lo, hi, u[i], _ROOT_TOL,
             )
             d = abs(t - u[i])
             if d > delta:
@@ -503,12 +478,11 @@ def solve_dirichlet(
         )
     with np.errstate(all="ignore"):
         newton = nl.arrays is not None and np.isfinite(nl.arrays.deriv(np.zeros(1))).all()
-        order = u_list if newton else _sweep_order(g, u_list, opts.sweep_order)
-        sys_ = _System(g, W, f, order)
+        sys_ = _System(g, W, f, u_list)
         k_bound = float(np.max(np.abs(sys_.f))) / W.W0
-        u0 = np.zeros(len(order))
+        u0 = np.zeros(len(u_list))
         if start is not None:
-            u0 = np.array([start(x) for x in order], dtype=float)
+            u0 = np.array([start(x) for x in u_list], dtype=float)
         # clamp into the certified box, where the solution lies
         u = np.clip(u0, -k_bound, k_bound)
         if newton:
@@ -518,7 +492,7 @@ def solve_dirichlet(
         resid_inf, _, violations = sys_.residual(nl, u)
         max_dec = max(float(np.max(u0 - u)), 0.0)
 
-    u_fn = VertexFunction(dict(zip(order, u.tolist())))
+    u_fn = VertexFunction(dict(zip(u_list, u.tolist())))
     e_val = energy_functional(g, W, nl, f, u_fn, u_list)
     return SolveResult(
         u=u_fn,

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, artifacts, determinism, config merging."""
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from nlresolvent import ball, graph_from_json, graph_to_json, symmetric_tree, validate
-from nlresolvent.cli import main
+from nlresolvent.cli import RunConfig, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,21 @@ def test_exit_3_keeps_completed_steps(tmp_path, capsys, mode, args, ref_mode):
     rows = [(d / "trace.csv").read_text().splitlines()[1:]
             for d in (tmp_path / "cut", tmp_path / "step0")]
     assert rows[0] and rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("mode, args", [
+    ("resolve", ("--f", "delta:0")),
+    ("classify", ("--alpha", "1")),
+    ("verify-liouville", ("--alpha", "1")),
+], ids=["resolve", "classify", "verify-liouville"])
+def test_exit_3_writes_result_json(tmp_path, capsys, mode, args):
+    out_dir = tmp_path / "cut"
+    code, _, err = run_cli(capsys, mode, "--graph", "birth-death:4", "--max-sweeps", "8",
+                           *args, "--radii", "2,40", "--out", str(out_dir))
+    assert code == 3
+    result = json.loads((out_dir / "result.json").read_text())
+    assert result == {"converged": False, "error": err.strip().removeprefix("error: ")}
+    assert "did not converge" in result["error"]
 
 
 def test_u_all_on_procedural_graph_is_config_error(capsys):
@@ -213,6 +229,14 @@ def test_explicit_flag_overrides_config_with_warning(tmp_path, capsys):
     assert "u = (0.6667, 0.3333)" in out
 
 
+def test_flags_map_one_to_one_onto_run_config():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for p in subparsers.choices.values() for a in p._actions
+             if not isinstance(a, argparse._HelpAction)}
+    assert dests - {"config"} == set(RunConfig.__dataclass_fields__) - {"mode"}
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"graph": "finite-path:2", "bogus": 1}))
@@ -242,6 +266,22 @@ def test_gen_writes_loadable_graph(tmp_path, capsys):
     g = graph_from_json(str(out_dir / "graph.json"))
     assert len(g.vertices()) == 12
     assert validate(g, g.vertices()).ok
+
+
+def test_gen_seed_seeds_random_sparse(tmp_path, capsys):
+    spec = "random-sparse:n=30,density=0.2"
+
+    def gen(name, family, *flags):
+        code, _, _ = run_cli(capsys, "gen", "--family", family, *flags,
+                             "--out", str(tmp_path / name))
+        assert code == 0
+        return (tmp_path / name / "graph.json").read_bytes()
+
+    seeded = gen("seed3", spec + ",seed=3")
+    assert gen("flag3", spec, "--seed", "3") == seeded
+    assert gen("flag0", spec, "--seed", "0") != seeded
+    # a seed= in the spec wins over --seed
+    assert gen("spec3", spec + ",seed=3", "--seed", "0") == seeded
 
 
 def test_gen_procedural_family_needs_radii(tmp_path, capsys):

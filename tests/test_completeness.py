@@ -145,6 +145,21 @@ def test_classify_propagates_solve_error(chain4, unit_potential, chain_ex):
                  probes=(0,), opts=SolveOptions(max_sweeps=1))
 
 
+def test_classify_partial_keeps_completed_alphas_and_steps(chain4, unit_potential):
+    # at this budget alpha 0.25 completes, and alpha 4.0 converges at
+    # step 0 (radius 2) and runs out of sweeps at step 1 (radius 10)
+    nl, opts, probes = odd_power(3.0), SolveOptions(max_sweeps=40), (0, 1)
+    ex = make_exhaustion(chain4, 0, [2, 10])
+    with pytest.raises(SolveError) as info:
+        classify(chain4, unit_potential, nl, ex, alpha_grid=(0.25, 4.0),
+                 probes=probes, opts=opts)
+    done = conservation_defect(chain4, unit_potential, nl, 0.25, ex, probes=probes, opts=opts)
+    cut = conservation_defect(chain4, unit_potential, nl, 4.0,
+                              make_exhaustion(chain4, 0, [2]), probes=probes, opts=opts)
+    assert info.value.partial.csv_rows() == done.csv_rows() + cut.csv_rows()
+    assert not hasattr(info.value.partial, "verdict")
+
+
 def test_thresholds_validation():
     with pytest.raises(ValueError):
         Thresholds(complete_tol=1e-2, incomplete_floor=1e-4)

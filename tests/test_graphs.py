@@ -24,7 +24,6 @@ from nlresolvent import (
     star,
     symmetric_tree,
     validate,
-    weighted_degree,
     write_graph_json,
 )
 
@@ -185,8 +184,8 @@ def test_vertex_function_as_dict_is_a_copy():
 
 def test_weighted_degree_and_edge_weight(pair):
     s = star(3)
-    assert weighted_degree(s, 0) == pytest.approx(3.0)
-    assert weighted_degree(s, 1) == pytest.approx(1.0)
+    assert s.degree(0) == pytest.approx(3.0)
+    assert s.degree(1) == pytest.approx(1.0)
     assert edge_weight(pair, 0, 1) == 1.0
     assert edge_weight(pair, 0, 0) == 0.0
 

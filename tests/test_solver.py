@@ -101,17 +101,6 @@ def test_monotone_iteration_for_nonnegative_data(chain4, unit_potential):
     assert all(res.u(x) >= -1e-12 for x in range(8))
 
 
-def test_sweep_orders_agree(chain4, unit_potential):
-    f = VertexFunction({k: float(k % 3) for k in range(6)})
-    U = list(range(6))
-    a = solve_dirichlet(chain4, unit_potential, ID, f, U,
-                        opts=SolveOptions(sweep_order="bfs-from-root"))
-    b = solve_dirichlet(chain4, unit_potential, ID, f, U,
-                        opts=SolveOptions(sweep_order="natural"))
-    for x in U:
-        assert a.u(x) == pytest.approx(b.u(x), abs=1e-8)
-
-
 def test_warm_start_reuses_solution(pair, unit_potential):
     f = VertexFunction.delta(0)
     first = solve_dirichlet(pair, unit_potential, ID, f, [0, 1])
@@ -201,8 +190,6 @@ def test_options_validation():
         SolveOptions(sweep_tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_sweeps=0)
-    with pytest.raises(ValueError):
-        SolveOptions(sweep_order="spiral")
 
 
 @pytest.mark.parametrize("nl", [ID, odd_power(0.5)], ids=["newton", "gauss-seidel"])

@@ -28,7 +28,6 @@ from nlresolvent import (
     star,
     symmetric_tree,
     validate,
-    weighted_degree,
 )
 
 
@@ -37,37 +36,37 @@ from nlresolvent import (
 
 def test_lattice_shape(lattice):
     assert lattice.measure(0) == 1.0
-    assert weighted_degree(lattice, 5) == 2.0
+    assert lattice.degree(5) == 2.0
     assert dict(lattice.neighbors(5)) == {4: 1.0, 6: 1.0}
 
 
 def test_finite_path_shape():
     g = finite_path(4)
     assert g.vertices() == [0, 1, 2, 3]
-    assert weighted_degree(g, 0) == 1.0
-    assert weighted_degree(g, 1) == 2.0
+    assert g.degree(0) == 1.0
+    assert g.degree(1) == 2.0
     assert g.root == 0
 
 
 def test_birth_death_degrees(chain4):
     # b(n, n+1) = 4^n: deg(0) = 1 and deg(n) = 4^n + 4^(n-1)
-    assert weighted_degree(chain4, 0) == 1.0
+    assert chain4.degree(0) == 1.0
     for n in (1, 2, 5):
-        assert weighted_degree(chain4, n) == pytest.approx(4.0**n + 4.0 ** (n - 1))
+        assert chain4.degree(n) == pytest.approx(4.0**n + 4.0 ** (n - 1))
     assert chain4.measure(3) == 1.0
 
 
 def test_birth_death_custom_rules():
     g = birth_death(lambda n: float(n + 1), m_rule=lambda n: 2.0)
-    assert weighted_degree(g, 0) == 1.0
-    assert weighted_degree(g, 2) == pytest.approx(2.0 + 3.0)
+    assert g.degree(0) == 1.0
+    assert g.degree(2) == pytest.approx(2.0 + 3.0)
     assert g.measure(4) == 2.0
 
 
 def test_geometric_chain_matches_birth_death(chain4):
     g = geometric_chain(4.0)
     for n in range(6):
-        assert weighted_degree(g, n) == weighted_degree(chain4, n)
+        assert g.degree(n) == chain4.degree(n)
 
 
 def test_symmetric_tree_ball_sizes():
@@ -78,7 +77,7 @@ def test_symmetric_tree_ball_sizes():
     inner = ball(g, g.root, 2)
     for v in inner:
         expect = 2.0 if v == g.root else 3.0
-        assert weighted_degree(g, v) == expect
+        assert g.degree(v) == expect
 
 
 def test_symmetric_tree_depth_rule():
@@ -113,11 +112,11 @@ def test_symmetric_tree_neighbors_match_offsets_table():
 
 def test_complete_graph_and_star():
     k = complete_graph(4)
-    assert all(weighted_degree(k, x) == 3.0 for x in k.vertices())
+    assert all(k.degree(x) == 3.0 for x in k.vertices())
     s = star(3)
     assert len(s) == 4
-    assert weighted_degree(s, 0) == 3.0
-    assert weighted_degree(s, 2) == 1.0
+    assert s.degree(0) == 3.0
+    assert s.degree(2) == 1.0
 
 
 def test_random_sparse_is_deterministic():
@@ -145,11 +144,11 @@ def test_random_sparse_rejects_bad_density():
 
 def test_generate_round_trips_family_specs():
     cases = {
-        "lattice-z": lambda g: weighted_degree(g, -3) == 2.0,
+        "lattice-z": lambda g: g.degree(-3) == 2.0,
         "finite-path:5": lambda g: len(g) == 5,
-        "complete:6": lambda g: weighted_degree(g, 0) == 5.0,
+        "complete:6": lambda g: g.degree(0) == 5.0,
         "star:4": lambda g: len(g) == 5,
-        "birth-death:3": lambda g: weighted_degree(g, 1) == 4.0,
+        "birth-death:3": lambda g: g.degree(1) == 4.0,
         "tree:3": lambda g: len(ball(g, g.root, 1)) == 4,
         "random-sparse:n=12,density=0.4,wmin=1,wmax=1,seed=5": lambda g: len(g) == 12,
     }
