@@ -479,8 +479,6 @@ def _run_solve(cfg: RunConfig) -> int:
     W = _parse_potential(cfg, g, nl)
     u_set = _parse_U(cfg, g)
     f = _parse_f(cfg)
-    if not isinstance(f, VertexFunction):
-        f = VertexFunction({x: f(x) for x in u_set})
     res = solve_dirichlet(g, W, nl, f, u_set, opts=cfg.solve_options())
     order = list(dict.fromkeys(u_set))
     rows = [
@@ -687,10 +685,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(ns)
         return run(cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (GraphError, RangeError, ValueError) as exc:
+    except (CliError, GraphError, RangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -420,7 +420,7 @@ def path_criterion(
 
 
 def large_potential(g: WeightedGraph, nl: Nonlinearity) -> Potential:
-    """Potential W(x) = phi^{-1}(deg(x)/m(x)) + 1, memoized per vertex.
+    """Potential W(x) = phi^{-1}(deg(x)/m(x)) + 1.
 
     Satisfies W >= 1 and m(x) phi(W(x)) >= deg(x), which is enough to
     force completeness at infinity for nonlinearities that are unbounded
@@ -428,16 +428,8 @@ def large_potential(g: WeightedGraph, nl: Nonlinearity) -> Potential:
     For a bounded-above phi, vertices with deg/m outside ran phi raise
     the range error from the inversion.
     """
-    cache: dict[int, float] = {}
-
-    def w(x: int) -> float:
-        v = cache.get(x)
-        if v is None:
-            v = nl.inverse(g.degree(x) / g.measure(x)) + 1.0
-            cache[x] = v
-        return v
-
-    return Potential.from_callable(w, W0=1.0)
+    return Potential.from_callable(
+        lambda x: nl.inverse(g.degree(x) / g.measure(x)) + 1.0, W0=1.0)
 
 
 @dataclass(frozen=True)

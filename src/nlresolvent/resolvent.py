@@ -9,10 +9,12 @@ remaining truncation error.  The one-sidedness matters when the numbers
 are interpreted downstream: a tiny increment certifies that the lower
 bound has stabilized, not that it is close to the limit.
 
-Each step is warm-started from the previous solution (extended by
-zero).  For f >= 0 that start lies below the new solution, so the
-solver's ``max_decrease`` certifies the monotonicity vertex by vertex,
-and it saves sweeps on the larger sets.
+The balls are breadth-first prefixes of the largest one, so the graph,
+W and f are turned into arrays once, on the largest ball, and each step
+solves a leading block of them, warm-started from the previous solution
+(extended by zero).  For f >= 0 that start lies below the new solution,
+so the solver's ``max_decrease`` certifies the monotonicity vertex by
+vertex, and it saves sweeps on the larger sets.
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 
+import numpy as np
+
 from .graphs import GraphError, VertexFunction, WeightedGraph, ball
 from .nonlinearity import Nonlinearity
-from .solver import Potential, SolveError, SolveOptions, SolveResult, solve_dirichlet
+from .solver import (
+    Potential, SolveError, SolveOptions, SolveResult, _assemble, _sample, _solve, _System,
+)
 
 __all__ = [
     "CSV_HEADER",
@@ -46,22 +52,26 @@ def doubling_schedule(start: int, steps: int) -> list[int]:
     return [start * 2**k for k in range(steps)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exhaustion:
     """Strictly increasing ball radii around a root, with realized sets.
 
-    The sets are materialized eagerly in breadth-first order, so each is
-    a prefix of the next.  On a finite graph the sets saturate once a
-    radius covers the component of the root.
+    The balls are materialized eagerly in breadth-first order, so each
+    is a prefix of the next: ``order`` is the largest and ``sizes`` are
+    the ball sizes.  ``rows`` to ``deg`` hold the graph on ``order`` as
+    ``solver._assemble`` builds it, once per exhaustion.  On a finite
+    graph the sets saturate once a radius covers the root's component.
     """
 
     root: int
     radii: tuple[int, ...]
-    sets: tuple[tuple[int, ...], ...]
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.sets)
+    sizes: tuple[int, ...]
+    order: tuple[int, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    b: np.ndarray
+    m: np.ndarray
+    deg: np.ndarray
 
     def __len__(self) -> int:
         return len(self.radii)
@@ -87,13 +97,14 @@ def make_exhaustion(
     for a, b in zip(radii, radii[1:]):
         if b <= a:
             raise ValueError(f"schedule must be strictly increasing, got {a} then {b}")
-    sets = []
+    sizes = []
     for r in radii:
         try:
-            sets.append(tuple(ball(g, r0, r, max_vertices=max_vertices)))
+            order = tuple(ball(g, r0, r, max_vertices=max_vertices))
         except GraphError as exc:
             raise GraphError(f"exhaustion step at radius {r}: {exc}") from exc
-    return Exhaustion(root=r0, radii=radii, sets=tuple(sets))
+        sizes.append(len(order))
+    return Exhaustion(r0, radii, tuple(sizes), order, *_assemble(g, order))
 
 
 @dataclass(frozen=True)
@@ -167,13 +178,15 @@ def extended_resolvent(
 ) -> ResolventEstimate:
     """Approximate the resolvent of f >= 0 from below along an exhaustion.
 
-    ``f`` is either a finitely supported function or a callable sampled
-    on each set of the exhaustion (for rule-defined data like multiples
-    of the potential; it must be bounded for the limit to be finite).
-    A solve that fails to converge raises SolveError carrying the
-    offending result and, as ``partial``, the estimate over the steps
-    completed before it; a schedule that merely has not stabilized yet is
-    not an error and comes back with converged flags down.
+    ``f`` is either a finitely supported function or a callable (for
+    rule-defined data like multiples of the potential; it must be
+    bounded for the limit to be finite).  W and f are sampled once on
+    the largest set; a vertex there where either is not finite, W falls
+    below W0 or f is negative raises ValueError naming it.  A solve
+    that fails to converge raises SolveError carrying the offending
+    result and, as ``partial``, the estimate over the steps completed
+    before it; a schedule that merely has not stabilized yet is not an
+    error and comes back with converged flags down.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -181,63 +194,41 @@ def extended_resolvent(
     if not probe_list:
         raise ValueError("need at least one probe vertex")
 
-    if isinstance(f, VertexFunction):
-        if any(v < 0.0 for _, v in f.items()):
-            raise ValueError("extended resolvent needs f >= 0")
-
-        def sample(K: tuple[int, ...]) -> VertexFunction:
-            if set(f.support) <= set(K):
-                return f
-            return VertexFunction({x: f(x) for x in K})
-
-    elif callable(f):
-
-        def sample(K: tuple[int, ...]) -> VertexFunction:
-            vals = {}
-            for x in K:
-                v = float(f(x))
-                if v < 0.0:
-                    raise ValueError(f"extended resolvent needs f >= 0, got f({x}) = {v}")
-                vals[x] = v
-            return VertexFunction(vals)
-
-    else:
-        raise TypeError("f must be a VertexFunction or a callable on vertices")
+    order = ex.order
+    w, fv = _sample(order, ex.m, ex.deg, W, f)
+    neg = np.flatnonzero(fv < 0.0)
+    if neg.size:
+        raise ValueError(f"extended resolvent needs f >= 0, got f({order[neg[0]]}) = {fv[neg[0]]}")
 
     values: dict[int, list[float]] = {p: [] for p in probe_list}
+    at = {x: i for i, x in enumerate(order) if x in values}
     steps: list[StepRecord] = []
     max_dec = 0.0
-    prev: SolveResult | None = None
-    prev_size = -1
+    last, u = None, np.zeros(0)
 
-    for n, (r, K) in enumerate(zip(ex.radii, ex.sets)):
-        if prev is not None and len(K) == prev_size:
-            # nested sets of equal size are identical: reuse the solve
-            res = prev
-            sweeps = 0
+    for n, (r, size) in enumerate(zip(ex.radii, ex.sizes)):
+        if size == u.size:
+            sweeps = 0  # nested sets of equal size are identical: reuse the solve
         else:
-            res = solve_dirichlet(
-                g, W, nl, sample(K), K, opts=opts,
-                start=None if prev is None else prev.u,
-            )
+            sys_ = _System(order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, fv, size)
+            res = _solve(sys_, nl, W.W0, np.pad(u, (0, size - u.size)), opts)
             if not res.converged:
+                done = _estimate(values, steps, max_dec, tol, last.result(order)) if steps else None
                 raise SolveError(
                     f"solve did not converge at exhaustion step {n} "
-                    f"(radius {r}, {len(K)} vertices): residual {res.residual_inf:.3g} "
+                    f"(radius {r}, {size} vertices): residual {res.residual_inf:.3g} "
                     f"after {res.sweeps_used} sweeps",
-                    result=res,
-                    partial=_estimate(values, steps, max_dec, tol, prev) if steps else None,
+                    result=res.result(order), partial=done,
                 )
             sweeps = res.sweeps_used
-            if res.max_decrease > max_dec:
-                max_dec = res.max_decrease
+            max_dec = max(max_dec, res.max_decrease)
+            last, u = res, res.u
         for p in probe_list:
-            values[p].append(res.u(p))
-        steps.append(StepRecord(n=n, radius=r, set_size=len(K),
-                                sweeps=sweeps, residual_inf=res.residual_inf))
-        prev = res
-        prev_size = len(K)
-    return _estimate(values, steps, max_dec, tol, prev)
+            i = at.get(p, size)
+            values[p].append(float(u[i]) if i < size else 0.0)
+        steps.append(StepRecord(n=n, radius=r, set_size=size,
+                                sweeps=sweeps, residual_inf=last.residual_inf))
+    return _estimate(values, steps, max_dec, tol, last.result(order))
 
 
 def _estimate(
@@ -251,12 +242,9 @@ def _estimate(
     increments: dict[int, tuple[float, ...]] = {}
     converged: dict[int, bool] = {}
     for p, seq in values.items():
-        inc = [seq[0]]
-        inc.extend(b - a for a, b in zip(seq, seq[1:]))
-        for step_inc in inc[1:]:
-            if -step_inc > max_dec:
-                max_dec = -step_inc
-        increments[p] = tuple(inc)
+        inc = (seq[0], *(b - a for a, b in zip(seq, seq[1:])))
+        max_dec = max([max_dec, *(-v for v in inc[1:])])
+        increments[p] = inc
         converged[p] = all(abs(v) <= tol for v in inc[-2:])
 
     return ResolventEstimate(

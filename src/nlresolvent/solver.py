@@ -14,14 +14,17 @@ characterized by the per-vertex stationarity conditions
 equivalently phi^{-1}(L u) + W u = f on U, with u = 0 off U.
 
 Method: damped Newton on E over whole arrays.  The in-U graph is
-assembled once per solve into coordinate arrays; A denotes the Dirichlet
-Laplacian, deg(x) on the diagonal and -b(x,y) off it, so that
-Q(u, u) = u.A u for u supported in U.  The gradient of E is
-2(A u - m phi(f - W u)) and its Hessian 2(A + diag(m W phi'(f - W u)))
-is symmetric positive definite once each component of U has an edge
-leaving U or a vertex where phi' > 0.  Each Newton step is solved by Jacobi-preconditioned conjugate
-gradients down to float noise and damped by a backtracking line search
-on E (Nocedal & Wright, Numerical Optimization, 2006, ch. 3); since E is
+assembled into coordinate arrays; A denotes the Dirichlet Laplacian,
+deg(x) on the diagonal and -b(x,y) off it, so that Q(u, u) = u.A u for
+u supported in U.  An exhaustion assembles its largest ball once and
+solves each ball as a leading block of those arrays (see ``resolvent``);
+``solve_dirichlet`` assembles U and runs the same core.  The gradient
+of E is 2(A u - m phi(f - W u)) and its Hessian
+2(A + diag(m W phi'(f - W u))) is symmetric positive definite once each
+component of U has an edge leaving U or a vertex where phi' > 0.  Each
+Newton step is solved by Jacobi-preconditioned conjugate gradients
+down to float noise and damped by a backtracking line search on E
+(Nocedal & Wright, Numerical Optimization, 2006, ch. 3); since E is
 strictly convex this converges from any start.  One conjugate-gradient
 iteration, a single pass over the arrays, counts as one sweep.
 
@@ -46,15 +49,16 @@ increase toward the minimizer; for general f the same map is a
 contraction in the sup norm with factor bounded by deg / (deg + m W0)
 < 1 at each vertex.
 
-Both paths share the assembly, which rejects non-finite inputs, and the
-residual check on the assembled arrays.
+Both paths share the assembly and sampling, which reject non-finite
+inputs, and the residual check on the arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,13 +145,13 @@ class SolveResult:
     f >= 0 started at zero or warm-started from a smaller problem the
     solution dominates the start and this stays at float noise.
     ``range_violations`` lists vertices where the final L u left ran
-    phi, which forces ``converged = False``.
+    phi, which forces ``converged = False``.  The energy of ``u`` is
+    ``energy_functional(g, W, nl, f, u, U)``.
     """
 
     u: VertexFunction
     residual_inf: float
     sweeps_used: int
-    energy_value: float
     converged: bool
     max_decrease: float = 0.0
     range_violations: tuple[int, ...] = ()
@@ -252,45 +256,60 @@ def _scalar_root(a, s_over_m, fx, wx, phi, deriv, lo, hi, t, tol):
     )
 
 
-class _System:
-    """One solve's data on U in array form.
+def _assemble(g: WeightedGraph, order: Sequence[int]):
+    """rows, cols, b, m, deg: the edges with b > 0 between vertices of
+    ``order`` in coordinate form, rows ascending and each row in neighbor
+    order (so cutting the edges that leave a prefix of ``order`` leaves
+    the prefix's own arrays), and the measure and weighted degree."""
+    index = {x: i for i, x in enumerate(order)}
+    cols: list[int] = []
+    b: list[float] = []
+    counts: list[int] = []
+    for x in order:
+        k = len(cols)
+        for y, w in g.neighbors(x):
+            j = index.get(y)
+            if j is not None and w > 0.0:
+                cols.append(j)
+                b.append(w)
+        counts.append(len(cols) - k)
+    rows = np.repeat(np.arange(len(order)), counts)
+    m = np.array([g.measure(x) for x in order], dtype=float)
+    deg = np.array([g.degree(x) for x in order], dtype=float)
+    return rows, np.array(cols, dtype=np.intp), np.array(b, dtype=float), m, deg
 
-    ``rows``/``cols``/``b`` list the in-U edges with b > 0 in coordinate
-    form, rows ascending, so ``apply`` is the Dirichlet Laplacian
-    A u = deg u - sum_y b(., y) u(y) with u = 0 off U.
+
+def _sample(order: Sequence[int], m, deg, W: Potential, f: Callable[[int], float]):
+    """W and f on ``order`` as arrays, after checking them and the
+    assembled m and deg.  Raises ValueError, naming the vertex, when
+    one of them is not finite or W falls below W0."""
+    w = np.array([W(x) for x in order], dtype=float)
+    fv = np.array([f(x) for x in order], dtype=float)
+    for name, arr in (("m", m), ("deg", deg), ("W", w), ("f", fv)):
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(f"{name}({order[bad[0]]}) = {float(arr[bad[0]])} is not finite")
+    low = np.flatnonzero(w < W.W0)
+    if low.size:
+        x = order[low[0]]
+        raise ValueError(f"W({x}) = {float(w[low[0]])} violates the certified bound W0 = {W.W0}")
+    return w, fv
+
+
+class _System:
+    """One solve's data: the leading block of the first n vertices of
+    the ``_assemble``/``_sample`` arrays on ``order``, i.e. the edges
+    with row < n and col < n in the same order and the prefixes of the
+    vertex arrays.  ``apply`` is the Dirichlet Laplacian
+    A u = deg u - sum_y b(., y) u(y) with u = 0 off that block.
     """
 
-    def __init__(self, g: WeightedGraph, W: Potential, f: VertexFunction, order: list[int]):
+    def __init__(self, order: Sequence[int], rows, cols, b, m, deg, w, f, n: int):
         self.order = order
-        index = {x: i for i, x in enumerate(order)}
-        cols: list[int] = []
-        b: list[float] = []
-        counts: list[int] = []
-        for x in order:
-            k = len(cols)
-            for y, w in g.neighbors(x):
-                j = index.get(y)
-                if j is not None and w > 0.0:
-                    cols.append(j)
-                    b.append(w)
-            counts.append(len(cols) - k)
-        n = len(order)
-        self.rows = np.repeat(np.arange(n), counts)
-        self.cols = np.array(cols, dtype=np.intp)
-        self.b = np.array(b, dtype=float)
-        self.m = np.array([g.measure(x) for x in order], dtype=float)
-        self.deg = np.array([g.degree(x) for x in order], dtype=float)
-        self.w = np.array([W(x) for x in order], dtype=float)
-        self.f = np.array([f(x) for x in order], dtype=float)
-        for name, arr in (("m", self.m), ("deg", self.deg), ("W", self.w), ("f", self.f)):
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                x = order[bad[0]]
-                raise ValueError(f"{name}({x}) = {float(arr[bad[0]])} is not finite")
-        low = np.flatnonzero(self.w < W.W0)
-        if low.size:
-            x = order[low[0]]
-            raise ValueError(f"W({x}) = {float(self.w[low[0]])} violates the certified bound W0 = {W.W0}")
+        e = int(np.searchsorted(rows, n))
+        keep = cols[:e] < n
+        self.rows, self.cols, self.b = rows[:e][keep], cols[:e][keep], b[:e][keep]
+        self.m, self.deg, self.w, self.f = m[:n], deg[:n], w[:n], f[:n]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         off = np.bincount(self.rows, self.b * u[self.cols], minlength=u.size)
@@ -404,7 +423,7 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
 def _gauss_seidel(sys_: _System, nl: Nonlinearity, u: np.ndarray, k_bound: float,
                   opts: SolveOptions):
     """Per-vertex nonlinear Gauss-Seidel from u; returns the iterate, sweeps and convergence."""
-    n_u = len(sys_.order)
+    n_u = sys_.m.size
     starts = np.searchsorted(sys_.rows, np.arange(n_u + 1)).tolist()
     cols, bs = sys_.cols.tolist(), sys_.b.tolist()
     m_arr, deg_arr = sys_.m.tolist(), sys_.deg.tolist()
@@ -448,11 +467,44 @@ def _gauss_seidel(sys_: _System, nl: Nonlinearity, u: np.ndarray, k_bound: float
     return np.array(u), sweeps, False
 
 
+class _Solved(NamedTuple):
+    """A solve on the arrays: SolveResult's fields, ``u`` still an array."""
+
+    u: np.ndarray
+    residual_inf: float
+    sweeps_used: int
+    converged: bool
+    max_decrease: float
+    range_violations: tuple[int, ...]
+
+    def result(self, order: Sequence[int]) -> SolveResult:
+        return SolveResult(VertexFunction(dict(zip(order, self.u.tolist()))), *self[1:])
+
+
+def _solve(sys_: _System, nl: Nonlinearity, W0: float, u0: np.ndarray,
+           opts: SolveOptions | None) -> _Solved:
+    """The solve core: Newton or Gauss-Seidel on sys_ from u0, then the
+    residual check."""
+    opts = opts or SolveOptions()
+    with np.errstate(all="ignore"):
+        newton = nl.arrays is not None and np.isfinite(nl.arrays.deriv(np.zeros(1))).all()
+        k_bound = float(np.max(np.abs(sys_.f))) / W0
+        # clamp into the certified box, where the solution lies
+        u = np.clip(u0, -k_bound, k_bound)
+        if newton:
+            u, sweeps, converged = _newton(sys_, nl, u, opts)
+        else:
+            u, sweeps, converged = _gauss_seidel(sys_, nl, u, k_bound, opts)
+        resid_inf, _, violations = sys_.residual(nl, u)
+        max_dec = max(float(np.max(u0 - u)), 0.0)
+    return _Solved(u, resid_inf, sweeps, converged, max_dec, violations)
+
+
 def solve_dirichlet(
     g: WeightedGraph,
     W: Potential,
     nl: Nonlinearity,
-    f: VertexFunction,
+    f: Callable[[int], float],
     U: Iterable[int],
     opts: SolveOptions | None = None,
     start: VertexFunction | None = None,
@@ -466,43 +518,14 @@ def solve_dirichlet(
     there or W falls below W0.  The 1-neighborhood of U is materialized
     as a side effect.
     """
-    opts = opts or SolveOptions()
-    u_list = list(dict.fromkeys(U))
-    if not u_list:
-        return SolveResult(
-            u=VertexFunction.zero(),
-            residual_inf=0.0,
-            sweeps_used=0,
-            energy_value=energy_functional(g, W, nl, f, VertexFunction.zero(), ()),
-            converged=True,
-        )
-    with np.errstate(all="ignore"):
-        newton = nl.arrays is not None and np.isfinite(nl.arrays.deriv(np.zeros(1))).all()
-        sys_ = _System(g, W, f, u_list)
-        k_bound = float(np.max(np.abs(sys_.f))) / W.W0
-        u0 = np.zeros(len(u_list))
-        if start is not None:
-            u0 = np.array([start(x) for x in u_list], dtype=float)
-        # clamp into the certified box, where the solution lies
-        u = np.clip(u0, -k_bound, k_bound)
-        if newton:
-            u, sweeps, converged = _newton(sys_, nl, u, opts)
-        else:
-            u, sweeps, converged = _gauss_seidel(sys_, nl, u, k_bound, opts)
-        resid_inf, _, violations = sys_.residual(nl, u)
-        max_dec = max(float(np.max(u0 - u)), 0.0)
-
-    u_fn = VertexFunction(dict(zip(u_list, u.tolist())))
-    e_val = energy_functional(g, W, nl, f, u_fn, u_list)
-    return SolveResult(
-        u=u_fn,
-        residual_inf=resid_inf,
-        sweeps_used=sweeps,
-        energy_value=e_val,
-        converged=converged,
-        max_decrease=max_dec,
-        range_violations=violations,
-    )
+    order = list(dict.fromkeys(U))
+    if not order:
+        return SolveResult(u=VertexFunction.zero(), residual_inf=0.0, sweeps_used=0,
+                           converged=True)
+    rows, cols, b, m, deg = _assemble(g, order)
+    sys_ = _System(order, rows, cols, b, m, deg, *_sample(order, m, deg, W, f), len(order))
+    u0 = np.array([0.0 if start is None else start(x) for x in order], dtype=float)
+    return _solve(sys_, nl, W.W0, u0, opts).result(order)
 
 
 def energy_functional(

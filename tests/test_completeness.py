@@ -7,6 +7,7 @@ import pytest
 from nlresolvent import (
     CLASSIFY_CSV_HEADER,
     CSV_HEADER,
+    DEFAULT_ALPHA_GRID,
     Potential,
     RangeError,
     SolveError,
@@ -28,6 +29,7 @@ from nlresolvent import (
     make_exhaustion,
     odd_power,
     path_criterion,
+    symmetric_tree,
     verify_liouville,
 )
 
@@ -76,7 +78,7 @@ def test_chain_defect_frozen_value(chain4, unit_potential, chain_ex):
 
 def test_chain_defect_matches_linear_oracle(chain4, unit_potential, chain_ex):
     # identity case: the whole computation reduces to one linear solve
-    U = list(chain_ex.sets[-1])
+    U = list(chain_ex.order)
     from nlresolvent import VertexFunction
 
     f = VertexFunction({x: 1.0 for x in U})
@@ -328,3 +330,40 @@ def test_liouville_skips_non_interior_probes(lattice, unit_potential):
     assert 5 in rep.skipped
     assert 5 not in rep.residuals
     assert 0 in rep.residuals
+
+
+# --- one assembly per classify; analytic oracle ------------------------------
+
+
+def test_classify_assembles_once_whatever_the_grid(unit_potential):
+    # every alpha shares the exhaustion's arrays, so neighbor lookups
+    # do not grow with the alpha grid
+    g = symmetric_tree(2)
+    rule = g.neighbors
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return rule(x)
+
+    g.neighbors = counting
+    counts = []
+    for grid in ((1.0,), DEFAULT_ALPHA_GRID):
+        calls.clear()
+        classify(g, unit_potential, ID, make_exhaustion(g, 0, [4, 8, 10]), alpha_grid=grid)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.5, 3.0])
+def test_birth_death_verdict_agrees_with_analytic_criterion(beta, unit_potential):
+    # b(n, n+1) = (n+1)^beta with m = 1 is stochastically complete iff
+    # sum_n m([0, n]) / b(n, n+1) = sum_n (n+1)^(1-beta) diverges, i.e.
+    # iff beta <= 2 (Keller, Lenz & Wojciechowski, Math. Z. 2013);
+    # inconclusive is allowed, a wrong verdict is not
+    g = birth_death(lambda n: (n + 1.0) ** beta)
+    ex = make_exhaustion(g, 0, [25, 50, 100, 200, 400])
+    rep = classify(g, unit_potential, ID, ex, probes=[0])
+    assert rep.verdict != (VERDICT_INCOMPLETE if beta <= 2.0 else VERDICT_COMPLETE)
+    if beta == 1.0:
+        assert rep.verdict == VERDICT_COMPLETE

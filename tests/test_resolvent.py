@@ -1,6 +1,11 @@
 """Exhaustions and the monotone resolvent limit."""
 
+import math
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlresolvent import (
     CSV_HEADER,
@@ -9,12 +14,18 @@ from nlresolvent import (
     SolveError,
     SolveOptions,
     VertexFunction,
+    ball,
+    default_probes,
     doubling_schedule,
     extended_resolvent,
     finite_path,
+    geometric_chain,
     identity,
+    lattice_z,
     make_exhaustion,
+    odd_power,
     solve_dirichlet,
+    symmetric_tree,
 )
 
 ID = identity()
@@ -42,8 +53,9 @@ def test_make_exhaustion_on_lattice(lattice):
     assert ex.radii == (1, 2, 3)
     assert ex.sizes == (3, 5, 7)
     assert len(ex) == 3
-    # nested as prefixes
-    assert ex.sets[1][: len(ex.sets[0])] == ex.sets[0]
+    # nested as prefixes of the largest ball
+    assert ex.order == tuple(ball(lattice, 0, 3))
+    assert ex.order[: ex.sizes[0]] == tuple(ball(lattice, 0, 1))
 
 
 def test_make_exhaustion_default_root(lattice):
@@ -186,3 +198,53 @@ def test_increment_bookkeeping(lattice, unit_potential):
     assert incs[1] == pytest.approx(vals[1] - vals[0], abs=1e-15)
     assert incs[2] == pytest.approx(vals[2] - vals[1], abs=1e-15)
     assert est.final[0] == vals[-1]
+
+
+# --- one assembly, sliced per step ----------------------------------------------
+
+SLICED_RUNS = {
+    "tree2-identity": (lambda: symmetric_tree(2), ID, [4, 8, 12]),
+    "lattice-power3": (lattice_z, odd_power(3.0), [12, 25, 50]),
+    "chain4-identity": (lambda: geometric_chain(4.0), ID, [5, 10, 20, 40]),
+    "lattice-sqrt-gauss-seidel": (lattice_z, odd_power(0.5), [5, 10, 20]),
+}
+
+
+@pytest.mark.parametrize("name", SLICED_RUNS)
+def test_steps_equal_direct_solves_exactly(name, unit_potential):
+    # each step solves a block of the largest ball's arrays; the same
+    # numbers must come out of a fresh solve of that ball, warm-started
+    # from the previous step's solution
+    make_graph, nl, radii = SLICED_RUNS[name]
+    g = make_graph()
+    ex = make_exhaustion(g, g.root, radii)
+    probes = default_probes(g, ex)
+    est = extended_resolvent(g, unit_potential, nl, lambda x: 1.0, ex, probes=probes)
+    start = None
+    for k, step in enumerate(est.steps):
+        K = ex.order[: ex.sizes[k]]
+        direct = solve_dirichlet(g, unit_potential, nl, VertexFunction({x: 1.0 for x in K}),
+                                 K, start=start)
+        assert step.sweeps == direct.sweeps_used
+        assert step.residual_inf == direct.residual_inf
+        assert [est.values[p][k] for p in probes] == [direct.u(p) for p in probes]
+        start = direct.u
+
+
+_LATTICE_EX = make_exhaustion(lattice_z(), 0, [2, 4])
+
+
+@given(
+    x=st.sampled_from(_LATTICE_EX.order),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    where=st.sampled_from(["f", "W"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_non_finite_data_raises_value_error_naming_the_vertex(x, bad, where):
+    def data(y):
+        return bad if y == x else 1.0
+
+    W = Potential(data, W0=1.0) if where == "W" else Potential.constant(1.0)
+    f = data if where == "f" else (lambda y: 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"{where}({x}) = {bad} is not finite")):
+        extended_resolvent(lattice_z(), W, ID, f, _LATTICE_EX)

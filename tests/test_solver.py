@@ -42,7 +42,8 @@ def test_pair_delta_exact(pair, unit_potential):
     assert res.converged
     assert res.u(0) == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert res.u(1) == pytest.approx(1.0 / 3.0, abs=1e-9)
-    assert res.energy_value == pytest.approx(1.0 / 3.0, abs=1e-9)
+    e = energy_functional(pair, unit_potential, ID, VertexFunction.delta(0), res.u, [0, 1])
+    assert e == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_pair_delta_with_w_two(pair):
@@ -65,7 +66,8 @@ def test_zero_data_gives_zero(path3, unit_potential):
     res = solve_dirichlet(path3, unit_potential, odd_power(3.0), VertexFunction.zero(), [0, 1, 2])
     assert res.converged
     assert res.u.support == ()
-    assert res.energy_value == 0.0
+    assert energy_functional(path3, unit_potential, odd_power(3.0), VertexFunction.zero(),
+                             res.u, [0, 1, 2]) == 0.0
 
 
 def test_empty_unknown_set(pair, unit_potential):
