@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -55,7 +56,7 @@ from .resolvent import (
     extended_resolvent,
     make_exhaustion,
 )
-from .solver import Potential, SolveError, SolveOptions, solve_dirichlet
+from .solver import Potential, SolveError, SolveOptions, _require_positive, solve_dirichlet
 from .testkit import family_from_spec, generate
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
@@ -97,24 +98,18 @@ class RunConfig:
     max_vertices: int | None = None
 
     def solve_options(self) -> SolveOptions:
-        try:
-            return SolveOptions(
-                sweep_tol=self.sweep_tol,
-                residual_tol=self.residual_tol,
-                max_sweeps=self.max_sweeps,
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        return SolveOptions(
+            sweep_tol=self.sweep_tol,
+            residual_tol=self.residual_tol,
+            max_sweeps=self.max_sweeps,
+        )
 
     def thresholds(self) -> Thresholds:
-        try:
-            return Thresholds(
-                complete_tol=self.complete_tol,
-                stabilization_tol=self.stabilization_tol,
-                incomplete_floor=self.incomplete_floor,
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        return Thresholds(
+            complete_tol=self.complete_tol,
+            stabilization_tol=self.stabilization_tol,
+            incomplete_floor=self.incomplete_floor,
+        )
 
 
 # ---------------------------------------------------------------- parsing
@@ -186,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", help="comma list or doubling:START:STEPS")
     p.add_argument("--alpha", help="single alpha > 0 (default 1)")
     p.add_argument("--probes", help="auto | root | list:... (default auto)")
-    p.add_argument("--tol", type=float, help="stabilization tolerance (default 1e-6)")
 
     p = sp("gen", "write a generated family instance as graph.json")
     p.add_argument("--family", help="family spec, as for --graph")
@@ -262,13 +256,10 @@ def _load_graph(cfg: RunConfig) -> WeightedGraph:
 def _generate(spec: str, seed: int) -> WeightedGraph:
     """The family graph of ``spec``; ``seed`` seeds a random-sparse spec
     without ``seed=``, so gen and --graph build the same graph."""
-    try:
-        fam = family_from_spec(spec)
-        if fam.kind == "random-sparse":
-            fam = replace(fam, params={"seed": seed, **fam.params})
-        return generate(fam)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    fam = family_from_spec(spec)
+    if fam.kind == "random-sparse":
+        fam = replace(fam, params={"seed": seed, **fam.params})
+    return generate(fam)
 
 
 def _parse_potential(cfg: RunConfig, g: WeightedGraph, nl: Nonlinearity) -> Potential:
@@ -378,8 +369,8 @@ def _parse_alpha_grid(cfg: RunConfig) -> tuple[float, ...]:
         grid = tuple(float(v) for v in str(cfg.alpha).split(","))
     except ValueError:
         raise CliError(f"bad alpha list {cfg.alpha!r}") from None
-    if not grid or min(grid) <= 0:
-        raise CliError(f"alpha grid must be positive, got {cfg.alpha!r}")
+    if not all(0.0 < a < math.inf for a in grid):
+        raise CliError(f"alpha grid must be positive and finite, got {cfg.alpha!r}")
     return grid
 
 
@@ -514,17 +505,18 @@ def _run_resolve(cfg: RunConfig) -> int:
     probes = _parse_probes(cfg, g, ex)
     f = _parse_f(cfg)
     outdir = _prepare_out(cfg, {"probes_resolved": list(probes), "radii_resolved": list(ex.radii)})
-    est = extended_resolvent(g, W, nl, f, ex, probes=probes, tol=cfg.tol,
-                             opts=cfg.solve_options())
+    _require_positive("tol", cfg.tol)
+    est = extended_resolvent(g, W, nl, f, ex, probes=probes, opts=cfg.solve_options())
+    converged = {p: est.stabilization_error(p) <= cfg.tol for p in est.probes}
     if outdir:
         _write_trace(outdir, CSV_HEADER, est.csv_rows())
         _write_json(outdir, "result.json", {
             "final": {str(p): est.final[p] for p in est.probes},
-            "converged": {str(p): est.converged[p] for p in est.probes},
-            "all_converged": est.all_converged,
+            "converged": {str(p): converged[p] for p in est.probes},
+            "all_converged": all(converged.values()),
         })
     for p in est.probes:
-        tag = "converged" if est.converged[p] else "still increasing"
+        tag = "converged" if converged[p] else "still increasing"
         print(f"probe {p}: estimate {est.final[p]:.10g} ({tag})")
     return EXIT_OK
 
@@ -561,10 +553,7 @@ def _run_path_criterion(cfg: RunConfig) -> int:
     W = _parse_potential(cfg, g, nl)
     alpha = _parse_alpha_single(cfg)
     path = _parse_path(cfg, g)
-    try:
-        rep = path_criterion(g, W, nl, path, alpha, cfg.terms)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rep = path_criterion(g, W, nl, path, alpha, cfg.terms)
     rows = [
         (alpha, k + 1, k + 1, k + 2, rep.vertices[k + 1],
          rep.partial_sums[k], rep.terms[k], 0, 0.0)
@@ -593,7 +582,7 @@ def _run_verify_liouville(cfg: RunConfig) -> int:
     alpha = _parse_alpha_single(cfg)
     outdir = _prepare_out(cfg, {"probes_resolved": list(probes),
                                 "radii_resolved": list(ex.radii)})
-    rep = verify_liouville(g, W, nl, ex, alpha, probes=probes, tol=cfg.tol,
+    rep = verify_liouville(g, W, nl, ex, alpha, probes=probes,
                            opts=cfg.solve_options(), seed=cfg.seed)
     rows = rep.defect.csv_rows()
     last = rep.defect.resolvent.steps[-1]

@@ -19,20 +19,22 @@ nontrivial bounded solution whenever the defect is positive.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from .graphs import WeightedGraph, ball, edge_weight, laplacian_apply
+from .graphs import VertexFunction, WeightedGraph, ball, edge_weight, laplacian_apply
 from .nonlinearity import Nonlinearity
 from .resolvent import (
     CSV_HEADER, Exhaustion, ResolventEstimate, _trace_rows, extended_resolvent,
 )
-from .solver import Potential, SolveError, SolveOptions
+from .solver import Potential, SolveError, SolveOptions, _require_positive
 
 __all__ = [
     "CLASSIFY_CSV_HEADER",
     "DEFAULT_ALPHA_GRID",
+    "TRUNCATION_NOTE",
     "VERDICT_COMPLETE",
     "VERDICT_INCOMPLETE",
     "VERDICT_INCONCLUSIVE",
@@ -84,8 +86,8 @@ class Thresholds:
     incomplete_floor: float = 1e-2
 
     def __post_init__(self):
-        if min(self.complete_tol, self.stabilization_tol, self.incomplete_floor) <= 0:
-            raise ValueError("thresholds must be positive")
+        for name in ("complete_tol", "stabilization_tol", "incomplete_floor"):
+            _require_positive(name, getattr(self, name))
         if self.complete_tol >= self.incomplete_floor:
             raise ValueError(
                 f"complete_tol {self.complete_tol} must sit below "
@@ -99,8 +101,9 @@ class DefectEstimate:
 
     Increments are successive differences with the empty-set baseline
     alpha in front, so they are the negatives of the resolvent value
-    increments.  bounds_ok certifies 0 <= defect <= alpha and
-    monotone_ok certifies non-increase, both up to 1e-9 slack.
+    increments and ``stabilization_error`` is the resolvent's.
+    bounds_ok certifies 0 <= defect <= alpha and monotone_ok certifies
+    non-increase, both up to 1e-9 slack.
     """
 
     alpha: float
@@ -114,10 +117,7 @@ class DefectEstimate:
 
     def stabilization_error(self, probe: int) -> float:
         """Largest defect change over the last two schedule steps."""
-        return max(abs(v) for v in self.increments[probe][-2:])
-
-    def stabilized(self, probe: int, tol: float) -> bool:
-        return self.stabilization_error(probe) <= tol
+        return self.resolvent.stabilization_error(probe)
 
     def csv_rows(self) -> list[tuple]:
         """Rows matching CLASSIFY_CSV_HEADER: alpha, then the resolvent
@@ -146,23 +146,22 @@ def conservation_defect(
     alpha: float,
     ex: Exhaustion,
     probes: Iterable[int] | None = None,
-    tol: float = 1e-6,
     opts: SolveOptions | None = None,
 ) -> DefectEstimate:
     """Defect sequences d_n = alpha - R_n(alpha*W) at the probes.
 
-    Needs alpha >= 0 and W bounded on the materialized sets (the data
-    alpha*W is sampled there).  Solver non-convergence propagates from
-    the resolvent, its ``partial`` turned into the DefectEstimate of the
-    completed steps; the values of an unconverged solve would certify
-    nothing.
+    Needs a finite alpha >= 0 (ValueError otherwise) and W bounded on
+    the materialized sets (the data alpha*W is sampled there).  Solver
+    non-convergence propagates from the resolvent, its ``partial``
+    turned into the DefectEstimate of the completed steps; the values
+    of an unconverged solve would certify nothing.
     """
     alpha = float(alpha)
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     try:
         est = extended_resolvent(
-            g, W, nl, lambda x: alpha * W(x), ex, probes=probes, tol=tol, opts=opts
+            g, W, nl, lambda x: alpha * W(x), ex, probes=probes, opts=opts
         )
     except SolveError as exc:
         if exc.partial is not None:
@@ -267,17 +266,15 @@ def classify(
     grid = tuple(float(a) for a in (DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid))
     if not grid:
         raise ValueError("alpha grid must be non-empty")
-    if any(a <= 0 for a in grid):
-        raise ValueError(f"alpha grid must be positive, got {grid}")
+    if not all(0.0 < a < math.inf for a in grid):
+        raise ValueError(f"alpha grid must be positive and finite, got {grid}")
     th = thresholds or Thresholds()
     probe_list = tuple(probes) if probes is not None else default_probes(g, ex, seed=seed)
 
     done: list[DefectEstimate] = []
     for a in grid:
         try:
-            done.append(conservation_defect(
-                g, W, nl, a, ex, probes=probe_list, tol=th.stabilization_tol, opts=opts
-            ))
+            done.append(conservation_defect(g, W, nl, a, ex, probes=probe_list, opts=opts))
         except SolveError as exc:
             if exc.partial is not None:
                 done.append(exc.partial)
@@ -463,25 +460,25 @@ def verify_liouville(
     ex: Exhaustion,
     alpha: float,
     probes: Iterable[int] | None = None,
-    tol: float = 1e-6,
     opts: SolveOptions | None = None,
     seed: int = 0,
 ) -> LiouvilleReport:
     """Check the equation for w = alpha - u on the final exhaustion set.
 
-    Since constants are harmonic, -Lw = Lu, so the residual at a probe
-    p is |Lu(p) - phi(W(p) w(p))|; it should sit within a small factor
-    of the solver residual tolerance at interior probes.  Also checks
-    0 <= w <= alpha.
+    u is the defect's last solution, which this check alone reads as a
+    whole.  Since constants are harmonic, -Lw = Lu, so the residual at
+    a probe p is |Lu(p) - phi(W(p) w(p))|; it should sit within a small
+    factor of the solver residual tolerance at interior probes.  Also
+    checks 0 <= w <= alpha.  A repeated probe counts once.
     """
     probe_list = tuple(probes) if probes is not None else default_probes(g, ex, seed=seed)
-    est = conservation_defect(g, W, nl, alpha, ex, probes=probe_list, tol=tol, opts=opts)
-    u = est.resolvent.final_solve.u
+    est = conservation_defect(g, W, nl, alpha, ex, probes=probe_list, opts=opts)
+    u = VertexFunction(dict(zip(ex.order, est.resolvent.u.tolist())))
 
     interior = set(ball(g, ex.root, max(ex.radii[-1] - 2, 0)))
     used: list[int] = []
     skipped: list[int] = []
-    for p in probe_list:
+    for p in est.probes:
         (used if p in interior else skipped).append(p)
 
     wvals: dict[int, float] = {}

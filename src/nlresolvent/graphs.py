@@ -79,7 +79,6 @@ class WeightedGraph:
     """
 
     root: int
-    is_finite: bool = False
 
     def measure(self, x: int) -> float:
         raise NotImplementedError
@@ -101,8 +100,6 @@ class ExplicitGraph(WeightedGraph):
     and is caught by :func:`validate`.  Use :meth:`from_edges` for the
     symmetrizing programmatic path.
     """
-
-    is_finite = True
 
     def __init__(
         self,
@@ -202,8 +199,6 @@ class ProceduralGraph(WeightedGraph):
     first time a vertex is touched.  The rule must be
     symmetric; :func:`validate` can spot-check that on any probe set.
     """
-
-    is_finite = False
 
     def __init__(
         self,

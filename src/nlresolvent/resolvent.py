@@ -26,9 +26,7 @@ import numpy as np
 
 from .graphs import GraphError, VertexFunction, WeightedGraph, ball
 from .nonlinearity import Nonlinearity
-from .solver import (
-    Potential, SolveError, SolveOptions, SolveResult, _assemble, _sample, _solve, _System,
-)
+from .solver import Potential, SolveError, SolveOptions, _assemble, _sample, _solve, _System
 
 __all__ = [
     "CSV_HEADER",
@@ -119,30 +117,31 @@ class StepRecord:
     residual_inf: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolventEstimate:
     """Probe-wise value sequences along the exhaustion.
 
     ``increments[p][0]`` is the first value itself (the increment from
     the empty-set baseline 0); later entries are successive differences.
-    ``converged[p]`` holds when the last two increments are within tol.
     ``max_decrease`` is the monotonicity certificate: the largest
     decrease seen either inside a solve or across steps, which for
-    f >= 0 should never exceed root-finder noise.
+    f >= 0 should never exceed root-finder noise.  ``u`` is the last
+    solution, on the exhaustion's ``order[:u.size]``.  The estimate
+    holds data only: each reader compares ``stabilization_error`` with
+    its own tolerance.
     """
 
     probes: tuple[int, ...]
     values: dict[int, tuple[float, ...]]
     increments: dict[int, tuple[float, ...]]
     final: dict[int, float]
-    converged: dict[int, bool]
     max_decrease: float
     steps: tuple[StepRecord, ...]
-    final_solve: SolveResult
+    u: np.ndarray
 
-    @property
-    def all_converged(self) -> bool:
-        return all(self.converged.values())
+    def stabilization_error(self, probe: int) -> float:
+        """Largest |increment| at ``probe`` over the last two schedule steps."""
+        return max(abs(v) for v in self.increments[probe][-2:])
 
     def csv_rows(self) -> list[tuple]:
         """Rows matching CSV_HEADER, step-major then probe order."""
@@ -173,7 +172,6 @@ def extended_resolvent(
     f: VertexFunction | Callable[[int], float],
     ex: Exhaustion,
     probes: Iterable[int] | None = None,
-    tol: float = 1e-6,
     opts: SolveOptions | None = None,
 ) -> ResolventEstimate:
     """Approximate the resolvent of f >= 0 from below along an exhaustion.
@@ -183,13 +181,11 @@ def extended_resolvent(
     bounded for the limit to be finite).  W and f are sampled once on
     the largest set; a vertex there where either is not finite, W falls
     below W0 or f is negative raises ValueError naming it.  A solve
-    that fails to converge raises SolveError carrying the offending
-    result and, as ``partial``, the estimate over the steps completed
-    before it; a schedule that merely has not stabilized yet is not an
-    error and comes back with converged flags down.
+    that fails to converge raises SolveError carrying, as ``partial``,
+    the estimate over the steps completed before it.  A schedule that
+    merely has not stabilized yet is not an error: the estimate's
+    ``stabilization_error`` measures how far it is from it.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     probe_list = list(dict.fromkeys(probes)) if probes is not None else [ex.root]
     if not probe_list:
         raise ValueError("need at least one probe vertex")
@@ -203,8 +199,7 @@ def extended_resolvent(
     values: dict[int, list[float]] = {p: [] for p in probe_list}
     at = {x: i for i, x in enumerate(order) if x in values}
     steps: list[StepRecord] = []
-    max_dec = 0.0
-    last, u = None, np.zeros(0)
+    max_dec, resid, u = 0.0, 0.0, np.zeros(0)
 
     for n, (r, size) in enumerate(zip(ex.radii, ex.sizes)):
         if size == u.size:
@@ -213,47 +208,41 @@ def extended_resolvent(
             sys_ = _System(order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, fv, size)
             res = _solve(sys_, nl, W.W0, np.pad(u, (0, size - u.size)), opts)
             if not res.converged:
-                done = _estimate(values, steps, max_dec, tol, last.result(order)) if steps else None
                 raise SolveError(
                     f"solve did not converge at exhaustion step {n} "
                     f"(radius {r}, {size} vertices): residual {res.residual_inf:.3g} "
                     f"after {res.sweeps_used} sweeps",
-                    result=res.result(order), partial=done,
+                    partial=_estimate(values, steps, max_dec, u) if steps else None,
                 )
-            sweeps = res.sweeps_used
+            sweeps, resid, u = res.sweeps_used, res.residual_inf, res.u
             max_dec = max(max_dec, res.max_decrease)
-            last, u = res, res.u
         for p in probe_list:
             i = at.get(p, size)
             values[p].append(float(u[i]) if i < size else 0.0)
         steps.append(StepRecord(n=n, radius=r, set_size=size,
-                                sweeps=sweeps, residual_inf=last.residual_inf))
-    return _estimate(values, steps, max_dec, tol, last.result(order))
+                                sweeps=sweeps, residual_inf=resid))
+    return _estimate(values, steps, max_dec, u)
 
 
 def _estimate(
     values: dict[int, list[float]],
     steps: list[StepRecord],
     max_dec: float,
-    tol: float,
-    final_solve: SolveResult,
+    u: np.ndarray,
 ) -> ResolventEstimate:
     """The estimate over the steps solved so far (at least one)."""
     increments: dict[int, tuple[float, ...]] = {}
-    converged: dict[int, bool] = {}
     for p, seq in values.items():
         inc = (seq[0], *(b - a for a, b in zip(seq, seq[1:])))
         max_dec = max([max_dec, *(-v for v in inc[1:])])
         increments[p] = inc
-        converged[p] = all(abs(v) <= tol for v in inc[-2:])
 
     return ResolventEstimate(
         probes=tuple(values),
         values={p: tuple(v) for p, v in values.items()},
         increments=increments,
         final={p: seq[-1] for p, seq in values.items()},
-        converged=converged,
         max_decrease=max_dec,
         steps=tuple(steps),
-        final_solve=final_solve,
+        u=u,
     )

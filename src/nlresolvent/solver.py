@@ -77,6 +77,14 @@ __all__ = [
 ]
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is finite and > 0."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class Potential:
     """Strictly positive vertex potential with a certified lower bound.
@@ -128,8 +136,8 @@ class SolveOptions:
     max_sweeps: int = 100_000
 
     def __post_init__(self):
-        if self.sweep_tol <= 0 or self.residual_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        _require_positive("sweep_tol", self.sweep_tol)
+        _require_positive("residual_tol", self.residual_tol)
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
 
@@ -173,16 +181,14 @@ class ResidualReport:
 class SolveError(RuntimeError):
     """A solve that was required to converge did not.
 
-    ``result`` is the unconverged solve.  A failure inside a sequence of
-    solves also carries ``partial``: the estimate over the steps that
-    completed before it, whose ``csv_rows()`` gives their trace rows
-    (None when no step completed).
+    The message gives the failed solve's residual and sweeps.  A failure
+    inside a sequence of solves carries ``partial``: the estimate over
+    the steps that completed before it, whose ``csv_rows()`` gives their
+    trace rows (None when no step completed).
     """
 
-    def __init__(self, message: str, result: SolveResult | None = None,
-                 partial=None):
+    def __init__(self, message: str, partial=None):
         super().__init__(message)
-        self.result = result
         self.partial = partial
 
 
@@ -477,9 +483,6 @@ class _Solved(NamedTuple):
     max_decrease: float
     range_violations: tuple[int, ...]
 
-    def result(self, order: Sequence[int]) -> SolveResult:
-        return SolveResult(VertexFunction(dict(zip(order, self.u.tolist()))), *self[1:])
-
 
 def _solve(sys_: _System, nl: Nonlinearity, W0: float, u0: np.ndarray,
            opts: SolveOptions | None) -> _Solved:
@@ -525,7 +528,8 @@ def solve_dirichlet(
     rows, cols, b, m, deg = _assemble(g, order)
     sys_ = _System(order, rows, cols, b, m, deg, *_sample(order, m, deg, W, f), len(order))
     u0 = np.array([0.0 if start is None else start(x) for x in order], dtype=float)
-    return _solve(sys_, nl, W.W0, u0, opts).result(order)
+    res = _solve(sys_, nl, W.W0, u0, opts)
+    return SolveResult(VertexFunction(dict(zip(order, res.u.tolist()))), *res[1:])
 
 
 def energy_functional(

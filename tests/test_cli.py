@@ -120,6 +120,21 @@ def test_unknown_phi_spec_exits_2(capsys):
     assert "cosh" in err
 
 
+# a NaN threshold or tolerance used to pass every comparison it met and
+# change the outcome silently; a NaN alpha was reported as bad data f
+@pytest.mark.parametrize("argv, name", [
+    (("classify", "--alpha", "1", "--stabilization-tol", "nan"), "stabilization_tol"),
+    (("classify", "--alpha", "nan"), "alpha"),
+    (("resolve", "--f", "const:1", "--tol", "nan"), "tol"),
+    (("resolve", "--f", "const:1", "--residual-tol", "nan"), "residual_tol"),
+], ids=["stabilization-tol", "alpha", "tol", "residual-tol"])
+def test_non_finite_parameter_exits_2_naming_it(capsys, argv, name):
+    code, _, err = run_cli(capsys, *argv, "--graph", "birth-death:4",
+                           "--radii", "5,10", "--probes", "root")
+    assert code == 2
+    assert err.startswith(f"error: {name} ")
+
+
 def test_classify_inconclusive_is_a_result_not_an_error(capsys):
     # two steps only: the stabilization window cannot clear 1e-6 yet
     code, out, _ = run_cli(capsys, "classify", "--graph", "birth-death:4",
@@ -175,9 +190,27 @@ def test_trace_is_byte_identical_across_reruns(tmp_path, capsys):
     assert first == second
 
 
-def test_result_numbers_are_traceable_to_csv(tmp_path, capsys):
+# per mode: the arguments and the result.json numbers that must appear
+# verbatim in trace.csv
+TRACEABLE = {
+    "classify": (CLASSIFY_ARGS, lambda doc: [
+        *doc["alpha"], *(v for per_probe in doc["defect"].values() for v in per_probe.values())]),
+    "verify-liouville": (
+        ("verify-liouville", "--graph", "birth-death:4", "--radii", "5,10,20,40,80",
+         "--alpha", "1", "--probes", "root"),
+        lambda doc: [doc["alpha"], *doc["w"].values(), *doc["residual"].values(),
+                     doc["max_w"], doc["max_residual"]]),
+    "path-criterion": (
+        ("path-criterion", "--graph", "lattice-z", "--terms", "40"),
+        lambda doc: [doc["alpha"], doc["terms"], doc["partial_sum"]]),
+}
+
+
+@pytest.mark.parametrize("mode", TRACEABLE)
+def test_result_numbers_are_traceable_to_csv(tmp_path, capsys, mode):
+    args, numbers = TRACEABLE[mode]
     out_dir = tmp_path / "run"
-    code, _, _ = run_cli(capsys, *CLASSIFY_ARGS, "--out", str(out_dir))
+    code, _, _ = run_cli(capsys, *args, "--out", str(out_dir))
     assert code == 0
 
     lines = (out_dir / "trace.csv").read_text().splitlines()
@@ -187,12 +220,9 @@ def test_result_numbers_are_traceable_to_csv(tmp_path, capsys):
             cells.add(float(cell))
 
     doc = json.loads((out_dir / "result.json").read_text())
-    for a in doc["alpha"]:
-        assert a in cells
-    for per_probe in doc["defect"].values():
-        for v in per_probe.values():
-            assert v in cells
-    for per_probe in doc["stabilization"].values():
+    values = numbers(doc)
+    assert values and all(v in cells for v in values)
+    for per_probe in doc.get("stabilization", {}).values():
         for v in per_probe.values():
             # stabilization is max |increment| over the window
             assert v in cells or any(c == -v for c in cells)

@@ -61,6 +61,16 @@ def test_negative_alpha_rejected(chain4, unit_potential):
         conservation_defect(chain4, unit_potential, ID, -1.0, ex)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_alpha_rejected(chain4, unit_potential, bad):
+    # alpha*W would reach the solver as non-finite data, blamed on f
+    ex = make_exhaustion(chain4, 0, [3, 6])
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        conservation_defect(chain4, unit_potential, ID, bad, ex)
+    with pytest.raises(ValueError, match="alpha grid"):
+        classify(chain4, unit_potential, ID, ex, alpha_grid=(1.0, bad), probes=(0,))
+
+
 def test_lattice_defect_vanishes(lattice, unit_potential):
     ex = make_exhaustion(lattice, 0, [5, 10, 20, 40, 80])
     est = conservation_defect(lattice, unit_potential, ID, 1.0, ex)
@@ -73,7 +83,7 @@ def test_chain_defect_frozen_value(chain4, unit_potential, chain_ex):
     est = conservation_defect(chain4, unit_potential, ID, 1.0, chain_ex)
     assert est.bounds_ok and est.monotone_ok
     assert est.final[0] == pytest.approx(CHAIN_DEFECT, abs=1e-12)
-    assert est.stabilized(0, 1e-6)
+    assert est.stabilization_error(0) <= 1e-6
 
 
 def test_chain_defect_matches_linear_oracle(chain4, unit_potential, chain_ex):
@@ -167,6 +177,10 @@ def test_thresholds_validation():
         Thresholds(complete_tol=1e-2, incomplete_floor=1e-4)
     with pytest.raises(ValueError):
         Thresholds(stabilization_tol=0.0)
+    for name in ("complete_tol", "stabilization_tol", "incomplete_floor"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                Thresholds(**{name: bad})
     th = Thresholds()
     assert th.complete_tol == 1e-4
     assert th.stabilization_tol == 1e-6
@@ -322,6 +336,11 @@ def test_liouville_on_complete_lattice(lattice, unit_potential):
     rep = verify_liouville(lattice, unit_potential, ID, ex, 1.0, probes=(0,))
     assert rep.bounds_ok and rep.residual_ok
     assert rep.max_w <= 1e-8
+
+
+def test_liouville_counts_a_repeated_probe_once(chain4, unit_potential, chain_ex):
+    rep = verify_liouville(chain4, unit_potential, ID, chain_ex, 1.0, probes=(0, 0, 1))
+    assert rep.probes == rep.defect.probes == (0, 1)
 
 
 def test_liouville_skips_non_interior_probes(lattice, unit_potential):
