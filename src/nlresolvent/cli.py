@@ -24,15 +24,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
 
 from .completeness import (
     CLASSIFY_CSV_HEADER,
-    DEFAULT_ALPHA_GRID,
     Thresholds,
+    _alpha,
+    _alpha_grid,
     classify,
     default_probes,
     large_potential,
@@ -347,12 +347,11 @@ def _parse_radii(cfg: RunConfig) -> list[int]:
         raise CliError(f"bad radii list {spec!r}") from None
 
 
-def _parse_probes(cfg: RunConfig, g: WeightedGraph, ex) -> tuple[int, ...]:
+def _parse_probes(cfg: RunConfig) -> str | tuple[int, ...]:
+    """The --probes spec: "auto", "root" or the listed vertices."""
     spec = (cfg.probes or "auto").strip()
-    if spec == "auto":
-        return default_probes(g, ex, seed=cfg.seed)
-    if spec == "root":
-        return (ex.root,)
+    if spec in ("auto", "root"):
+        return spec
     head, _, rest = spec.partition(":")
     if head == "list":
         try:
@@ -362,16 +361,23 @@ def _parse_probes(cfg: RunConfig, g: WeightedGraph, ex) -> tuple[int, ...]:
     raise CliError(f"unknown probes spec {spec!r}")
 
 
+def _probes_on(spec: str | tuple[int, ...], cfg: RunConfig, g: WeightedGraph, ex) -> tuple[int, ...]:
+    """The probe vertices a parsed --probes spec names on the exhaustion ex."""
+    if spec == "auto":
+        return default_probes(g, ex, seed=cfg.seed)
+    if spec == "root":
+        return (ex.root,)
+    return spec
+
+
 def _parse_alpha_grid(cfg: RunConfig) -> tuple[float, ...]:
     if cfg.alpha is None:
-        return DEFAULT_ALPHA_GRID
+        return _alpha_grid(None)
     try:
         grid = tuple(float(v) for v in str(cfg.alpha).split(","))
     except ValueError:
         raise CliError(f"bad alpha list {cfg.alpha!r}") from None
-    if not all(0.0 < a < math.inf for a in grid):
-        raise CliError(f"alpha grid must be positive and finite, got {cfg.alpha!r}")
-    return grid
+    return _alpha_grid(grid)
 
 
 def _parse_alpha_single(cfg: RunConfig, default: float = 1.0) -> float:
@@ -501,12 +507,15 @@ def _run_resolve(cfg: RunConfig) -> int:
     g = _load_graph(cfg)
     nl = parse_phi(cfg.phi)
     W = _parse_potential(cfg, g, nl)
-    ex = make_exhaustion(g, g.root, _parse_radii(cfg), max_vertices=cfg.max_vertices)
-    probes = _parse_probes(cfg, g, ex)
+    radii = _parse_radii(cfg)
+    spec = _parse_probes(cfg)
     f = _parse_f(cfg)
-    outdir = _prepare_out(cfg, {"probes_resolved": list(probes), "radii_resolved": list(ex.radii)})
     _require_positive("tol", cfg.tol)
-    est = extended_resolvent(g, W, nl, f, ex, probes=probes, opts=cfg.solve_options())
+    opts = cfg.solve_options()
+    ex = make_exhaustion(g, g.root, radii, max_vertices=cfg.max_vertices)
+    probes = _probes_on(spec, cfg, g, ex)
+    outdir = _prepare_out(cfg, {"probes_resolved": list(probes), "radii_resolved": list(ex.radii)})
+    est = extended_resolvent(g, W, nl, f, ex, probes=probes, opts=opts)
     converged = {p: est.stabilization_error(p) <= cfg.tol for p in est.probes}
     if outdir:
         _write_trace(outdir, CSV_HEADER, est.csv_rows())
@@ -525,15 +534,17 @@ def _run_classify(cfg: RunConfig) -> int:
     g = _load_graph(cfg)
     nl = parse_phi(cfg.phi)
     W = _parse_potential(cfg, g, nl)
-    ex = make_exhaustion(g, g.root, _parse_radii(cfg), max_vertices=cfg.max_vertices)
-    probes = _parse_probes(cfg, g, ex)
+    radii = _parse_radii(cfg)
+    spec = _parse_probes(cfg)
     grid = _parse_alpha_grid(cfg)
     th = cfg.thresholds()
+    opts = cfg.solve_options()
+    ex = make_exhaustion(g, g.root, radii, max_vertices=cfg.max_vertices)
+    probes = _probes_on(spec, cfg, g, ex)
     outdir = _prepare_out(cfg, {"probes_resolved": list(probes),
                                 "radii_resolved": list(ex.radii),
                                 "alpha_resolved": list(grid)})
-    report = classify(g, W, nl, ex, alpha_grid=grid, probes=probes, thresholds=th,
-                      opts=cfg.solve_options())
+    report = classify(g, W, nl, ex, alpha_grid=grid, probes=probes, thresholds=th, opts=opts)
     if outdir:
         _write_trace(outdir, CLASSIFY_CSV_HEADER, report.csv_rows())
         _write_json(outdir, "result.json", report.to_json_doc())
@@ -577,13 +588,15 @@ def _run_verify_liouville(cfg: RunConfig) -> int:
     g = _load_graph(cfg)
     nl = parse_phi(cfg.phi)
     W = _parse_potential(cfg, g, nl)
-    ex = make_exhaustion(g, g.root, _parse_radii(cfg), max_vertices=cfg.max_vertices)
-    probes = _parse_probes(cfg, g, ex)
-    alpha = _parse_alpha_single(cfg)
+    radii = _parse_radii(cfg)
+    spec = _parse_probes(cfg)
+    alpha = _alpha(_parse_alpha_single(cfg))
+    opts = cfg.solve_options()
+    ex = make_exhaustion(g, g.root, radii, max_vertices=cfg.max_vertices)
+    probes = _probes_on(spec, cfg, g, ex)
     outdir = _prepare_out(cfg, {"probes_resolved": list(probes),
                                 "radii_resolved": list(ex.radii)})
-    rep = verify_liouville(g, W, nl, ex, alpha, probes=probes,
-                           opts=cfg.solve_options(), seed=cfg.seed)
+    rep = verify_liouville(g, W, nl, ex, alpha, probes=probes, opts=opts, seed=cfg.seed)
     rows = rep.defect.csv_rows()
     last = rep.defect.resolvent.steps[-1]
     rows.extend(

@@ -24,12 +24,14 @@ import random
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from .graphs import VertexFunction, WeightedGraph, ball, edge_weight, laplacian_apply
+import numpy as np
+
+from .graphs import VertexFunction, WeightedGraph, edge_weight, laplacian_apply
 from .nonlinearity import Nonlinearity
 from .resolvent import (
-    CSV_HEADER, Exhaustion, ResolventEstimate, _trace_rows, extended_resolvent,
+    CSV_HEADER, Exhaustion, ResolventEstimate, _extend, _inner_ball, _probe_list, _trace_rows,
 )
-from .solver import Potential, SolveError, SolveOptions, _require_positive
+from .solver import Potential, SolveError, SolveOptions, _require_positive, _sample
 
 __all__ = [
     "CLASSIFY_CSV_HEADER",
@@ -130,9 +132,10 @@ def default_probes(g: WeightedGraph, ex: Exhaustion, seed: int = 0, count: int =
     """Exhaustion root plus up to ``count`` seeded interior vertices.
 
     Candidates are drawn from the ball one step inside the smallest
-    scheduled radius, so every probe is interior to every set.
+    scheduled radius, so every probe is interior to every set.  That
+    ball is read off the exhaustion; the graph is not searched again.
     """
-    inner = ball(g, ex.root, max(ex.radii[0] - 1, 0))
+    inner = _inner_ball(ex, max(ex.radii[0] - 1, 0))
     pool = sorted(x for x in inner if x != ex.root)
     rng = random.Random(seed)
     picked = rng.sample(pool, min(count, len(pool))) if pool else []
@@ -156,13 +159,38 @@ def conservation_defect(
     turned into the DefectEstimate of the completed steps; the values
     of an unconverged solve would certify nothing.
     """
+    alpha = _alpha(alpha)
+    probe_list = _probe_list(ex, probes)
+    return _defect(alpha, ex, nl, W.W0, _sample(ex.order, W.fn), probe_list, opts)
+
+
+def _alpha(alpha: float) -> float:
+    """alpha as a float; ValueError unless it is finite and >= 0."""
     alpha = float(alpha)
     if not 0.0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    return alpha
+
+
+def _alpha_grid(alpha_grid: Iterable[float] | None) -> tuple[float, ...]:
+    """The alpha grid as floats (the default one for None); ValueError
+    unless it is non-empty, positive and finite."""
+    grid = tuple(float(a) for a in (DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid))
+    if not grid:
+        raise ValueError("alpha grid must be non-empty")
+    if not all(0.0 < a < math.inf for a in grid):
+        raise ValueError(f"alpha grid must be positive and finite, got {grid}")
+    return grid
+
+
+def _defect(alpha: float, ex: Exhaustion, nl: Nonlinearity, W0: float, w: np.ndarray,
+            probe_list: list[int], opts: SolveOptions | None) -> DefectEstimate:
+    """conservation_defect with W already sampled on ``ex.order``: the
+    data alpha*W is ``alpha * w``, which is bitwise alpha * W(x)."""
+    with np.errstate(all="ignore"):
+        fv = alpha * w
     try:
-        est = extended_resolvent(
-            g, W, nl, lambda x: alpha * W(x), ex, probes=probes, opts=opts
-        )
+        est = _extend(ex, nl, W0, w, fv, probe_list, opts)
     except SolveError as exc:
         if exc.partial is not None:
             exc.partial = _defect_estimate(alpha, exc.partial)
@@ -259,22 +287,21 @@ def classify(
     is inconclusive (a verdict, not an error).  Per-alpha runs are
     independent; they execute sequentially here for determinism.
 
-    A failed solve raises SolveError whose ``partial`` holds the rows of
-    the alphas completed before it and of the failed alpha's completed
-    steps (None when nothing completed).
+    W is sampled once, on the exhaustion's largest ball, for the whole
+    grid.  A failed solve raises SolveError whose ``partial`` holds the
+    rows of the alphas completed before it and of the failed alpha's
+    completed steps (None when nothing completed).
     """
-    grid = tuple(float(a) for a in (DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid))
-    if not grid:
-        raise ValueError("alpha grid must be non-empty")
-    if not all(0.0 < a < math.inf for a in grid):
-        raise ValueError(f"alpha grid must be positive and finite, got {grid}")
+    grid = _alpha_grid(alpha_grid)
     th = thresholds or Thresholds()
-    probe_list = tuple(probes) if probes is not None else default_probes(g, ex, seed=seed)
+    probe_list = _probe_list(
+        ex, tuple(probes) if probes is not None else default_probes(g, ex, seed=seed))
+    w = _sample(ex.order, W.fn)
 
     done: list[DefectEstimate] = []
     for a in grid:
         try:
-            done.append(conservation_defect(g, W, nl, a, ex, probes=probe_list, opts=opts))
+            done.append(_defect(a, ex, nl, W.W0, w, probe_list, opts))
         except SolveError as exc:
             if exc.partial is not None:
                 done.append(exc.partial)
@@ -475,7 +502,7 @@ def verify_liouville(
     est = conservation_defect(g, W, nl, alpha, ex, probes=probe_list, opts=opts)
     u = VertexFunction(dict(zip(ex.order, est.resolvent.u.tolist())))
 
-    interior = set(ball(g, ex.root, max(ex.radii[-1] - 2, 0)))
+    interior = set(_inner_ball(ex, max(ex.radii[-1] - 2, 0)))
     used: list[int] = []
     skipped: list[int] = []
     for p in est.probes:

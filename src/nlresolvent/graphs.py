@@ -12,6 +12,14 @@ Two backends share one interface: :class:`ExplicitGraph` keeps a finite
 adjacency table, :class:`ProceduralGraph` generates neighbors from a rule
 and materializes vertices on demand.  Both are immutable after
 construction.
+
+Besides the per-vertex ``neighbors``, ``measure`` and ``degree``, every
+graph answers :meth:`WeightedGraph.block`: the rows of a whole array of
+vertices at once, as numpy arrays.  Breadth-first balls, the solver's
+assembly and the graph writer read the graph through it, one call per
+breadth-first layer, so a procedural family whose rule works on arrays
+(``ProceduralGraph(block_rule=...)``) is materialized without a Python
+call per vertex.
 """
 
 from __future__ import annotations
@@ -22,7 +30,9 @@ import math
 import os
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from itertools import islice
+from itertools import count, filterfalse, islice, repeat
+
+import numpy as np
 
 __all__ = [
     "GraphError",
@@ -50,6 +60,25 @@ class GraphError(Exception):
     """Structural problem with a graph, a vertex function, or a resource cap."""
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _require_int64(*ids: int) -> None:
+    """Raise GraphError naming the first of ids outside int64."""
+    for v in ids:
+        if not _INT64.min <= v <= _INT64.max:
+            raise GraphError(f"vertex id {v} is outside int64")
+
+
+def _ids(values) -> np.ndarray:
+    """Vertex ids as an int64 array; GraphError names an id outside int64."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        _require_int64(*values)
+        raise
+
+
 def materialization_cap(override: int | None = None) -> int:
     """Maximum number of vertices any single materialization may touch.
 
@@ -75,7 +104,8 @@ class WeightedGraph:
 
     Subclasses provide ``measure``, ``neighbors``, ``degree`` and a
     ``root`` attribute; everything else in this module is written
-    against those four.
+    against those four and :meth:`block`, which a subclass may compute
+    on whole arrays.
     """
 
     root: int
@@ -90,6 +120,25 @@ class WeightedGraph:
     def degree(self, x: int) -> float:
         """Weighted degree sum_y b(x, y); cached per vertex."""
         raise NotImplementedError
+
+    def block(self, xs: np.ndarray):
+        """The rows of the vertices xs (an int64 array) in one call.
+
+        Returns ``src, ys, ws, m, deg``: entry e is the stored edge from
+        ``xs[src[e]]`` to ``ys[e]`` with weight ``ws[e]``, ``src`` is
+        non-decreasing and each vertex's entries come in its
+        ``neighbors`` order; ``m`` and ``deg`` hold the measure and the
+        weighted degree of each vertex of xs.  This version reads
+        ``neighbors``, ``measure`` and ``degree`` vertex by vertex.
+        """
+        xl = _ids(xs).tolist()
+        rows = [self.neighbors(x) for x in xl]
+        src = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        ys = _ids([y for r in rows for y, _ in r])
+        ws = np.array([w for r in rows for _, w in r], dtype=float)
+        m = np.array([self.measure(x) for x in xl], dtype=float)
+        deg = np.array([self.degree(x) for x in xl], dtype=float)
+        return src, ys, ws, m, deg
 
 
 class ExplicitGraph(WeightedGraph):
@@ -192,55 +241,148 @@ class ExplicitGraph(WeightedGraph):
 
 
 class ProceduralGraph(WeightedGraph):
-    """Infinite (or just implicit) graph given by a neighbor rule.
+    """Infinite (or just implicit) graph given by a rule.
 
-    ``neighbor_rule(x)`` returns the (y, b(x, y)) pairs at x and
-    ``measure_rule(x)`` the vertex measure; results are memoized the
-    first time a vertex is touched.  The rule must be
+    The rule is one of two kinds.  ``neighbor_rule(x)`` returns the
+    (y, b(x, y)) pairs at x.  ``block_rule(xs)`` (keyword only) returns,
+    for an int64 array of vertices, ``src, ys, ws`` laid out as in
+    :meth:`WeightedGraph.block`, so a whole breadth-first layer costs a
+    few numpy calls instead of a Python call per vertex.
+    ``measure_rule(x)`` gives the vertex measure (1 by default).
+
+    Rows are checked (no self-loop, no negative weight) and memoized the
+    first time a vertex is touched.  With a block rule, ``block`` fills
+    the measure and degree memo and keeps its arrays when they reach a
+    vertex no earlier block did, and ``neighbors(x)`` builds the tuple of
+    x from the kept arrays when it is first asked for; a vertex no block
+    has covered yet costs one small block-rule call.  The rule must be
     symmetric; :func:`validate` can spot-check that on any probe set.
     """
 
     def __init__(
         self,
         root: int,
-        neighbor_rule: Callable[[int], Iterable[tuple[int, float]]],
+        neighbor_rule: Callable[[int], Iterable[tuple[int, float]]] | None = None,
         measure_rule: Callable[[int], float] | None = None,
         name: str = "procedural",
+        *,
+        block_rule: Callable[[np.ndarray], tuple] | None = None,
     ):
+        if (neighbor_rule is None) == (block_rule is None):
+            raise TypeError("ProceduralGraph needs exactly one of neighbor_rule and block_rule")
         self.root = int(root)
         self.name = name
         self._nbr_rule = neighbor_rule
+        self._block_rule = block_rule
         self._m_rule = measure_rule
         self._nbrs: dict[int, tuple[tuple[int, float], ...]] = {}
         self._deg: dict[int, float] = {}
-        self._m: dict[int, float] = {}
+        self._m: dict[int, float] = {}  # only where measure_rule is given
+        # what each block call that reached a new vertex returned, as
+        # [xs, row lengths, ys, ws] (the last three become [row starts, ys,
+        # ws] lists once a row of it is asked for), and the (call, row) of
+        # each vertex in the first self._indexed of them, the latest call
+        # covering it winning
+        self._stored: list[list] = []
+        self._row: dict[int, tuple[int, int]] = {}
+        self._indexed = 0
 
     def _materialize(self, x: int) -> None:
+        if self._block_rule is not None:
+            self.block(_ids([x]))
+            return
         nbrs = tuple([(int(y), float(w)) for y, w in self._nbr_rule(x)])
         for y, w in nbrs:
             if y == x:
                 raise GraphError(f"neighbor rule produced a self-loop at {x}")
             if w < 0:
                 raise GraphError(f"neighbor rule produced b({x},{y}) = {w} < 0")
-        m = 1.0 if self._m_rule is None else float(self._m_rule(x))
+        if self._m_rule is not None:
+            self._m[x] = float(self._m_rule(x))
         self._nbrs[x] = nbrs
         self._deg[x] = math.fsum([w for _, w in nbrs])
-        self._m[x] = m
+
+    def block(self, xs: np.ndarray):
+        if self._block_rule is None:
+            return super().block(xs)
+        xs = _ids(xs)
+        src, ys, ws = self._block_rule(xs)
+        bad = (ys == xs[src]) | (ws < 0)
+        if bad.any():
+            e = np.flatnonzero(bad)[0]
+            x, y, w = int(xs[src[e]]), int(ys[e]), float(ws[e])
+            if y == x:
+                raise GraphError(f"neighbor rule produced a self-loop at {x}")
+            raise GraphError(f"neighbor rule produced b({x},{y}) = {w} < 0")
+        counts = np.bincount(src, minlength=xs.size)
+        deg = _row_sums(src, ws, counts)
+        xl = xs.tolist()
+        if self._m_rule is None:
+            m = np.ones(xs.size)
+        else:
+            m = np.array([float(self._m_rule(x)) for x in xl], dtype=float)
+            self._m.update(zip(xl, m.tolist()))
+        covered = len(self._deg)
+        self._deg.update(zip(xl, deg.tolist()))
+        if len(self._deg) > covered:  # a block of vertices all stored before adds no rows
+            self._stored.append([xs, counts, ys, ws])
+        return src, ys, ws, m, deg
 
     def measure(self, x: int) -> float:
-        if x not in self._m:
+        if x not in self._deg:
             self._materialize(x)
-        return self._m[x]
+        return 1.0 if self._m_rule is None else self._m[x]
 
     def neighbors(self, x: int) -> tuple[tuple[int, float], ...]:
-        if x not in self._nbrs:
-            self._materialize(x)
-        return self._nbrs[x]
+        nbrs = self._nbrs.get(x)
+        if nbrs is None:
+            if x not in self._deg:
+                self._materialize(x)
+            nbrs = self._nbrs.get(x)
+        if nbrs is None:  # a block-rule row
+            nbrs = self._nbrs[x] = self._stored_row(x)
+        return nbrs
+
+    def _stored_row(self, x: int) -> tuple[tuple[int, float], ...]:
+        """x's row, read from the latest stored block call that covered x."""
+        for k in range(self._indexed, len(self._stored)):
+            self._row.update(zip(self._stored[k][0].tolist(), zip(repeat(k), count())))
+        self._indexed = len(self._stored)
+        k, j = self._row[x]
+        blk = self._stored[k]
+        if not isinstance(blk[1], list):
+            blk[1:] = (np.concatenate(([0], np.cumsum(blk[1]))).tolist(),
+                       blk[2].tolist(), blk[3].tolist())
+        _, starts, ys, ws = blk
+        a, b = starts[j], starts[j + 1]
+        return tuple(zip(ys[a:b], ws[a:b]))
 
     def degree(self, x: int) -> float:
         if x not in self._deg:
             self._materialize(x)
         return self._deg[x]
+
+
+def _row_sums(src: np.ndarray, ws: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """math.fsum of the weights of each row (``counts`` long), bit for bit.
+
+    bincount adds a row's weights in order, starting from 0.0.  That is
+    exact, and so equal to fsum, for a row of at most two terms and for
+    integer terms with a total below 2**53, whenever the sum comes out
+    finite; every other row takes math.fsum.
+    """
+    n = counts.size
+    deg = np.bincount(src, ws, minlength=n)
+    if counts.max(initial=0) <= 2 and np.isfinite(deg).all():
+        return deg
+    fraction = np.bincount(src, ws != np.floor(ws), minlength=n) > 0
+    slow = ~np.isfinite(deg) | ((counts > 2) & (fraction | (deg >= 2.0**53)))
+    rows = np.flatnonzero(slow)
+    if rows.size:
+        starts = np.cumsum(counts) - counts
+        for i in rows.tolist():
+            deg[i] = math.fsum(ws[starts[i]:starts[i] + counts[i]].tolist())
+    return deg
 
 
 class VertexFunction:
@@ -348,6 +490,42 @@ def energy(g: WeightedGraph, u: VertexFunction, v: VertexFunction) -> float:
     return acc
 
 
+def _positions(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The index of each of ys among the distinct vertices xs, -1 where absent."""
+    perm = np.argsort(xs, kind="stable")
+    ordered = xs[perm]
+    j = np.minimum(np.searchsorted(ordered, ys), max(xs.size - 1, 0))
+    return np.where(ordered[j] == ys, perm[j], -1) if xs.size else np.full(ys.size, -1)
+
+
+def _layers(g: WeightedGraph, root: int, blocks: list | None = None) -> Iterator[np.ndarray]:
+    """Yield the breadth-first layers around root as int64 arrays.
+
+    Layer 0 is the root.  Each next layer is what one ``g.block`` call
+    on the layer before reaches first: its targets with b > 0, in row
+    order, first occurrence only, minus every vertex seen so far.  A
+    layer's block is computed only when the next layer is asked for,
+    and ``blocks`` collects it; the search ends with an empty layer.
+    """
+    seen = {root}
+    layer = _ids([root])
+    while layer.size:
+        yield layer
+        src, ys, ws, *_ = blk = g.block(layer)
+        if blocks is not None:
+            blocks.append(blk)
+        new = list(filterfalse(seen.__contains__, dict.fromkeys(ys[ws > 0.0].tolist())))
+        seen.update(new)
+        layer = np.array(new, dtype=np.int64)
+
+
+def _cap_exceeded(root: int, radius: int, cap: int) -> GraphError:
+    return GraphError(
+        f"materialization cap exceeded: ball({root}, {radius}) "
+        f"has more than {cap} vertices (set {_CAP_ENV} to raise it)"
+    )
+
+
 def ball(
     g: WeightedGraph,
     root: int,
@@ -358,32 +536,23 @@ def ball(
 
     Returned in breadth-first discovery order (deterministic given the
     graph's neighbor order), so balls around the same root are nested
-    as prefixes.  Raises GraphError when the materialization cap is
-    exceeded.
+    as prefixes.  The search expands one layer per ``g.block`` call, so
+    the last layer's rows are never read.  Raises GraphError when the
+    materialization cap is exceeded.
     """
     if radius < 0:
         raise GraphError(f"radius must be >= 0, got {radius}")
     cap = materialization_cap(max_vertices)
-    seen = {root}
-    out = [root]
-    frontier = [root]
-    for _ in range(radius):
-        if not frontier:
+    out: list[np.ndarray] = []
+    n = 0
+    for layer in _layers(g, root):
+        n += layer.size
+        if out and n > cap:
+            raise _cap_exceeded(root, radius, cap)
+        out.append(layer)
+        if len(out) > radius:
             break
-        nxt = []
-        for x in frontier:
-            for y, w in g.neighbors(x):
-                if w > 0.0 and y not in seen:
-                    seen.add(y)
-                    out.append(y)
-                    nxt.append(y)
-                    if len(out) > cap:
-                        raise GraphError(
-                            f"materialization cap exceeded: ball({root}, {radius}) "
-                            f"has more than {cap} vertices (set {_CAP_ENV} to raise it)"
-                        )
-        frontier = nxt
-    return out
+    return np.concatenate(out).tolist()
 
 
 def validate(g: WeightedGraph, probe: Iterable[int]) -> ValidationReport:
@@ -394,6 +563,13 @@ def validate(g: WeightedGraph, probe: Iterable[int]) -> ValidationReport:
     every edge leaving the probe set (the mirror endpoint is
     materialized if needed).
     """
+    probe = list(probe)
+    if not isinstance(g, ExplicitGraph):
+        # materialize the probe and its neighbors in two block calls; a
+        # vertex that fails there fails again, where it is met, below
+        with contextlib.suppress(GraphError):
+            _, ys, ws, _, _ = g.block(_ids(probe))
+            g.block(np.unique(ys[np.isfinite(ws) & (ws >= 0.0)]))
     failures: list[str] = []
     for x in probe:
         try:
@@ -511,18 +687,22 @@ def write_graph_json(
     """Write graph_to_json(g, vertices) to path without building the document.
 
     The file holds the same bytes as ``json.dump(doc, fh, indent=2,
-    sort_keys=True)`` followed by a newline, streamed straight from the
-    graph.  Returns the vertex and edge counts.  On an error the partial
-    file is removed.
+    sort_keys=True)`` followed by a newline, streamed from the arrays of
+    one ``g.block`` call over the vertices.  Returns the vertex and edge
+    counts.  On an error the partial file is removed.
     """
     verts = _vertex_list(g, vertices)
+    xs = _ids(verts)
+    src, ys, ws, m, _ = g.block(xs)
+    # the edges of _edges: both ends in verts, b > 0, listed at the smaller end
+    keep = (ws > 0.0) & (xs[src] < ys) & (_positions(xs, ys) >= 0)
     edges = (
         f'{{\n      "b": {_json_number(w)},\n      "u": {x},\n      "v": {y}\n    }}'
-        for x, y, w in _edges(g, verts)
+        for x, y, w in zip(xs[src[keep]].tolist(), ys[keep].tolist(), ws[keep].tolist())
     )
     rows = (
-        f'{{\n      "id": {x},\n      "m": {_json_number(g.measure(x))}\n    }}'
-        for x in verts
+        f'{{\n      "id": {x},\n      "m": {_json_number(mx)}\n    }}'
+        for x, mx in zip(verts, m.tolist())
     )
     fh = open(path, "w", encoding="utf-8")
     try:

@@ -19,14 +19,19 @@ vertex, and it saves sweeps on the larger sets.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from .graphs import GraphError, VertexFunction, WeightedGraph, ball
+from .graphs import (
+    GraphError, VertexFunction, WeightedGraph, _cap_exceeded, _layers, materialization_cap,
+)
 from .nonlinearity import Nonlinearity
-from .solver import Potential, SolveError, SolveOptions, _assemble, _sample, _solve, _System
+from .solver import (
+    Potential, SolveError, SolveOptions, _assemble, _check, _sample, _solve, _System,
+)
 
 __all__ = [
     "CSV_HEADER",
@@ -83,8 +88,13 @@ def make_exhaustion(
 ) -> Exhaustion:
     """Realize a radius schedule as nested balls around ``root``.
 
-    The schedule must be non-empty and strictly increasing.  A
-    materialization cap hit is reported with the offending radius.
+    One breadth-first search runs to the largest radius, one
+    ``g.block`` call per layer (the outermost layer's call supplies its
+    rows to the assembly), and every ball size is read off the layer
+    boundaries.  The schedule must be non-empty and strictly
+    increasing.  A materialization cap hit, or a graph error met while
+    expanding a layer, is reported with the first radius whose ball
+    needs that layer.
     """
     r0 = g.root if root is None else int(root)
     radii = tuple(int(r) for r in schedule)
@@ -95,14 +105,55 @@ def make_exhaustion(
     for a, b in zip(radii, radii[1:]):
         if b <= a:
             raise ValueError(f"schedule must be strictly increasing, got {a} then {b}")
-    sizes = []
-    for r in radii:
+    cap = materialization_cap(max_vertices)
+    blocks: list = []
+    bfs = _layers(g, r0, blocks)
+    layers = [next(bfs)]
+    n = 1
+    while len(layers) <= radii[-1]:
+        r = radii[bisect_left(radii, len(layers))]  # the first ball the next layer joins
         try:
-            order = tuple(ball(g, r0, r, max_vertices=max_vertices))
+            layer = next(bfs, None)
         except GraphError as exc:
             raise GraphError(f"exhaustion step at radius {r}: {exc}") from exc
-        sizes.append(len(order))
-    return Exhaustion(r0, radii, tuple(sizes), order, *_assemble(g, order))
+        if layer is None:
+            break
+        n += layer.size
+        if n > cap:
+            raise GraphError(f"exhaustion step at radius {r}: {_cap_exceeded(r0, r, cap)}")
+        layers.append(layer)
+    if len(blocks) < len(layers):
+        blocks.append(g.block(layers[-1]))
+    ends = np.cumsum([layer.size for layer in layers]).tolist()
+    sizes = tuple(ends[min(r, len(ends) - 1)] for r in radii)
+    # the blocks of all layers as one block of the whole ball
+    src = np.concatenate([blk[0] + k for blk, k in zip(blocks, [0, *ends[:-1]])])
+    ys, ws, m, deg = (np.concatenate(parts) for parts in list(zip(*blocks))[1:])
+    order = np.concatenate(layers)
+    return Exhaustion(r0, radii, sizes, tuple(order.tolist()),
+                      *_assemble(order, (src, ys, ws, m, deg)))
+
+
+def _inner_ball(ex: Exhaustion, radius: int) -> tuple[int, ...]:
+    """``ball(g, ex.root, radius)`` for a radius up to the largest one,
+    read off the exhaustion's arrays instead of searching the graph.
+
+    In breadth-first order, the vertex that first reached a vertex is
+    its in-ball neighbor (over edges with b > 0) of smallest position,
+    and it does not decrease along the order; so layer d + 1 ends after
+    the vertices first reached from layers 0..d.
+    """
+    n = ex.sizes[min(bisect_left(ex.radii, radius), len(ex.radii) - 1)]
+    e = int(np.searchsorted(ex.rows, n))
+    inside = ex.cols[:e] < n
+    targets, first = np.unique(ex.cols[:e][inside], return_index=True)
+    reached_from = np.full(n, n)
+    reached_from[targets] = ex.rows[:e][inside][first]
+    reached_from = reached_from[1:].tolist()  # non-decreasing
+    end = 1
+    for _ in range(radius):
+        end = 1 + bisect_left(reached_from, end)
+    return ex.order[:end]
 
 
 @dataclass(frozen=True)
@@ -186,18 +237,35 @@ def extended_resolvent(
     merely has not stabilized yet is not an error: the estimate's
     ``stabilization_error`` measures how far it is from it.
     """
+    probe_list = _probe_list(ex, probes)
+    return _extend(ex, nl, W.W0, _sample(ex.order, W.fn), _sample(ex.order, f), probe_list, opts)
+
+
+def _probe_list(ex: Exhaustion, probes: Iterable[int] | None) -> list[int]:
     probe_list = list(dict.fromkeys(probes)) if probes is not None else [ex.root]
     if not probe_list:
         raise ValueError("need at least one probe vertex")
+    return probe_list
 
+
+def _extend(
+    ex: Exhaustion,
+    nl: Nonlinearity,
+    W0: float,
+    w: np.ndarray,
+    fv: np.ndarray,
+    probe_list: list[int],
+    opts: SolveOptions | None,
+) -> ResolventEstimate:
+    """extended_resolvent with W and f already sampled on ``ex.order``."""
     order = ex.order
-    w, fv = _sample(order, ex.m, ex.deg, W, f)
+    _check(order, ex.m, ex.deg, w, fv, W0)
     neg = np.flatnonzero(fv < 0.0)
     if neg.size:
         raise ValueError(f"extended resolvent needs f >= 0, got f({order[neg[0]]}) = {fv[neg[0]]}")
 
     values: dict[int, list[float]] = {p: [] for p in probe_list}
-    at = {x: i for i, x in enumerate(order) if x in values}
+    at = {p: order.index(p) if p in order else len(order) for p in probe_list}
     steps: list[StepRecord] = []
     max_dec, resid, u = 0.0, 0.0, np.zeros(0)
 
@@ -206,7 +274,7 @@ def extended_resolvent(
             sweeps = 0  # nested sets of equal size are identical: reuse the solve
         else:
             sys_ = _System(order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, fv, size)
-            res = _solve(sys_, nl, W.W0, np.pad(u, (0, size - u.size)), opts)
+            res = _solve(sys_, nl, W0, np.pad(u, (0, size - u.size)), opts)
             if not res.converged:
                 raise SolveError(
                     f"solve did not converge at exhaustion step {n} "
@@ -217,7 +285,7 @@ def extended_resolvent(
             sweeps, resid, u = res.sweeps_used, res.residual_inf, res.u
             max_dec = max(max_dec, res.max_decrease)
         for p in probe_list:
-            i = at.get(p, size)
+            i = at[p]
             values[p].append(float(u[i]) if i < size else 0.0)
         steps.append(StepRecord(n=n, radius=r, set_size=size,
                                 sweeps=sweeps, residual_inf=resid))

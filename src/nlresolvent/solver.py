@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import VertexFunction, WeightedGraph, energy, laplacian_apply
+from .graphs import VertexFunction, WeightedGraph, _ids, _positions, energy, laplacian_apply
 from .nonlinearity import Nonlinearity, RangeError
 
 __all__ = [
@@ -262,44 +262,34 @@ def _scalar_root(a, s_over_m, fx, wx, phi, deriv, lo, hi, t, tol):
     )
 
 
-def _assemble(g: WeightedGraph, order: Sequence[int]):
-    """rows, cols, b, m, deg: the edges with b > 0 between vertices of
-    ``order`` in coordinate form, rows ascending and each row in neighbor
-    order (so cutting the edges that leave a prefix of ``order`` leaves
-    the prefix's own arrays), and the measure and weighted degree."""
-    index = {x: i for i, x in enumerate(order)}
-    cols: list[int] = []
-    b: list[float] = []
-    counts: list[int] = []
-    for x in order:
-        k = len(cols)
-        for y, w in g.neighbors(x):
-            j = index.get(y)
-            if j is not None and w > 0.0:
-                cols.append(j)
-                b.append(w)
-        counts.append(len(cols) - k)
-    rows = np.repeat(np.arange(len(order)), counts)
-    m = np.array([g.measure(x) for x in order], dtype=float)
-    deg = np.array([g.degree(x) for x in order], dtype=float)
-    return rows, np.array(cols, dtype=np.intp), np.array(b, dtype=float), m, deg
+def _assemble(xs: np.ndarray, blk):
+    """rows, cols, b, m, deg: the block ``blk`` of the distinct vertices
+    xs (see ``WeightedGraph.block``) cut to the edges with b > 0 between
+    vertices of xs, in coordinate form: rows ascending and each row in
+    neighbor order (so cutting the edges that leave a prefix of xs
+    leaves the prefix's own arrays), and the measure and weighted degree."""
+    src, ys, ws, m, deg = blk
+    cols = _positions(xs, ys)
+    inside = (cols >= 0) & (ws > 0.0)
+    return src[inside], cols[inside], ws[inside], m, deg
 
 
-def _sample(order: Sequence[int], m, deg, W: Potential, f: Callable[[int], float]):
-    """W and f on ``order`` as arrays, after checking them and the
-    assembled m and deg.  Raises ValueError, naming the vertex, when
-    one of them is not finite or W falls below W0."""
-    w = np.array([W(x) for x in order], dtype=float)
-    fv = np.array([f(x) for x in order], dtype=float)
-    for name, arr in (("m", m), ("deg", deg), ("W", w), ("f", fv)):
+def _sample(order: Sequence[int], fn: Callable[[int], float]) -> np.ndarray:
+    """fn on ``order`` as a float array, one call per vertex."""
+    return np.fromiter(map(fn, order), dtype=float, count=len(order))
+
+
+def _check(order: Sequence[int], m, deg, w, f, W0: float) -> None:
+    """Raise ValueError, naming the vertex, where m, deg, W or f is not
+    finite on ``order`` or W falls below W0."""
+    for name, arr in (("m", m), ("deg", deg), ("W", w), ("f", f)):
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise ValueError(f"{name}({order[bad[0]]}) = {float(arr[bad[0]])} is not finite")
-    low = np.flatnonzero(w < W.W0)
+    low = np.flatnonzero(w < W0)
     if low.size:
         x = order[low[0]]
-        raise ValueError(f"W({x}) = {float(w[low[0]])} violates the certified bound W0 = {W.W0}")
-    return w, fv
+        raise ValueError(f"W({x}) = {float(w[low[0]])} violates the certified bound W0 = {W0}")
 
 
 class _System:
@@ -518,15 +508,18 @@ def solve_dirichlet(
     when max_sweeps ran out, when progress stalled while the residual
     test still failed, or when L u left ran phi at some vertex.  Raises
     ValueError, naming the vertex, when m, deg, W or f is not finite
-    there or W falls below W0.  The 1-neighborhood of U is materialized
-    as a side effect.
+    there or W falls below W0.  U is materialized, in one ``g.block``
+    call, as a side effect.
     """
     order = list(dict.fromkeys(U))
     if not order:
         return SolveResult(u=VertexFunction.zero(), residual_inf=0.0, sweeps_used=0,
                            converged=True)
-    rows, cols, b, m, deg = _assemble(g, order)
-    sys_ = _System(order, rows, cols, b, m, deg, *_sample(order, m, deg, W, f), len(order))
+    xs = _ids(order)
+    rows, cols, b, m, deg = _assemble(xs, g.block(xs))
+    w, fv = _sample(order, W.fn), _sample(order, f)
+    _check(order, m, deg, w, fv, W.W0)
+    sys_ = _System(order, rows, cols, b, m, deg, w, fv, len(order))
     u0 = np.array([0.0 if start is None else start(x) for x in order], dtype=float)
     res = _solve(sys_, nl, W.W0, u0, opts)
     return SolveResult(VertexFunction(dict(zip(order, res.u.tolist()))), *res[1:])

@@ -26,6 +26,7 @@ from .graphs import (
     ProceduralGraph,
     VertexFunction,
     WeightedGraph,
+    _require_int64,
 )
 from .nonlinearity import Nonlinearity
 from .solver import Potential, energy_functional
@@ -58,13 +59,28 @@ class GraphFamily:
     params: dict = field(default_factory=dict)
 
 
+_AROUND = np.array([-1, 1], dtype=np.int64)
+
+
+def _first_negative(xs: np.ndarray) -> int:
+    return int(xs[np.argmax(xs < 0)])
+
+
+def _line_rows(xs: np.ndarray):
+    """src, ys for rows listing x - 1, then x + 1."""
+    return np.arange(xs.size).repeat(2), (xs[:, None] + _AROUND).ravel()
+
+
 def lattice_z() -> ProceduralGraph:
     """The integer line with unit weights and unit measure; deg = 2 everywhere."""
-    return ProceduralGraph(
-        root=0,
-        neighbor_rule=lambda x: ((x - 1, 1.0), (x + 1, 1.0)),
-        name="lattice-z",
-    )
+
+    def rows(xs: np.ndarray):
+        if xs.size:
+            _require_int64(int(xs.min()) - 1, int(xs.max()) + 1)
+        src, ys = _line_rows(xs)
+        return src, ys, np.ones(ys.size)
+
+    return ProceduralGraph(root=0, block_rule=rows, name="lattice-z")
 
 
 def finite_path(n: int) -> ExplicitGraph:
@@ -82,19 +98,23 @@ def birth_death(
     """Chain on {0, 1, 2, ...} with b(n, n+1) = b_rule(n), measure m_rule.
 
     Vertex 0 has the single edge b_rule(0); vertex n >= 1 also sees
-    b_rule(n-1) toward its parent.
+    b_rule(n-1) toward its parent, listed first.  b_rule is called once
+    per row entry, in row order, and m_rule once per vertex.
     """
 
-    def nbrs(x: int):
-        if x < 0:
-            raise GraphError(f"birth-death chains live on the nonnegative integers, got {x}")
-        out = []
-        if x > 0:
-            out.append((x - 1, float(b_rule(x - 1))))
-        out.append((x + 1, float(b_rule(x))))
-        return tuple(out)
+    def rows(xs: np.ndarray):
+        if xs.size:
+            if xs.min() < 0:
+                raise GraphError(
+                    f"birth-death chains live on the nonnegative integers, got {_first_negative(xs)}")
+            _require_int64(int(xs.max()) + 1)
+        src, ys = _line_rows(xs)
+        keep = ys >= 0  # vertex 0 has no parent
+        src, ys = src[keep], ys[keep]
+        ws = np.array([float(b_rule(n)) for n in np.minimum(xs[src], ys).tolist()], dtype=float)
+        return src, ys, ws
 
-    return ProceduralGraph(root=0, neighbor_rule=nbrs, measure_rule=m_rule, name="birth-death")
+    return ProceduralGraph(root=0, block_rule=rows, measure_rule=m_rule, name="birth-death")
 
 
 def geometric_chain(rate: float) -> ProceduralGraph:
@@ -109,7 +129,8 @@ def symmetric_tree(branching: int | Callable[[int], int]) -> ProceduralGraph:
 
     Vertices use breadth-first integer coding: depth d occupies the id
     block [offset_d, offset_{d+1}) where the block sizes follow the
-    branching rule.  A constant int gives the usual k-ary tree.
+    branching rule.  A constant int gives the usual k-ary tree.  A
+    vertex's row lists its parent first, then its children in order.
     """
     if isinstance(branching, int):
         k = branching
@@ -130,21 +151,32 @@ def symmetric_tree(branching: int | Callable[[int], int]) -> ProceduralGraph:
         ks.append(k)
         offsets.append(offsets[-1] + (offsets[-1] - offsets[-2]) * k)
 
-    def nbrs(v: int):
-        if v < 0:
-            raise GraphError(f"tree ids are nonnegative, got {v}")
-        # offsets[-2] > v means v's depth d already has its branching ks[d]
-        while offsets[-2] <= v:
+    def rows(xs: np.ndarray):
+        if not xs.size:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+        if xs.min() < 0:
+            raise GraphError(f"tree ids are nonnegative, got {_first_negative(xs)}")
+        top = int(xs.max())
+        # offsets[-2] > top means every depth in xs already has its branching
+        while offsets[-2] <= top:
             _grow()
-        d = bisect_right(offsets, v) - 1
-        i = v - offsets[d]
-        first_child = offsets[d + 1] + i * ks[d]
-        out = [(y, 1.0) for y in range(first_child, first_child + ks[d])]
-        if d > 0:
-            out.insert(0, (offsets[d - 1] + i // ks[d - 1], 1.0))
-        return tuple(out)
+        d_top = bisect_right(offsets, top) - 1
+        _require_int64(offsets[d_top + 1] + (top - offsets[d_top] + 1) * ks[d_top] - 1)
+        offs = np.array(offsets[: d_top + 2], dtype=np.int64)
+        kk = np.array(ks[: d_top + 1], dtype=np.int64)
+        d = np.searchsorted(offs, xs, side="right") - 1
+        i = xs - offs[d]
+        up = d > 0
+        count = kk[d] + up
+        src = np.arange(xs.size).repeat(count)
+        start = np.cumsum(count) - count
+        # the children of row r are offs[d + 1] + i * k onward, after the parent
+        ys = np.arange(src.size) + (offs[d + 1] + i * kk[d] - start - up)[src]
+        du = d[up]
+        ys[start[up]] = offs[du - 1] + i[up] // kk[du - 1]
+        return src, ys, np.ones(src.size)
 
-    return ProceduralGraph(root=0, neighbor_rule=nbrs, name="symmetric-tree")
+    return ProceduralGraph(root=0, block_rule=rows, name="symmetric-tree")
 
 
 def complete_graph(n: int) -> ExplicitGraph:

@@ -1,0 +1,421 @@
+"""The array path of the graph layer against a per-vertex reference.
+
+The reference is the breadth-first loop and the assembly that walked
+``neighbors`` one vertex at a time, run on graphs built from the
+families' per-vertex neighbor rules; the array path runs ``block`` on the
+families themselves.  Orders, sizes and arrays must agree bit for bit.
+"""
+
+import json
+import math
+import struct
+from bisect import bisect_right
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nlresolvent import (
+    DEFAULT_ALPHA_GRID,
+    ExplicitGraph,
+    GraphError,
+    Potential,
+    ProceduralGraph,
+    ball,
+    birth_death,
+    classify,
+    graph_to_json,
+    identity,
+    lattice_z,
+    make_exhaustion,
+    materialization_cap,
+    symmetric_tree,
+    validate,
+    write_graph_json,
+)
+from nlresolvent import cli
+from nlresolvent.resolvent import _inner_ball
+
+# --- per-vertex reference --------------------------------------------------
+
+
+def ref_ball(g, root, radius, max_vertices=None):
+    cap = materialization_cap(max_vertices)
+    seen, out, frontier = {root}, [root], [root]
+    for _ in range(radius):
+        if not frontier:
+            break
+        nxt = []
+        for x in frontier:
+            for y, w in g.neighbors(x):
+                if w > 0.0 and y not in seen:
+                    seen.add(y)
+                    out.append(y)
+                    nxt.append(y)
+                    if len(out) > cap:
+                        raise GraphError(
+                            f"materialization cap exceeded: ball({root}, {radius}) "
+                            f"has more than {cap} vertices "
+                            f"(set NLRESOLVENT_MAX_VERTICES to raise it)")
+        frontier = nxt
+    return out
+
+
+def ref_assemble(g, order):
+    index = {x: i for i, x in enumerate(order)}
+    cols, b, counts = [], [], []
+    for x in order:
+        k = len(cols)
+        for y, w in g.neighbors(x):
+            j = index.get(y)
+            if j is not None and w > 0.0:
+                cols.append(j)
+                b.append(w)
+        counts.append(len(cols) - k)
+    rows = np.repeat(np.arange(len(order)), counts)
+    m = np.array([g.measure(x) for x in order], dtype=float)
+    deg = np.array([g.degree(x) for x in order], dtype=float)
+    return rows, np.array(cols, dtype=np.intp), np.array(b, dtype=float), m, deg
+
+
+def ref_exhaustion(g, root, radii, max_vertices=None):
+    sizes = []
+    for r in radii:
+        try:
+            order = ref_ball(g, root, r, max_vertices)
+        except GraphError as exc:
+            raise GraphError(f"exhaustion step at radius {r}: {exc}") from exc
+        sizes.append(len(order))
+    return tuple(sizes), tuple(order), ref_assemble(g, order)
+
+
+# the families' per-vertex neighbor rules
+
+
+def lattice_rule(x):
+    return ((x - 1, 1.0), (x + 1, 1.0))
+
+
+def chain_rule(b_rule):
+    def nbrs(x):
+        if x < 0:
+            raise GraphError(f"birth-death chains live on the nonnegative integers, got {x}")
+        out = []
+        if x > 0:
+            out.append((x - 1, float(b_rule(x - 1))))
+        out.append((x + 1, float(b_rule(x))))
+        return tuple(out)
+    return nbrs
+
+
+def tree_rule(branching):
+    rule = (lambda d: branching) if isinstance(branching, int) else branching
+    offsets, ks = [0, 1], []
+
+    def nbrs(v):
+        if v < 0:
+            raise GraphError(f"tree ids are nonnegative, got {v}")
+        while offsets[-2] <= v:
+            d = len(ks)
+            k = int(rule(d))
+            if k < 1:
+                raise GraphError(f"branching rule gave {k} at depth {d}")
+            ks.append(k)
+            offsets.append(offsets[-1] + (offsets[-1] - offsets[-2]) * k)
+        d = bisect_right(offsets, v) - 1
+        i = v - offsets[d]
+        first = offsets[d + 1] + i * ks[d]
+        out = [(y, 1.0) for y in range(first, first + ks[d])]
+        if d > 0:
+            out.insert(0, (offsets[d - 1] + i // ks[d - 1], 1.0))
+        return tuple(out)
+    return nbrs
+
+
+def as_block_rule(rule):
+    """A block rule made of a per-vertex rule, for faulty test graphs."""
+    def rows(xs):
+        per = [tuple(rule(x)) for x in xs.tolist()]
+        src = np.repeat(np.arange(len(per)), [len(r) for r in per])
+        ys = np.array([y for r in per for y, _ in r], dtype=np.int64)
+        ws = np.array([w for r in per for _, w in r], dtype=float)
+        return src, ys, ws
+    return rows
+
+
+def chain15(n):
+    return (n + 1.0) ** 1.5
+
+
+def scalar_path(x):
+    # a scalar-rule graph: a path with uneven weights and three-term rows
+    return tuple((y, 0.1 * (min(x, y) + 1)) for y in (x - 2, x - 1, x + 1) if y >= 0)
+
+
+# name -> (array-path graph, per-vertex reference graph, radii)
+FAMILIES = {
+    "tree:2": (lambda: symmetric_tree(2),
+               lambda: ProceduralGraph(0, tree_rule(2)), (0, 2, 5, 9)),
+    "tree:3": (lambda: symmetric_tree(3),
+               lambda: ProceduralGraph(0, tree_rule(3)), (1, 3, 6)),
+    "tree:1+d%3": (lambda: symmetric_tree(lambda d: 1 + d % 3),
+                   lambda: ProceduralGraph(0, tree_rule(lambda d: 1 + d % 3)), (2, 5, 9)),
+    "lattice-z": (lattice_z, lambda: ProceduralGraph(0, lattice_rule), (1, 12, 25, 50)),
+    "birth-death:4": (lambda: birth_death(lambda n: 4.0**n),
+                      lambda: ProceduralGraph(0, chain_rule(lambda n: 4.0**n)), (5, 10, 40)),
+    "birth-death:(n+1)^1.5": (
+        lambda: birth_death(chain15, m_rule=lambda n: 1.0 + n % 3),
+        lambda: ProceduralGraph(0, chain_rule(chain15), measure_rule=lambda n: 1.0 + n % 3),
+        (3, 30)),
+    "scalar-rule": (lambda: ProceduralGraph(0, scalar_path),
+                    lambda: ProceduralGraph(0, scalar_path), (1, 4, 9)),
+}
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+# --- ball, exhaustion and writer against the reference -----------------------
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_ball_order_matches_reference(name):
+    fast, ref, radii = FAMILIES[name]
+    for r in radii:
+        assert ball(fast(), 0, r) == ref_ball(ref(), 0, r)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_exhaustion_arrays_match_reference_bit_for_bit(name):
+    fast, ref, radii = FAMILIES[name]
+    ex = make_exhaustion(fast(), 0, radii)
+    sizes, order, arrays = ref_exhaustion(ref(), 0, radii)
+    assert ex.sizes == sizes
+    assert ex.order == order
+    for got, want in zip((ex.rows, ex.cols, ex.b, ex.m, ex.deg), arrays):
+        assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_inner_balls_are_read_off_the_exhaustion(name):
+    fast, ref, radii = FAMILIES[name]
+    ex = make_exhaustion(fast(), 0, radii)
+    for r in range(radii[-1] + 1):
+        assert _inner_ball(ex, r) == tuple(ref_ball(ref(), 0, r))
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_graph_writer_matches_reference_document(name, tmp_path):
+    fast, ref, radii = FAMILIES[name]
+    verts = ref_ball(ref(), 0, radii[-1])
+    path = tmp_path / "graph.json"
+    counts = write_graph_json(str(path), fast(), verts)
+    doc = graph_to_json(ref(), verts)
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert counts == (len(doc["vertices"]), len(doc["edges"]))
+
+
+# --- errors keep their text and radius ----------------------------------------
+
+
+def self_loop_at_7(x):
+    return ((x, 1.0),) if x == 7 else lattice_rule(x)
+
+
+def negative_at_5(x):
+    return tuple((y, -0.5 if {x, y} == {5, 6} else 1.0) for y, _ in lattice_rule(x))
+
+
+# name -> (array-path graph, reference graph, root, radii, max_vertices)
+FAULTS = {
+    "self-loop": (lambda: ProceduralGraph(0, block_rule=as_block_rule(self_loop_at_7)),
+                  lambda: ProceduralGraph(0, self_loop_at_7), 0, (2, 5, 8, 12), None),
+    "self-loop-outer-layer": (lambda: ProceduralGraph(0, block_rule=as_block_rule(self_loop_at_7)),
+                              lambda: ProceduralGraph(0, self_loop_at_7), 0, (3, 7), None),
+    "negative-weight": (lambda: ProceduralGraph(0, block_rule=as_block_rule(negative_at_5)),
+                        lambda: ProceduralGraph(0, negative_at_5), 0, (1, 4, 9), None),
+    "negative-tree-id": (lambda: symmetric_tree(2),
+                         lambda: ProceduralGraph(0, tree_rule(2)), -3, (0, 2), None),
+    "negative-chain-id": (lambda: birth_death(chain15),
+                          lambda: ProceduralGraph(0, chain_rule(chain15)), -1, (1, 3), None),
+    "branching-below-1": (lambda: symmetric_tree(lambda d: 0 if d == 3 else 2),
+                          lambda: ProceduralGraph(0, tree_rule(lambda d: 0 if d == 3 else 2)),
+                          0, (1, 2, 3, 6), None),
+    "cap": (lambda: symmetric_tree(2), lambda: ProceduralGraph(0, tree_rule(2)),
+            0, (1, 3, 5, 8), 40),
+    "cap-lattice": (lattice_z, lambda: ProceduralGraph(0, lattice_rule), 0, (1, 60), 20),
+}
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_exhaustion_errors_match_reference(name):
+    fast, ref, root, radii, cap = FAULTS[name]
+    with pytest.raises(GraphError) as want:
+        ref_exhaustion(ref(), root, radii, cap)
+    with pytest.raises(GraphError) as got:
+        make_exhaustion(fast(), root, radii, max_vertices=cap)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_ball_errors_match_reference(name):
+    fast, ref, root, radii, cap = FAULTS[name]
+    with pytest.raises(GraphError) as want:
+        for r in radii:
+            ref_assemble(ref(), ref_ball(ref(), root, r, cap))
+    with pytest.raises(GraphError) as got:
+        for r in radii:
+            g = fast()
+            g.block(np.array(ball(g, root, r, cap)))
+    assert str(got.value) == str(want.value)
+
+
+def asymmetric_at_3(x):
+    return tuple((y, 2.0 if (x, y) == (3, 4) else 1.0) for y, _ in lattice_rule(x))
+
+
+def outcome(call):
+    try:
+        return str(call())
+    except GraphError as exc:
+        return f"GraphError: {exc}"
+
+
+@pytest.mark.parametrize("rule", [lattice_rule, asymmetric_at_3, negative_at_5, self_loop_at_7],
+                         ids=lambda rule: rule.__name__)
+def test_validate_matches_reference(rule):
+    probe = [0, 2, 3, 4, -1, 9, 3, 6]
+    fast = outcome(lambda: validate(ProceduralGraph(0, block_rule=as_block_rule(rule)), probe))
+    assert fast == outcome(lambda: validate(ProceduralGraph(0, rule), probe))
+
+
+# --- block against neighbors, fsum and int64 -----------------------------------
+
+
+def weighted_rule(weights):
+    # three or four entries per row, hypothesis-drawn weights (integers,
+    # fractions, huge, inf and nan among them)
+    def nbrs(x):
+        k = 3 + x % 2
+        return tuple((x + j, weights[(x + j) % len(weights)]) for j in range(1, k + 1))
+    return nbrs
+
+
+weight = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300),
+    st.integers(min_value=0, max_value=2**60).map(float),
+    st.sampled_from([0.0, -0.0, 0.1, 2.0**53, 2.0**53 + 2, math.inf, math.nan]),
+)
+
+
+def fsum_bits(values):
+    return struct.pack("<d", math.fsum(values))
+
+
+def row_bits(row):
+    return [(y, struct.pack("<d", w)) for y, w in row]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["tree:2", "tree:1+d%3", "lattice-z", "birth-death:(n+1)^1.5"]),
+    xs=st.lists(st.integers(min_value=0, max_value=3000), max_size=40),
+)
+def test_block_rows_equal_neighbors_and_fsum(family, xs):
+    fast, ref, _ = FAMILIES[family]
+    g, r = fast(), ref()
+    src, ys, ws, m, deg = g.block(np.array(xs, dtype=np.int64))
+    assert np.all(np.diff(src) >= 0)
+    for i, x in enumerate(xs):
+        row = tuple(zip(ys[src == i].tolist(), ws[src == i].tolist()))
+        assert row == r.neighbors(x) == fast().neighbors(x)
+        assert struct.pack("<d", deg[i]) == fsum_bits([w for _, w in row])
+        assert m[i] == r.measure(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights=st.lists(weight, min_size=1, max_size=8),
+       xs=st.lists(st.integers(min_value=0, max_value=50), max_size=12))
+def test_block_degree_is_fsum_bit_for_bit(weights, xs):
+    rule = weighted_rule(weights)
+    g = ProceduralGraph(0, block_rule=as_block_rule(rule))
+    try:
+        want = [fsum_bits([w for _, w in rule(x)]) for x in xs]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            g.block(np.array(xs, dtype=np.int64))
+        return
+    deg = g.block(np.array(xs, dtype=np.int64))[4]
+    assert [struct.pack("<d", d) for d in deg] == want
+    for x, d in zip(xs, want):
+        assert struct.pack("<d", g.degree(x)) == d
+        assert row_bits(g.neighbors(x)) == row_bits(rule(x))
+
+
+@pytest.mark.parametrize("call, vertex", [
+    (lambda: ball(symmetric_tree(2), 2**63, 1), 2**63),
+    (lambda: make_exhaustion(lattice_z(), -2**63 - 5, [1]), -2**63 - 5),
+    (lambda: lattice_z().neighbors(2**63 - 1), 2**63),
+    (lambda: lattice_z().degree(-2**63), -2**63 - 1),
+    (lambda: birth_death(chain15).measure(2**63 - 1), 2**63),
+    (lambda: symmetric_tree(2).neighbors(2**62), 2**63 + 2),  # its last child
+    (lambda: ball(ExplicitGraph.from_edges([(0, 2**64, 1.0)]), 0, 1), 2**64),
+], ids=["ball-root", "exhaustion-root", "lattice-up", "lattice-down", "chain-up",
+        "tree-children", "explicit-neighbor"])
+def test_ids_outside_int64_raise_naming_the_vertex(call, vertex):
+    with pytest.raises(GraphError, match=f"vertex id {vertex} is outside int64"):
+        call()
+
+
+def test_repeated_searches_store_no_more_rows():
+    # rows are stored once per block that reaches a new vertex, so
+    # searching the same ball again keeps memory flat
+    g = symmetric_tree(2)
+    ball(g, 0, 8)
+    stored = len(g._stored)
+    for _ in range(3):
+        ball(g, 0, 8)
+        make_exhaustion(g, 0, [2, 7])
+    assert len(g._stored) == stored
+    assert g.neighbors(200) == ((99, 1.0), (401, 1.0), (402, 1.0))
+
+
+def test_procedural_graph_takes_exactly_one_rule():
+    with pytest.raises(TypeError):
+        ProceduralGraph(0)
+    with pytest.raises(TypeError):
+        ProceduralGraph(0, lattice_rule, block_rule=as_block_rule(lattice_rule))
+
+
+# --- structure of the hot path --------------------------------------------------
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of ProceduralGraph.block and .neighbors calls."""
+    calls = {"block": 0, "neighbors": 0}
+    for name in calls:
+        inner = getattr(ProceduralGraph, name)
+
+        def wrapper(self, arg, inner=inner, name=name):
+            calls[name] += 1
+            return inner(self, arg)
+        monkeypatch.setattr(ProceduralGraph, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("grid", [(1.0,), DEFAULT_ALPHA_GRID], ids=["1-alpha", "5-alphas"])
+def test_exhaustion_and_classify_make_one_block_call_per_layer(counted, grid):
+    g = symmetric_tree(2)
+    ex = make_exhaustion(g, 0, [4, 8, 10])
+    classify(g, Potential.constant(1.0), identity(), ex, alpha_grid=grid)
+    assert counted == {"block": 11, "neighbors": 0}  # layers 0..10
+
+
+def test_gen_reads_no_scalar_neighbors(counted, tmp_path, capsys):
+    assert cli.main(["gen", "--family", "tree:2", "--radii", "6", "--out", str(tmp_path)]) == 0
+    # ball(6) expands layers 0..5, the writer reads all 127 rows at once
+    assert counted == {"block": 7, "neighbors": 0}

@@ -2,13 +2,25 @@
 
 import argparse
 import json
+import math
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from nlresolvent import ball, graph_from_json, graph_to_json, symmetric_tree, validate
+from nlresolvent import (
+    Potential,
+    ball,
+    classify,
+    graph_from_json,
+    graph_to_json,
+    identity,
+    make_exhaustion,
+    symmetric_tree,
+    validate,
+)
+from nlresolvent import cli
 from nlresolvent.cli import RunConfig, build_parser, main
 
 
@@ -133,6 +145,44 @@ def test_non_finite_parameter_exits_2_naming_it(capsys, argv, name):
                            "--radii", "5,10", "--probes", "root")
     assert code == 2
     assert err.startswith(f"error: {name} ")
+
+
+# parameters are checked before the exhaustion is built, so a bad one costs
+# no materialization (these runs would build 131,071 vertices first)
+@pytest.mark.parametrize("argv, name", [
+    (("resolve", "--f", "const:1", "--residual-tol", "nan"), "residual_tol"),
+    (("resolve", "--f", "const:1", "--tol", "nan"), "tol"),
+    (("resolve", "--f", "const:1", "--max-sweeps", "0"), "max_sweeps"),
+    (("classify", "--alpha", "nan"), "alpha"),
+    (("classify", "--stabilization-tol", "nan"), "stabilization_tol"),
+    (("classify", "--sweep-tol", "-1"), "sweep_tol"),
+    (("verify-liouville", "--alpha", "nan"), "alpha"),
+    (("verify-liouville", "--residual-tol", "0"), "residual_tol"),
+    (("resolve", "--f", "const:1", "--probes", "bogus"), "unknown probes spec"),
+    (("classify", "--probes", "list:1,x"), "bad probe list"),
+], ids=["residual-tol", "tol", "max-sweeps", "alpha", "stabilization-tol", "sweep-tol",
+        "liouville-alpha", "liouville-residual-tol", "probes", "probe-list"])
+def test_bad_parameter_exits_2_before_the_exhaustion(monkeypatch, tmp_path, capsys, argv, name):
+    def never(*args, **kwargs):
+        raise AssertionError("make_exhaustion ran before the parameters were checked")
+
+    monkeypatch.setattr(cli, "make_exhaustion", never)
+    mode, *args = argv
+    code, _, err = run_cli(capsys, mode, "--probes", "root", *args, "--graph", "tree:2",
+                           "--radii", "16", "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert err.startswith(f"error: {name} ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_alpha_grid_error_is_the_library_error(capsys):
+    with pytest.raises(ValueError) as lib:
+        classify(symmetric_tree(2), Potential.constant(1.0), identity(),
+                 make_exhaustion(symmetric_tree(2), 0, [1]), alpha_grid=[0.5, math.nan])
+    code, _, err = run_cli(capsys, "classify", "--graph", "tree:2", "--radii", "1",
+                           "--alpha", "0.5,nan")
+    assert code == 2
+    assert err == f"error: {lib.value}\n"
 
 
 def test_classify_inconclusive_is_a_result_not_an_error(capsys):

@@ -374,6 +374,26 @@ def test_classify_assembles_once_whatever_the_grid(unit_potential):
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("grid", [(1.0,), DEFAULT_ALPHA_GRID], ids=["1-alpha", "5-alphas"])
+def test_classify_samples_w_once_whatever_the_grid(grid):
+    # the data alpha*W of every alpha is read off one sample of W on the
+    # largest ball, with the same values as calling W per vertex
+    g = symmetric_tree(2)
+    ex = make_exhaustion(g, 0, [2, 4, 6])
+    calls = []
+
+    def w(x):
+        calls.append(x)
+        return 1.0 + (x % 7) / 3.0
+
+    rep = classify(g, Potential.from_callable(w, W0=1.0), ID, ex, alpha_grid=grid, probes=[0, 5])
+    assert len(calls) == len(ex.order) == ex.sizes[-1]
+    for est in rep.estimates:
+        ref = conservation_defect(g, Potential.from_callable(w, W0=1.0), ID, est.alpha, ex,
+                                  probes=[0, 5])
+        assert est.defects == ref.defects
+
+
 @pytest.mark.parametrize("beta", [1.0, 1.5, 2.5, 3.0])
 def test_birth_death_verdict_agrees_with_analytic_criterion(beta, unit_potential):
     # b(n, n+1) = (n+1)^beta with m = 1 is stochastically complete iff
