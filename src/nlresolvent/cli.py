@@ -52,6 +52,7 @@ from .graphs import (
 from .nonlinearity import Nonlinearity, RangeError, parse_phi
 from .resolvent import (
     CSV_HEADER,
+    _probe_list,
     doubling_schedule,
     extended_resolvent,
     make_exhaustion,
@@ -367,7 +368,7 @@ def _probes_on(spec: str | tuple[int, ...], cfg: RunConfig, g: WeightedGraph, ex
         return default_probes(g, ex, seed=cfg.seed)
     if spec == "root":
         return (ex.root,)
-    return spec
+    return tuple(_probe_list(ex, spec))
 
 
 def _parse_alpha_grid(cfg: RunConfig) -> tuple[float, ...]:
@@ -550,10 +551,11 @@ def _run_classify(cfg: RunConfig) -> int:
         _write_json(outdir, "result.json", report.to_json_doc())
     print(f"verdict: {report.verdict}")
     for est in report.estimates:
-        root = est.probes[0]
+        p = est.probes[0]
+        where = "root" if p == ex.root else f"probe {p}"
         print(
-            f"  alpha {est.alpha:g}: defect at root {est.final[root]:.6g}, "
-            f"stabilization {est.stabilization_error(root):.3g}"
+            f"  alpha {est.alpha:g}: defect at {where} {est.final[p]:.6g}, "
+            f"stabilization {est.stabilization_error(p):.3g}"
         )
     return EXIT_OK
 

@@ -16,10 +16,11 @@ construction.
 Besides the per-vertex ``neighbors``, ``measure`` and ``degree``, every
 graph answers :meth:`WeightedGraph.block`: the rows of a whole array of
 vertices at once, as numpy arrays.  Breadth-first balls, the solver's
-assembly and the graph writer read the graph through it, one call per
-breadth-first layer, so a procedural family whose rule works on arrays
-(``ProceduralGraph(block_rule=...)``) is materialized without a Python
-call per vertex.
+assembly, :func:`validate` and the graph writer read the graph through
+it, one call per breadth-first layer.  A procedural graph reads every
+row through its block rule, so a family whose rule works on arrays is
+materialized without a Python call per vertex, and a scalar
+``neighbors`` costs one block call.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import os
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from itertools import count, filterfalse, islice, repeat
+from itertools import filterfalse, islice
 
 import numpy as np
 
@@ -83,19 +84,19 @@ def materialization_cap(override: int | None = None) -> int:
     """Maximum number of vertices any single materialization may touch.
 
     Reads the NLRESOLVENT_MAX_VERTICES environment variable (default
-    5e6) unless an explicit override is given.
+    5e6) unless an explicit override is given.  Either must be positive.
     """
-    if override is not None:
-        return int(override)
-    raw = os.environ.get(_CAP_ENV)
-    if raw is None:
-        return _CAP_DEFAULT
+    name, raw = "max_vertices", override
+    if override is None:
+        name, raw = _CAP_ENV, os.environ.get(_CAP_ENV)
+        if raw is None:
+            return _CAP_DEFAULT
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise GraphError(f"{_CAP_ENV} must be an integer, got {raw!r}") from exc
+        raise GraphError(f"{name} must be an integer, got {raw!r}") from exc
     if cap <= 0:
-        raise GraphError(f"{_CAP_ENV} must be positive, got {cap}")
+        raise GraphError(f"{name} must be positive, got {cap}")
     return cap
 
 
@@ -132,13 +133,18 @@ class WeightedGraph:
         ``neighbors``, ``measure`` and ``degree`` vertex by vertex.
         """
         xl = _ids(xs).tolist()
-        rows = [self.neighbors(x) for x in xl]
-        src = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-        ys = _ids([y for r in rows for y, _ in r])
-        ws = np.array([w for r in rows for _, w in r], dtype=float)
+        src, ys, ws = _pack([self.neighbors(x) for x in xl])
         m = np.array([self.measure(x) for x in xl], dtype=float)
         deg = np.array([self.degree(x) for x in xl], dtype=float)
         return src, ys, ws, m, deg
+
+
+def _pack(rows: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``src, ys, ws`` of a list of rows of (y, b) pairs, one row per vertex."""
+    src = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    ys = _ids([y for r in rows for y, _ in r])
+    ws = np.array([w for r in rows for _, w in r], dtype=float)
+    return src, ys, ws
 
 
 class ExplicitGraph(WeightedGraph):
@@ -243,20 +249,19 @@ class ExplicitGraph(WeightedGraph):
 class ProceduralGraph(WeightedGraph):
     """Infinite (or just implicit) graph given by a rule.
 
-    The rule is one of two kinds.  ``neighbor_rule(x)`` returns the
-    (y, b(x, y)) pairs at x.  ``block_rule(xs)`` (keyword only) returns,
-    for an int64 array of vertices, ``src, ys, ws`` laid out as in
-    :meth:`WeightedGraph.block`, so a whole breadth-first layer costs a
-    few numpy calls instead of a Python call per vertex.
-    ``measure_rule(x)`` gives the vertex measure (1 by default).
+    ``block_rule(xs)`` (keyword only) returns, for an int64 array of
+    vertices, ``src, ys, ws`` laid out as in :meth:`WeightedGraph.block`,
+    so a whole breadth-first layer costs a few numpy calls instead of a
+    Python call per vertex.  A per-vertex ``neighbor_rule(x)``, giving
+    the (y, b(x, y)) pairs at x, is turned into such a rule once, at
+    construction.  ``measure_rule(x)`` gives the vertex measure (1 by
+    default).
 
-    Rows are checked (no self-loop, no negative weight) and memoized the
-    first time a vertex is touched.  With a block rule, ``block`` fills
-    the measure and degree memo and keeps its arrays when they reach a
-    vertex no earlier block did, and ``neighbors(x)`` builds the tuple of
-    x from the kept arrays when it is first asked for; a vertex no block
-    has covered yet costs one small block-rule call.  The rule must be
-    symmetric; :func:`validate` can spot-check that on any probe set.
+    Every row is read through :meth:`block`, which checks it (no
+    self-loop, no negative weight) and memoizes the measure and the
+    weighted degree of each vertex it covers, not the row: a scalar
+    ``neighbors`` costs one block call.  The rule must be symmetric;
+    :func:`validate` can spot-check that on any probe set.
     """
 
     def __init__(
@@ -270,43 +275,19 @@ class ProceduralGraph(WeightedGraph):
     ):
         if (neighbor_rule is None) == (block_rule is None):
             raise TypeError("ProceduralGraph needs exactly one of neighbor_rule and block_rule")
+        if block_rule is None:
+            def block_rule(xs):
+                return _pack([list(neighbor_rule(x)) for x in xs.tolist()])
         self.root = int(root)
         self.name = name
-        self._nbr_rule = neighbor_rule
-        self._block_rule = block_rule
+        self._rule = block_rule
         self._m_rule = measure_rule
-        self._nbrs: dict[int, tuple[tuple[int, float], ...]] = {}
         self._deg: dict[int, float] = {}
         self._m: dict[int, float] = {}  # only where measure_rule is given
-        # what each block call that reached a new vertex returned, as
-        # [xs, row lengths, ys, ws] (the last three become [row starts, ys,
-        # ws] lists once a row of it is asked for), and the (call, row) of
-        # each vertex in the first self._indexed of them, the latest call
-        # covering it winning
-        self._stored: list[list] = []
-        self._row: dict[int, tuple[int, int]] = {}
-        self._indexed = 0
-
-    def _materialize(self, x: int) -> None:
-        if self._block_rule is not None:
-            self.block(_ids([x]))
-            return
-        nbrs = tuple([(int(y), float(w)) for y, w in self._nbr_rule(x)])
-        for y, w in nbrs:
-            if y == x:
-                raise GraphError(f"neighbor rule produced a self-loop at {x}")
-            if w < 0:
-                raise GraphError(f"neighbor rule produced b({x},{y}) = {w} < 0")
-        if self._m_rule is not None:
-            self._m[x] = float(self._m_rule(x))
-        self._nbrs[x] = nbrs
-        self._deg[x] = math.fsum([w for _, w in nbrs])
 
     def block(self, xs: np.ndarray):
-        if self._block_rule is None:
-            return super().block(xs)
         xs = _ids(xs)
-        src, ys, ws = self._block_rule(xs)
+        src, ys, ws = self._rule(xs)
         bad = (ys == xs[src]) | (ws < 0)
         if bad.any():
             e = np.flatnonzero(bad)[0]
@@ -322,44 +303,21 @@ class ProceduralGraph(WeightedGraph):
         else:
             m = np.array([float(self._m_rule(x)) for x in xl], dtype=float)
             self._m.update(zip(xl, m.tolist()))
-        covered = len(self._deg)
         self._deg.update(zip(xl, deg.tolist()))
-        if len(self._deg) > covered:  # a block of vertices all stored before adds no rows
-            self._stored.append([xs, counts, ys, ws])
         return src, ys, ws, m, deg
 
     def measure(self, x: int) -> float:
         if x not in self._deg:
-            self._materialize(x)
+            self.block(_ids([x]))
         return 1.0 if self._m_rule is None else self._m[x]
 
     def neighbors(self, x: int) -> tuple[tuple[int, float], ...]:
-        nbrs = self._nbrs.get(x)
-        if nbrs is None:
-            if x not in self._deg:
-                self._materialize(x)
-            nbrs = self._nbrs.get(x)
-        if nbrs is None:  # a block-rule row
-            nbrs = self._nbrs[x] = self._stored_row(x)
-        return nbrs
-
-    def _stored_row(self, x: int) -> tuple[tuple[int, float], ...]:
-        """x's row, read from the latest stored block call that covered x."""
-        for k in range(self._indexed, len(self._stored)):
-            self._row.update(zip(self._stored[k][0].tolist(), zip(repeat(k), count())))
-        self._indexed = len(self._stored)
-        k, j = self._row[x]
-        blk = self._stored[k]
-        if not isinstance(blk[1], list):
-            blk[1:] = (np.concatenate(([0], np.cumsum(blk[1]))).tolist(),
-                       blk[2].tolist(), blk[3].tolist())
-        _, starts, ys, ws = blk
-        a, b = starts[j], starts[j + 1]
-        return tuple(zip(ys[a:b], ws[a:b]))
+        _, ys, ws, _, _ = self.block(_ids([x]))
+        return tuple(zip(ys.tolist(), ws.tolist()))
 
     def degree(self, x: int) -> float:
         if x not in self._deg:
-            self._materialize(x)
+            self.block(_ids([x]))
         return self._deg[x]
 
 
@@ -561,15 +519,22 @@ def validate(g: WeightedGraph, probe: Iterable[int]) -> ValidationReport:
     Verifies m > 0 and finite, b >= 0 and finite, a zero diagonal,
     finite weighted degrees, and exact symmetry b(x, y) = b(y, x) for
     every edge leaving the probe set (the mirror endpoint is
-    materialized if needed).
+    materialized if needed).  A graph other than an ExplicitGraph is
+    read in two block calls, on the probe and then on its neighbors; a
+    vertex they did not cover is read through ``neighbors``.  Every row
+    read is kept for the length of the call.
     """
     probe = list(probe)
+    rows: dict[int, tuple[tuple[int, float], ...]] = {}
     if not isinstance(g, ExplicitGraph):
-        # materialize the probe and its neighbors in two block calls; a
-        # vertex that fails there fails again, where it is met, below
+        # a vertex that fails here fails again, where it is met, below
         with contextlib.suppress(GraphError):
-            _, ys, ws, _, _ = g.block(_ids(probe))
-            g.block(np.unique(ys[np.isfinite(ws) & (ws >= 0.0)]))
+            xs = _ids(probe)
+            src, ys, ws, _, _ = g.block(xs)
+            rows.update(_rows(xs, src, ys, ws))
+            xs = np.unique(ys[np.isfinite(ws) & (ws >= 0.0)])
+            rows.update(_rows(xs, *g.block(xs)[:3]))
+
     failures: list[str] = []
     for x in probe:
         try:
@@ -579,7 +544,7 @@ def validate(g: WeightedGraph, probe: Iterable[int]) -> ValidationReport:
             continue
         if not math.isfinite(m) or m <= 0.0:
             failures.append(f"measure positivity at {x}: m({x}) = {m!r}")
-        nbrs = g.neighbors(x)
+        nbrs = rows[x] if x in rows else rows.setdefault(x, g.neighbors(x))
         if not math.isfinite(g.degree(x)):
             failures.append(f"degree at {x} is not finite")
         for y, w in nbrs:
@@ -589,12 +554,23 @@ def validate(g: WeightedGraph, probe: Iterable[int]) -> ValidationReport:
             if not math.isfinite(w) or w < 0.0:
                 failures.append(f"weight at ({x},{y}): b = {w!r}")
                 continue
-            back = edge_weight(g, y, x)
+            back = 0.0  # edge_weight(g, y, x), from the kept rows
+            for z, v in rows[y] if y in rows else rows.setdefault(y, g.neighbors(y)):
+                if z == x:
+                    back = v
+                    break
             if back != w:
                 failures.append(
                     f"symmetry at ({x},{y}): b({x},{y}) = {w!r} but b({y},{x}) = {back!r}"
                 )
     return ValidationReport(ok=not failures, failures=tuple(failures))
+
+
+def _rows(xs: np.ndarray, src: np.ndarray, ys: np.ndarray, ws: np.ndarray) -> dict:
+    """Each vertex of xs mapped to its row of a block, as ``neighbors`` gives it."""
+    ends = np.cumsum(np.bincount(src, minlength=xs.size)).tolist()
+    pairs = list(zip(ys.tolist(), ws.tolist()))
+    return dict(zip(xs.tolist(), (tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))))
 
 
 def graph_from_json(doc: Mapping | str) -> ExplicitGraph:

@@ -60,15 +60,17 @@ class Exhaustion:
     """Strictly increasing ball radii around a root, with realized sets.
 
     The balls are materialized eagerly in breadth-first order, so each
-    is a prefix of the next: ``order`` is the largest and ``sizes`` are
-    the ball sizes.  ``rows`` to ``deg`` hold the graph on ``order`` as
-    ``solver._assemble`` builds it, once per exhaustion.  On a finite
-    graph the sets saturate once a radius covers the root's component.
+    is a prefix of the next: ``order`` is the largest, and ``ends[r]``
+    is the size of the ball of radius r, for every r up to the largest
+    radius or until the ball saturates, which on a finite graph it does
+    once it covers the root's component; ``sizes`` are the sizes at the
+    scheduled radii.  ``rows`` to ``deg`` hold the graph on ``order`` as
+    ``solver._assemble`` builds it, once per exhaustion.
     """
 
     root: int
     radii: tuple[int, ...]
-    sizes: tuple[int, ...]
+    ends: tuple[int, ...]
     order: tuple[int, ...]
     rows: np.ndarray
     cols: np.ndarray
@@ -78,6 +80,10 @@ class Exhaustion:
 
     def __len__(self) -> int:
         return len(self.radii)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(self.ends[min(r, len(self.ends) - 1)] for r in self.radii)
 
 
 def make_exhaustion(
@@ -90,11 +96,11 @@ def make_exhaustion(
 
     One breadth-first search runs to the largest radius, one
     ``g.block`` call per layer (the outermost layer's call supplies its
-    rows to the assembly), and every ball size is read off the layer
-    boundaries.  The schedule must be non-empty and strictly
-    increasing.  A materialization cap hit, or a graph error met while
-    expanding a layer, is reported with the first radius whose ball
-    needs that layer.
+    rows to the assembly), and the layer ends it finds are kept as the
+    ball sizes at every radius.  The schedule must be non-empty and
+    strictly increasing.  A materialization cap hit, or a graph error
+    met while expanding a layer, is reported with the first radius
+    whose ball needs that layer.
     """
     r0 = g.root if root is None else int(root)
     radii = tuple(int(r) for r in schedule)
@@ -125,35 +131,18 @@ def make_exhaustion(
     if len(blocks) < len(layers):
         blocks.append(g.block(layers[-1]))
     ends = np.cumsum([layer.size for layer in layers]).tolist()
-    sizes = tuple(ends[min(r, len(ends) - 1)] for r in radii)
     # the blocks of all layers as one block of the whole ball
     src = np.concatenate([blk[0] + k for blk, k in zip(blocks, [0, *ends[:-1]])])
     ys, ws, m, deg = (np.concatenate(parts) for parts in list(zip(*blocks))[1:])
     order = np.concatenate(layers)
-    return Exhaustion(r0, radii, sizes, tuple(order.tolist()),
+    return Exhaustion(r0, radii, tuple(ends), tuple(order.tolist()),
                       *_assemble(order, (src, ys, ws, m, deg)))
 
 
 def _inner_ball(ex: Exhaustion, radius: int) -> tuple[int, ...]:
     """``ball(g, ex.root, radius)`` for a radius up to the largest one,
-    read off the exhaustion's arrays instead of searching the graph.
-
-    In breadth-first order, the vertex that first reached a vertex is
-    its in-ball neighbor (over edges with b > 0) of smallest position,
-    and it does not decrease along the order; so layer d + 1 ends after
-    the vertices first reached from layers 0..d.
-    """
-    n = ex.sizes[min(bisect_left(ex.radii, radius), len(ex.radii) - 1)]
-    e = int(np.searchsorted(ex.rows, n))
-    inside = ex.cols[:e] < n
-    targets, first = np.unique(ex.cols[:e][inside], return_index=True)
-    reached_from = np.full(n, n)
-    reached_from[targets] = ex.rows[:e][inside][first]
-    reached_from = reached_from[1:].tolist()  # non-decreasing
-    end = 1
-    for _ in range(radius):
-        end = 1 + bisect_left(reached_from, end)
-    return ex.order[:end]
+    read off the exhaustion instead of searching the graph."""
+    return ex.order[:ex.ends[min(radius, len(ex.ends) - 1)]]
 
 
 @dataclass(frozen=True)
@@ -242,9 +231,16 @@ def extended_resolvent(
 
 
 def _probe_list(ex: Exhaustion, probes: Iterable[int] | None) -> list[int]:
+    """The distinct probes, the root by default.  ValueError for none, and
+    for a probe outside the largest ball, whose values would read 0 at
+    every step."""
     probe_list = list(dict.fromkeys(probes)) if probes is not None else [ex.root]
     if not probe_list:
         raise ValueError("need at least one probe vertex")
+    for p in probe_list:
+        if p not in ex.order:
+            raise ValueError(f"probe {p} is outside the largest ball, "
+                             f"of radius {ex.radii[-1]} around {ex.root}")
     return probe_list
 
 
@@ -265,7 +261,7 @@ def _extend(
         raise ValueError(f"extended resolvent needs f >= 0, got f({order[neg[0]]}) = {fv[neg[0]]}")
 
     values: dict[int, list[float]] = {p: [] for p in probe_list}
-    at = {p: order.index(p) if p in order else len(order) for p in probe_list}
+    at = {p: order.index(p) for p in probe_list}
     steps: list[StepRecord] = []
     max_dec, resid, u = 0.0, 0.0, np.zeros(0)
 

@@ -1,9 +1,11 @@
 """The array path of the graph layer against a per-vertex reference.
 
 The reference is the breadth-first loop and the assembly that walked
-``neighbors`` one vertex at a time, run on graphs built from the
-families' per-vertex neighbor rules; the array path runs ``block`` on the
-families themselves.  Orders, sizes and arrays must agree bit for bit.
+``neighbors`` one vertex at a time, run on graphs that read the
+families' per-vertex neighbor rules one vertex at a time (``RuleGraph``,
+with its own checks and ``math.fsum``); the array path runs ``block`` on
+the families themselves.  Orders, sizes and arrays must agree bit for
+bit.
 """
 
 import json
@@ -22,6 +24,7 @@ from nlresolvent import (
     GraphError,
     Potential,
     ProceduralGraph,
+    WeightedGraph,
     ball,
     birth_death,
     classify,
@@ -38,6 +41,41 @@ from nlresolvent import cli
 from nlresolvent.resolvent import _inner_ball
 
 # --- per-vertex reference --------------------------------------------------
+
+
+class RuleGraph(WeightedGraph):
+    """A graph read from a per-vertex neighbor rule one vertex at a time:
+    each row converted to (int, float) pairs, checked, summed with
+    math.fsum and memoized."""
+
+    def __init__(self, root, rule, measure_rule=None):
+        self.root, self._rule, self._m_rule = root, rule, measure_rule
+        self._rows, self._m, self._deg = {}, {}, {}
+
+    def _materialize(self, x):
+        if x in self._rows:
+            return
+        nbrs = tuple([(int(y), float(w)) for y, w in self._rule(x)])
+        for y, w in nbrs:
+            if y == x:
+                raise GraphError(f"neighbor rule produced a self-loop at {x}")
+            if w < 0:
+                raise GraphError(f"neighbor rule produced b({x},{y}) = {w} < 0")
+        self._m[x] = 1.0 if self._m_rule is None else float(self._m_rule(x))
+        self._deg[x] = math.fsum([w for _, w in nbrs])
+        self._rows[x] = nbrs
+
+    def neighbors(self, x):
+        self._materialize(x)
+        return self._rows[x]
+
+    def measure(self, x):
+        self._materialize(x)
+        return self._m[x]
+
+    def degree(self, x):
+        self._materialize(x)
+        return self._deg[x]
 
 
 def ref_ball(g, root, radius, max_vertices=None):
@@ -156,20 +194,20 @@ def scalar_path(x):
 # name -> (array-path graph, per-vertex reference graph, radii)
 FAMILIES = {
     "tree:2": (lambda: symmetric_tree(2),
-               lambda: ProceduralGraph(0, tree_rule(2)), (0, 2, 5, 9)),
+               lambda: RuleGraph(0, tree_rule(2)), (0, 2, 5, 9)),
     "tree:3": (lambda: symmetric_tree(3),
-               lambda: ProceduralGraph(0, tree_rule(3)), (1, 3, 6)),
+               lambda: RuleGraph(0, tree_rule(3)), (1, 3, 6)),
     "tree:1+d%3": (lambda: symmetric_tree(lambda d: 1 + d % 3),
-                   lambda: ProceduralGraph(0, tree_rule(lambda d: 1 + d % 3)), (2, 5, 9)),
-    "lattice-z": (lattice_z, lambda: ProceduralGraph(0, lattice_rule), (1, 12, 25, 50)),
+                   lambda: RuleGraph(0, tree_rule(lambda d: 1 + d % 3)), (2, 5, 9)),
+    "lattice-z": (lattice_z, lambda: RuleGraph(0, lattice_rule), (1, 12, 25, 50)),
     "birth-death:4": (lambda: birth_death(lambda n: 4.0**n),
-                      lambda: ProceduralGraph(0, chain_rule(lambda n: 4.0**n)), (5, 10, 40)),
+                      lambda: RuleGraph(0, chain_rule(lambda n: 4.0**n)), (5, 10, 40)),
     "birth-death:(n+1)^1.5": (
         lambda: birth_death(chain15, m_rule=lambda n: 1.0 + n % 3),
-        lambda: ProceduralGraph(0, chain_rule(chain15), measure_rule=lambda n: 1.0 + n % 3),
+        lambda: RuleGraph(0, chain_rule(chain15), measure_rule=lambda n: 1.0 + n % 3),
         (3, 30)),
     "scalar-rule": (lambda: ProceduralGraph(0, scalar_path),
-                    lambda: ProceduralGraph(0, scalar_path), (1, 4, 9)),
+                    lambda: RuleGraph(0, scalar_path), (1, 4, 9)),
 }
 
 
@@ -232,21 +270,21 @@ def negative_at_5(x):
 # name -> (array-path graph, reference graph, root, radii, max_vertices)
 FAULTS = {
     "self-loop": (lambda: ProceduralGraph(0, block_rule=as_block_rule(self_loop_at_7)),
-                  lambda: ProceduralGraph(0, self_loop_at_7), 0, (2, 5, 8, 12), None),
+                  lambda: RuleGraph(0, self_loop_at_7), 0, (2, 5, 8, 12), None),
     "self-loop-outer-layer": (lambda: ProceduralGraph(0, block_rule=as_block_rule(self_loop_at_7)),
-                              lambda: ProceduralGraph(0, self_loop_at_7), 0, (3, 7), None),
+                              lambda: RuleGraph(0, self_loop_at_7), 0, (3, 7), None),
     "negative-weight": (lambda: ProceduralGraph(0, block_rule=as_block_rule(negative_at_5)),
-                        lambda: ProceduralGraph(0, negative_at_5), 0, (1, 4, 9), None),
+                        lambda: RuleGraph(0, negative_at_5), 0, (1, 4, 9), None),
     "negative-tree-id": (lambda: symmetric_tree(2),
-                         lambda: ProceduralGraph(0, tree_rule(2)), -3, (0, 2), None),
+                         lambda: RuleGraph(0, tree_rule(2)), -3, (0, 2), None),
     "negative-chain-id": (lambda: birth_death(chain15),
-                          lambda: ProceduralGraph(0, chain_rule(chain15)), -1, (1, 3), None),
+                          lambda: RuleGraph(0, chain_rule(chain15)), -1, (1, 3), None),
     "branching-below-1": (lambda: symmetric_tree(lambda d: 0 if d == 3 else 2),
-                          lambda: ProceduralGraph(0, tree_rule(lambda d: 0 if d == 3 else 2)),
+                          lambda: RuleGraph(0, tree_rule(lambda d: 0 if d == 3 else 2)),
                           0, (1, 2, 3, 6), None),
-    "cap": (lambda: symmetric_tree(2), lambda: ProceduralGraph(0, tree_rule(2)),
+    "cap": (lambda: symmetric_tree(2), lambda: RuleGraph(0, tree_rule(2)),
             0, (1, 3, 5, 8), 40),
-    "cap-lattice": (lattice_z, lambda: ProceduralGraph(0, lattice_rule), 0, (1, 60), 20),
+    "cap-lattice": (lattice_z, lambda: RuleGraph(0, lattice_rule), 0, (1, 60), 20),
 }
 
 
@@ -289,7 +327,7 @@ def outcome(call):
 def test_validate_matches_reference(rule):
     probe = [0, 2, 3, 4, -1, 9, 3, 6]
     fast = outcome(lambda: validate(ProceduralGraph(0, block_rule=as_block_rule(rule)), probe))
-    assert fast == outcome(lambda: validate(ProceduralGraph(0, rule), probe))
+    assert fast == outcome(lambda: validate(RuleGraph(0, rule), probe))
 
 
 # --- block against neighbors, fsum and int64 -----------------------------------
@@ -370,19 +408,6 @@ def test_ids_outside_int64_raise_naming_the_vertex(call, vertex):
         call()
 
 
-def test_repeated_searches_store_no_more_rows():
-    # rows are stored once per block that reaches a new vertex, so
-    # searching the same ball again keeps memory flat
-    g = symmetric_tree(2)
-    ball(g, 0, 8)
-    stored = len(g._stored)
-    for _ in range(3):
-        ball(g, 0, 8)
-        make_exhaustion(g, 0, [2, 7])
-    assert len(g._stored) == stored
-    assert g.neighbors(200) == ((99, 1.0), (401, 1.0), (402, 1.0))
-
-
 def test_procedural_graph_takes_exactly_one_rule():
     with pytest.raises(TypeError):
         ProceduralGraph(0)
@@ -419,3 +444,20 @@ def test_gen_reads_no_scalar_neighbors(counted, tmp_path, capsys):
     assert cli.main(["gen", "--family", "tree:2", "--radii", "6", "--out", str(tmp_path)]) == 0
     # ball(6) expands layers 0..5, the writer reads all 127 rows at once
     assert counted == {"block": 7, "neighbors": 0}
+
+
+def test_scalar_neighbors_is_one_block_call(counted):
+    g = symmetric_tree(2)
+    make_exhaustion(g, 0, [2, 7])
+    counted["block"] = 0
+    assert g.neighbors(200) == ((99, 1.0), (401, 1.0), (402, 1.0))
+    assert counted == {"block": 1, "neighbors": 1}
+
+
+def test_validate_reads_rows_in_two_block_calls(counted):
+    # the probe, then its neighbors; no call per vertex
+    g = symmetric_tree(2)
+    probe = ball(g, 0, 8)
+    counted["block"] = 0
+    assert validate(g, probe).ok
+    assert counted == {"block": 2, "neighbors": 0}

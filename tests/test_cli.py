@@ -125,6 +125,37 @@ def test_vertex_cap_maps_to_config_error(capsys):
     assert "max_vertices" in err or "cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_non_positive_max_vertices_exits_2(capsys, cap):
+    code, _, err = run_cli(capsys, "resolve", "--graph", "lattice-z", "--f", "const:1",
+                           "--radii", "0,1", "--max-vertices", cap)
+    assert code == 2
+    assert err == f"error: max_vertices must be positive, got {cap}\n"
+
+
+@pytest.mark.parametrize("argv, probe, radius", [
+    (("classify", "--graph", "lattice-z", "--radii", "5,10,20", "--probes", "list:0,500",
+      "--alpha", "1"), 500, 20),
+    (("classify", "--graph", "star:3", "--radii", "1,2", "--probes", "list:99"), 99, 2),
+    (("resolve", "--graph", "lattice-z", "--radii", "5,10", "--f", "const:1",
+      "--probes", "list:500"), 500, 10),
+], ids=["classify", "not-a-vertex", "resolve"])
+def test_probe_outside_the_largest_ball_exits_2(tmp_path, capsys, argv, probe, radius):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: probe {probe} is outside the largest ball, of radius {radius} around 0\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_classify_labels_a_first_probe_other_than_the_root(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--graph", "birth-death:4", "--radii", "5,10",
+                           "--alpha", "1", "--probes", "list:3,0")
+    assert code == 0
+    assert "  alpha 1: defect at probe 3 " in out
+    assert "root" not in out
+
+
 def test_unknown_phi_spec_exits_2(capsys):
     code, _, err = run_cli(capsys, "solve", "--graph", "finite-path:2",
                            "--phi", "cosh", "--f", "delta:0", "--U", "all")

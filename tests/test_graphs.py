@@ -64,6 +64,12 @@ def test_cap_env_override(monkeypatch):
     assert materialization_cap(5) == 5
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_non_positive_cap_override_rejected(cap):
+    with pytest.raises(GraphError, match=f"max_vertices must be positive, got {cap}"):
+        materialization_cap(cap)
+
+
 # --- Laplacian and energy ------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from nlresolvent import (
     SolveOptions,
     VertexFunction,
     ball,
+    classify,
     default_probes,
     doubling_schedule,
     extended_resolvent,
@@ -25,6 +26,7 @@ from nlresolvent import (
     make_exhaustion,
     odd_power,
     solve_dirichlet,
+    star,
     symmetric_tree,
 )
 
@@ -171,6 +173,21 @@ def test_probe_deduplication_and_default(lattice, unit_potential):
     assert est.probes == (2, -1)
     with pytest.raises(ValueError):
         extended_resolvent(lattice, unit_potential, ID, lambda x: 1.0, ex, probes=[])
+
+
+@pytest.mark.parametrize("graph, radii, probe", [
+    (lattice_z, [5, 10, 20], 500),
+    (lambda: star(3), [1, 2], 99),  # not a vertex at all
+], ids=["beyond-the-largest-ball", "not-a-vertex"])
+def test_probe_outside_the_largest_ball_is_rejected(graph, radii, probe, unit_potential):
+    # its value would read 0 at every step: a defect of alpha, stabilized
+    g = graph()
+    ex = make_exhaustion(g, 0, radii)
+    msg = f"probe {probe} is outside the largest ball, of radius {radii[-1]} around 0"
+    with pytest.raises(ValueError, match=msg):
+        extended_resolvent(g, unit_potential, ID, lambda x: 1.0, ex, probes=[0, probe])
+    with pytest.raises(ValueError, match=msg):
+        classify(g, unit_potential, ID, ex, alpha_grid=[1.0], probes=[0, probe])
 
 
 # --- bookkeeping -----------------------------------------------------------------
