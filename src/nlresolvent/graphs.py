@@ -520,20 +520,18 @@ def validate(g: WeightedGraph, probe: Iterable[int]) -> ValidationReport:
     finite weighted degrees, and exact symmetry b(x, y) = b(y, x) for
     every edge leaving the probe set (the mirror endpoint is
     materialized if needed).  A graph other than an ExplicitGraph is
-    read in two block calls, on the probe and then on its neighbors; a
-    vertex they did not cover is read through ``neighbors``.  Every row
-    read is kept for the length of the call.
+    read in block calls, on the probe and then on its neighbors (two
+    calls when every vertex reads cleanly); a vertex they did not cover
+    is read through ``neighbors``.  Every row read is kept for the
+    length of the call.
     """
     probe = list(probe)
     rows: dict[int, tuple[tuple[int, float], ...]] = {}
     if not isinstance(g, ExplicitGraph):
         # a vertex that fails here fails again, where it is met, below
         with contextlib.suppress(GraphError):
-            xs = _ids(probe)
-            src, ys, ws, _, _ = g.block(xs)
-            rows.update(_rows(xs, src, ys, ws))
-            xs = np.unique(ys[np.isfinite(ws) & (ws >= 0.0)])
-            rows.update(_rows(xs, *g.block(xs)[:3]))
+            ys = _read_rows(g, _ids(probe), rows)
+            _read_rows(g, np.unique(ys), rows)
 
     failures: list[str] = []
     for x in probe:
@@ -564,6 +562,22 @@ def validate(g: WeightedGraph, probe: Iterable[int]) -> ValidationReport:
                     f"symmetry at ({x},{y}): b({x},{y}) = {w!r} but b({y},{x}) = {back!r}"
                 )
     return ValidationReport(ok=not failures, failures=tuple(failures))
+
+
+def _read_rows(g: WeightedGraph, xs: np.ndarray, rows: dict) -> np.ndarray:
+    """Keep the rows of xs that ``g.block`` reads without GraphError in
+    ``rows``, and return their neighbors with a finite b >= 0.  A batch
+    that fails is halved until its failing vertices stand alone, so k
+    of them cost O(k log |xs|) block calls, not one call per vertex."""
+    try:
+        src, ys, ws, _, _ = g.block(xs)
+    except GraphError:
+        if xs.size < 2:
+            return xs[:0]
+        h = xs.size // 2
+        return np.concatenate([_read_rows(g, xs[:h], rows), _read_rows(g, xs[h:], rows)])
+    rows.update(_rows(xs, src, ys, ws))
+    return ys[np.isfinite(ws) & (ws >= 0.0)]
 
 
 def _rows(xs: np.ndarray, src: np.ndarray, ys: np.ndarray, ws: np.ndarray) -> dict:

@@ -23,10 +23,22 @@ of E is 2(A u - m phi(f - W u)) and its Hessian
 2(A + diag(m W phi'(f - W u))) is symmetric positive definite once each
 component of U has an edge leaving U or a vertex where phi' > 0.  Each
 Newton step is solved by Jacobi-preconditioned conjugate gradients
-down to float noise and damped by a backtracking line search on E
-(Nocedal & Wright, Numerical Optimization, 2006, ch. 3); since E is
-strictly convex this converges from any start.  One conjugate-gradient
-iteration, a single pass over the arrays, counts as one sweep.
+and damped by a backtracking line search on E (Nocedal & Wright,
+Numerical Optimization, 2006, ch. 3); since E is strictly convex this
+converges from any start.  The steps are inexact (Dembo, Eisenstat &
+Steihaug, SIAM J. Numer. Anal. 19, 1982): the first step of a solve runs
+CG down to float noise, so a quadratic E is solved in one exact step,
+and step k > 0 stops CG once the linear residual r_k has fallen below
+eta_k ||g_k||, g_k the gradient, with the forcing term of Eisenstat &
+Walker (SIAM J. Sci. Comput. 17, 1996), choice 1:
+
+    eta_k = min(0.5, | ||g_k|| - ||r_{k-1}|| | / ||g_{k-1}||),
+
+raised to eta_{k-1}^((1 + sqrt 5)/2) where that power exceeds 0.1.  The
+term is large far from the solution, where an accurate step is wasted,
+and shrinks with the gradient near it, which keeps the local
+convergence superlinear.  One conjugate-gradient iteration, a single
+pass over the arrays, counts as one sweep.
 
 Newton needs the nonlinearity's array forms and a finite phi'(0).  A
 custom phi without array forms, or odd_power(p < 1) with phi'(0) = oo,
@@ -199,6 +211,11 @@ _FT_NOISE = 8.0 * math.ulp(1.0)
 # Relative rounding of E and of the Newton iterates: E sums O(deg u^2)
 # terms, so values of E closer than this times those terms are equal.
 _NOISE = 64.0 * math.ulp(1.0)
+# Largest forcing term of the inexact Newton steps: every inner CG solve
+# at least halves its residual
+_ETA_MAX = 0.5
+# Exponent of the safeguard on the forcing terms (Eisenstat & Walker 1996)
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # Newton step size at which the scalar root finder accepts its landing point
 _ROOT_TOL = 1e-12
 
@@ -334,11 +351,13 @@ class _System:
         return sup, scaled, tuple(self.order[i] for i in np.flatnonzero(~ok))
 
 
-def _pcg(sys_: _System, c: np.ndarray, rhs: np.ndarray, budget: int):
+def _pcg(sys_: _System, c: np.ndarray, rhs: np.ndarray, budget: int, eta: float):
     """Jacobi-preconditioned CG for (A + diag(c)) x = rhs from x = 0.
 
-    Runs until the preconditioned residual falls to float noise or the
-    budget of iterations is spent; returns x and the iterations used.
+    Runs until the residual r = rhs - (A + diag(c)) x has fallen to
+    eta times its start in the 2-norm, or the preconditioned residual
+    to float noise, or the budget of iterations is spent; eta = 0 runs
+    to float noise.  Returns x, the iterations used and r.
     """
     diag = sys_.deg + c
     inv_diag = np.where(diag > 0.0, 1.0 / diag, 0.0)
@@ -348,8 +367,10 @@ def _pcg(sys_: _System, c: np.ndarray, rhs: np.ndarray, budget: int):
     p = z.copy()
     rz = float(r @ z)
     stop = (_NOISE * _NOISE) * rz
+    rr = float(r @ r)
+    forced = (eta * eta) * rr
     its = 0
-    while its < budget and rz > stop:
+    while its < budget and rz > stop and rr > forced:
         q = sys_.apply(p) + c * p
         pq = float(p @ q)
         if not pq > 0.0:
@@ -359,9 +380,9 @@ def _pcg(sys_: _System, c: np.ndarray, rhs: np.ndarray, budget: int):
         r -= a * q
         its += 1
         z = inv_diag * r
-        rz, rz_old = float(r @ z), rz
+        rz, rz_old, rr = float(r @ z), rz, float(r @ r)
         p = z + (rz / rz_old) * p
-    return x, its
+    return x, its, r
 
 
 def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
@@ -377,6 +398,7 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
         return v @ sys_.apply(v) + kappa.sum(), sys_.deg @ (v * v) + np.abs(kappa).sum()
 
     sweeps, last, step, tiny, stalls = 0, math.inf, math.inf, False, 0
+    eta, g_norm, r_norm = 0.0, None, None  # forcing term, gradient and CG residual norms
     while True:
         _, scaled, violations = sys_.residual(nl, u)
         ok = not violations and scaled <= opts.residual_tol
@@ -386,8 +408,17 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
             return u, sweeps, False  # budget spent, or steps at float noise
         c = m * w * arr.deriv(f - w * u)
         g = grad(u)
-        d, its = _pcg(sys_, c, -g, opts.max_sweeps - sweeps)
+        g_norm, g_last = np.sqrt(g @ g), g_norm
+        # inexact Newton: the first step is exact, later ones take the
+        # forcing term of Eisenstat & Walker's choice 1 with its safeguard
+        if g_last is not None:
+            floor = eta**_GOLDEN
+            eta = min(_ETA_MAX, abs(g_norm - r_norm) / g_last)
+            if floor > 0.1:
+                eta = max(eta, floor)
+        d, its, r = _pcg(sys_, c, -g, opts.max_sweeps - sweeps, eta)
         sweeps += its
+        r_norm = np.sqrt(r @ r)
         # backtracking on E; where E cannot tell the points apart, a
         # smaller gradient decides instead
         e0, n0 = energy(u)

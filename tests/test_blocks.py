@@ -461,3 +461,17 @@ def test_validate_reads_rows_in_two_block_calls(counted):
     counted["block"] = 0
     assert validate(g, probe).ok
     assert counted == {"block": 2, "neighbors": 0}
+
+
+@pytest.mark.parametrize("bad", [[-1], [-1, 300, -7]], ids=["one", "two"])
+def test_validate_halves_a_failing_batch(counted, bad):
+    # each failing vertex costs at most two block calls per halving of
+    # the probe and its own read below, not one call per vertex of the
+    # probe, and the report is the per-vertex reference's
+    g = symmetric_tree(2)
+    probe = ball(g, 0, 8)[:200] + bad + ball(g, 0, 8)[200:]
+    counted["block"] = 0
+    report = validate(g, probe)
+    assert counted["block"] <= 2 + len(bad) * (2 * len(probe).bit_length() + 1)
+    assert report == validate(RuleGraph(0, tree_rule(2)), probe)
+    assert report.failures == tuple(f"tree ids are nonnegative, got {x}" for x in bad if x < 0)

@@ -158,10 +158,17 @@ def test_classify_propagates_solve_error(chain4, unit_potential, chain_ex):
 
 
 def test_classify_partial_keeps_completed_alphas_and_steps(chain4, unit_potential):
-    # at this budget alpha 0.25 completes, and alpha 4.0 converges at
-    # step 0 (radius 2) and runs out of sweeps at step 1 (radius 10)
-    nl, opts, probes = odd_power(3.0), SolveOptions(max_sweeps=40), (0, 1)
+    # the budget is the sweeps that alpha 0.25 needs at its costliest step
+    # and alpha 4.0 at step 0 (radius 2), unbudgeted; alpha 4.0 needs more
+    # at step 1 (radius 10), and runs out there
+    nl, probes = odd_power(3.0), (0, 1)
     ex = make_exhaustion(chain4, 0, [2, 10])
+    need = {a: [s.sweeps for s in conservation_defect(chain4, unit_potential, nl, a, ex,
+                                                      probes=probes).resolvent.steps]
+            for a in (0.25, 4.0)}
+    budget = max(*need[0.25], need[4.0][0])
+    assert need[4.0][1] > budget
+    opts = SolveOptions(max_sweeps=budget)
     with pytest.raises(SolveError) as info:
         classify(chain4, unit_potential, nl, ex, alpha_grid=(0.25, 4.0),
                  probes=probes, opts=opts)

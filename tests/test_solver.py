@@ -5,6 +5,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from nlresolvent import (
@@ -27,7 +28,9 @@ from nlresolvent import (
     random_sparse,
     residual,
     solve_dirichlet,
+    symmetric_tree,
 )
+from nlresolvent import solver
 
 ID = identity()
 
@@ -282,3 +285,75 @@ def test_array_forms_raise_no_numpy_warnings(path3, unit_potential):
         # probing phi'(0) = inf for the fallback choice divides by zero
         assert solve_dirichlet(path3, unit_potential, odd_power(0.5),
                                VertexFunction.delta(0), [0, 1, 2]).converged
+
+
+# --- inexact Newton: forcing terms of the inner CG solves --------------------
+
+
+def _lattice_system(radius, seed):
+    """The Dirichlet Laplacian of a lattice ball, a small positive shift
+    and a random right-hand side, as arrays."""
+    ex = make_exhaustion(lattice_z(), 0, [radius])
+    rng = np.random.default_rng(seed)
+    n = len(ex.order)
+    ones = np.ones(n)
+    sys_ = solver._System(ex.order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, ones, ones, n)
+    return sys_, rng.uniform(1e-3, 1e-2, n), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pcg_stops_at_the_forcing_tolerance(seed):
+    sys_, c, rhs = _lattice_system(50, seed)
+    dense = np.diag(sys_.deg + c)
+    np.subtract.at(dense, (sys_.rows, sys_.cols), sys_.b)
+    exact = np.linalg.solve(dense, rhs)
+    size = np.linalg.norm(rhs)
+    used = []
+    for eta in (0.5, 1e-2, 1e-6, 0.0):
+        x, its, r = solver._pcg(sys_, c, rhs, 10**6, eta)
+        # r is the residual of x, and it has fallen by eta at least
+        assert np.linalg.norm(r - (rhs - dense @ x)) <= 1e-12 * size
+        assert np.linalg.norm(r) <= eta * size or eta == 0.0
+        used.append(its)
+    assert used == sorted(used) and used[0] < used[-1]
+    # eta = 0 runs to float noise, as the exact solve of a first step
+    assert np.max(np.abs(x - exact)) <= 1e-10 * np.max(np.abs(exact))
+    _, its, _ = solver._pcg(sys_, c, rhs, 7, 0.0)
+    assert its == 7
+
+
+@pytest.fixture
+def pcg_calls(monkeypatch):
+    """The eta of every _pcg call, one list per Newton solve."""
+    calls = []
+    newton, pcg = solver._newton, solver._pcg
+
+    def counted_newton(*args):
+        calls.append([])
+        return newton(*args)
+
+    def counted_pcg(sys_, c, rhs, budget, eta):
+        calls[-1].append(eta)
+        return pcg(sys_, c, rhs, budget, eta)
+
+    monkeypatch.setattr(solver, "_newton", counted_newton)
+    monkeypatch.setattr(solver, "_pcg", counted_pcg)
+    return calls
+
+
+def test_quadratic_energy_takes_one_exact_step_per_exhaustion_step(pcg_calls, unit_potential):
+    g = symmetric_tree(2)
+    ex = make_exhaustion(g, 0, [4, 8, 12])
+    est = extended_resolvent(g, unit_potential, ID, lambda x: 1.0, ex)
+    assert pcg_calls == [[0.0]] * len(est.steps)
+
+
+def test_later_newton_steps_take_eisenstat_walker_forcing_terms(pcg_calls, unit_potential):
+    g = lattice_z()
+    ex = make_exhaustion(g, 0, [12, 25, 50])
+    extended_resolvent(g, unit_potential, odd_power(3.0), lambda x: 1.0, ex)
+    assert len(pcg_calls) == 3
+    for etas in pcg_calls:
+        assert etas[0] == 0.0 and len(etas) > 1
+        assert all(0.0 <= eta <= solver._ETA_MAX for eta in etas)
+        assert any(eta > 0.0 for eta in etas)
