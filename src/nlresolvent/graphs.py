@@ -434,17 +434,21 @@ def energy(g: WeightedGraph, u: VertexFunction, v: VertexFunction) -> float:
     Evaluated over edges incident to supp u union supp v.  An ordered
     pair with both ends in that set is visited twice (hence the half
     weight); a pair with one end outside it is visited once but equals
-    its mirror term, so it enters with full weight.
+    its mirror term, so it enters with full weight.  The rows of that
+    set are read in one ``g.block`` call.
     """
     spt = set(u.support) | set(v.support)
+    if not spt:
+        return 0.0
+    xs = list(spt)
+    src, ys, ws, _, _ = g.block(_ids(xs))
+    ux, vx = [u(x) for x in xs], [v(x) for x in xs]
     acc = 0.0
-    for x in spt:
-        ux, vx = u(x), v(x)
-        for y, w in g.neighbors(x):
-            if w == 0.0:
-                continue
-            term = w * (ux - u(y)) * (vx - v(y))
-            acc += 0.5 * term if y in spt else term
+    for i, y, w in zip(src.tolist(), ys.tolist(), ws.tolist()):
+        if w == 0.0:
+            continue
+        term = w * (ux[i] - u(y)) * (vx[i] - v(y))
+        acc += 0.5 * term if y in spt else term
     return acc
 
 

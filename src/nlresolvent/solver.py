@@ -40,6 +40,14 @@ and shrinks with the gradient near it, which keeps the local
 convergence superlinear.  One conjugate-gradient iteration, a single
 pass over the arrays, counts as one sweep.
 
+Where the in-U graph is a forest and U lists each vertex after its
+parent, as the breadth-first balls of a tree do, a Newton step is
+instead solved exactly, in O(|U|), by eliminating the vertices from the
+leaves to the roots (``_eliminate``); one elimination, that is one
+exact Newton step, counts as one sweep, and leaves no linear residual
+for the next forcing term.  Sets with cycles, and steps whose
+elimination meets a pivot that is not positive and finite, take CG.
+
 Newton needs the nonlinearity's array forms and a finite phi'(0).  A
 custom phi without array forms, or odd_power(p < 1) with phi'(0) = oo,
 takes the fallback: nonlinear Gauss-Seidel, which visits the vertices of
@@ -136,11 +144,12 @@ class SolveOptions:
     an absolute residual below the rounding of f itself.
 
     A sweep is one pass over the in-U arrays: on the Newton path one
-    conjugate-gradient iteration, on the Gauss-Seidel fallback one round
-    of scalar solves.  ``max_sweeps`` caps their total.  ``sweep_tol``
-    bounds the error left after the last update: Newton estimates it
-    from the ratio of successive steps, Gauss-Seidel takes the update
-    itself.
+    conjugate-gradient iteration, or where U spans a forest one
+    elimination, that is one exact Newton step; on the Gauss-Seidel
+    fallback one round of scalar solves.  ``max_sweeps`` caps their
+    total.  ``sweep_tol`` bounds the error left after the last update:
+    Newton estimates it from the ratio of successive steps, Gauss-Seidel
+    takes the update itself.
     """
 
     sweep_tol: float = 1e-10
@@ -159,7 +168,8 @@ class SolveResult:
     """Outcome of one Dirichlet solve.
 
     ``sweeps_used`` counts passes over the arrays as ``SolveOptions``
-    defines them (conjugate-gradient iterations on the Newton path).
+    defines them (conjugate-gradient iterations on the Newton path, and
+    on a forest eliminations, one per Newton step).
     ``max_decrease`` is the largest decrease of any vertex value from
     the start (zero, or the warm start) to the returned solution; for
     f >= 0 started at zero or warm-started from a smaller problem the
@@ -216,6 +226,9 @@ _NOISE = 64.0 * math.ulp(1.0)
 _ETA_MAX = 0.5
 # Exponent of the safeguard on the forcing terms (Eisenstat & Walker 1996)
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+# Mean breadth-first layer width from which a forest is eliminated a
+# layer at a time; thinner forests take a loop over the vertices
+_WIDE = 16
 # Newton step size at which the scalar root finder accepts its landing point
 _ROOT_TOL = 1e-12
 
@@ -309,12 +322,43 @@ def _check(order: Sequence[int], m, deg, w, f, W0: float) -> None:
         raise ValueError(f"W({x}) = {float(w[low[0]])} violates the certified bound W0 = {W0}")
 
 
+def _forest(rows, cols, b, n: int):
+    """The in-set graph as a forest whose parents come first, or None.
+
+    The graph is symmetric, so it is such a forest exactly when each
+    vertex has at most one earlier neighbor, its parent.  Returns
+    ``parent`` (-1 at the roots), ``pb`` = b(x, parent(x)) (0 at the
+    roots) and ``layers``: the bounds of the breadth-first layers when
+    the parents are non-decreasing (roots first, then each layer's
+    children in the order of their parents, as on an exhaustion) and
+    a layer holds at least ``_WIDE`` vertices on average, else None.
+    """
+    low = cols < rows
+    kids = rows[low]
+    if np.bincount(kids, minlength=n).max(initial=0) > 1:
+        return None
+    parent = np.full(n, -1)
+    parent[kids] = cols[low]
+    pb = np.zeros(n)
+    pb[kids] = b[low]
+    layers = None
+    if (parent[1:] >= parent[:-1]).all():
+        # layer k + 1 is the vertices whose parents lie in layer k
+        ends = [0]
+        while ends[-1] < n and len(ends) * _WIDE <= n:
+            ends.append(int(np.searchsorted(parent, ends[-1])))
+        if ends[-1] == n:
+            layers = ends
+    return parent, pb, layers
+
+
 class _System:
     """One solve's data: the leading block of the first n vertices of
     the ``_assemble``/``_sample`` arrays on ``order``, i.e. the edges
     with row < n and col < n in the same order and the prefixes of the
     vertex arrays.  ``apply`` is the Dirichlet Laplacian
-    A u = deg u - sum_y b(., y) u(y) with u = 0 off that block.
+    A u = deg u - sum_y b(., y) u(y) with u = 0 off that block, and
+    ``forest`` is its ``_forest`` structure, or None.
     """
 
     def __init__(self, order: Sequence[int], rows, cols, b, m, deg, w, f, n: int):
@@ -323,6 +367,7 @@ class _System:
         keep = cols[:e] < n
         self.rows, self.cols, self.b = rows[:e][keep], cols[:e][keep], b[:e][keep]
         self.m, self.deg, self.w, self.f = m[:n], deg[:n], w[:n], f[:n]
+        self.forest = _forest(self.rows, self.cols, self.b, n)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         off = np.bincount(self.rows, self.b * u[self.cols], minlength=u.size)
@@ -357,7 +402,9 @@ def _pcg(sys_: _System, c: np.ndarray, rhs: np.ndarray, budget: int, eta: float)
     Runs until the residual r = rhs - (A + diag(c)) x has fallen to
     eta times its start in the 2-norm, or the preconditioned residual
     to float noise, or the budget of iterations is spent; eta = 0 runs
-    to float noise.  Returns x, the iterations used and r.
+    to float noise.  Returns x, the iterations used and r.  Each
+    iteration is a sweep; on a forest ``_eliminate`` replaces the whole
+    solve by one sweep, and this runs only where it gives up.
     """
     diag = sys_.deg + c
     inv_diag = np.where(diag > 0.0, 1.0 / diag, 0.0)
@@ -383,6 +430,51 @@ def _pcg(sys_: _System, c: np.ndarray, rhs: np.ndarray, budget: int, eta: float)
         rz, rz_old, rr = float(r @ z), rz, float(r @ r)
         p = z + (rz / rz_old) * p
     return x, its, r
+
+
+def _eliminate(sys_: _System, c: np.ndarray, rhs: np.ndarray):
+    """Exact solve of (A + diag(c)) x = rhs on a forest, or None.
+
+    A symmetric matrix whose graph is a forest factors without fill-in
+    when each vertex is eliminated before its parent (Parter, SIAM
+    Review 3, 1961): a reverse sweep folds each vertex into its parent,
+    D(p) -= b^2 / D(x) and y(p) += b y(x) / D(x), and a forward sweep
+    from the roots gives x = (y + b x(parent)) / D.  Forests with wide
+    breadth-first layers take one bincount per layer, thin ones a loop
+    over the vertices.  None, for the caller to fall back on ``_pcg``,
+    where a pivot D is not positive and finite or x is not finite.
+    """
+    parent, pb, layers = sys_.forest
+    with np.errstate(all="ignore"):
+        if layers is None:
+            par, bs = parent.tolist(), pb.tolist()
+            d, y = (sys_.deg + c).tolist(), rhs.tolist()
+            try:
+                for i in range(len(par) - 1, -1, -1):
+                    p = par[i]
+                    if p >= 0:
+                        t = bs[i] / d[i]
+                        d[p] -= bs[i] * t
+                        y[p] += t * y[i]
+                for i, p in enumerate(par):
+                    y[i] = (y[i] + bs[i] * y[p] if p >= 0 else y[i]) / d[i]
+            except ZeroDivisionError:
+                return None
+            d, x = np.array(d), np.array(y)
+        else:
+            d, y = sys_.deg + c, rhs.copy()
+            for k in range(len(layers) - 2, 0, -1):  # layer k into layer k - 1
+                s, e, ps = layers[k], layers[k + 1], layers[k - 1]
+                t = pb[s:e] / d[s:e]
+                at = parent[s:e] - ps
+                d[ps:s] -= np.bincount(at, pb[s:e] * t, minlength=s - ps)
+                y[ps:s] += np.bincount(at, t * y[s:e], minlength=s - ps)
+            x = y / d
+            for s, e in zip(layers[1:-1], layers[2:]):
+                x[s:e] = (y[s:e] + pb[s:e] * x[parent[s:e]]) / d[s:e]
+        if ((d > 0.0) & (d < math.inf)).all() and np.isfinite(x).all():
+            return x
+    return None
 
 
 def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
@@ -416,9 +508,14 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
             eta = min(_ETA_MAX, abs(g_norm - r_norm) / g_last)
             if floor > 0.1:
                 eta = max(eta, floor)
-        d, its, r = _pcg(sys_, c, -g, opts.max_sweeps - sweeps, eta)
+        # an exact step on a forest, one sweep with no residual left
+        d = None if sys_.forest is None else _eliminate(sys_, c, -g)
+        if d is None:
+            d, its, r = _pcg(sys_, c, -g, opts.max_sweeps - sweeps, eta)
+            r_norm = np.sqrt(r @ r)
+        else:
+            its, r_norm = 1, 0.0
         sweeps += its
-        r_norm = np.sqrt(r @ r)
         # backtracking on E; where E cannot tell the points apart, a
         # smaller gradient decides instead
         e0, n0 = energy(u)

@@ -8,6 +8,7 @@ from nlresolvent import (
     finite_path,
     generate,
     lattice_z,
+    random_sparse,
 )
 
 
@@ -31,6 +32,13 @@ def lattice():
 def chain4():
     """Birth-death chain on N with b(n, n+1) = 4^n, m = 1."""
     return generate(GraphFamily("birth-death", {"rate": 4.0}))
+
+
+@pytest.fixture
+def cyclic():
+    """A connected random graph on 60 vertices with cycles: its Newton
+    steps run conjugate gradients, whose iterations a budget counts."""
+    return random_sparse(60, density=0.06, seed=0)
 
 
 @pytest.fixture

@@ -24,10 +24,12 @@ from nlresolvent import (
     GraphError,
     Potential,
     ProceduralGraph,
+    VertexFunction,
     WeightedGraph,
     ball,
     birth_death,
     classify,
+    energy,
     graph_to_json,
     identity,
     lattice_z,
@@ -115,6 +117,19 @@ def ref_assemble(g, order):
     m = np.array([g.measure(x) for x in order], dtype=float)
     deg = np.array([g.degree(x) for x in order], dtype=float)
     return rows, np.array(cols, dtype=np.intp), np.array(b, dtype=float), m, deg
+
+
+def ref_energy(g, u, v):
+    spt = set(u.support) | set(v.support)
+    acc = 0.0
+    for x in spt:
+        ux, vx = u(x), v(x)
+        for y, w in g.neighbors(x):
+            if w == 0.0:
+                continue
+            term = w * (ux - u(y)) * (vx - v(y))
+            acc += 0.5 * term if y in spt else term
+    return acc
 
 
 def ref_exhaustion(g, root, radii, max_vertices=None):
@@ -475,3 +490,20 @@ def test_validate_halves_a_failing_batch(counted, bad):
     assert counted["block"] <= 2 + len(bad) * (2 * len(probe).bit_length() + 1)
     assert report == validate(RuleGraph(0, tree_rule(2)), probe)
     assert report.failures == tuple(f"tree ids are nonnegative, got {x}" for x in bad if x < 0)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_energy_reads_its_support_in_one_block_call(counted, name):
+    # the same terms in the same order as the per-vertex reference, so
+    # the same bits; u and v have different supports, so both kinds of
+    # term (an edge inside the support, an edge leaving it) occur
+    array_graph, ref_graph, radii = FAMILIES[name]
+    g = array_graph()
+    outer, inner = ball(g, 0, radii[-1]), ball(g, 0, radii[-2])
+    rng = np.random.default_rng(len(outer))
+    u = VertexFunction(dict(zip(outer, rng.uniform(-1.0, 1.0, len(outer)).tolist())))
+    v = VertexFunction(dict(zip(inner, rng.uniform(-1.0, 1.0, len(inner)).tolist())))
+    counted["block"] = 0
+    got = energy(g, u, v)
+    assert counted == {"block": 1, "neighbors": 0}
+    assert struct.pack("<d", got) == struct.pack("<d", ref_energy(ref_graph(), u, v))

@@ -60,8 +60,8 @@ def test_validate_rejects_asymmetric_file(tmp_path, capsys):
 
 def test_solve_starved_of_sweeps_exits_3_with_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "run"
-    code, _, err = run_cli(capsys, "solve", "--graph", "lattice-z",
-                           "--f", "const:1", "--U", "ball:50",
+    code, _, err = run_cli(capsys, "solve", "--graph", CYCLIC,
+                           "--f", "const:1", "--U", "all",
                            "--max-sweeps", "3", "--out", str(out_dir))
     assert code == 3
     assert "did not converge" in err
@@ -73,21 +73,25 @@ def test_solve_starved_of_sweeps_exits_3_with_artifacts(tmp_path, capsys):
     assert result["sweeps"] == 3
 
 
-# a birth-death:4 exhaustion whose step 0 (radius 2) converges and whose
-# step 1 (radius 40) runs out of sweeps; the completed step's rows must
-# equal those of a run that stops at radius 2 (for verify-liouville: the
-# defect rows classify writes for it)
+# a graph with cycles, so that its Newton steps run conjugate gradients
+CYCLIC = "random-sparse:n=60,density=0.06,seed=0"
+
+
+# an exhaustion of CYCLIC whose step 0 (radius 1, 7 vertices) converges
+# and whose step 1 (radius 40, all 60) runs out of sweeps; the completed
+# step's rows must equal those of a run that stops at radius 1 (for
+# verify-liouville: the defect rows classify writes for it)
 @pytest.mark.parametrize("mode, args, ref_mode", [
     ("resolve", ("--f", "delta:0"), "resolve"),
     ("classify", ("--alpha", "1"), "classify"),
     ("verify-liouville", ("--alpha", "1"), "classify"),
 ], ids=["resolve", "classify", "verify-liouville"])
 def test_exit_3_keeps_completed_steps(tmp_path, capsys, mode, args, ref_mode):
-    common = ("--graph", "birth-death:4", "--max-sweeps", "8", *args)
-    code, _, _ = run_cli(capsys, mode, *common, "--radii", "2,40",
+    common = ("--graph", CYCLIC, "--max-sweeps", "8", *args)
+    code, _, _ = run_cli(capsys, mode, *common, "--radii", "1,40",
                          "--out", str(tmp_path / "cut"))
     assert code == 3
-    code, _, _ = run_cli(capsys, ref_mode, *common, "--radii", "2",
+    code, _, _ = run_cli(capsys, ref_mode, *common, "--radii", "1",
                          "--out", str(tmp_path / "step0"))
     assert code == 0
     rows = [(d / "trace.csv").read_text().splitlines()[1:]
@@ -102,8 +106,8 @@ def test_exit_3_keeps_completed_steps(tmp_path, capsys, mode, args, ref_mode):
 ], ids=["resolve", "classify", "verify-liouville"])
 def test_exit_3_writes_result_json(tmp_path, capsys, mode, args):
     out_dir = tmp_path / "cut"
-    code, _, err = run_cli(capsys, mode, "--graph", "birth-death:4", "--max-sweeps", "8",
-                           *args, "--radii", "2,40", "--out", str(out_dir))
+    code, _, err = run_cli(capsys, mode, "--graph", CYCLIC, "--max-sweeps", "8",
+                           *args, "--radii", "1,40", "--out", str(out_dir))
     assert code == 3
     result = json.loads((out_dir / "result.json").read_text())
     assert result == {"converged": False, "error": err.strip().removeprefix("error: ")}

@@ -27,6 +27,7 @@ from nlresolvent import (
     large_potential,
     linear_oracle,
     make_exhaustion,
+    odd_log,
     odd_power,
     path_criterion,
     symmetric_tree,
@@ -152,29 +153,30 @@ def test_short_schedule_is_inconclusive(lattice, unit_potential):
 
 
 def test_classify_propagates_solve_error(chain4, unit_potential, chain_ex):
+    # phi = t^3 needs more than one Newton step, each one sweep on the chain
     with pytest.raises(SolveError):
-        classify(chain4, unit_potential, ID, chain_ex, alpha_grid=(1.0,),
+        classify(chain4, unit_potential, odd_power(3.0), chain_ex, alpha_grid=(1.0,),
                  probes=(0,), opts=SolveOptions(max_sweeps=1))
 
 
-def test_classify_partial_keeps_completed_alphas_and_steps(chain4, unit_potential):
+def test_classify_partial_keeps_completed_alphas_and_steps(cyclic, unit_potential):
     # the budget is the sweeps that alpha 0.25 needs at its costliest step
-    # and alpha 4.0 at step 0 (radius 2), unbudgeted; alpha 4.0 needs more
-    # at step 1 (radius 10), and runs out there
-    nl, probes = odd_power(3.0), (0, 1)
-    ex = make_exhaustion(chain4, 0, [2, 10])
-    need = {a: [s.sweeps for s in conservation_defect(chain4, unit_potential, nl, a, ex,
+    # and alpha 4.0 at step 0 (radius 1), unbudgeted; alpha 4.0 needs more
+    # at step 1 (radius 40), and runs out there
+    nl, probes = odd_log(), (0, 10)  # 10 is a neighbor of 0
+    ex = make_exhaustion(cyclic, 0, [1, 40])
+    need = {a: [s.sweeps for s in conservation_defect(cyclic, unit_potential, nl, a, ex,
                                                       probes=probes).resolvent.steps]
             for a in (0.25, 4.0)}
     budget = max(*need[0.25], need[4.0][0])
     assert need[4.0][1] > budget
     opts = SolveOptions(max_sweeps=budget)
     with pytest.raises(SolveError) as info:
-        classify(chain4, unit_potential, nl, ex, alpha_grid=(0.25, 4.0),
+        classify(cyclic, unit_potential, nl, ex, alpha_grid=(0.25, 4.0),
                  probes=probes, opts=opts)
-    done = conservation_defect(chain4, unit_potential, nl, 0.25, ex, probes=probes, opts=opts)
-    cut = conservation_defect(chain4, unit_potential, nl, 4.0,
-                              make_exhaustion(chain4, 0, [2]), probes=probes, opts=opts)
+    done = conservation_defect(cyclic, unit_potential, nl, 0.25, ex, probes=probes, opts=opts)
+    cut = conservation_defect(cyclic, unit_potential, nl, 4.0,
+                              make_exhaustion(cyclic, 0, [1]), probes=probes, opts=opts)
     assert info.value.partial.csv_rows() == done.csv_rows() + cut.csv_rows()
     assert not hasattr(info.value.partial, "verdict")
 

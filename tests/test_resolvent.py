@@ -144,25 +144,28 @@ def test_negative_data_rejected(lattice, unit_potential):
 
 
 def test_unconverged_step_raises_solve_error(chain4, unit_potential):
+    # phi = t^3 needs more than one Newton step, each one sweep on the chain
     ex = make_exhaustion(chain4, 0, [6, 12])
     with pytest.raises(SolveError, match="exhaustion step"):
-        extended_resolvent(chain4, unit_potential, ID, lambda x: 1.0, ex,
+        extended_resolvent(chain4, unit_potential, odd_power(3.0), lambda x: 1.0, ex,
                            opts=SolveOptions(max_sweeps=1))
 
 
-def test_solve_error_carries_completed_steps(chain4, unit_potential):
+def test_solve_error_carries_completed_steps(cyclic, unit_potential):
+    # the graph has cycles, so a step's sweeps are CG iterations: 6 at
+    # radius 1 (7 vertices), more than 8 at radius 40 (all 60)
     opts = SolveOptions(max_sweeps=8)
-    f = VertexFunction.delta(0)
+    f = VertexFunction.delta(0)  # probe 10 is a neighbor of 0
     with pytest.raises(SolveError) as info:
-        extended_resolvent(chain4, unit_potential, ID, f,
-                           make_exhaustion(chain4, 0, [2, 40]), probes=[0, 1], opts=opts)
-    done = extended_resolvent(chain4, unit_potential, ID, f,
-                              make_exhaustion(chain4, 0, [2]), probes=[0, 1], opts=opts)
+        extended_resolvent(cyclic, unit_potential, ID, f,
+                           make_exhaustion(cyclic, 0, [1, 40]), probes=[0, 10], opts=opts)
+    done = extended_resolvent(cyclic, unit_potential, ID, f,
+                              make_exhaustion(cyclic, 0, [1]), probes=[0, 10], opts=opts)
     assert info.value.partial.csv_rows() == done.csv_rows()
     # nothing completed before a failure at step 0
     with pytest.raises(SolveError) as info:
-        extended_resolvent(chain4, unit_potential, ID, f,
-                           make_exhaustion(chain4, 0, [40]), opts=opts)
+        extended_resolvent(cyclic, unit_potential, ID, f,
+                           make_exhaustion(cyclic, 0, [40]), opts=opts)
     assert info.value.partial is None
 
 

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlresolvent import (
     ExplicitGraph,
@@ -149,8 +151,11 @@ def test_energy_functional_hand_value(pair, unit_potential):
 
 
 def test_non_convergence_is_flagged_not_raised(chain4, unit_potential):
+    # phi = t^3 needs more than one Newton step, each one sweep on the chain
     f = VertexFunction({k: 1.0 for k in range(12)})
-    res = solve_dirichlet(chain4, unit_potential, ID, f, list(range(12)),
+    nl = odd_power(3.0)
+    assert solve_dirichlet(chain4, unit_potential, nl, f, list(range(12))).sweeps_used > 1
+    res = solve_dirichlet(chain4, unit_potential, nl, f, list(range(12)),
                           opts=SolveOptions(max_sweeps=1))
     assert not res.converged
     assert res.sweeps_used == 1
@@ -341,19 +346,248 @@ def pcg_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    """For every _eliminate call, whether it solved the step."""
+    calls = []
+    eliminate = solver._eliminate
+
+    def counted_eliminate(sys_, c, rhs):
+        x = eliminate(sys_, c, rhs)
+        calls.append(x is not None)
+        return x
+
+    monkeypatch.setattr(solver, "_eliminate", counted_eliminate)
+    return calls
+
+
+def second_neighbor_lattice():
+    """Z with unit edges to the first and second neighbors: a graph with
+    cycles, so its Newton steps run conjugate gradients."""
+    return ProceduralGraph(0, lambda x: [(x - 2, 1.0), (x - 1, 1.0), (x + 1, 1.0), (x + 2, 1.0)])
+
+
 def test_quadratic_energy_takes_one_exact_step_per_exhaustion_step(pcg_calls, unit_potential):
-    g = symmetric_tree(2)
-    ex = make_exhaustion(g, 0, [4, 8, 12])
+    g = second_neighbor_lattice()
+    ex = make_exhaustion(g, 0, [6, 12, 25])
     est = extended_resolvent(g, unit_potential, ID, lambda x: 1.0, ex)
     assert pcg_calls == [[0.0]] * len(est.steps)
 
 
+def test_quadratic_energy_on_a_tree_takes_one_elimination_per_exhaustion_step(
+        pcg_calls, eliminations, unit_potential):
+    g = symmetric_tree(2)
+    ex = make_exhaustion(g, 0, [4, 8, 12])
+    est = extended_resolvent(g, unit_potential, ID, lambda x: 1.0, ex)
+    assert pcg_calls == [[]] * len(est.steps)
+    assert eliminations == [True] * len(est.steps)
+    assert [s.sweeps for s in est.steps] == [1] * len(est.steps)
+
+
 def test_later_newton_steps_take_eisenstat_walker_forcing_terms(pcg_calls, unit_potential):
-    g = lattice_z()
-    ex = make_exhaustion(g, 0, [12, 25, 50])
+    g = second_neighbor_lattice()
+    ex = make_exhaustion(g, 0, [6, 12, 25])
     extended_resolvent(g, unit_potential, odd_power(3.0), lambda x: 1.0, ex)
     assert len(pcg_calls) == 3
     for etas in pcg_calls:
         assert etas[0] == 0.0 and len(etas) > 1
         assert all(0.0 <= eta <= solver._ETA_MAX for eta in etas)
         assert any(eta > 0.0 for eta in etas)
+
+
+def test_newton_steps_on_a_tree_are_eliminations(pcg_calls, eliminations, unit_potential):
+    g = lattice_z()
+    ex = make_exhaustion(g, 0, [12, 25, 50])
+    est = extended_resolvent(g, unit_potential, odd_power(3.0), lambda x: 1.0, ex)
+    assert pcg_calls == [[]] * 3
+    assert len(eliminations) == sum(s.sweeps for s in est.steps) > 3
+    assert all(eliminations)
+
+
+# --- exact steps on forests: leaf-to-root elimination -------------------------
+
+
+def _forest_system(parent, b, excess):
+    """The _System of the forest with the given parent of each vertex (-1
+    at a root, parents first) and edge weights b(x, parent(x)); deg is
+    the sum of the forest weights plus ``excess``, the weight of the
+    edges that leave the set."""
+    n = len(parent)
+    kids = [x for x in range(n) if parent[x] >= 0]
+    entries = sorted([(x, parent[x], b[x]) for x in kids] + [(parent[x], x, b[x]) for x in kids])
+    rows = np.array([e[0] for e in entries], dtype=np.intp)
+    cols = np.array([e[1] for e in entries], dtype=np.intp)
+    ws = np.array([e[2] for e in entries], dtype=float)
+    deg = np.bincount(rows, ws, minlength=n) + np.asarray(excess, dtype=float)
+    ones = np.ones(n)
+    return solver._System(list(range(n)), rows, cols, ws, ones, deg, ones, ones, n)
+
+
+def _dense(sys_, c):
+    a = np.diag(sys_.deg + c)
+    np.subtract.at(a, (sys_.rows, sys_.cols), sys_.b)
+    return a
+
+
+def _bfs_layers(parent):
+    """The layer bounds of a forest given in breadth-first order, from
+    the depth of each vertex."""
+    depth = []
+    for p in parent:
+        depth.append(0 if p < 0 else depth[p] + 1)
+    return [0, *(i for i in range(1, len(depth)) if depth[i] != depth[i - 1]), len(depth)]
+
+
+@st.composite
+def forests(draw, bfs, leak):
+    """A forest with parents first, its weights, excess, c and rhs; in
+    breadth-first order (non-decreasing parents) when ``bfs``.  Weights
+    are log-uniform on 1e-8..1e8, and c and the excess are 0 at about a
+    third of the vertices.  The excess is positive at the roots, and
+    where ``leak`` it is 1% to 100% of the forest degree at every vertex
+    on top, which bounds the condition of the Jacobi-scaled matrix."""
+    n = draw(st.integers(1, 40))
+    roots = draw(st.integers(1, min(n, 3)))
+    parent = [-1] * roots
+    for x in range(roots, n):
+        lo = max(parent[-1], 0) if bfs else 0
+        parent.append(draw(st.integers(lo, x - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def weights(zeros):
+        return 10.0 ** rng.uniform(-8.0, 8.0, n) * (rng.random(n) >= zeros)
+
+    b = weights(0.0)
+    excess = np.where(np.array(parent) < 0, weights(0.0), weights(0.3))
+    if leak:
+        forest_deg = np.bincount(range(roots, n), b[roots:], minlength=n)
+        forest_deg += np.bincount(parent[roots:], b[roots:], minlength=n)
+        excess += forest_deg * rng.uniform(0.01, 1.0, n)
+    return parent, b.tolist(), excess, weights(0.3), rng.uniform(-1.0, 1.0, n)
+
+
+def _relative(x, y):
+    return np.max(np.abs(x - y)) / max(np.max(np.abs(y)), np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("bfs", [True, False], ids=["bfs", "parents-first"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_elimination_matches_a_dense_solve(bfs, data):
+    parent, b, excess, c, rhs = data.draw(forests(bfs, leak=True))
+    sys_ = _forest_system(parent, b, excess)
+    assert sys_.forest is not None
+    assert list(sys_.forest[0]) == parent
+    x = solver._eliminate(sys_, c, rhs)
+    assert x is not None
+    assert _relative(x, np.linalg.solve(_dense(sys_, c), rhs)) <= 1e-10
+
+
+@pytest.mark.parametrize("bfs", [True, False], ids=["bfs", "parents-first"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_elimination_is_backward_stable(bfs, data):
+    # without a leak at every vertex the forward error can reach 1e-4
+    # (for the dense solve as well), but each equation still holds to
+    # rounding: |(H x - rhs)(i)| against (|H| |x| + |rhs|)(i)
+    parent, b, excess, c, rhs = data.draw(forests(bfs, leak=False))
+    sys_ = _forest_system(parent, b, excess)
+    x = solver._eliminate(sys_, c, rhs)
+    h = _dense(sys_, c)
+    scale = np.abs(h) @ np.abs(x) + np.abs(rhs)
+    assert (np.abs(h @ x - rhs) <= 1e-14 * scale).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_loop_and_layered_elimination_agree(data):
+    parent, b, excess, c, rhs = data.draw(forests(bfs=True, leak=True))
+    sys_ = _forest_system(parent, b, excess)
+    _, pb, _ = sys_.forest
+    sys_.forest = (np.array(parent), pb, None)
+    loop = solver._eliminate(sys_, c, rhs)
+    sys_.forest = (np.array(parent), pb, _bfs_layers(parent))
+    layered = solver._eliminate(sys_, c, rhs)
+    assert _relative(layered, loop) <= 1e-12
+
+
+def test_exhaustion_forests_and_their_layers():
+    # wide breadth-first balls get their layer ends, thin ones the loop
+    ones = np.ones(2047)
+    ex = make_exhaustion(symmetric_tree(2), 0, [10])
+    sys_ = solver._System(ex.order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, ones, ones, 2047)
+    assert sys_.forest[2] == [0, *ex.ends]
+    ex = make_exhaustion(lattice_z(), 0, [50])
+    sys_ = solver._System(ex.order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, ones, ones, 101)
+    assert sys_.forest is not None and sys_.forest[2] is None
+
+
+def test_two_earlier_neighbors_are_not_a_forest():
+    # the path 0 - 1 - 2 given in the order 0, 2, 1: vertex 1 comes last
+    # and has both others before it; a cycle has such a vertex as well
+    g = finite_path(3)
+    for order in ([0, 2, 1], [1, 0, 2]):
+        xs = np.array(order)
+        rows, cols, b, m, deg = solver._assemble(xs, g.block(xs))
+        sys_ = solver._System(order, rows, cols, b, m, deg, m, m, 3)
+        assert (sys_.forest is None) == (order == [0, 2, 1])
+    ex = make_exhaustion(second_neighbor_lattice(), 0, [2])
+    ones = np.ones(5)
+    assert solver._System(ex.order, ex.rows, ex.cols, ex.b, ex.m, ex.deg,
+                          ones, ones, 5).forest is None
+
+
+@pytest.mark.parametrize("bad", [0.0, -3.0, math.inf, math.nan])
+def test_a_bad_pivot_gives_no_elimination(bad):
+    sys_ = _forest_system([-1, 0, 1, 1], [1.0] * 4, [1.0, 0.0, 0.0, 0.0])
+    c = np.zeros(4)
+    c[3] = bad - 1.0  # the pivot of vertex 3, a leaf, is deg + c = bad
+    assert solver._eliminate(sys_, c, np.ones(4)) is None
+    assert solver._eliminate(sys_, np.zeros(4), np.array([1.0, math.inf, 0.0, 0.0])) is None
+
+
+def test_a_zero_pivot_falls_back_to_pcg(pcg_calls, eliminations, unit_potential):
+    # vertex 2 is isolated with f = 0: deg = 0 and phi'(0) = 0 there
+    g = ExplicitGraph.from_edges([(0, 1, 1.0)], vertices=[2])
+    f = VertexFunction({0: 1.0})
+    res = solve_dirichlet(g, unit_potential, odd_power(3.0), f, [0, 1, 2])
+    assert res.converged and res.u(2) == 0.0
+    assert eliminations and not any(eliminations)
+    assert len(pcg_calls[0]) == len(eliminations)
+    ref = solve_dirichlet(g, unit_potential, _without_arrays(odd_power(3.0)), f, [0, 1, 2])
+    assert max(abs(res.u(x) - ref.u(x)) for x in (0, 1)) <= 1e-9
+
+
+def test_overflowing_data_spends_no_sweep(unit_potential):
+    # phi(1e120) overflows: the first step's right-hand side is not finite,
+    # so no step is taken, and none is counted
+    g = lattice_z()
+    res = solve_dirichlet(g, unit_potential, odd_power(3.0), VertexFunction({0: 1e120}),
+                          ball(g, 0, 2))
+    assert not res.converged
+    assert res.sweeps_used == 0
+
+
+@pytest.mark.parametrize("case", ["lattice-cubic", "tree-power3"])
+def test_elimination_agrees_with_pcg_at_every_step(monkeypatch, case, unit_potential):
+    # the solves of a classify run with W = 1 (data alpha W = alpha), by
+    # elimination and, with no forest found, by CG
+    if case == "lattice-cubic":
+        g, radii, alphas = lattice_z(), [12, 25, 50], (0.5, 1.0, 2.0)
+    else:
+        g, radii, alphas = symmetric_tree(2), [4, 8, 10], (1.0,)
+    ex = make_exhaustion(g, 0, radii)
+    probes = ex.order[:ex.sizes[0]]
+    tol = SolveOptions().residual_tol
+
+    def runs():
+        return [extended_resolvent(g, unit_potential, odd_power(3.0), lambda x: a, ex,
+                                   probes=probes) for a in alphas]
+
+    exact = runs()
+    monkeypatch.setattr(solver, "_forest", lambda *args: None)
+    inexact = runs()
+    for e, i in zip(exact, inexact):
+        assert [s.sweeps for s in e.steps] != [s.sweeps for s in i.steps]
+        for p in probes:
+            assert max(abs(a - b) for a, b in zip(e.values[p], i.values[p])) <= tol
