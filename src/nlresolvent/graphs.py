@@ -17,9 +17,10 @@ Besides the per-vertex ``neighbors``, ``measure`` and ``degree``, every
 graph answers :meth:`WeightedGraph.block`: the rows of a whole array of
 vertices at once, as numpy arrays.  Breadth-first balls, the solver's
 assembly, :func:`validate` and the graph writer read the graph through
-it, one call per breadth-first layer.  A procedural graph reads every
-row through its block rule, so a family whose rule works on arrays is
-materialized without a Python call per vertex, and a scalar
+it, one call per breadth-first layer, or one per ball where a
+procedural graph gives its balls in closed form.  A procedural graph
+reads every row through its block rule, so a family whose rule works on
+arrays is materialized without a Python call per vertex, and a scalar
 ``neighbors`` costs one block call.
 """
 
@@ -262,6 +263,17 @@ class ProceduralGraph(WeightedGraph):
     weighted degree of each vertex it covers, not the row: a scalar
     ``neighbors`` costs one block call.  The rule must be symmetric;
     :func:`validate` can spot-check that on any probe set.
+
+    ``ball_rule(root, radius, max_vertices)`` (keyword only, optional)
+    gives a ball in closed form, so :func:`ball` and
+    ``make_exhaustion`` need no search: ``order, ends``, where ``ends``
+    (int64) are the ball sizes at radii 0, 1, ... up to ``radius``,
+    fewer where the ball saturates, and stopping at the first ball of
+    more than ``max_vertices`` vertices; ``order`` is the ball of
+    ``ends[-1]`` vertices in breadth-first order (int64), or None where
+    that ball is over ``max_vertices``.  It returns None where it has
+    no closed form.  Its answer is checked against the rows it reads,
+    and a search replaces it where the two differ.
     """
 
     def __init__(
@@ -272,6 +284,7 @@ class ProceduralGraph(WeightedGraph):
         name: str = "procedural",
         *,
         block_rule: Callable[[np.ndarray], tuple] | None = None,
+        ball_rule: Callable[[int, int, int], tuple | None] | None = None,
     ):
         if (neighbor_rule is None) == (block_rule is None):
             raise TypeError("ProceduralGraph needs exactly one of neighbor_rule and block_rule")
@@ -281,6 +294,7 @@ class ProceduralGraph(WeightedGraph):
         self.root = int(root)
         self.name = name
         self._rule = block_rule
+        self._ball_rule = ball_rule
         self._m_rule = measure_rule
         self._deg: dict[int, float] = {}
         self._m: dict[int, float] = {}  # only where measure_rule is given
@@ -481,6 +495,86 @@ def _layers(g: WeightedGraph, root: int, blocks: list | None = None) -> Iterator
         layer = np.array(new, dtype=np.int64)
 
 
+def _ruled_ball(g: WeightedGraph, root: int, radius: int, cap: int):
+    """``order, ends`` of g's ball rule (see :class:`ProceduralGraph`),
+    with ``ends`` cut after the first ball over ``cap`` and ``order``
+    None there, or None where g has no rule, the rule gives no answer
+    or a malformed one, or raises GraphError (the search meets it again,
+    or the error before it).  No row is read."""
+    if not isinstance(g, ProceduralGraph) or g._ball_rule is None:
+        return None
+    try:
+        got = g._ball_rule(root, radius, cap)
+    except GraphError:
+        return None
+    if got is None:
+        return None
+    order, ends = got
+    ends = np.asarray(ends)
+    if not (ends.dtype == np.int64 and ends.ndim == 1 and 0 < ends.size <= radius + 1
+            and ends[0] == 1 and (np.diff(ends) > 0).all()):
+        return None
+    over = int(np.searchsorted(ends, cap, side="right"))
+    if over < ends.size:
+        return None, ends[:over + 1]
+    if not (isinstance(order, np.ndarray) and order.dtype == np.int64
+            and order.shape == (ends[-1],) and order[0] == root):
+        return None
+    return order, ends
+
+
+def _searched(ends: np.ndarray, radius: int) -> int:
+    """How many vertices of a ball with layer ends ``ends`` the search
+    to ``radius`` reads the rows of: all but the last layer, or all
+    where the ball saturates before ``radius``."""
+    if ends.size <= radius:
+        return int(ends[-1])
+    return int(ends[-2]) if ends.size > 1 else 0
+
+
+def _discovers(ends: np.ndarray, radius: int, src, ws, rows, cols) -> bool:
+    """Whether :func:`_layers` to ``radius`` finds exactly the layers
+    ``ends`` of a ball ``order``, given a block of its first vertices
+    (``src``, ``ws``, covering at least the rows the search reads) and
+    the block's edges with b > 0 into the ball (``rows`` ascending,
+    ``cols`` their targets' positions in ``order``).
+
+    The search reads rows in this order and keeps each target's first
+    occurrence.  So it agrees when every b > 0 target of a read row lies
+    in the ball, the targets' running maximum position climbs by at
+    most one at a time to the last vertex (each vertex then first occurs
+    in ball order, the root being seen from the start), and each vertex
+    first occurs in a row of the layer before its own.
+    """
+    n = _searched(ends, radius)
+    e = int(np.searchsorted(rows, n))
+    if np.count_nonzero(ws[:np.searchsorted(src, n)] > 0.0) != e:
+        return False
+    top = np.maximum.accumulate(cols[:e])
+    if (top[-1] if e else 0) != ends[-1] - 1 or (np.diff(top, prepend=0) > 1).any():
+        return False
+    first = np.searchsorted(top, np.arange(1, ends[-1]))
+    layer = np.repeat(np.arange(ends.size), np.diff(ends, prepend=0))
+    return np.array_equal(layer[rows[first]] + 1, layer[1:])
+
+
+def _rows_discover(g: WeightedGraph, order: np.ndarray, ends: np.ndarray, radius: int) -> bool:
+    """Whether the rows that the search to ``radius`` reads, taken in one
+    ``g.block`` call, discover the ball ``order`` with layer ends
+    ``ends``; False where reading them raises GraphError (the search
+    meets it again)."""
+    n = _searched(ends, radius)
+    if not n:
+        return True  # radius 0: the root alone
+    try:
+        src, ys, ws, *_ = g.block(order[:n])
+    except GraphError:
+        return False
+    cols = _positions(order, ys)
+    inside = (cols >= 0) & (ws > 0.0)
+    return _discovers(ends, radius, src, ws, src[inside], cols[inside])
+
+
 def _cap_exceeded(root: int, radius: int, cap: int) -> GraphError:
     return GraphError(
         f"materialization cap exceeded: ball({root}, {radius}) "
@@ -499,12 +593,22 @@ def ball(
     Returned in breadth-first discovery order (deterministic given the
     graph's neighbor order), so balls around the same root are nested
     as prefixes.  The search expands one layer per ``g.block`` call, so
-    the last layer's rows are never read.  Raises GraphError when the
-    materialization cap is exceeded.
+    the last layer's rows are never read.  Where g has a ball rule, one
+    ``g.block`` call reads the rows of every layer but the last, and
+    the search runs only where they do not discover the rule's ball.
+    Raises GraphError when the materialization cap is exceeded, before
+    any row is read where the rule gives the ball's size.
     """
     if radius < 0:
         raise GraphError(f"radius must be >= 0, got {radius}")
     cap = materialization_cap(max_vertices)
+    ruled = _ruled_ball(g, root, radius, cap)
+    if ruled is not None:
+        order, ends = ruled
+        if order is None:
+            raise _cap_exceeded(root, radius, cap)
+        if _rows_discover(g, order, ends, radius):
+            return order.tolist()
     out: list[np.ndarray] = []
     n = 0
     for layer in _layers(g, root):

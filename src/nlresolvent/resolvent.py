@@ -19,6 +19,7 @@ vertex, and it saves sweeps on the larger sets.
 
 from __future__ import annotations
 
+import contextlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable
@@ -26,7 +27,8 @@ from collections.abc import Callable, Iterable
 import numpy as np
 
 from .graphs import (
-    GraphError, VertexFunction, WeightedGraph, _cap_exceeded, _layers, materialization_cap,
+    GraphError, VertexFunction, WeightedGraph, _cap_exceeded, _discovers, _layers, _ruled_ball,
+    materialization_cap,
 )
 from .nonlinearity import Nonlinearity
 from .solver import (
@@ -97,10 +99,15 @@ def make_exhaustion(
     One breadth-first search runs to the largest radius, one
     ``g.block`` call per layer (the outermost layer's call supplies its
     rows to the assembly), and the layer ends it finds are kept as the
-    ball sizes at every radius.  The schedule must be non-empty and
-    strictly increasing.  A materialization cap hit, or a graph error
-    met while expanding a layer, is reported with the first radius
-    whose ball needs that layer.
+    ball sizes at every radius.  Where g has a ball rule (see
+    ``ProceduralGraph``), one ``g.block`` call reads the rule's whole
+    ball instead, and the search runs only where those rows do not
+    discover exactly the rule's layers, or reading them fails.  The
+    schedule must be non-empty and strictly increasing.  A
+    materialization cap hit, or a graph error met while expanding a
+    layer, is reported with the first radius whose ball needs that
+    layer; where the rule gives the ball sizes, a cap hit is reported
+    before any row is read.
     """
     r0 = g.root if root is None else int(root)
     radii = tuple(int(r) for r in schedule)
@@ -112,6 +119,17 @@ def make_exhaustion(
         if b <= a:
             raise ValueError(f"schedule must be strictly increasing, got {a} then {b}")
     cap = materialization_cap(max_vertices)
+    ruled = _ruled_ball(g, r0, radii[-1], cap)
+    if ruled is not None:
+        order, ends = ruled
+        if order is None:
+            r = radii[bisect_left(radii, ends.size - 1)]
+            raise GraphError(f"exhaustion step at radius {r}: {_cap_exceeded(r0, r, cap)}")
+        with contextlib.suppress(GraphError):  # the search below meets it again
+            src, _, ws, *_ = blk = g.block(order)
+            arrays = _assemble(order, blk)
+            if _discovers(ends, radii[-1], src, ws, *arrays[:2]):
+                return Exhaustion(r0, radii, tuple(ends.tolist()), tuple(order.tolist()), *arrays)
     blocks: list = []
     bfs = _layers(g, r0, blocks)
     layers = [next(bfs)]

@@ -82,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import VertexFunction, WeightedGraph, _ids, _positions, energy, laplacian_apply
+from .graphs import VertexFunction, WeightedGraph, _ids, _positions, energy
 from .nonlinearity import Nonlinearity, RangeError
 
 __all__ = [
@@ -686,12 +686,21 @@ def residual(
 
     A vertex where L u falls outside ran phi is reported as a range
     violation instead of a number; the sup is taken over the vertices
-    with a defined residual, and is NaN if any of them is NaN.
+    with a defined residual, and is NaN if any of them is NaN.  The
+    rows of U are read in one ``g.block`` call, and L u is summed in
+    row order as :func:`graphs.laplacian_apply` sums it.
     """
+    order = list(dict.fromkeys(U))
     values: dict[int, float] = {}
     violations: list[tuple[int, float]] = []
-    for x in dict.fromkeys(U):
-        lu = laplacian_apply(g, u, x)
+    lus: list[float] = []
+    if order:
+        src, ys, ws, m, _ = g.block(_ids(order))
+        ux = np.array([u(x) for x in order], dtype=float)
+        uy = np.array([u(y) for y in ys.tolist()], dtype=float)
+        # bincount adds each row's terms in order, from 0.0, as the scalar loop does
+        lus = (np.bincount(src, ws * (ux[src] - uy), minlength=len(order)) / m).tolist()
+    for x, lu in zip(order, lus):
         if not nl.contains(lu):
             violations.append((x, lu))
             continue

@@ -72,7 +72,11 @@ def _line_rows(xs: np.ndarray):
 
 
 def lattice_z() -> ProceduralGraph:
-    """The integer line with unit weights and unit measure; deg = 2 everywhere."""
+    """The integer line with unit weights and unit measure; deg = 2 everywhere.
+
+    Its balls are known in closed form: around x0, layer k is x0 - k,
+    then x0 + k.
+    """
 
     def rows(xs: np.ndarray):
         if xs.size:
@@ -80,7 +84,19 @@ def lattice_z() -> ProceduralGraph:
         src, ys = _line_rows(xs)
         return src, ys, np.ones(ys.size)
 
-    return ProceduralGraph(root=0, block_rule=rows, name="lattice-z")
+    def ball(root: int, radius: int, cap: int):
+        r = min(radius, (cap + 1) // 2)  # 2r + 1 vertices: the first ball over cap
+        _require_int64(root - r, root + r)
+        ends = 2 * np.arange(r + 1, dtype=np.int64) + 1
+        if ends[-1] > cap:
+            return None, ends
+        order = np.full(2 * r + 1, root, dtype=np.int64)
+        k = np.arange(1, r + 1, dtype=np.int64)
+        order[1::2] -= k
+        order[2::2] += k
+        return order, ends
+
+    return ProceduralGraph(root=0, block_rule=rows, ball_rule=ball, name="lattice-z")
 
 
 def finite_path(n: int) -> ExplicitGraph:
@@ -99,7 +115,9 @@ def birth_death(
 
     Vertex 0 has the single edge b_rule(0); vertex n >= 1 also sees
     b_rule(n-1) toward its parent, listed first.  b_rule is called once
-    per row entry, in row order, and m_rule once per vertex.
+    per row entry, in row order, and m_rule once per vertex.  The ball
+    of radius r around 0 is 0..r unless a weight below it is not
+    positive, which the rows read show.
     """
 
     def rows(xs: np.ndarray):
@@ -114,7 +132,14 @@ def birth_death(
         ws = np.array([float(b_rule(n)) for n in np.minimum(xs[src], ys).tolist()], dtype=float)
         return src, ys, ws
 
-    return ProceduralGraph(root=0, block_rule=rows, measure_rule=m_rule, name="birth-death")
+    def ball(root: int, radius: int, cap: int):
+        # 0..radius is over the cap only where no weight below it is 0: the search decides
+        if root != 0 or radius >= cap:
+            return None
+        return np.arange(radius + 1, dtype=np.int64), np.arange(1, radius + 2, dtype=np.int64)
+
+    return ProceduralGraph(root=0, block_rule=rows, ball_rule=ball, measure_rule=m_rule,
+                           name="birth-death")
 
 
 def geometric_chain(rate: float) -> ProceduralGraph:
@@ -130,7 +155,8 @@ def symmetric_tree(branching: int | Callable[[int], int]) -> ProceduralGraph:
     Vertices use breadth-first integer coding: depth d occupies the id
     block [offset_d, offset_{d+1}) where the block sizes follow the
     branching rule.  A constant int gives the usual k-ary tree.  A
-    vertex's row lists its parent first, then its children in order.
+    vertex's row lists its parent first, then its children in order, so
+    the ball of radius r around 0 is the id range [0, offset_{r+1}).
     """
     if isinstance(branching, int):
         k = branching
@@ -176,7 +202,16 @@ def symmetric_tree(branching: int | Callable[[int], int]) -> ProceduralGraph:
         ys[start[up]] = offs[du - 1] + i[up] // kk[du - 1]
         return src, ys, np.ones(src.size)
 
-    return ProceduralGraph(root=0, block_rule=rows, name="symmetric-tree")
+    def ball(root: int, radius: int, cap: int):
+        if root != 0:
+            return None
+        # offsets[d + 1] is the size of the ball of radius d
+        while len(offsets) < radius + 2 and offsets[-1] <= cap:
+            _grow()
+        ends = np.array(offsets[1:radius + 2], dtype=np.int64)
+        return (np.arange(ends[-1], dtype=np.int64) if ends[-1] <= cap else None), ends
+
+    return ProceduralGraph(root=0, block_rule=rows, ball_rule=ball, name="symmetric-tree")
 
 
 def complete_graph(n: int) -> ExplicitGraph:

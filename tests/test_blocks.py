@@ -31,15 +31,20 @@ from nlresolvent import (
     classify,
     energy,
     graph_to_json,
+    bounded_atan,
     identity,
+    laplacian_apply,
     lattice_z,
     make_exhaustion,
     materialization_cap,
+    odd_power,
+    residual,
     symmetric_tree,
     validate,
     write_graph_json,
 )
 from nlresolvent import cli
+from nlresolvent.nonlinearity import RangeError
 from nlresolvent.resolvent import _inner_ball
 
 # --- per-vertex reference --------------------------------------------------
@@ -449,16 +454,31 @@ def counted(monkeypatch):
 
 @pytest.mark.parametrize("grid", [(1.0,), DEFAULT_ALPHA_GRID], ids=["1-alpha", "5-alphas"])
 def test_exhaustion_and_classify_make_one_block_call_per_layer(counted, grid):
-    g = symmetric_tree(2)
+    g = ProceduralGraph(0, tree_rule(2))  # no ball rule: the search runs
     ex = make_exhaustion(g, 0, [4, 8, 10])
     classify(g, Potential.constant(1.0), identity(), ex, alpha_grid=grid)
     assert counted == {"block": 11, "neighbors": 0}  # layers 0..10
 
 
-def test_gen_reads_no_scalar_neighbors(counted, tmp_path, capsys):
+@pytest.mark.parametrize("grid", [(1.0,), DEFAULT_ALPHA_GRID], ids=["1-alpha", "5-alphas"])
+def test_exhaustion_and_classify_make_one_block_call_on_a_ruled_ball(counted, grid):
+    g = symmetric_tree(2)
+    ex = make_exhaustion(g, 0, [4, 8, 10])
+    classify(g, Potential.constant(1.0), identity(), ex, alpha_grid=grid)
+    assert counted == {"block": 1, "neighbors": 0}  # the whole ball of radius 10
+
+
+def test_gen_reads_no_scalar_neighbors(counted, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_generate", lambda spec, seed: ProceduralGraph(0, tree_rule(2)))
     assert cli.main(["gen", "--family", "tree:2", "--radii", "6", "--out", str(tmp_path)]) == 0
     # ball(6) expands layers 0..5, the writer reads all 127 rows at once
     assert counted == {"block": 7, "neighbors": 0}
+
+
+def test_gen_reads_a_ruled_ball_in_two_block_calls(counted, tmp_path, capsys):
+    assert cli.main(["gen", "--family", "tree:2", "--radii", "6", "--out", str(tmp_path)]) == 0
+    # ball(6) reads layers 0..5 in one call, the writer reads all 127 rows
+    assert counted == {"block": 2, "neighbors": 0}
 
 
 def test_scalar_neighbors_is_one_block_call(counted):
@@ -507,3 +527,164 @@ def test_energy_reads_its_support_in_one_block_call(counted, name):
     got = energy(g, u, v)
     assert counted == {"block": 1, "neighbors": 0}
     assert struct.pack("<d", got) == struct.pack("<d", ref_energy(ref_graph(), u, v))
+
+
+def ref_residual(g, W, nl, f, u, U):
+    # the per-vertex loop: one neighbors call per vertex of U
+    values, violations = {}, []
+    for x in dict.fromkeys(U):
+        lu = laplacian_apply(g, u, x)
+        if not nl.contains(lu):
+            violations.append((x, lu))
+            continue
+        try:
+            values[x] = nl.inverse(lu) + W(x) * u(x) - f(x)
+        except RangeError:
+            violations.append((x, lu))
+    return values, violations
+
+
+@pytest.mark.parametrize("nl", [identity(), odd_power(3.0), bounded_atan()],
+                         ids=["identity", "power:3", "atan"])
+@pytest.mark.parametrize("name", FAMILIES)
+def test_residual_reads_its_set_in_one_block_call(counted, name, nl):
+    # values, sup and range violations bit for bit those of the
+    # per-vertex loop; atan's bounded range makes some vertices violate
+    array_graph, ref_graph, radii = FAMILIES[name]
+    g = array_graph()
+    U = ball(g, 0, radii[-1])
+    rng = np.random.default_rng(len(U))
+    u = VertexFunction(dict(zip(U, rng.uniform(-2.0, 2.0, len(U)).tolist())))
+    f = VertexFunction(dict(zip(U[::2], rng.uniform(0.0, 1.0, len(U[::2])).tolist())))
+    W = Potential.constant(1.5)
+    counted["block"] = 0
+    rep = residual(g, W, nl, f, u, U + U[:3])
+    assert counted == {"block": 1, "neighbors": 0}
+    values, violations = ref_residual(ref_graph(), W, nl, f, u, U)
+    assert list(rep.values) == list(values)
+    assert [struct.pack("<d", v) for v in rep.values.values()] == [
+        struct.pack("<d", v) for v in values.values()]
+    assert rep.range_violations == tuple(violations)
+    sup = max((abs(v) for v in values.values()), default=0.0)
+    assert struct.pack("<d", rep.sup) == struct.pack("<d", sup)
+
+
+# --- closed-form balls ---------------------------------------------------------
+
+RULED = [name for name in FAMILIES if name != "scalar-rule"]
+
+
+@pytest.mark.parametrize("name", RULED)
+def test_a_ruled_ball_costs_one_block_call(counted, name):
+    # the rule's ball is taken, not searched again: the arrays are
+    # checked against the reference by the tests above
+    fast, _, radii = FAMILIES[name]
+    make_exhaustion(fast(), 0, radii)
+    assert counted == {"block": 1, "neighbors": 0}
+    for r in radii:
+        counted["block"] = 0
+        ball(fast(), 0, r)
+        assert counted["block"] == min(r, 1)
+
+
+@pytest.mark.parametrize("root", [-3, 7, 0])
+def test_lattice_balls_around_any_root(counted, root):
+    ref = RuleGraph(root, lattice_rule)
+    for radii in [(0,), (0, 4, 9), (2, 25)]:
+        counted["block"] = 0
+        ex = make_exhaustion(lattice_z(), root, radii)
+        assert counted["block"] == 1
+        sizes, order, arrays = ref_exhaustion(ref, root, radii)
+        assert (ex.sizes, ex.order) == (sizes, order)
+        assert ex.ends == tuple(range(1, 2 * radii[-1] + 2, 2))
+        for got, want in zip((ex.rows, ex.cols, ex.b, ex.m, ex.deg), arrays):
+            assert bits(got) == bits(want)
+        for r in radii:
+            assert ball(lattice_z(), root, r) == ref_ball(ref, root, r)
+    counted["block"] = 0
+    assert ball(lattice_z(), root, 0) == [root]
+    assert counted["block"] == 0
+
+
+def stops_at_7(n):
+    return 0.0 if n == 7 else 1.0
+
+
+def test_a_chain_with_a_zero_weight_stops_where_the_search_does():
+    g = birth_death(stops_at_7)
+    ex = make_exhaustion(g, 0, (3, 12))
+    sizes, order, arrays = ref_exhaustion(RuleGraph(0, chain_rule(stops_at_7)), 0, (3, 12))
+    assert (ex.sizes, ex.order, ex.ends) == (sizes, order, tuple(range(1, 9)))
+    for got, want in zip((ex.rows, ex.cols, ex.b, ex.m, ex.deg), arrays):
+        assert bits(got) == bits(want)
+    assert ball(birth_death(stops_at_7), 0, 12) == list(range(8))
+    assert ball(birth_death(stops_at_7), 0, 5) == list(range(6))
+
+
+def lattice_ball(root, radius, cap):
+    return lattice_z()._ball_rule(root, radius, cap)
+
+
+def swapped(root, radius, cap):
+    order, ends = lattice_ball(root, radius, cap)
+    order[[3, 4]] = order[[4, 3]]  # layer 2 as 2, -2
+    return order, ends
+
+
+def short(root, radius, cap):
+    order, ends = lattice_ball(root, min(radius, 3), cap)
+    return order, ends  # claims the ball saturates at radius 3
+
+
+def shifted(root, radius, cap):
+    order, ends = lattice_ball(root, radius, cap)
+    ends[1] -= 1  # right order, but x0 + 1 put in layer 2
+    return order, ends
+
+
+def extra(root, radius, cap):
+    order, ends = lattice_ball(root, radius, cap)
+    ends[-1] += 1  # an unreachable vertex in the last layer
+    return np.append(order, 99), ends
+
+
+def raises(root, radius, cap):
+    raise GraphError("no closed form")
+
+
+@pytest.mark.parametrize("rule", [swapped, short, shifted, extra, raises],
+                         ids=lambda rule: rule.__name__)
+def test_a_lying_ball_rule_gives_the_searched_ball(counted, rule):
+    g = ProceduralGraph(0, block_rule=as_block_rule(lattice_rule), ball_rule=rule)
+    ex = make_exhaustion(g, 0, (2, 6))
+    assert counted["block"] > 1  # the search ran
+    sizes, order, arrays = ref_exhaustion(RuleGraph(0, lattice_rule), 0, (2, 6))
+    assert (ex.sizes, ex.order, ex.ends) == (sizes, order, tuple(range(1, 14, 2)))
+    for got, want in zip((ex.rows, ex.cols, ex.b, ex.m, ex.deg), arrays):
+        assert bits(got) == bits(want)
+    for r in (2, 6):
+        assert ball(g, 0, r) == ref_ball(RuleGraph(0, lattice_rule), 0, r)
+
+
+@pytest.mark.parametrize("make, ref, radii, cap, at", [
+    (lambda: symmetric_tree(2), None, (4, 30), None, 30),
+    (lambda: symmetric_tree(2), lambda: RuleGraph(0, tree_rule(2)), (4, 8, 30), 100, 8),
+    (lambda: symmetric_tree(lambda d: 1 + d % 3),
+     lambda: RuleGraph(0, tree_rule(lambda d: 1 + d % 3)), (2, 9, 40), 500, 40),
+    (lattice_z, lambda: RuleGraph(0, lattice_rule), (5, 10**9), 1000, 10**9),
+], ids=["tree:2", "tree:2-small-cap", "tree:1+d%3", "lattice-z"])
+def test_a_ruled_cap_error_reads_no_row(counted, make, ref, radii, cap, at):
+    with pytest.raises(GraphError) as got:
+        make_exhaustion(make(), 0, radii, max_vertices=cap)
+    with pytest.raises(GraphError) as got_ball:
+        ball(make(), 0, at, max_vertices=cap)
+    assert counted["block"] == 0
+    want = (f"exhaustion step at radius {at}: materialization cap exceeded: "
+            f"ball(0, {at}) has more than {materialization_cap(cap)} vertices "
+            f"(set NLRESOLVENT_MAX_VERTICES to raise it)")
+    assert str(got.value) == want
+    assert str(got_ball.value) == want.partition(": ")[2]
+    if ref is not None:  # the search's text, where it is quick
+        with pytest.raises(GraphError) as searched:
+            ref_exhaustion(ref(), 0, radii, cap)
+        assert str(searched.value) == want
