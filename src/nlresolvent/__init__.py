@@ -9,118 +9,16 @@ oracles, and a batch CLI with reproducible CSV/JSON artifacts, round
 it out.
 """
 
-from .graphs import (
-    ExplicitGraph,
-    GraphError,
-    ProceduralGraph,
-    ValidationReport,
-    VertexFunction,
-    WeightedGraph,
-    ball,
-    edge_weight,
-    energy,
-    graph_from_json,
-    graph_to_json,
-    laplacian_apply,
-    materialization_cap,
-    validate,
-    write_graph_json,
-)
-from .nonlinearity import (
-    ArrayForms,
-    Nonlinearity,
-    Phi_numeric,
-    RangeError,
-    bounded_atan,
-    identity,
-    odd_log,
-    odd_power,
-    parse_phi,
-    phi_inv_numeric,
-)
-from .solver import (
-    Potential,
-    ResidualReport,
-    SolveError,
-    SolveOptions,
-    SolveResult,
-    energy_functional,
-    residual,
-    solve_dirichlet,
-)
-from .resolvent import (
-    CSV_HEADER,
-    Exhaustion,
-    ResolventEstimate,
-    StepRecord,
-    doubling_schedule,
-    extended_resolvent,
-    make_exhaustion,
-)
-from .completeness import (
-    CLASSIFY_CSV_HEADER,
-    DEFAULT_ALPHA_GRID,
-    TRUNCATION_NOTE,
-    VERDICT_COMPLETE,
-    VERDICT_INCOMPLETE,
-    VERDICT_INCONCLUSIVE,
-    ClassificationReport,
-    DefectEstimate,
-    LiouvilleReport,
-    PathCriterionReport,
-    Thresholds,
-    classify,
-    conservation_defect,
-    default_probes,
-    large_potential,
-    path_criterion,
-    verify_liouville,
-)
-from .testkit import (
-    GraphFamily,
-    birth_death,
-    brute_force_minimizer,
-    complete_graph,
-    family_from_spec,
-    finite_path,
-    generate,
-    geometric_chain,
-    lattice_z,
-    linear_oracle,
-    micro_suite,
-    random_sparse,
-    star,
-    symmetric_tree,
-)
+from . import completeness, graphs, nonlinearity, resolvent, solver, testkit
+from .graphs import *  # noqa: F403
+from .nonlinearity import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .resolvent import *  # noqa: F403
+from .completeness import *  # noqa: F403
+from .testkit import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # graphs
-    "GraphError", "WeightedGraph", "ExplicitGraph", "ProceduralGraph",
-    "VertexFunction", "ValidationReport", "ball", "edge_weight", "energy",
-    "graph_from_json", "graph_to_json", "laplacian_apply",
-    "materialization_cap", "validate", "write_graph_json",
-    # nonlinearity
-    "ArrayForms", "Nonlinearity", "RangeError", "identity", "odd_power", "odd_log",
-    "bounded_atan", "parse_phi", "phi_inv_numeric", "Phi_numeric",
-    # solver
-    "Potential", "SolveOptions", "SolveResult", "SolveError",
-    "ResidualReport", "solve_dirichlet", "energy_functional", "residual",
-    # resolvent
-    "CSV_HEADER", "Exhaustion", "StepRecord", "ResolventEstimate",
-    "doubling_schedule", "make_exhaustion", "extended_resolvent",
-    # completeness
-    "CLASSIFY_CSV_HEADER", "DEFAULT_ALPHA_GRID", "TRUNCATION_NOTE",
-    "VERDICT_COMPLETE", "VERDICT_INCOMPLETE", "VERDICT_INCONCLUSIVE", "Thresholds",
-    "DefectEstimate", "ClassificationReport", "PathCriterionReport",
-    "LiouvilleReport", "conservation_defect", "classify",
-    "default_probes", "path_criterion",
-    "large_potential", "verify_liouville",
-    # testkit
-    "GraphFamily", "generate", "family_from_spec", "lattice_z",
-    "finite_path", "birth_death", "geometric_chain", "symmetric_tree",
-    "complete_graph", "star", "random_sparse", "linear_oracle",
-    "brute_force_minimizer", "micro_suite",
-]
+# each module's __all__, re-exported as is
+__all__ = ["__version__", *(name for mod in (graphs, nonlinearity, solver, resolvent,
+                                             completeness, testkit) for name in mod.__all__)]

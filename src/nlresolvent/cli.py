@@ -52,12 +52,14 @@ from .graphs import (
 from .nonlinearity import Nonlinearity, RangeError, parse_phi
 from .resolvent import (
     CSV_HEADER,
-    _probe_list,
+    _probe_index,
     doubling_schedule,
     extended_resolvent,
     make_exhaustion,
 )
-from .solver import Potential, SolveError, SolveOptions, _require_positive, solve_dirichlet
+from .solver import (
+    Potential, SolveError, SolveOptions, _Ratio, _require_positive, solve_dirichlet,
+)
 from .testkit import family_from_spec, generate
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
@@ -277,7 +279,7 @@ def _parse_potential(cfg: RunConfig, g: WeightedGraph, nl: Nonlinearity) -> Pote
     if head == "const":
         return Potential.constant(c)
     if head == "degm":
-        return Potential.from_callable(lambda x: g.degree(x) / g.measure(x) + c, W0=c)
+        return Potential(_Ratio(c, g), W0=c)
     raise CliError(f"unknown potential spec {spec!r}")
 
 
@@ -302,7 +304,7 @@ def _parse_f(cfg: RunConfig):
             c = float(rest)
         except ValueError:
             raise CliError(f"bad const spec {spec!r}") from None
-        return lambda x: c
+        return _Ratio(c)
     raise CliError(f"unknown f spec {spec!r}")
 
 
@@ -368,7 +370,7 @@ def _probes_on(spec: str | tuple[int, ...], cfg: RunConfig, g: WeightedGraph, ex
         return default_probes(g, ex, seed=cfg.seed)
     if spec == "root":
         return (ex.root,)
-    return tuple(_probe_list(ex, spec))
+    return tuple(_probe_index(ex, spec))
 
 
 def _parse_alpha_grid(cfg: RunConfig) -> tuple[float, ...]:

@@ -26,12 +26,12 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .graphs import VertexFunction, WeightedGraph, edge_weight, laplacian_apply
+from .graphs import VertexFunction, WeightedGraph, _ids, _rows, laplacian_apply
 from .nonlinearity import Nonlinearity
 from .resolvent import (
-    CSV_HEADER, Exhaustion, ResolventEstimate, _extend, _inner_ball, _probe_list, _trace_rows,
+    CSV_HEADER, Exhaustion, ResolventEstimate, _extend, _inner_ball, _probe_index, _trace_rows,
 )
-from .solver import Potential, SolveError, SolveOptions, _require_positive, _sample
+from .solver import Potential, SolveError, SolveOptions, _Ratio, _require_positive, _sample
 
 __all__ = [
     "CLASSIFY_CSV_HEADER",
@@ -160,8 +160,8 @@ def conservation_defect(
     of an unconverged solve would certify nothing.
     """
     alpha = _alpha(alpha)
-    probe_list = _probe_list(ex, probes)
-    return _defect(alpha, ex, nl, W.W0, _sample(ex.order, W.fn), probe_list, opts)
+    w = _sample(g, W.fn, ex.order, ex.m, ex.deg)
+    return _defect(alpha, ex, nl, W.W0, w, _probe_index(ex, probes), opts)
 
 
 def _alpha(alpha: float) -> float:
@@ -184,13 +184,13 @@ def _alpha_grid(alpha_grid: Iterable[float] | None) -> tuple[float, ...]:
 
 
 def _defect(alpha: float, ex: Exhaustion, nl: Nonlinearity, W0: float, w: np.ndarray,
-            probe_list: list[int], opts: SolveOptions | None) -> DefectEstimate:
+            at: dict[int, int], opts: SolveOptions | None) -> DefectEstimate:
     """conservation_defect with W already sampled on ``ex.order``: the
     data alpha*W is ``alpha * w``, which is bitwise alpha * W(x)."""
     with np.errstate(all="ignore"):
         fv = alpha * w
     try:
-        est = _extend(ex, nl, W0, w, fv, probe_list, opts)
+        est = _extend(ex, nl, W0, w, fv, at, opts)
     except SolveError as exc:
         if exc.partial is not None:
             exc.partial = _defect_estimate(alpha, exc.partial)
@@ -294,14 +294,14 @@ def classify(
     """
     grid = _alpha_grid(alpha_grid)
     th = thresholds or Thresholds()
-    probe_list = _probe_list(
+    at = _probe_index(
         ex, tuple(probes) if probes is not None else default_probes(g, ex, seed=seed))
-    w = _sample(ex.order, W.fn)
+    w = _sample(g, W.fn, ex.order, ex.m, ex.deg)
 
     done: list[DefectEstimate] = []
     for a in grid:
         try:
-            done.append(_defect(a, ex, nl, W.W0, w, probe_list, opts))
+            done.append(_defect(a, ex, nl, W.W0, w, at, opts))
         except SolveError as exc:
             if exc.partial is not None:
                 done.append(exc.partial)
@@ -374,7 +374,8 @@ def path_criterion(
     """Evaluate S_N = sum_{k=1..N} m(x_k) phi(alpha W(x_k)) / deg(x_k).
 
     ``path`` must yield at least N+1 vertices with consecutive pairs
-    joined by an edge of positive weight; alpha must lie in (0, 1].
+    joined by an edge of positive weight; alpha must lie in (0, 1].  Its
+    rows, measures and degrees are read in one ``g.block`` call.
     The diagnosis reports either a divergent trend (partial sums still
     growing, with the conditional per-term floor phi(alpha*W0)/C for
     the observed C = max deg/m) or stalled partial sums, which are
@@ -395,17 +396,16 @@ def path_criterion(
             raise ValueError(
                 f"path ended after {len(verts)} vertices; need {n_terms + 1}"
             ) from None
-    for a, b in zip(verts, verts[1:]):
-        if edge_weight(g, a, b) <= 0.0:
+    src, ys, ws, ms, degs = g.block(_ids(verts))
+    for a, b, row in zip(verts, verts[1:], _rows(src, ys, ws, len(verts))):
+        if next((w for y, w in row if y == b), 0.0) <= 0.0:
             raise ValueError(f"invalid path: {a} and {b} are not adjacent")
 
     terms: list[float] = []
     sums: list[float] = []
     acc = 0.0
     ratio_max = 0.0
-    for x in verts[1:]:
-        m = g.measure(x)
-        deg = g.degree(x)
+    for x, m, deg in zip(verts[1:], ms.tolist()[1:], degs.tolist()[1:]):
         ratio = deg / m
         if ratio > ratio_max:
             ratio_max = ratio
@@ -452,8 +452,7 @@ def large_potential(g: WeightedGraph, nl: Nonlinearity) -> Potential:
     For a bounded-above phi, vertices with deg/m outside ran phi raise
     the range error from the inversion.
     """
-    return Potential.from_callable(
-        lambda x: nl.inverse(g.degree(x) / g.measure(x)) + 1.0, W0=1.0)
+    return Potential(_Ratio(1.0, g, nl.inverse), W0=1.0)
 
 
 @dataclass(frozen=True)
@@ -500,13 +499,14 @@ def verify_liouville(
     """
     probe_list = tuple(probes) if probes is not None else default_probes(g, ex, seed=seed)
     est = conservation_defect(g, W, nl, alpha, ex, probes=probe_list, opts=opts)
-    u = VertexFunction(dict(zip(ex.order, est.resolvent.u.tolist())))
+    u = VertexFunction(dict(zip(ex.order.tolist(), est.resolvent.u.tolist())))
 
-    interior = set(_inner_ball(ex, max(ex.radii[-1] - 2, 0)))
+    # the interior probes are those in the ball of radius R - 2
+    inner = ex.ends[min(max(ex.radii[-1] - 2, 0), len(ex.ends) - 1)]
     used: list[int] = []
     skipped: list[int] = []
-    for p in est.probes:
-        (used if p in interior else skipped).append(p)
+    for p, i in _probe_index(ex, est.probes).items():
+        (used if i < inner else skipped).append(p)
 
     wvals: dict[int, float] = {}
     residuals: dict[int, float] = {}

@@ -19,9 +19,10 @@ vertices at once, as numpy arrays.  Breadth-first balls, the solver's
 assembly, :func:`validate` and the graph writer read the graph through
 it, one call per breadth-first layer, or one per ball where a
 procedural graph gives its balls in closed form.  A procedural graph
-reads every row through its block rule, so a family whose rule works on
-arrays is materialized without a Python call per vertex, and a scalar
-``neighbors`` costs one block call.
+keeps no per-vertex state: it reads every row, measure and degree
+through its block rule, so a family whose rule works on arrays is
+materialized without a Python call per vertex, and each scalar
+``neighbors``, ``measure`` or ``degree`` costs one block call.
 """
 
 from __future__ import annotations
@@ -104,24 +105,26 @@ def materialization_cap(override: int | None = None) -> int:
 class WeightedGraph:
     """Interface shared by both backends.
 
-    Subclasses provide ``measure``, ``neighbors``, ``degree`` and a
-    ``root`` attribute; everything else in this module is written
-    against those four and :meth:`block`, which a subclass may compute
-    on whole arrays.
+    A subclass provides a ``root`` attribute and either :meth:`block`,
+    computed on whole arrays, or the three scalar readers ``measure``,
+    ``neighbors`` and ``degree``: each default reads the other side.
+    Everything else in this module is written against those four.
     """
 
     root: int
 
     def measure(self, x: int) -> float:
-        raise NotImplementedError
+        """The vertex measure m(x); this version is one block call on [x]."""
+        return self.block(_ids([x]))[3].tolist()[0]
 
     def neighbors(self, x: int) -> tuple[tuple[int, float], ...]:
         """All (y, b(x, y)) pairs with a stored edge at x, fixed order."""
-        raise NotImplementedError
+        _, ys, ws, _, _ = self.block(_ids([x]))
+        return tuple(zip(ys.tolist(), ws.tolist()))
 
     def degree(self, x: int) -> float:
-        """Weighted degree sum_y b(x, y); cached per vertex."""
-        raise NotImplementedError
+        """Weighted degree sum_y b(x, y); this version is one block call on [x]."""
+        return self.block(_ids([x]))[4].tolist()[0]
 
     def block(self, xs: np.ndarray):
         """The rows of the vertices xs (an int64 array) in one call.
@@ -142,7 +145,7 @@ class WeightedGraph:
 
 def _pack(rows: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``src, ys, ws`` of a list of rows of (y, b) pairs, one row per vertex."""
-    src = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    src = np.arange(len(rows)).repeat([len(r) for r in rows])
     ys = _ids([y for r in rows for y, _ in r])
     ws = np.array([w for r in rows for _, w in r], dtype=float)
     return src, ys, ws
@@ -259,10 +262,10 @@ class ProceduralGraph(WeightedGraph):
     default).
 
     Every row is read through :meth:`block`, which checks it (no
-    self-loop, no negative weight) and memoizes the measure and the
-    weighted degree of each vertex it covers, not the row: a scalar
-    ``neighbors`` costs one block call.  The rule must be symmetric;
-    :func:`validate` can spot-check that on any probe set.
+    self-loop, no negative weight) and keeps nothing: a scalar
+    ``neighbors``, ``measure`` or ``degree`` costs one block call.  The
+    rule must be symmetric; :func:`validate` can spot-check that on any
+    probe set.
 
     ``ball_rule(root, radius, max_vertices)`` (keyword only, optional)
     gives a ball in closed form, so :func:`ball` and
@@ -296,8 +299,6 @@ class ProceduralGraph(WeightedGraph):
         self._rule = block_rule
         self._ball_rule = ball_rule
         self._m_rule = measure_rule
-        self._deg: dict[int, float] = {}
-        self._m: dict[int, float] = {}  # only where measure_rule is given
 
     def block(self, xs: np.ndarray):
         xs = _ids(xs)
@@ -309,30 +310,12 @@ class ProceduralGraph(WeightedGraph):
             if y == x:
                 raise GraphError(f"neighbor rule produced a self-loop at {x}")
             raise GraphError(f"neighbor rule produced b({x},{y}) = {w} < 0")
-        counts = np.bincount(src, minlength=xs.size)
-        deg = _row_sums(src, ws, counts)
-        xl = xs.tolist()
+        deg = _row_sums(src, ws, np.bincount(src, minlength=xs.size))
         if self._m_rule is None:
             m = np.ones(xs.size)
         else:
-            m = np.array([float(self._m_rule(x)) for x in xl], dtype=float)
-            self._m.update(zip(xl, m.tolist()))
-        self._deg.update(zip(xl, deg.tolist()))
+            m = np.array([float(self._m_rule(x)) for x in xs.tolist()], dtype=float)
         return src, ys, ws, m, deg
-
-    def measure(self, x: int) -> float:
-        if x not in self._deg:
-            self.block(_ids([x]))
-        return 1.0 if self._m_rule is None else self._m[x]
-
-    def neighbors(self, x: int) -> tuple[tuple[int, float], ...]:
-        _, ys, ws, _, _ = self.block(_ids([x]))
-        return tuple(zip(ys.tolist(), ws.tolist()))
-
-    def degree(self, x: int) -> float:
-        if x not in self._deg:
-            self.block(_ids([x]))
-        return self._deg[x]
 
 
 def _row_sums(src: np.ndarray, ws: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -433,13 +416,15 @@ def laplacian_apply(g: WeightedGraph, u: VertexFunction, x: int) -> float:
     """Evaluate (L u)(x) = (1/m(x)) * sum_y b(x, y) (u(x) - u(y)).
 
     The sum runs over the stored neighbors of x, which covers every
-    nonzero term because u is finitely supported.
+    nonzero term because u is finitely supported.  The row and m(x) are
+    read in one ``g.block`` call.
     """
+    _, ys, ws, m, _ = g.block(_ids([x]))
     ux = u(x)
     acc = 0.0
-    for y, w in g.neighbors(x):
+    for y, w in zip(ys.tolist(), ws.tolist()):
         acc += w * (ux - u(y))
-    return acc / g.measure(x)
+    return acc / m.tolist()[0]
 
 
 def energy(g: WeightedGraph, u: VertexFunction, v: VertexFunction) -> float:
@@ -630,28 +615,33 @@ def validate(g: WeightedGraph, probe: Iterable[int]) -> ValidationReport:
     materialized if needed).  A graph other than an ExplicitGraph is
     read in block calls, on the probe and then on its neighbors (two
     calls when every vertex reads cleanly); a vertex they did not cover
-    is read through ``neighbors``.  Every row read is kept for the
-    length of the call.
+    is read through ``measure``, ``neighbors`` and ``degree``.  What is
+    read is kept for the length of the call.
     """
     probe = list(probe)
-    rows: dict[int, tuple[tuple[int, float], ...]] = {}
+    rows: dict[int, tuple] = {}  # x -> (row of x, m(x), deg(x)), as read
     if not isinstance(g, ExplicitGraph):
         # a vertex that fails here fails again, where it is met, below
         with contextlib.suppress(GraphError):
             ys = _read_rows(g, _ids(probe), rows)
             _read_rows(g, np.unique(ys), rows)
 
+    def read(x: int) -> tuple:
+        if x not in rows:
+            m = g.measure(x)
+            rows[x] = (g.neighbors(x), m, g.degree(x))
+        return rows[x]
+
     failures: list[str] = []
     for x in probe:
         try:
-            m = g.measure(x)
+            nbrs, m, deg = read(x)
         except GraphError as exc:
             failures.append(str(exc))
             continue
         if not math.isfinite(m) or m <= 0.0:
             failures.append(f"measure positivity at {x}: m({x}) = {m!r}")
-        nbrs = rows[x] if x in rows else rows.setdefault(x, g.neighbors(x))
-        if not math.isfinite(g.degree(x)):
+        if not math.isfinite(deg):
             failures.append(f"degree at {x} is not finite")
         for y, w in nbrs:
             if y == x:
@@ -660,11 +650,7 @@ def validate(g: WeightedGraph, probe: Iterable[int]) -> ValidationReport:
             if not math.isfinite(w) or w < 0.0:
                 failures.append(f"weight at ({x},{y}): b = {w!r}")
                 continue
-            back = 0.0  # edge_weight(g, y, x), from the kept rows
-            for z, v in rows[y] if y in rows else rows.setdefault(y, g.neighbors(y)):
-                if z == x:
-                    back = v
-                    break
+            back = next((v for z, v in read(y)[0] if z == x), 0.0)  # b(y, x)
             if back != w:
                 failures.append(
                     f"symmetry at ({x},{y}): b({x},{y}) = {w!r} but b({y},{x}) = {back!r}"
@@ -673,26 +659,27 @@ def validate(g: WeightedGraph, probe: Iterable[int]) -> ValidationReport:
 
 
 def _read_rows(g: WeightedGraph, xs: np.ndarray, rows: dict) -> np.ndarray:
-    """Keep the rows of xs that ``g.block`` reads without GraphError in
-    ``rows``, and return their neighbors with a finite b >= 0.  A batch
-    that fails is halved until its failing vertices stand alone, so k
-    of them cost O(k log |xs|) block calls, not one call per vertex."""
+    """Keep the row, measure and degree of each vertex of xs that
+    ``g.block`` reads without GraphError in ``rows``, and return their
+    neighbors with a finite b >= 0.  A batch that fails is halved until
+    its failing vertices stand alone, so k of them cost O(k log |xs|)
+    block calls, not one call per vertex."""
     try:
-        src, ys, ws, _, _ = g.block(xs)
+        src, ys, ws, m, deg = g.block(xs)
     except GraphError:
         if xs.size < 2:
             return xs[:0]
         h = xs.size // 2
         return np.concatenate([_read_rows(g, xs[:h], rows), _read_rows(g, xs[h:], rows)])
-    rows.update(_rows(xs, src, ys, ws))
+    rows.update(zip(xs.tolist(), zip(_rows(src, ys, ws, xs.size), m.tolist(), deg.tolist())))
     return ys[np.isfinite(ws) & (ws >= 0.0)]
 
 
-def _rows(xs: np.ndarray, src: np.ndarray, ys: np.ndarray, ws: np.ndarray) -> dict:
-    """Each vertex of xs mapped to its row of a block, as ``neighbors`` gives it."""
-    ends = np.cumsum(np.bincount(src, minlength=xs.size)).tolist()
+def _rows(src: np.ndarray, ys: np.ndarray, ws: np.ndarray, n: int) -> list:
+    """The n rows of a block, as ``neighbors`` gives them."""
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
     pairs = list(zip(ys.tolist(), ws.tolist()))
-    return dict(zip(xs.tolist(), (tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))))
+    return [tuple(pairs[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def graph_from_json(doc: Mapping | str) -> ExplicitGraph:
@@ -755,7 +742,7 @@ def _edges(g: WeightedGraph, verts: list[int]) -> Iterator[tuple[int, int, float
 def graph_to_json(g: WeightedGraph, vertices: Iterable[int] | None = None) -> dict:
     """Serialize (a finite piece of) a graph to the JSON document form."""
     verts = _vertex_list(g, vertices)
-    rows = [{"id": x, "m": g.measure(x)} for x in verts]
+    rows = [{"id": x, "m": mx} for x, mx in zip(verts, g.block(_ids(verts))[3].tolist())]
     edges = [{"u": x, "v": y, "b": w} for x, y, w in _edges(g, verts)]
     return {"vertices": rows, "edges": edges}
 

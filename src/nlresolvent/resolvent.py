@@ -27,8 +27,8 @@ from collections.abc import Callable, Iterable
 import numpy as np
 
 from .graphs import (
-    GraphError, VertexFunction, WeightedGraph, _cap_exceeded, _discovers, _layers, _ruled_ball,
-    materialization_cap,
+    GraphError, VertexFunction, WeightedGraph, _cap_exceeded, _discovers, _ids, _layers,
+    _positions, _ruled_ball, materialization_cap,
 )
 from .nonlinearity import Nonlinearity
 from .solver import (
@@ -66,14 +66,15 @@ class Exhaustion:
     is the size of the ball of radius r, for every r up to the largest
     radius or until the ball saturates, which on a finite graph it does
     once it covers the root's component; ``sizes`` are the sizes at the
-    scheduled radii.  ``rows`` to ``deg`` hold the graph on ``order`` as
-    ``solver._assemble`` builds it, once per exhaustion.
+    scheduled radii.  ``order`` is an int64 array, and ``rows`` to
+    ``deg`` hold the graph on it as ``solver._assemble`` builds it, once
+    per exhaustion: these arrays are the only per-vertex store of a run.
     """
 
     root: int
     radii: tuple[int, ...]
     ends: tuple[int, ...]
-    order: tuple[int, ...]
+    order: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     b: np.ndarray
@@ -129,7 +130,7 @@ def make_exhaustion(
             src, _, ws, *_ = blk = g.block(order)
             arrays = _assemble(order, blk)
             if _discovers(ends, radii[-1], src, ws, *arrays[:2]):
-                return Exhaustion(r0, radii, tuple(ends.tolist()), tuple(order.tolist()), *arrays)
+                return Exhaustion(r0, radii, tuple(ends.tolist()), order, *arrays)
     blocks: list = []
     bfs = _layers(g, r0, blocks)
     layers = [next(bfs)]
@@ -153,14 +154,13 @@ def make_exhaustion(
     src = np.concatenate([blk[0] + k for blk, k in zip(blocks, [0, *ends[:-1]])])
     ys, ws, m, deg = (np.concatenate(parts) for parts in list(zip(*blocks))[1:])
     order = np.concatenate(layers)
-    return Exhaustion(r0, radii, tuple(ends), tuple(order.tolist()),
-                      *_assemble(order, (src, ys, ws, m, deg)))
+    return Exhaustion(r0, radii, tuple(ends), order, *_assemble(order, (src, ys, ws, m, deg)))
 
 
 def _inner_ball(ex: Exhaustion, radius: int) -> tuple[int, ...]:
     """``ball(g, ex.root, radius)`` for a radius up to the largest one,
     read off the exhaustion instead of searching the graph."""
-    return ex.order[:ex.ends[min(radius, len(ex.ends) - 1)]]
+    return tuple(ex.order[:ex.ends[min(radius, len(ex.ends) - 1)]].tolist())
 
 
 @dataclass(frozen=True)
@@ -244,22 +244,24 @@ def extended_resolvent(
     merely has not stabilized yet is not an error: the estimate's
     ``stabilization_error`` measures how far it is from it.
     """
-    probe_list = _probe_list(ex, probes)
-    return _extend(ex, nl, W.W0, _sample(ex.order, W.fn), _sample(ex.order, f), probe_list, opts)
+    at = _probe_index(ex, probes)
+    w, fv = (_sample(g, fn, ex.order, ex.m, ex.deg) for fn in (W.fn, f))
+    return _extend(ex, nl, W.W0, w, fv, at, opts)
 
 
-def _probe_list(ex: Exhaustion, probes: Iterable[int] | None) -> list[int]:
-    """The distinct probes, the root by default.  ValueError for none, and
-    for a probe outside the largest ball, whose values would read 0 at
-    every step."""
+def _probe_index(ex: Exhaustion, probes: Iterable[int] | None) -> dict[int, int]:
+    """The distinct probes, the root by default, each mapped to its index
+    in ``ex.order``.  ValueError for none, and for a probe outside the
+    largest ball, whose values would read 0 at every step."""
     probe_list = list(dict.fromkeys(probes)) if probes is not None else [ex.root]
     if not probe_list:
         raise ValueError("need at least one probe vertex")
-    for p in probe_list:
-        if p not in ex.order:
+    at = dict(zip(probe_list, _positions(ex.order, _ids(probe_list)).tolist()))
+    for p, i in at.items():
+        if i < 0:
             raise ValueError(f"probe {p} is outside the largest ball, "
                              f"of radius {ex.radii[-1]} around {ex.root}")
-    return probe_list
+    return at
 
 
 def _extend(
@@ -268,18 +270,19 @@ def _extend(
     W0: float,
     w: np.ndarray,
     fv: np.ndarray,
-    probe_list: list[int],
+    at: dict[int, int],
     opts: SolveOptions | None,
 ) -> ResolventEstimate:
-    """extended_resolvent with W and f already sampled on ``ex.order``."""
+    """extended_resolvent with W and f already sampled on ``ex.order``
+    and the probes mapped to their indices there (``_probe_index``)."""
     order = ex.order
     _check(order, ex.m, ex.deg, w, fv, W0)
     neg = np.flatnonzero(fv < 0.0)
     if neg.size:
-        raise ValueError(f"extended resolvent needs f >= 0, got f({order[neg[0]]}) = {fv[neg[0]]}")
+        x = int(order[neg[0]])
+        raise ValueError(f"extended resolvent needs f >= 0, got f({x}) = {fv[neg[0]]}")
 
-    values: dict[int, list[float]] = {p: [] for p in probe_list}
-    at = {p: order.index(p) for p in probe_list}
+    values: dict[int, list[float]] = {p: [] for p in at}
     steps: list[StepRecord] = []
     max_dec, resid, u = 0.0, 0.0, np.zeros(0)
 
@@ -298,8 +301,7 @@ def _extend(
                 )
             sweeps, resid, u = res.sweeps_used, res.residual_inf, res.u
             max_dec = max(max_dec, res.max_decrease)
-        for p in probe_list:
-            i = at[p]
+        for p, i in at.items():
             values[p].append(float(u[i]) if i < size else 0.0)
         steps.append(StepRecord(n=n, radius=r, set_size=size,
                                 sweeps=sweeps, residual_inf=resid))

@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
 import numpy as np
@@ -124,7 +124,7 @@ class Potential:
     @classmethod
     def constant(cls, c: float) -> "Potential":
         c = float(c)
-        return cls(fn=lambda x: c, W0=c)
+        return cls(fn=_Ratio(c), W0=c)
 
     @classmethod
     def from_callable(cls, fn: Callable[[int], float], W0: float) -> "Potential":
@@ -132,6 +132,23 @@ class Potential:
 
     def __call__(self, x: int) -> float:
         return self.fn(x)
+
+
+class _Ratio:
+    """The vertex function x -> h(deg(x)/m(x)) + c on g (h None: the
+    identity), or the constant c where g is None.  ``_sample`` evaluates
+    it on the measures and degrees it is handed, without reading g."""
+
+    def __init__(self, c: float, g: WeightedGraph | None = None,
+                 h: Callable[[float], float] | None = None):
+        self.c, self.g, self.h = c, g, h
+
+    def __call__(self, x: int) -> float:
+        if self.g is None:
+            return self.c
+        _, _, _, m, deg = self.g.block(_ids([x]))
+        t = deg.tolist()[0] / m.tolist()[0]
+        return (t if self.h is None else self.h(t)) + self.c
 
 
 @dataclass(frozen=True)
@@ -304,21 +321,32 @@ def _assemble(xs: np.ndarray, blk):
     return src[inside], cols[inside], ws[inside], m, deg
 
 
-def _sample(order: Sequence[int], fn: Callable[[int], float]) -> np.ndarray:
-    """fn on ``order`` as a float array, one call per vertex."""
-    return np.fromiter(map(fn, order), dtype=float, count=len(order))
+def _sample(g: WeightedGraph, fn: Callable[[int], float], xs: np.ndarray, m, deg) -> np.ndarray:
+    """fn on the vertices xs of g, whose measures and degrees are m and
+    deg, as a float array: one call per vertex, or for a ``_Ratio`` on g
+    (or a constant) one expression on the arrays, with the same bits."""
+    # where some m(x) = 0, the calls raise ZeroDivisionError as W(x) does
+    if isinstance(fn, _Ratio) and fn.g in (None, g) and m.all():
+        if fn.g is None:
+            return np.full(xs.size, fn.c)
+        with np.errstate(all="ignore"):  # inf and nan as the scalar floats give them
+            t = deg / m
+            if fn.h is not None:
+                t = np.fromiter(map(fn.h, t.tolist()), dtype=float, count=t.size)
+            return t + fn.c
+    return np.fromiter(map(fn, xs.tolist()), dtype=float, count=xs.size)
 
 
-def _check(order: Sequence[int], m, deg, w, f, W0: float) -> None:
+def _check(xs: np.ndarray, m, deg, w, f, W0: float) -> None:
     """Raise ValueError, naming the vertex, where m, deg, W or f is not
-    finite on ``order`` or W falls below W0."""
+    finite on the vertices xs or W falls below W0."""
     for name, arr in (("m", m), ("deg", deg), ("W", w), ("f", f)):
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
-            raise ValueError(f"{name}({order[bad[0]]}) = {float(arr[bad[0]])} is not finite")
+            raise ValueError(f"{name}({int(xs[bad[0]])}) = {float(arr[bad[0]])} is not finite")
     low = np.flatnonzero(w < W0)
     if low.size:
-        x = order[low[0]]
+        x = int(xs[low[0]])
         raise ValueError(f"W({x}) = {float(w[low[0]])} violates the certified bound W0 = {W0}")
 
 
@@ -361,7 +389,7 @@ class _System:
     ``forest`` is its ``_forest`` structure, or None.
     """
 
-    def __init__(self, order: Sequence[int], rows, cols, b, m, deg, w, f, n: int):
+    def __init__(self, order: np.ndarray, rows, cols, b, m, deg, w, f, n: int):
         self.order = order
         e = int(np.searchsorted(rows, n))
         keep = cols[:e] < n
@@ -393,7 +421,7 @@ class _System:
         r = np.abs(inv + self.w * u - self.f)[ok]
         sup = float(np.max(r, initial=0.0))
         scaled = float(np.max(r / (1.0 + np.abs(self.f[ok])), initial=0.0))
-        return sup, scaled, tuple(self.order[i] for i in np.flatnonzero(~ok))
+        return sup, scaled, tuple(self.order[np.flatnonzero(~ok)].tolist())
 
 
 def _pcg(sys_: _System, c: np.ndarray, rhs: np.ndarray, budget: int, eta: float):
@@ -645,9 +673,9 @@ def solve_dirichlet(
                            converged=True)
     xs = _ids(order)
     rows, cols, b, m, deg = _assemble(xs, g.block(xs))
-    w, fv = _sample(order, W.fn), _sample(order, f)
-    _check(order, m, deg, w, fv, W.W0)
-    sys_ = _System(order, rows, cols, b, m, deg, w, fv, len(order))
+    w, fv = _sample(g, W.fn, xs, m, deg), _sample(g, f, xs, m, deg)
+    _check(xs, m, deg, w, fv, W.W0)
+    sys_ = _System(xs, rows, cols, b, m, deg, w, fv, len(order))
     u0 = np.array([0.0 if start is None else start(x) for x in order], dtype=float)
     res = _solve(sys_, nl, W.W0, u0, opts)
     return SolveResult(VertexFunction(dict(zip(order, res.u.tolist()))), *res[1:])
@@ -664,13 +692,16 @@ def energy_functional(
     """E(u) = Q(u, u) + sum_{x in U union supp f} Phi(f(x) - W(x) u(x)) m(x) / W(x).
 
     Off U union supp f both u and f vanish, so the omitted terms are
-    Phi(0) = 0 and the sum is exact.
+    Phi(0) = 0 and the sum is exact.  The measures of that set are read
+    in one ``g.block`` call.
     """
     q = energy(g, u, u)
+    xs = list(set(U) | set(f.support))
+    ms = g.block(_ids(xs))[3].tolist() if xs else []
     acc = 0.0
-    for x in set(U) | set(f.support):
+    for x, mx in zip(xs, ms):
         wx = W(x)
-        acc += nl.antiderivative(f(x) - wx * u(x)) * g.measure(x) / wx
+        acc += nl.antiderivative(f(x) - wx * u(x)) * mx / wx
     return q + acc
 
 

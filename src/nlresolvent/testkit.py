@@ -26,6 +26,7 @@ from .graphs import (
     ProceduralGraph,
     VertexFunction,
     WeightedGraph,
+    _ids,
     _require_int64,
 )
 from .nonlinearity import Nonlinearity
@@ -344,7 +345,8 @@ def linear_oracle(
     Assembles the |U| x |U| system with diagonal deg(x)/m(x) + W(x) and
     off-diagonal -b(x,y)/m(x), then solves it by partially pivoted LU.
     The matrix is strictly diagonally dominant (W > 0), so singularity
-    would indicate a bug, not bad data.
+    would indicate a bug, not bad data.  The rows of U are read in one
+    ``g.block`` call.
     """
     u_list = list(dict.fromkeys(U))
     n = len(u_list)
@@ -355,15 +357,15 @@ def linear_oracle(
     index = {x: i for i, x in enumerate(u_list)}
     a = np.zeros((n, n))
     rhs = np.zeros(n)
-    for x in u_list:
-        i = index[x]
-        m = g.measure(x)
-        a[i, i] = g.degree(x) / m + W(x)
-        for y, w in g.neighbors(x):
-            j = index.get(y)
-            if j is not None and w > 0.0:
-                a[i, j] -= w / m
+    src, ys, ws, m, deg = g.block(_ids(u_list))
+    m = m.tolist()
+    for i, (x, mx, dx) in enumerate(zip(u_list, m, deg.tolist())):
+        a[i, i] = dx / mx + W(x)
         rhs[i] = f(x)
+    for i, y, w in zip(src.tolist(), ys.tolist(), ws.tolist()):
+        j = index.get(y)
+        if j is not None and w > 0.0:
+            a[i, j] -= w / m[i]
     sol = np.linalg.solve(a, rhs)
     return VertexFunction({x: float(sol[index[x]]) for x in u_list})
 

@@ -11,6 +11,7 @@ bit.
 import json
 import math
 import struct
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -29,15 +30,20 @@ from nlresolvent import (
     ball,
     birth_death,
     classify,
+    edge_weight,
     energy,
+    energy_functional,
     graph_to_json,
     bounded_atan,
     identity,
     laplacian_apply,
+    large_potential,
     lattice_z,
+    linear_oracle,
     make_exhaustion,
     materialization_cap,
     odd_power,
+    path_criterion,
     residual,
     symmetric_tree,
     validate,
@@ -252,7 +258,7 @@ def test_exhaustion_arrays_match_reference_bit_for_bit(name):
     ex = make_exhaustion(fast(), 0, radii)
     sizes, order, arrays = ref_exhaustion(ref(), 0, radii)
     assert ex.sizes == sizes
-    assert ex.order == order
+    assert tuple(ex.order.tolist()) == order
     for got, want in zip((ex.rows, ex.cols, ex.b, ex.m, ex.deg), arrays):
         assert bits(got) == bits(want)
 
@@ -460,11 +466,23 @@ def test_exhaustion_and_classify_make_one_block_call_per_layer(counted, grid):
     assert counted == {"block": 11, "neighbors": 0}  # layers 0..10
 
 
-@pytest.mark.parametrize("grid", [(1.0,), DEFAULT_ALPHA_GRID], ids=["1-alpha", "5-alphas"])
-def test_exhaustion_and_classify_make_one_block_call_on_a_ruled_ball(counted, grid):
+def constant_w(g):
+    return Potential.constant(1.0)
+
+
+def large_w(g):
+    return large_potential(g, identity())
+
+
+@pytest.mark.parametrize("grid, potential", [
+    ((1.0,), constant_w), (DEFAULT_ALPHA_GRID, constant_w),
+    ((1.0,), large_w), (DEFAULT_ALPHA_GRID, large_w),
+], ids=["1-alpha", "5-alphas", "1-alpha-large-potential", "5-alphas-large-potential"])
+def test_exhaustion_and_classify_make_one_block_call_on_a_ruled_ball(counted, grid, potential):
+    # W is sampled off the exhaustion's m and deg, not read from the graph
     g = symmetric_tree(2)
     ex = make_exhaustion(g, 0, [4, 8, 10])
-    classify(g, Potential.constant(1.0), identity(), ex, alpha_grid=grid)
+    classify(g, potential(g), identity(), ex, alpha_grid=grid)
     assert counted == {"block": 1, "neighbors": 0}  # the whole ball of radius 10
 
 
@@ -487,6 +505,41 @@ def test_scalar_neighbors_is_one_block_call(counted):
     counted["block"] = 0
     assert g.neighbors(200) == ((99, 1.0), (401, 1.0), (402, 1.0))
     assert counted == {"block": 1, "neighbors": 1}
+
+
+def test_path_criterion_reads_its_path_in_one_block_call(counted):
+    # the edge checks, m and deg of the 41 path vertices; the terms and
+    # sums are those of the per-vertex loop, bit for bit
+    W, nl = Potential.constant(1.0), identity()
+    rep = path_criterion(lattice_z(), W, nl, range(0, 50), 1.0, 40)
+    assert counted == {"block": 1, "neighbors": 0}
+    ref, terms, sums, acc = RuleGraph(0, lattice_rule), [], [], 0.0
+    for x in range(1, 41):
+        assert edge_weight(ref, x - 1, x) > 0.0
+        terms.append(ref.measure(x) * nl(1.0 * W(x)) / ref.degree(x))
+        acc += terms[-1]
+        sums.append(acc)
+    assert rep.vertices == tuple(range(41))
+    assert [struct.pack("<d", t) for t in rep.terms] == [struct.pack("<d", t) for t in terms]
+    assert [struct.pack("<d", t) for t in rep.partial_sums] == [
+        struct.pack("<d", t) for t in sums]
+    assert (rep.max_deg_over_m, rep.per_term_floor) == (2.0, 0.5)
+
+
+def test_a_graph_keeps_no_per_vertex_state():
+    # once the exhaustion is gone, nothing of its 32,767 vertices is left
+    # in the graph (a degree memo held about 3 MiB here)
+    tracemalloc.start()
+    try:
+        g = symmetric_tree(2)
+        ex = make_exhaustion(g, 0, [14])
+        assert ex.sizes == (32767,)
+        del ex
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.root == 0
+    assert kept < 64 * 1024
 
 
 def test_validate_reads_rows_in_two_block_calls(counted):
@@ -527,6 +580,55 @@ def test_energy_reads_its_support_in_one_block_call(counted, name):
     got = energy(g, u, v)
     assert counted == {"block": 1, "neighbors": 0}
     assert struct.pack("<d", got) == struct.pack("<d", ref_energy(ref_graph(), u, v))
+
+
+def ref_linear_oracle(g, W, f, U):
+    # the per-vertex assembly: one neighbors call per vertex of U
+    index = {x: i for i, x in enumerate(U)}
+    a, rhs = np.zeros((len(U), len(U))), np.zeros(len(U))
+    for x, i in index.items():
+        m = g.measure(x)
+        a[i, i] = g.degree(x) / m + W(x)
+        for y, w in g.neighbors(x):
+            if y in index and w > 0.0:
+                a[i, index[y]] -= w / m
+        rhs[i] = f(x)
+    return np.linalg.solve(a, rhs)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_set_readers_read_their_set_in_one_block_call(counted, name):
+    # laplacian_apply, the measure terms of energy_functional and
+    # linear_oracle add the per-vertex loops' terms in their order, so
+    # they give the same bits
+    array_graph, ref_graph, radii = FAMILIES[name]
+    g, ref = array_graph(), ref_graph()
+    U = ball(g, 0, radii[-2])
+    rng = np.random.default_rng(len(U))
+    u = VertexFunction(dict(zip(U, rng.uniform(0.0, 1.0, len(U)).tolist())))
+    f = VertexFunction(dict(zip(U[::2], rng.uniform(0.0, 1.0, len(U[::2])).tolist())))
+    W, nl, x = Potential.constant(1.5), odd_power(3.0), U[-1]
+
+    def calls(run, n):
+        counted["block"] = 0
+        out = run()
+        assert counted == {"block": n, "neighbors": 0}
+        return out
+
+    # left-to-right sums (the builtin sum compensates from Python 3.12 on)
+    lu = 0.0
+    for y, w in ref.neighbors(x):
+        lu += w * (u(x) - u(y))
+    lu /= ref.measure(x)
+    assert struct.pack("<d", calls(lambda: laplacian_apply(g, u, x), 1)) == struct.pack("<d", lu)
+    e = 0.0
+    for y in set(U) | set(f.support):
+        e += nl.antiderivative(f(y) - W(y) * u(y)) * ref.measure(y) / W(y)
+    e = ref_energy(ref, u, u) + e
+    got = calls(lambda: energy_functional(g, W, nl, f, u, U), 2)  # Q(u, u), then the measures
+    assert struct.pack("<d", got) == struct.pack("<d", e)
+    sol = calls(lambda: linear_oracle(g, W, f, U), 1)
+    assert bits(np.array([sol(y) for y in U])) == bits(ref_linear_oracle(ref, W, f, U))
 
 
 def ref_residual(g, W, nl, f, u, U):
@@ -595,7 +697,7 @@ def test_lattice_balls_around_any_root(counted, root):
         ex = make_exhaustion(lattice_z(), root, radii)
         assert counted["block"] == 1
         sizes, order, arrays = ref_exhaustion(ref, root, radii)
-        assert (ex.sizes, ex.order) == (sizes, order)
+        assert (ex.sizes, tuple(ex.order.tolist())) == (sizes, order)
         assert ex.ends == tuple(range(1, 2 * radii[-1] + 2, 2))
         for got, want in zip((ex.rows, ex.cols, ex.b, ex.m, ex.deg), arrays):
             assert bits(got) == bits(want)
@@ -614,7 +716,7 @@ def test_a_chain_with_a_zero_weight_stops_where_the_search_does():
     g = birth_death(stops_at_7)
     ex = make_exhaustion(g, 0, (3, 12))
     sizes, order, arrays = ref_exhaustion(RuleGraph(0, chain_rule(stops_at_7)), 0, (3, 12))
-    assert (ex.sizes, ex.order, ex.ends) == (sizes, order, tuple(range(1, 9)))
+    assert (ex.sizes, tuple(ex.order.tolist()), ex.ends) == (sizes, order, tuple(range(1, 9)))
     for got, want in zip((ex.rows, ex.cols, ex.b, ex.m, ex.deg), arrays):
         assert bits(got) == bits(want)
     assert ball(birth_death(stops_at_7), 0, 12) == list(range(8))
@@ -659,7 +761,7 @@ def test_a_lying_ball_rule_gives_the_searched_ball(counted, rule):
     ex = make_exhaustion(g, 0, (2, 6))
     assert counted["block"] > 1  # the search ran
     sizes, order, arrays = ref_exhaustion(RuleGraph(0, lattice_rule), 0, (2, 6))
-    assert (ex.sizes, ex.order, ex.ends) == (sizes, order, tuple(range(1, 14, 2)))
+    assert (ex.sizes, tuple(ex.order.tolist()), ex.ends) == (sizes, order, tuple(range(1, 14, 2)))
     for got, want in zip((ex.rows, ex.cols, ex.b, ex.m, ex.deg), arrays):
         assert bits(got) == bits(want)
     for r in (2, 6):

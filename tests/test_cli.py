@@ -313,6 +313,24 @@ def test_result_numbers_are_traceable_to_csv(tmp_path, capsys, mode):
             assert v in cells or any(c == -v for c in cells)
 
 
+@pytest.mark.parametrize("graph, radii", [("tree:2", [2, 4, 6]), ("birth-death:4", [5, 10, 20])])
+def test_degm_potential_traces_as_its_per_vertex_form(tmp_path, capsys, graph, radii):
+    # --W degm:1 samples deg/m + 1 off the exhaustion's arrays; the trace
+    # is the one the library writes for the per-vertex callable
+    code, _, _ = run_cli(capsys, "classify", "--graph", graph, "--W", "degm:1",
+                         "--radii", ",".join(map(str, radii)), "--alpha", "0.5,1",
+                         "--probes", "root", "--out", str(tmp_path / "cli"))
+    assert code == 0
+    g = cli._generate(graph, 0)
+    W = Potential.from_callable(lambda x: g.degree(x) / g.measure(x) + 1, W0=1)
+    rep = classify(g, W, identity(), make_exhaustion(g, g.root, radii),
+                   alpha_grid=[0.5, 1.0], probes=[g.root])
+    (tmp_path / "lib").mkdir()
+    cli._write_trace(str(tmp_path / "lib"), cli.CLASSIFY_CSV_HEADER, rep.csv_rows())
+    assert ((tmp_path / "cli" / "trace.csv").read_bytes()
+            == (tmp_path / "lib" / "trace.csv").read_bytes())
+
+
 def test_config_echo_includes_seed(tmp_path, capsys):
     out_dir = tmp_path / "run"
     run_cli(capsys, *CLASSIFY_ARGS, "--out", str(out_dir))

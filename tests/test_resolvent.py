@@ -56,8 +56,8 @@ def test_make_exhaustion_on_lattice(lattice):
     assert ex.sizes == (3, 5, 7)
     assert len(ex) == 3
     # nested as prefixes of the largest ball
-    assert ex.order == tuple(ball(lattice, 0, 3))
-    assert ex.order[: ex.sizes[0]] == tuple(ball(lattice, 0, 1))
+    assert tuple(ex.order.tolist()) == tuple(ball(lattice, 0, 3))
+    assert tuple(ex.order[: ex.sizes[0]].tolist()) == tuple(ball(lattice, 0, 1))
 
 
 def test_make_exhaustion_default_root(lattice):
