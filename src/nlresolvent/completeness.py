@@ -26,7 +26,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .graphs import VertexFunction, WeightedGraph, _ids, _rows, laplacian_apply
+from .graphs import WeightedGraph, _ids, _rows
 from .nonlinearity import Nonlinearity
 from .resolvent import (
     CSV_HEADER, Exhaustion, ResolventEstimate, _extend, _inner_ball, _probe_index, _trace_rows,
@@ -375,7 +375,10 @@ def path_criterion(
 
     ``path`` must yield at least N+1 vertices with consecutive pairs
     joined by an edge of positive weight; alpha must lie in (0, 1].  Its
-    rows, measures and degrees are read in one ``g.block`` call.
+    rows, measures and degrees are read in one ``g.block`` call, and W
+    is evaluated on that block's measures and degrees (see
+    ``solver._sample``), so a ``const:``, ``degm:`` or large potential
+    reads nothing more.
     The diagnosis reports either a divergent trend (partial sums still
     growing, with the conditional per-term floor phi(alpha*W0)/C for
     the observed C = max deg/m) or stalled partial sums, which are
@@ -396,20 +399,22 @@ def path_criterion(
             raise ValueError(
                 f"path ended after {len(verts)} vertices; need {n_terms + 1}"
             ) from None
-    src, ys, ws, ms, degs = g.block(_ids(verts))
+    xs = _ids(verts)
+    src, ys, ws, ms, degs = g.block(xs)
     for a, b, row in zip(verts, verts[1:], _rows(src, ys, ws, len(verts))):
         if next((w for y, w in row if y == b), 0.0) <= 0.0:
             raise ValueError(f"invalid path: {a} and {b} are not adjacent")
 
+    xs, ms, degs = xs[1:], ms[1:], degs[1:]
     terms: list[float] = []
     sums: list[float] = []
     acc = 0.0
     ratio_max = 0.0
-    for x, m, deg in zip(verts[1:], ms.tolist()[1:], degs.tolist()[1:]):
+    for m, deg, w in zip(ms.tolist(), degs.tolist(), _sample(g, W.fn, xs, ms, degs).tolist()):
         ratio = deg / m
         if ratio > ratio_max:
             ratio_max = ratio
-        terms.append(m * nl(alpha * W(x)) / deg)
+        terms.append(m * nl(alpha * w) / deg)
         acc += terms[-1]
         sums.append(acc)
 
@@ -495,31 +500,41 @@ def verify_liouville(
     whole.  Since constants are harmonic, -Lw = Lu, so the residual at
     a probe p is |Lu(p) - phi(W(p) w(p))|; it should sit within a small
     factor of the solver residual tolerance at interior probes.  Also
-    checks 0 <= w <= alpha.  A repeated probe counts once.
+    checks 0 <= w <= alpha.  A repeated probe counts once.  Lu and W
+    are read off the exhaustion's arrays, bitwise as ``laplacian_apply``
+    and W give them.
     """
     probe_list = tuple(probes) if probes is not None else default_probes(g, ex, seed=seed)
-    est = conservation_defect(g, W, nl, alpha, ex, probes=probe_list, opts=opts)
-    u = VertexFunction(dict(zip(ex.order.tolist(), est.resolvent.u.tolist())))
+    alpha = _alpha(alpha)
+    w = _sample(g, W.fn, ex.order, ex.m, ex.deg)
+    at = _probe_index(ex, probe_list)
+    est = _defect(alpha, ex, nl, W.W0, w, at, opts)
+    u = est.resolvent.u
 
-    # the interior probes are those in the ball of radius R - 2
-    inner = ex.ends[min(max(ex.radii[-1] - 2, 0), len(ex.ends) - 1)]
-    used: list[int] = []
+    # the interior probes are those in the ball of radius R - 2 (the root
+    # at R = 1; none at R = 0, where the root's row leaves the final set)
+    R = ex.radii[-1]
+    inner = ex.ends[min(max(R - 2, 0), len(ex.ends) - 1)] if R else 0
     skipped: list[int] = []
-    for p, i in _probe_index(ex, est.probes).items():
-        (used if i < inner else skipped).append(p)
-
     wvals: dict[int, float] = {}
     residuals: dict[int, float] = {}
-    for p in used:
-        wp = est.alpha - u(p)
-        wvals[p] = wp
-        residuals[p] = abs(laplacian_apply(g, u, p) - nl(W(p) * wp))
+    for p, i in at.items():
+        if i >= inner:
+            skipped.append(p)
+            continue
+        a, b = np.searchsorted(ex.rows, (i, i + 1)).tolist()
+        ux = u[i].item()
+        lu = 0.0  # summed from 0.0 in row order, as laplacian_apply sums
+        for bxy, uy in zip(ex.b[a:b].tolist(), u[ex.cols[a:b]].tolist()):
+            lu += bxy * (ux - uy)
+        wvals[p] = est.alpha - ux
+        residuals[p] = abs(lu / ex.m[i].item() - nl(w[i].item() * wvals[p]))
 
     bound = 10.0 * (opts or SolveOptions()).residual_tol
     max_residual = max(residuals.values(), default=0.0)
     return LiouvilleReport(
         alpha=est.alpha,
-        probes=tuple(used),
+        probes=tuple(wvals),
         skipped=tuple(skipped),
         w=wvals,
         residuals=residuals,

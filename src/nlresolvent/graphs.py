@@ -17,12 +17,16 @@ Besides the per-vertex ``neighbors``, ``measure`` and ``degree``, every
 graph answers :meth:`WeightedGraph.block`: the rows of a whole array of
 vertices at once, as numpy arrays.  Breadth-first balls, the solver's
 assembly, :func:`validate` and the graph writer read the graph through
-it, one call per breadth-first layer, or one per ball where a
-procedural graph gives its balls in closed form.  A procedural graph
-keeps no per-vertex state: it reads every row, measure and degree
-through its block rule, so a family whose rule works on arrays is
-materialized without a Python call per vertex, and each scalar
-``neighbors``, ``measure`` or ``degree`` costs one block call.
+it.  One private reader, ``_ball``, materializes every ball, for
+:func:`ball` and ``resolvent.make_exhaustion`` alike: one block call
+per breadth-first layer, or one per ball where a procedural graph gives
+its balls in closed form.  One cut, ``_assemble``, turns a block into
+the edges inside a vertex set, for that reader, the solver and the
+graph writer.  A procedural graph keeps no per-vertex state: it reads
+every row, measure and degree through its block rule, so a family whose
+rule works on arrays is materialized without a Python call per vertex,
+and each scalar ``neighbors``, ``measure`` or ``degree`` costs one
+block call.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import contextlib
 import json
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from itertools import filterfalse, islice
@@ -459,25 +464,17 @@ def _positions(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.where(ordered[j] == ys, perm[j], -1) if xs.size else np.full(ys.size, -1)
 
 
-def _layers(g: WeightedGraph, root: int, blocks: list | None = None) -> Iterator[np.ndarray]:
-    """Yield the breadth-first layers around root as int64 arrays.
-
-    Layer 0 is the root.  Each next layer is what one ``g.block`` call
-    on the layer before reaches first: its targets with b > 0, in row
-    order, first occurrence only, minus every vertex seen so far.  A
-    layer's block is computed only when the next layer is asked for,
-    and ``blocks`` collects it; the search ends with an empty layer.
-    """
-    seen = {root}
-    layer = _ids([root])
-    while layer.size:
-        yield layer
-        src, ys, ws, *_ = blk = g.block(layer)
-        if blocks is not None:
-            blocks.append(blk)
-        new = list(filterfalse(seen.__contains__, dict.fromkeys(ys[ws > 0.0].tolist())))
-        seen.update(new)
-        layer = np.array(new, dtype=np.int64)
+def _assemble(xs: np.ndarray, blk):
+    """rows, cols, b, m, deg: the block ``blk`` of the first vertices of
+    the distinct vertices xs (see ``WeightedGraph.block``) cut to the
+    edges with b > 0 between vertices of xs, in coordinate form: rows
+    ascending and each row in neighbor order (so cutting the edges that
+    leave a prefix of xs leaves the prefix's own arrays), and the
+    measure and weighted degree."""
+    src, ys, ws, m, deg = blk
+    cols = _positions(xs, ys)
+    inside = (cols >= 0) & (ws > 0.0)
+    return src[inside], cols[inside], ws[inside], m, deg
 
 
 def _ruled_ball(g: WeightedGraph, root: int, radius: int, cap: int):
@@ -508,21 +505,13 @@ def _ruled_ball(g: WeightedGraph, root: int, radius: int, cap: int):
     return order, ends
 
 
-def _searched(ends: np.ndarray, radius: int) -> int:
-    """How many vertices of a ball with layer ends ``ends`` the search
-    to ``radius`` reads the rows of: all but the last layer, or all
-    where the ball saturates before ``radius``."""
-    if ends.size <= radius:
-        return int(ends[-1])
-    return int(ends[-2]) if ends.size > 1 else 0
-
-
-def _discovers(ends: np.ndarray, radius: int, src, ws, rows, cols) -> bool:
-    """Whether :func:`_layers` to ``radius`` finds exactly the layers
-    ``ends`` of a ball ``order``, given a block of its first vertices
-    (``src``, ``ws``, covering at least the rows the search reads) and
-    the block's edges with b > 0 into the ball (``rows`` ascending,
-    ``cols`` their targets' positions in ``order``).
+def _discovers(ends: np.ndarray, n: int, src, ws, rows, cols) -> bool:
+    """Whether the search of :func:`_ball`, reading the rows of the
+    first n vertices of a ball ``order``, finds exactly its layers
+    ``ends``, given a block of its first vertices (``src``, ``ws``,
+    covering at least those n) and the block's edges with b > 0 into
+    the ball (``rows`` ascending, ``cols`` their targets' positions in
+    ``order``).
 
     The search reads rows in this order and keeps each target's first
     occurrence.  So it agrees when every b > 0 target of a read row lies
@@ -531,7 +520,6 @@ def _discovers(ends: np.ndarray, radius: int, src, ws, rows, cols) -> bool:
     in ball order, the root being seen from the start), and each vertex
     first occurs in a row of the layer before its own.
     """
-    n = _searched(ends, radius)
     e = int(np.searchsorted(rows, n))
     if np.count_nonzero(ws[:np.searchsorted(src, n)] > 0.0) != e:
         return False
@@ -543,28 +531,81 @@ def _discovers(ends: np.ndarray, radius: int, src, ws, rows, cols) -> bool:
     return np.array_equal(layer[rows[first]] + 1, layer[1:])
 
 
-def _rows_discover(g: WeightedGraph, order: np.ndarray, ends: np.ndarray, radius: int) -> bool:
-    """Whether the rows that the search to ``radius`` reads, taken in one
-    ``g.block`` call, discover the ball ``order`` with layer ends
-    ``ends``; False where reading them raises GraphError (the search
-    meets it again)."""
-    n = _searched(ends, radius)
-    if not n:
-        return True  # radius 0: the root alone
-    try:
-        src, ys, ws, *_ = g.block(order[:n])
-    except GraphError:
-        return False
-    cols = _positions(order, ys)
-    inside = (cols >= 0) & (ws > 0.0)
-    return _discovers(ends, radius, src, ws, src[inside], cols[inside])
+def _ball(g: WeightedGraph, root: int, radii: tuple[int, ...], cap: int, exhaustion: bool):
+    """``order, ends, arrays`` of the ball of radius ``radii[-1]``
+    around root, for :func:`ball` and ``make_exhaustion``: the ball in
+    breadth-first order (int64), its layer ends (int64, the ball sizes
+    at radii 0, 1, ..., fewer where it saturates) and the
+    :func:`_assemble` arrays of the rows read, which a searched ball
+    (not an ``exhaustion``) neither keeps nor assembles: None.
 
+    The search reads one layer's rows per ``g.block`` call, every layer
+    but the last, and in an ``exhaustion`` the last too.  Where g has a
+    ball rule, one call reads those rows of the rule's ball, and the
+    search runs only where they do not discover exactly its layers, or
+    reading them fails.  A cap hit (before any row is read where the
+    rule gives the sizes) or a graph error met while forming layer k
+    raises GraphError; an ``exhaustion`` names the first of ``radii``
+    at or above k, and raises an error in the last layer's rows, which
+    no ball of ``radii`` needs, as it is.
+    """
+    radius = radii[-1]
 
-def _cap_exceeded(root: int, radius: int, cap: int) -> GraphError:
-    return GraphError(
-        f"materialization cap exceeded: ball({root}, {radius}) "
-        f"has more than {cap} vertices (set {_CAP_ENV} to raise it)"
-    )
+    def error(k: int, exc: GraphError | None = None) -> GraphError:
+        """exc, or the cap error, met while forming layer k."""
+        r = radii[bisect_left(radii, k)]
+        if exc is None:
+            exc = GraphError(f"materialization cap exceeded: ball({root}, {r}) "
+                             f"has more than {cap} vertices (set {_CAP_ENV} to raise it)")
+        return GraphError(f"exhaustion step at radius {r}: {exc}") if exhaustion else exc
+
+    ruled = _ruled_ball(g, root, radius, cap)
+    if ruled is not None:
+        order, ends = ruled
+        if order is None:
+            raise error(ends.size - 1)
+        # the search reads the rows of the ball of radius ``radius - 1``
+        n = int(ends[min(ends.size, radius) - 1]) if radius else 0
+        if n or exhaustion:  # else radius 0, where the search reads no row
+            with contextlib.suppress(GraphError):  # the search meets it again
+                src, _, ws, *_ = blk = g.block(order if exhaustion else order[:n])
+                arrays = _assemble(order, blk)
+                if _discovers(ends, n, src, ws, *arrays[:2]):
+                    return order, ends, arrays
+    # each layer is what one block call on the layer before reaches
+    # first: its targets with b > 0, in row order, first occurrence
+    # only, minus every vertex seen so far
+    seen = {root}
+    layers, blocks = [_ids([root])], []
+    size = 1
+    # the rows of layer k - 1 form layer k; an exhaustion reads layer radius too
+    for k in range(1, radius + 1 + exhaustion):
+        try:
+            src, ys, ws, *_ = blk = g.block(layers[-1])
+        except GraphError as exc:
+            if not exhaustion or k > radius:
+                raise
+            raise error(k, exc) from exc
+        if exhaustion:
+            blocks.append(blk)
+        if k > radius:
+            break
+        new = list(filterfalse(seen.__contains__, dict.fromkeys(ys[ws > 0.0].tolist())))
+        if not new:
+            break  # the ball saturates
+        seen.update(new)
+        size += len(new)
+        if size > cap:
+            raise error(k)
+        layers.append(np.array(new, dtype=np.int64))
+    order = np.concatenate(layers)
+    ends = np.cumsum([layer.size for layer in layers])
+    if not exhaustion:
+        return order, ends, None
+    # the blocks of the layers read as one block of their vertices
+    src = np.concatenate([blk[0] + k for blk, k in zip(blocks, [0, *ends.tolist()])])
+    ys, ws, m, deg = (np.concatenate(parts) for parts in list(zip(*blocks))[1:])
+    return order, ends, _assemble(order, (src, ys, ws, m, deg))
 
 
 def ball(
@@ -577,33 +618,18 @@ def ball(
 
     Returned in breadth-first discovery order (deterministic given the
     graph's neighbor order), so balls around the same root are nested
-    as prefixes.  The search expands one layer per ``g.block`` call, so
-    the last layer's rows are never read.  Where g has a ball rule, one
-    ``g.block`` call reads the rows of every layer but the last, and
-    the search runs only where they do not discover the rule's ball.
-    Raises GraphError when the materialization cap is exceeded, before
-    any row is read where the rule gives the ball's size.
+    as prefixes.  The ball is materialized by the one reader this module
+    shares with ``make_exhaustion``: a search that expands one layer per
+    ``g.block`` call, so the last layer's rows are never read, or where
+    g has a ball rule, one ``g.block`` call on the rows of every layer
+    but the last, with the search run only where they do not discover
+    the rule's ball.  Raises GraphError when the materialization cap is
+    exceeded, before any row is read where the rule gives the ball's
+    size.
     """
     if radius < 0:
         raise GraphError(f"radius must be >= 0, got {radius}")
-    cap = materialization_cap(max_vertices)
-    ruled = _ruled_ball(g, root, radius, cap)
-    if ruled is not None:
-        order, ends = ruled
-        if order is None:
-            raise _cap_exceeded(root, radius, cap)
-        if _rows_discover(g, order, ends, radius):
-            return order.tolist()
-    out: list[np.ndarray] = []
-    n = 0
-    for layer in _layers(g, root):
-        n += layer.size
-        if out and n > cap:
-            raise _cap_exceeded(root, radius, cap)
-        out.append(layer)
-        if len(out) > radius:
-            break
-    return np.concatenate(out).tolist()
+    return _ball(g, root, (radius,), materialization_cap(max_vertices), False)[0].tolist()
 
 
 def validate(g: WeightedGraph, probe: Iterable[int]) -> ValidationReport:
@@ -778,12 +804,12 @@ def write_graph_json(
     """
     verts = _vertex_list(g, vertices)
     xs = _ids(verts)
-    src, ys, ws, m, _ = g.block(xs)
-    # the edges of _edges: both ends in verts, b > 0, listed at the smaller end
-    keep = (ws > 0.0) & (xs[src] < ys) & (_positions(xs, ys) >= 0)
+    i, j, b, m, _ = _assemble(xs, g.block(xs))
+    # the edges of _edges: listed at the smaller end
+    keep = xs[i] < xs[j]
     edges = (
         f'{{\n      "b": {_json_number(w)},\n      "u": {x},\n      "v": {y}\n    }}'
-        for x, y, w in zip(xs[src[keep]].tolist(), ys[keep].tolist(), ws[keep].tolist())
+        for x, y, w in zip(xs[i[keep]].tolist(), xs[j[keep]].tolist(), b[keep].tolist())
     )
     rows = (
         f'{{\n      "id": {x},\n      "m": {_json_number(mx)}\n    }}'

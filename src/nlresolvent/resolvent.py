@@ -19,21 +19,14 @@ vertex, and it saves sweeps on the larger sets.
 
 from __future__ import annotations
 
-import contextlib
-from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from .graphs import (
-    GraphError, VertexFunction, WeightedGraph, _cap_exceeded, _discovers, _ids, _layers,
-    _positions, _ruled_ball, materialization_cap,
-)
+from .graphs import VertexFunction, WeightedGraph, _ball, _ids, _positions, materialization_cap
 from .nonlinearity import Nonlinearity
-from .solver import (
-    Potential, SolveError, SolveOptions, _assemble, _check, _sample, _solve, _System,
-)
+from .solver import Potential, SolveError, SolveOptions, _check, _sample, _solve, _System
 
 __all__ = [
     "CSV_HEADER",
@@ -67,7 +60,7 @@ class Exhaustion:
     radius or until the ball saturates, which on a finite graph it does
     once it covers the root's component; ``sizes`` are the sizes at the
     scheduled radii.  ``order`` is an int64 array, and ``rows`` to
-    ``deg`` hold the graph on it as ``solver._assemble`` builds it, once
+    ``deg`` hold the graph on it as ``graphs._assemble`` builds it, once
     per exhaustion: these arrays are the only per-vertex store of a run.
     """
 
@@ -97,18 +90,17 @@ def make_exhaustion(
 ) -> Exhaustion:
     """Realize a radius schedule as nested balls around ``root``.
 
-    One breadth-first search runs to the largest radius, one
-    ``g.block`` call per layer (the outermost layer's call supplies its
-    rows to the assembly), and the layer ends it finds are kept as the
-    ball sizes at every radius.  Where g has a ball rule (see
-    ``ProceduralGraph``), one ``g.block`` call reads the rule's whole
-    ball instead, and the search runs only where those rows do not
-    discover exactly the rule's layers, or reading them fails.  The
-    schedule must be non-empty and strictly increasing.  A
-    materialization cap hit, or a graph error met while expanding a
-    layer, is reported with the first radius whose ball needs that
-    layer; where the rule gives the ball sizes, a cap hit is reported
-    before any row is read.
+    The ball of the largest radius is materialized by the one ball
+    reader of ``graphs``, which ``graphs.ball`` shares: a breadth-first
+    search, one ``g.block`` call per layer, or where g has a ball rule
+    (see ``ProceduralGraph``) one ``g.block`` call on the rule's ball,
+    checked against the rows it reads.  Unlike ``ball``, it also reads
+    the outermost layer's rows, for the assembly, and the layer ends it
+    finds are kept as the ball sizes at every radius.  The schedule
+    must be non-empty and strictly increasing.  A materialization cap
+    hit, or a graph error met while expanding a layer, is reported with
+    the first radius whose ball needs that layer; where the rule gives
+    the ball sizes, a cap hit is reported before any row is read.
     """
     r0 = g.root if root is None else int(root)
     radii = tuple(int(r) for r in schedule)
@@ -119,42 +111,8 @@ def make_exhaustion(
     for a, b in zip(radii, radii[1:]):
         if b <= a:
             raise ValueError(f"schedule must be strictly increasing, got {a} then {b}")
-    cap = materialization_cap(max_vertices)
-    ruled = _ruled_ball(g, r0, radii[-1], cap)
-    if ruled is not None:
-        order, ends = ruled
-        if order is None:
-            r = radii[bisect_left(radii, ends.size - 1)]
-            raise GraphError(f"exhaustion step at radius {r}: {_cap_exceeded(r0, r, cap)}")
-        with contextlib.suppress(GraphError):  # the search below meets it again
-            src, _, ws, *_ = blk = g.block(order)
-            arrays = _assemble(order, blk)
-            if _discovers(ends, radii[-1], src, ws, *arrays[:2]):
-                return Exhaustion(r0, radii, tuple(ends.tolist()), order, *arrays)
-    blocks: list = []
-    bfs = _layers(g, r0, blocks)
-    layers = [next(bfs)]
-    n = 1
-    while len(layers) <= radii[-1]:
-        r = radii[bisect_left(radii, len(layers))]  # the first ball the next layer joins
-        try:
-            layer = next(bfs, None)
-        except GraphError as exc:
-            raise GraphError(f"exhaustion step at radius {r}: {exc}") from exc
-        if layer is None:
-            break
-        n += layer.size
-        if n > cap:
-            raise GraphError(f"exhaustion step at radius {r}: {_cap_exceeded(r0, r, cap)}")
-        layers.append(layer)
-    if len(blocks) < len(layers):
-        blocks.append(g.block(layers[-1]))
-    ends = np.cumsum([layer.size for layer in layers]).tolist()
-    # the blocks of all layers as one block of the whole ball
-    src = np.concatenate([blk[0] + k for blk, k in zip(blocks, [0, *ends[:-1]])])
-    ys, ws, m, deg = (np.concatenate(parts) for parts in list(zip(*blocks))[1:])
-    order = np.concatenate(layers)
-    return Exhaustion(r0, radii, tuple(ends), order, *_assemble(order, (src, ys, ws, m, deg)))
+    order, ends, arrays = _ball(g, r0, radii, materialization_cap(max_vertices), True)
+    return Exhaustion(r0, radii, tuple(ends.tolist()), order, *arrays)
 
 
 def _inner_ball(ex: Exhaustion, radius: int) -> tuple[int, ...]:

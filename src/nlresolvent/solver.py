@@ -82,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import VertexFunction, WeightedGraph, _ids, _positions, energy
+from .graphs import VertexFunction, WeightedGraph, _assemble, _ids, energy
 from .nonlinearity import Nonlinearity, RangeError
 
 __all__ = [
@@ -307,18 +307,6 @@ def _scalar_root(a, s_over_m, fx, wx, phi, deriv, lo, hi, t, tol):
         "scalar root finder exhausted its iteration budget; "
         "this indicates a broken bracket and is a bug"
     )
-
-
-def _assemble(xs: np.ndarray, blk):
-    """rows, cols, b, m, deg: the block ``blk`` of the distinct vertices
-    xs (see ``WeightedGraph.block``) cut to the edges with b > 0 between
-    vertices of xs, in coordinate form: rows ascending and each row in
-    neighbor order (so cutting the edges that leave a prefix of xs
-    leaves the prefix's own arrays), and the measure and weighted degree."""
-    src, ys, ws, m, deg = blk
-    cols = _positions(xs, ys)
-    inside = (cols >= 0) & (ws > 0.0)
-    return src[inside], cols[inside], ws[inside], m, deg
 
 
 def _sample(g: WeightedGraph, fn: Callable[[int], float], xs: np.ndarray, m, deg) -> np.ndarray:

@@ -47,11 +47,13 @@ from nlresolvent import (
     residual,
     symmetric_tree,
     validate,
+    verify_liouville,
     write_graph_json,
 )
 from nlresolvent import cli
 from nlresolvent.nonlinearity import RangeError
 from nlresolvent.resolvent import _inner_ball
+from nlresolvent.solver import _Ratio
 
 # --- per-vertex reference --------------------------------------------------
 
@@ -299,6 +301,11 @@ FAULTS = {
                   lambda: RuleGraph(0, self_loop_at_7), 0, (2, 5, 8, 12), None),
     "self-loop-outer-layer": (lambda: ProceduralGraph(0, block_rule=as_block_rule(self_loop_at_7)),
                               lambda: RuleGraph(0, self_loop_at_7), 0, (3, 7), None),
+    # ball(7) reads no row of layer 7, the exhaustion reads them all
+    "self-loop-outer-layer-ruled": (
+        lambda: ProceduralGraph(0, block_rule=as_block_rule(self_loop_at_7),
+                                ball_rule=lattice_ball),
+        lambda: RuleGraph(0, self_loop_at_7), 0, (3, 7), None),
     "negative-weight": (lambda: ProceduralGraph(0, block_rule=as_block_rule(negative_at_5)),
                         lambda: RuleGraph(0, negative_at_5), 0, (1, 4, 9), None),
     "negative-tree-id": (lambda: symmetric_tree(2),
@@ -507,11 +514,20 @@ def test_scalar_neighbors_is_one_block_call(counted):
     assert counted == {"block": 1, "neighbors": 1}
 
 
-def test_path_criterion_reads_its_path_in_one_block_call(counted):
-    # the edge checks, m and deg of the 41 path vertices; the terms and
-    # sums are those of the per-vertex loop, bit for bit
-    W, nl = Potential.constant(1.0), identity()
-    rep = path_criterion(lattice_z(), W, nl, range(0, 50), 1.0, 40)
+def degm_w(g):
+    return Potential(_Ratio(1.0, g), W0=1.0)
+
+
+POTENTIALS = {"const": constant_w, "degm": degm_w, "large-potential": large_w}
+
+
+@pytest.mark.parametrize("potential", POTENTIALS.values(), ids=POTENTIALS)
+def test_path_criterion_reads_its_path_in_one_block_call(counted, potential):
+    # the edge checks, m and deg of the 41 path vertices, and W on them;
+    # the terms and sums are those of the per-vertex loop, bit for bit
+    g = lattice_z()
+    W, nl = potential(g), identity()
+    rep = path_criterion(g, W, nl, range(0, 50), 1.0, 40)
     assert counted == {"block": 1, "neighbors": 0}
     ref, terms, sums, acc = RuleGraph(0, lattice_rule), [], [], 0.0
     for x in range(1, 41):
@@ -524,6 +540,27 @@ def test_path_criterion_reads_its_path_in_one_block_call(counted):
     assert [struct.pack("<d", t) for t in rep.partial_sums] == [
         struct.pack("<d", t) for t in sums]
     assert (rep.max_deg_over_m, rep.per_term_floor) == (2.0, 0.5)
+
+
+@pytest.mark.parametrize("potential", POTENTIALS.values(), ids=POTENTIALS)
+def test_verify_liouville_reads_no_row_after_the_exhaustion(counted, potential):
+    # Lu and W at the interior probes come off the exhaustion's arrays,
+    # with the bits of laplacian_apply and W; at radius 0 the root's row
+    # leaves the final set, so no probe is interior
+    g, nl = symmetric_tree(2), identity()
+    W = potential(g)
+    for radii, interior in [((4, 8, 10), True), ((1,), True), ((0,), False)]:
+        ex = make_exhaustion(g, 0, radii)
+        probes = (*ball(g, 0, min(radii[-1], 3))[::5], *ball(g, 0, radii[-1])[-2:])
+        counted["block"] = 0
+        rep = verify_liouville(g, W, nl, ex, 1.0, probes=probes)
+        assert counted == {"block": 0, "neighbors": 0}
+        assert bool(rep.probes) == interior
+        assert set(rep.probes) | set(rep.skipped) == set(probes)
+        u = VertexFunction(dict(zip(ex.order.tolist(), rep.defect.resolvent.u.tolist())))
+        for p in rep.probes:
+            want = abs(laplacian_apply(g, u, p) - nl(W(p) * (1.0 - u(p))))
+            assert struct.pack("<d", rep.residuals[p]) == struct.pack("<d", want)
 
 
 def test_a_graph_keeps_no_per_vertex_state():
