@@ -44,8 +44,10 @@ from .graphs import (
     GraphError,
     VertexFunction,
     WeightedGraph,
+    _ball,
     ball,
     graph_from_json,
+    materialization_cap,
     validate,
     write_graph_json,
 )
@@ -645,7 +647,11 @@ def _run_gen(cfg: RunConfig) -> int:
     if not isinstance(g, ExplicitGraph):
         if not cfg.radii:
             raise CliError("procedural families need --radii to pick a finite ball")
-        verts = ball(g, g.root, _parse_radii(cfg)[0], max_vertices=cfg.max_vertices)
+        r = _parse_radii(cfg)[0]
+        if r < 0:
+            raise GraphError(f"radius must be >= 0, got {r}")
+        # the ball as ``ball`` finds it, kept as the int64 array the writer reads
+        verts = _ball(g, g.root, (r,), materialization_cap(cfg.max_vertices), False)[0]
     _prepare_out(cfg)
     path = os.path.join(cfg.out, "graph.json")
     n_verts, n_edges = write_graph_json(path, g, verts)

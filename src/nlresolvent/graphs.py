@@ -38,7 +38,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from itertools import filterfalse, islice
+from itertools import filterfalse
 
 import numpy as np
 
@@ -457,11 +457,22 @@ def energy(g: WeightedGraph, u: VertexFunction, v: VertexFunction) -> float:
 
 
 def _positions(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The index of each of ys among the distinct vertices xs, -1 where absent."""
+    """The index of each of ys among the distinct vertices xs, -1 where absent.
+
+    Where xs is the range xs[0], xs[0] + 1, ..., as every ball a tree
+    family gives in closed form is, ys - xs[0] is the index and no
+    search runs.  (That difference may wrap around int64 only for a ys
+    outside the range, and then not into [0, len(xs)).)
+    """
+    n = xs.size
+    if n and int(xs[-1]) - int(xs[0]) == n - 1 and (np.diff(xs) == 1).all():
+        j = ys - xs[0]
+        j[(j < 0) | (j >= n)] = -1
+        return j
     perm = np.argsort(xs, kind="stable")
     ordered = xs[perm]
-    j = np.minimum(np.searchsorted(ordered, ys), max(xs.size - 1, 0))
-    return np.where(ordered[j] == ys, perm[j], -1) if xs.size else np.full(ys.size, -1)
+    j = np.minimum(np.searchsorted(ordered, ys), max(n - 1, 0))
+    return np.where(ordered[j] == ys, perm[j], -1) if n else np.full(ys.size, -1)
 
 
 def _assemble(xs: np.ndarray, blk):
@@ -748,12 +759,16 @@ def graph_from_json(doc: Mapping | str) -> ExplicitGraph:
     return ExplicitGraph(measures, adj)
 
 
-def _vertex_list(g: WeightedGraph, vertices: Iterable[int] | None) -> list[int]:
+def _vertex_list(g: WeightedGraph, vertices: Iterable[int] | None) -> np.ndarray:
+    """The vertices to serialize as int64, each at its first occurrence."""
     if vertices is None:
         if not isinstance(g, ExplicitGraph):
             raise GraphError("procedural graphs need an explicit vertex list to serialize")
-        return g.vertices()
-    return list(dict.fromkeys(int(v) for v in vertices))
+        return _ids(g.vertices())
+    xs = _ids(vertices if isinstance(vertices, np.ndarray) else list(vertices))
+    if (xs[1:] > xs[:-1]).all():  # ascending, so distinct
+        return xs
+    return xs[np.sort(np.unique(xs, return_index=True)[1])]
 
 
 def _edges(g: WeightedGraph, verts: list[int]) -> Iterator[tuple[int, int, float]]:
@@ -767,7 +782,7 @@ def _edges(g: WeightedGraph, verts: list[int]) -> Iterator[tuple[int, int, float
 
 def graph_to_json(g: WeightedGraph, vertices: Iterable[int] | None = None) -> dict:
     """Serialize (a finite piece of) a graph to the JSON document form."""
-    verts = _vertex_list(g, vertices)
+    verts = _vertex_list(g, vertices).tolist()
     rows = [{"id": x, "m": mx} for x, mx in zip(verts, g.block(_ids(verts))[3].tolist())]
     edges = [{"u": x, "v": y, "b": w} for x, y, w in _edges(g, verts)]
     return {"vertices": rows, "edges": edges}
@@ -780,14 +795,27 @@ def _json_number(v: float) -> str:
     return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
 
 
-def _write_array(fh, items: Iterator[str]) -> int:
-    """Write an indent=2 JSON array, one level deep, of preformatted items."""
-    n = 0
-    sep = "\n    "
-    while chunk := list(islice(items, 4096)):
-        fh.write(sep + ",\n    ".join(chunk))
-        sep = ",\n    "
-        n += len(chunk)
+def _spelled(v: np.ndarray) -> np.ndarray:
+    """The JSON spelling of each float of v, as an object array: each
+    distinct bit pattern is spelled once, so -0.0 keeps its sign and
+    every NaN reads NaN."""
+    bits, inv = np.unique(v.view(np.int64), return_inverse=True)
+    return np.array([_json_number(x) for x in bits.view(np.float64).tolist()], dtype=object)[inv]
+
+
+def _write_array(fh, item: str, columns: tuple[np.ndarray, ...]) -> int:
+    """Write an indent=2 JSON array, one level deep, of ``item % row``
+    for each row of the equally long columns, 4096 rows per ``%``."""
+    n, c = columns[0].size, len(columns)
+    template = ",\n    ".join([item] * 4096)
+    flat: list = [None] * (4096 * c)
+    for a in range(0, n, 4096):
+        if a + 4096 > n:
+            template = ",\n    ".join([item] * (n - a))
+            flat = flat[:(n - a) * c]
+        for k, col in enumerate(columns):
+            flat[k::c] = col[a:a + 4096].tolist()
+        fh.write(("\n    " if a == 0 else ",\n    ") + template % tuple(flat))
     fh.write("\n  ]" if n else "]")
     return n
 
@@ -798,33 +826,27 @@ def write_graph_json(
     """Write graph_to_json(g, vertices) to path without building the document.
 
     The file holds the same bytes as ``json.dump(doc, fh, indent=2,
-    sort_keys=True)`` followed by a newline, streamed from the arrays of
-    one ``g.block`` call over the vertices.  Returns the vertex and edge
+    sort_keys=True)`` followed by a newline, formatted from the arrays
+    of one ``g.block`` call over the vertices: each distinct float is
+    spelled once, and each chunk of 4096 items is written with one
+    ``%`` on a repeated item template.  Returns the vertex and edge
     counts.  On an error the partial file is removed.
     """
-    verts = _vertex_list(g, vertices)
-    xs = _ids(verts)
+    xs = _vertex_list(g, vertices)
     i, j, b, m, _ = _assemble(xs, g.block(xs))
     # the edges of _edges: listed at the smaller end
     keep = xs[i] < xs[j]
-    edges = (
-        f'{{\n      "b": {_json_number(w)},\n      "u": {x},\n      "v": {y}\n    }}'
-        for x, y, w in zip(xs[i[keep]].tolist(), xs[j[keep]].tolist(), b[keep].tolist())
-    )
-    rows = (
-        f'{{\n      "id": {x},\n      "m": {_json_number(mx)}\n    }}'
-        for x, mx in zip(verts, m.tolist())
-    )
     fh = open(path, "w", encoding="utf-8")
     try:
         with fh:
             fh.write('{\n  "edges": [')
-            n_edges = _write_array(fh, edges)
+            n_edges = _write_array(fh, '{\n      "b": %s,\n      "u": %d,\n      "v": %d\n    }',
+                                   (_spelled(b[keep]), xs[i[keep]], xs[j[keep]]))
             fh.write(',\n  "vertices": [')
-            _write_array(fh, rows)
+            _write_array(fh, '{\n      "id": %d,\n      "m": %s\n    }', (xs, _spelled(m)))
             fh.write("\n}\n")
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(path)
         raise
-    return len(verts), n_edges
+    return xs.size, n_edges

@@ -51,6 +51,7 @@ from nlresolvent import (
     write_graph_json,
 )
 from nlresolvent import cli
+from nlresolvent.graphs import _positions
 from nlresolvent.nonlinearity import RangeError
 from nlresolvent.resolvent import _inner_ball
 from nlresolvent.solver import _Ratio
@@ -446,6 +447,29 @@ def test_procedural_graph_takes_exactly_one_rule():
         ProceduralGraph(0)
     with pytest.raises(TypeError):
         ProceduralGraph(0, lattice_rule, block_rule=as_block_rule(lattice_rule))
+
+
+_LO, _HI = -2**63, 2**63 - 1
+
+
+@pytest.mark.parametrize("xs", [
+    [0, 1, 2, 3],              # a range: indexed directly
+    [-3, -2, -1, 0, 1],        # a range at a negative offset
+    [0, 2, 1, 3],              # its ends are a range's, its steps not
+    [0, 1, 3, 4],              # a range with a gap
+    [2, 0, 5, -7],
+    [5],
+    [],
+    [_HI - 1, _HI],            # ranges at the ends of int64, where
+    [_LO, _LO + 1],            # ys - xs[0] wraps around
+])
+def test_positions_match_a_lookup(xs):
+    near = {y + d for y in [*xs, 0, _LO, _HI] for d in range(-3, 4)}
+    ys = sorted(y for y in near if _LO <= y <= _HI)
+    at = {x: i for i, x in enumerate(xs)}
+    got = _positions(np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [at.get(y, -1) for y in ys]
 
 
 # --- structure of the hot path --------------------------------------------------

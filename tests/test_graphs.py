@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from nlresolvent import (
     graph_from_json,
     graph_to_json,
     laplacian_apply,
+    lattice_z,
     materialization_cap,
     random_sparse,
     star,
@@ -280,11 +282,32 @@ def _inf_edge_graph():
     return ProceduralGraph(0, rule), [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("case", ["tree", "random-sparse", "single-vertex", "inf-weight"])
+# distinct float spellings: a signed zero, NaN, +-inf, the least subnormal
+_SPELLED = {0: -0.0, 1: 0.0, 2: math.nan, 3: math.inf, 4: 5e-324, 5: 0.1, 6: -math.inf}
+
+
+def _spelled_floats_graph():
+    # a path 0..6 whose measures and weights each need their own spelling
+    weights = {0: 0.1, 1: 5e-324, 2: math.inf, 3: 0.1, 4: 1e300, 5: 2.5}
+
+    def rule(x):
+        return [(y, weights[min(x, y)]) for y in (x - 1, x + 1) if 0 <= y <= 6]
+    return ProceduralGraph(0, rule, measure_rule=_SPELLED.__getitem__), list(range(7))
+
+
+@pytest.mark.parametrize("case", ["tree", "random-sparse", "single-vertex", "inf-weight",
+                                  "spelled-floats", "lattice-4097", "lattice-8193"])
 def test_write_graph_json_matches_reference_bytes(tmp_path, case):
     if case == "tree":
         g = symmetric_tree(2)
         verts = ball(g, g.root, 6)
+    elif case.startswith("lattice-"):
+        # 4097 vertices and 4096 edges, or 8193 and 8192: items of a
+        # second and a third 4096-item chunk
+        g = lattice_z()
+        verts = ball(g, g.root, (int(case[8:]) - 1) // 2)
+    elif case == "spelled-floats":
+        g, verts = _spelled_floats_graph()
     elif case == "random-sparse":
         g, verts = random_sparse(30, 0.2, seed=3), None
     elif case == "single-vertex":
@@ -301,6 +324,25 @@ def test_write_graph_json_matches_reference_bytes(tmp_path, case):
         assert '"edges": [],' in text
     if case == "inf-weight":
         assert '"b": Infinity' in text
+    if case == "spelled-floats":
+        ms = [line.split(": ")[1] for line in text.splitlines() if '"m": ' in line]
+        assert ms == ["-0.0", "0.0", "NaN", "Infinity", "5e-324", "0.1", "-Infinity"]
+    if case.startswith("lattice-"):
+        assert counts == (int(case[8:]), int(case[8:]) - 1)
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_write_graph_json_keeps_first_occurrences(tmp_path, as_array):
+    verts = [3, -1, 3, 0, -1, 2, 0]
+    if as_array:
+        verts = np.array(verts, dtype=np.int64)
+    path = tmp_path / "graph.json"
+    counts = write_graph_json(str(path), lattice_z(), verts)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert [row["id"] for row in doc["vertices"]] == [3, -1, 0, 2]
+    assert [(e["u"], e["v"]) for e in doc["edges"]] == [(-1, 0), (2, 3)]
+    assert counts == (4, 2)
+    assert doc == graph_to_json(lattice_z(), [3, -1, 0, 2])
 
 
 def test_write_graph_json_leaves_no_file_on_error(tmp_path):
