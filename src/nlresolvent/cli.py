@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
+import shutil
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -124,15 +126,19 @@ _MODES = ("validate", "solve", "resolve", "classify", "path-criterion",
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every add_argument builds a formatter: read the terminal width once for all
+    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="nlresolvent",
         description="Dirichlet solves, resolvent estimates, and completeness "
                     "classification on weighted graphs.",
+        formatter_class=fmt,
     )
     sub = parser.add_subparsers(dest="mode", required=True, metavar="|".join(_MODES))
 
     def sp(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, help=help_, argument_default=argparse.SUPPRESS,
+                           formatter_class=fmt)
         p.set_defaults(mode=name)
         p.add_argument("--graph", help="family spec (lattice-z, finite-path:N, "
                        "complete:N, star:K, birth-death:RATE, tree:K, "

@@ -38,7 +38,10 @@ raised to eta_{k-1}^((1 + sqrt 5)/2) where that power exceeds 0.1.  The
 term is large far from the solution, where an accurate step is wasted,
 and shrinks with the gradient near it, which keeps the local
 convergence superlinear.  One conjugate-gradient iteration, a single
-pass over the arrays, counts as one sweep.
+pass over the arrays, counts as one sweep.  Each iterate's A u, f - W u
+and energy are computed once, in the line search that accepts it, and
+the residual test runs only where the step test passes and on the
+exits; its report at the returned iterate is the one the solve returns.
 
 Where the in-U graph is a forest and U lists each vertex after its
 parent, as the breadth-first balls of a tree do, a Newton step is
@@ -389,12 +392,13 @@ class _System:
         off = np.bincount(self.rows, self.b * u[self.cols], minlength=u.size)
         return self.deg * u - off
 
-    def residual(self, nl: Nonlinearity, u: np.ndarray):
-        """Raw and data-scaled sup residual at u, and the range violations.
+    def residual(self, nl: Nonlinearity, u: np.ndarray, au: np.ndarray | None = None):
+        """Raw and data-scaled sup residual at u, and the range violations;
+        ``au`` is ``apply(u)`` where the caller has it.
 
         A NaN residual propagates into both sups, so it fails the test.
         """
-        lu = self.apply(u) / self.m
+        lu = (self.apply(u) if au is None else au) / self.m
         ok = (nl.lo < lu) & (lu < nl.hi)
         if nl.arrays is not None:
             inv = nl.arrays.inv(np.where(ok, lu, 0.0))
@@ -494,28 +498,32 @@ def _eliminate(sys_: _System, c: np.ndarray, rhs: np.ndarray):
 
 
 def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
-    """Damped Newton on E from u; returns the iterate, sweeps and convergence."""
+    """Damped Newton on E from u; returns the iterate, sweeps, convergence
+    and ``_System.residual`` there."""
     arr = nl.arrays
     m, w, f = sys_.m, sys_.w, sys_.f
 
-    def grad(v):  # half the gradient of E
-        return sys_.apply(v) - m * arr.phi(f - w * v)
+    def point(v):  # A v, f - W v, E(v) up to a constant and the size of its rounding
+        av, fw = sys_.apply(v), f - w * v
+        kappa = arr.antideriv(fw) * m / w
+        return av, fw, v @ av + kappa.sum(), sys_.deg @ (v * v) + np.abs(kappa).sum()
 
-    def energy(v):  # E up to a constant, and the size of its rounding
-        kappa = arr.antideriv(f - w * v) * m / w
-        return v @ sys_.apply(v) + kappa.sum(), sys_.deg @ (v * v) + np.abs(kappa).sum()
-
-    sweeps, last, step, tiny, stalls = 0, math.inf, math.inf, False, 0
+    au, fwu, e0, n0 = point(u)
+    sweeps, last, step, tiny, stalls, halt = 0, math.inf, math.inf, False, 0, False
     eta, g_norm, r_norm = 0.0, None, None  # forcing term, gradient and CG residual norms
     while True:
-        _, scaled, violations = sys_.residual(nl, u)
-        ok = not violations and scaled <= opts.residual_tol
-        if ok and tiny:
-            return u, sweeps, True
-        if sweeps >= opts.max_sweeps or stalls >= 2:
-            return u, sweeps, False  # budget spent, or steps at float noise
-        c = m * w * arr.deriv(f - w * u)
-        g = grad(u)
+        # the residual test runs where the step test has passed, and on the
+        # exits: budget spent, steps at float noise, or no descent left
+        stop = halt or sweeps >= opts.max_sweeps or stalls >= 2
+        if tiny or stop:
+            rep = sys_.residual(nl, u, au)
+            _, scaled, violations = rep
+            converged = not violations and scaled <= opts.residual_tol and (tiny or halt)
+            if converged or stop:
+                return u, sweeps, converged, rep
+        c = m * w * arr.deriv(fwu)
+        g = au - m * arr.phi(fwu)  # half the gradient of E
+        del fwu
         g_norm, g_last = np.sqrt(g @ g), g_norm
         # inexact Newton: the first step is exact, later ones take the
         # forcing term of Eisenstat & Walker's choice 1 with its safeguard
@@ -534,24 +542,29 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
         sweeps += its
         # backtracking on E; where E cannot tell the points apart, a
         # smaller gradient decides instead
-        e0, n0 = energy(u)
         slope = min(2.0 * float(g @ d), 0.0)
         g0 = np.max(np.abs(g), initial=0.0)
+        del c, g
         t = 1.0
         for _ in range(64):
             v = u + t * d
-            e1, n1 = energy(v)
+            av, fwv, e1, n1 = point(v)
             if e1 <= e0 + 1e-4 * t * slope:
                 break
-            if abs(e1 - e0) <= _NOISE * max(n0, n1) and np.max(np.abs(grad(v)), initial=0.0) < g0:
+            if (abs(e1 - e0) <= _NOISE * max(n0, n1)
+                    and np.max(np.abs(av - m * arr.phi(fwv)), initial=0.0) < g0):
                 break
+            del v, av, fwv
             t *= 0.5
         else:
-            return u, sweeps, ok  # no representable descent left
+            halt = True  # no representable descent left
+            continue
         last, step = step, float(np.max(np.abs(t * d), initial=0.0))
         if step == 0.0:
-            return u, sweeps, ok
-        u = v
+            halt = True
+            continue
+        u, au, fwu, e0, n0 = v, av, fwv, e1, n1
+        del v, av, fwv, d  # one name per array, each freed after its last use
         # error left after this step, from the contraction rate of the last
         # two; the first step counts as exact, as it is for quadratic E
         rate = step / last
@@ -620,8 +633,8 @@ class _Solved(NamedTuple):
 
 def _solve(sys_: _System, nl: Nonlinearity, W0: float, u0: np.ndarray,
            opts: SolveOptions | None) -> _Solved:
-    """The solve core: Newton or Gauss-Seidel on sys_ from u0, then the
-    residual check."""
+    """The solve core: Newton or Gauss-Seidel on sys_ from u0, with the
+    residual at the returned iterate."""
     opts = opts or SolveOptions()
     with np.errstate(all="ignore"):
         newton = nl.arrays is not None and np.isfinite(nl.arrays.deriv(np.zeros(1))).all()
@@ -629,10 +642,10 @@ def _solve(sys_: _System, nl: Nonlinearity, W0: float, u0: np.ndarray,
         # clamp into the certified box, where the solution lies
         u = np.clip(u0, -k_bound, k_bound)
         if newton:
-            u, sweeps, converged = _newton(sys_, nl, u, opts)
+            u, sweeps, converged, (resid_inf, _, violations) = _newton(sys_, nl, u, opts)
         else:
             u, sweeps, converged = _gauss_seidel(sys_, nl, u, k_bound, opts)
-        resid_inf, _, violations = sys_.residual(nl, u)
+            resid_inf, _, violations = sys_.residual(nl, u)
         max_dec = max(float(np.max(u0 - u)), 0.0)
     return _Solved(u, resid_inf, sweeps, converged, max_dec, violations)
 

@@ -118,8 +118,15 @@ def birth_death(
     b_rule(n-1) toward its parent, listed first.  b_rule is called once
     per row entry, in row order, and m_rule once per vertex.  The ball
     of radius r around 0 is 0..r unless a weight below it is not
-    positive, which the rows read show.
+    positive, which the rows read show.  A weight past the float range
+    raises GraphError naming its edge.
     """
+
+    def weight(n: int) -> float:
+        try:
+            return float(b_rule(n))
+        except OverflowError:
+            raise GraphError(f"b({n}, {n + 1}) overflows a float") from None
 
     def rows(xs: np.ndarray):
         if xs.size:
@@ -130,7 +137,7 @@ def birth_death(
         src, ys = _line_rows(xs)
         keep = ys >= 0  # vertex 0 has no parent
         src, ys = src[keep], ys[keep]
-        ws = np.array([float(b_rule(n)) for n in np.minimum(xs[src], ys).tolist()], dtype=float)
+        ws = np.array([weight(n) for n in np.minimum(xs[src], ys).tolist()], dtype=float)
         return src, ys, ws
 
     def ball(root: int, radius: int, cap: int):

@@ -443,6 +443,43 @@ def test_gen_tree_bytes_match_reference(tmp_path, capsys):
     assert (out_dir / "graph.json").read_text(encoding="utf-8") == expect
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--family", "birth-death:4", "--radii", "512"),
+    ("resolve", "--graph", "birth-death:4", "--f", "delta:0", "--radii", "600"),
+], ids=["gen", "resolve"])
+def test_chain_weight_past_the_float_range_exits_2(tmp_path, capsys, argv):
+    # b(512, 513) = 4**512 = 2**1024 is the first weight past the largest float
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and err.rstrip().endswith("b(512, 513) overflows a float")
+
+
+def test_chain_weights_up_to_the_float_range_are_written(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "gen", "--family", "birth-death:4", "--radii", "511",
+                           "--out", str(tmp_path / "gen"))
+    assert code == 0
+    assert "(512 vertices, 511 edges)" in out
+    doc = json.loads((tmp_path / "gen" / "graph.json").read_text(encoding="utf-8"))
+    assert (len(doc["vertices"]), len(doc["edges"])) == (512, 511)
+
+
+# --- help ----------------------------------------------------------------------
+
+
+def test_help_wraps_at_the_terminal_width_read_once(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "60")
+    reads = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: reads.append(a) or size(*a))
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for p in subs.choices.values():
+        options = p.format_help().split("options:")[1]
+        assert max(map(len, options.splitlines())) == 58
+    assert len(reads) == 1
+
+
 # --- installed entry point -----------------------------------------------------
 
 

@@ -591,3 +591,65 @@ def test_elimination_agrees_with_pcg_at_every_step(monkeypatch, case, unit_poten
         assert [s.sweeps for s in e.steps] != [s.sweeps for s in i.steps]
         for p in probes:
             assert max(abs(a - b) for a, b in zip(e.values[p], i.values[p])) <= tol
+
+
+# --- one pass per Newton iterate ----------------------------------------------
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The number of _System.apply, _System.residual and _eliminate calls."""
+    calls = {"apply": 0, "residual": 0, "eliminate": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(solver._System, "apply", counted("apply", solver._System.apply))
+    monkeypatch.setattr(solver._System, "residual", counted("residual", solver._System.residual))
+    monkeypatch.setattr(solver, "_eliminate", counted("eliminate", solver._eliminate))
+    return calls
+
+
+@pytest.mark.parametrize("case, eliminations, applies, residuals", [
+    ("lattice-cubic", 86, 95, 18),
+    ("tree-resolve", 4, 8, 4),
+])
+def test_each_newton_iterate_is_computed_once(passes, case, eliminations, applies, residuals,
+                                              unit_potential):
+    # the solves of the two benchmark workloads: A u once per trial point
+    # of the line search and once per solve at its start, and the residual
+    # only where the step test passes or the solve stops
+    if case == "lattice-cubic":
+        g, radii, nl, alphas = lattice_z(), [12, 25, 50], odd_power(3.0), (0.5, 1.0, 2.0)
+    else:
+        g, radii, nl, alphas = symmetric_tree(2), [4, 8, 12, 14], ID, (1.0,)
+    ex = make_exhaustion(g, 0, radii)
+    for a in alphas:
+        extended_resolvent(g, unit_potential, nl, lambda x: a, ex)
+    assert passes["eliminate"] == eliminations
+    assert passes["apply"] <= applies
+    assert passes["residual"] <= residuals
+
+
+@pytest.mark.parametrize("case", ["converged", "one-sweep", "overflow"])
+@pytest.mark.parametrize("nl", BUILTINS, ids=lambda nl: nl.name)
+@pytest.mark.parametrize("forest", [True, False], ids=["forest", "cg"])
+def test_newton_reports_the_residual_of_its_iterate(forest, nl, case):
+    ex = make_exhaustion(lattice_z(), 0, [12])
+    n = len(ex.order)
+    f = np.ones(n)
+    if case == "overflow":
+        f[0] = 1e120
+    sys_ = solver._System(ex.order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, np.ones(n), f, n)
+    if not forest:
+        sys_.forest = None
+    opts = SolveOptions(max_sweeps=1 if case == "one-sweep" else 100_000)
+    res = solver._solve(sys_, nl, 1.0, np.zeros(n), opts)
+    assert res.converged or case != "converged"
+    sup, scaled, violations = sys_.residual(nl, res.u)
+    assert res.residual_inf.hex() == sup.hex()
+    assert res.range_violations == violations
+    assert not res.converged or (not violations and scaled <= opts.residual_tol)
