@@ -47,9 +47,9 @@ from .graphs import (
     VertexFunction,
     WeightedGraph,
     _ball,
+    _write_graph,
     ball,
     graph_from_json,
-    materialization_cap,
     validate,
     write_graph_json,
 )
@@ -649,18 +649,20 @@ def _run_gen(cfg: RunConfig) -> int:
     if not cfg.out:
         raise CliError("--out is required for gen")
     g = _generate(spec, cfg.seed)
-    verts = None
-    if not isinstance(g, ExplicitGraph):
+    path = os.path.join(cfg.out, "graph.json")
+    if isinstance(g, ExplicitGraph):
+        _prepare_out(cfg)
+        n_verts, n_edges = write_graph_json(path, g)
+    else:
         if not cfg.radii:
             raise CliError("procedural families need --radii to pick a finite ball")
         r = _parse_radii(cfg)[0]
         if r < 0:
             raise GraphError(f"radius must be >= 0, got {r}")
-        # the ball as ``ball`` finds it, kept as the int64 array the writer reads
-        verts = _ball(g, g.root, (r,), materialization_cap(cfg.max_vertices), False)[0]
-    _prepare_out(cfg)
-    path = os.path.join(cfg.out, "graph.json")
-    n_verts, n_edges = write_graph_json(path, g, verts)
+        # the ball as ``ball`` finds it, with the rows of all its vertices
+        order, _, arrays = _ball(g, g.root, (r,), cfg.max_vertices, True, False)
+        _prepare_out(cfg)
+        n_verts, n_edges = _write_graph(path, order, *arrays)
     print(f"wrote {path} ({n_verts} vertices, {n_edges} edges)")
     return EXIT_OK
 

@@ -18,15 +18,15 @@ graph answers :meth:`WeightedGraph.block`: the rows of a whole array of
 vertices at once, as numpy arrays.  Breadth-first balls, the solver's
 assembly, :func:`validate` and the graph writer read the graph through
 it.  One private reader, ``_ball``, materializes every ball, for
-:func:`ball` and ``resolvent.make_exhaustion`` alike: one block call
-per breadth-first layer, or one per ball where a procedural graph gives
-its balls in closed form.  One cut, ``_assemble``, turns a block into
-the edges inside a vertex set, for that reader, the solver and the
-graph writer.  A procedural graph keeps no per-vertex state: it reads
-every row, measure and degree through its block rule, so a family whose
-rule works on arrays is materialized without a Python call per vertex,
-and each scalar ``neighbors``, ``measure`` or ``degree`` costs one
-block call.
+:func:`ball`, ``gen`` and ``resolvent.make_exhaustion`` alike: one
+block call per breadth-first layer, or one per ball where a procedural
+graph gives its balls in closed form.  One cut, ``_assemble``, turns
+a block into the edges inside a vertex set, for that reader, the
+solver and the graph writer.  A procedural graph keeps no per-vertex
+state: it reads every row, measure and degree through its block rule,
+so a family whose rule works on arrays is materialized without a
+Python call per vertex, and each scalar ``neighbors``, ``measure`` or
+``degree`` costs one block call.
 """
 
 from __future__ import annotations
@@ -542,25 +542,27 @@ def _discovers(ends: np.ndarray, n: int, src, ws, rows, cols) -> bool:
     return np.array_equal(layer[rows[first]] + 1, layer[1:])
 
 
-def _ball(g: WeightedGraph, root: int, radii: tuple[int, ...], cap: int, exhaustion: bool):
+def _ball(g: WeightedGraph, root: int, radii: tuple[int, ...], max_vertices: int | None,
+          outer: bool, steps: bool):
     """``order, ends, arrays`` of the ball of radius ``radii[-1]``
-    around root, for :func:`ball` and ``make_exhaustion``: the ball in
-    breadth-first order (int64), its layer ends (int64, the ball sizes
-    at radii 0, 1, ..., fewer where it saturates) and the
-    :func:`_assemble` arrays of the rows read, which a searched ball
-    (not an ``exhaustion``) neither keeps nor assembles: None.
+    around root, for :func:`ball`, ``gen`` and ``make_exhaustion``: the
+    ball in breadth-first order (int64), its layer ends (int64, the ball
+    sizes at radii 0, 1, ..., fewer where it saturates) and the
+    :func:`_assemble` arrays of the rows read, all of the ball's with
+    ``outer``; a search without it neither keeps nor assembles them: None.
 
     The search reads one layer's rows per ``g.block`` call, every layer
-    but the last, and in an ``exhaustion`` the last too.  Where g has a
-    ball rule, one call reads those rows of the rule's ball, and the
-    search runs only where they do not discover exactly its layers, or
-    reading them fails.  A cap hit (before any row is read where the
-    rule gives the sizes) or a graph error met while forming layer k
-    raises GraphError; an ``exhaustion`` names the first of ``radii``
-    at or above k, and raises an error in the last layer's rows, which
-    no ball of ``radii`` needs, as it is.
+    but the last, and with ``outer`` the last too.  Where g has a ball
+    rule, one call reads those rows of the rule's ball, and the search
+    runs only where they do not discover exactly its layers, or reading
+    them fails.  A hit of the cap ``materialization_cap(max_vertices)``
+    (before any row is read where the rule gives the sizes) or a graph
+    error met while forming layer k raises GraphError, which with
+    ``steps`` names the exhaustion step: the first of ``radii`` at or
+    above k.  An error in the last layer's rows, which no ball of
+    ``radii`` needs, is raised as it is.
     """
-    radius = radii[-1]
+    radius, cap = radii[-1], materialization_cap(max_vertices)
 
     def error(k: int, exc: GraphError | None = None) -> GraphError:
         """exc, or the cap error, met while forming layer k."""
@@ -568,7 +570,7 @@ def _ball(g: WeightedGraph, root: int, radii: tuple[int, ...], cap: int, exhaust
         if exc is None:
             exc = GraphError(f"materialization cap exceeded: ball({root}, {r}) "
                              f"has more than {cap} vertices (set {_CAP_ENV} to raise it)")
-        return GraphError(f"exhaustion step at radius {r}: {exc}") if exhaustion else exc
+        return GraphError(f"exhaustion step at radius {r}: {exc}") if steps else exc
 
     ruled = _ruled_ball(g, root, radius, cap)
     if ruled is not None:
@@ -577,9 +579,9 @@ def _ball(g: WeightedGraph, root: int, radii: tuple[int, ...], cap: int, exhaust
             raise error(ends.size - 1)
         # the search reads the rows of the ball of radius ``radius - 1``
         n = int(ends[min(ends.size, radius) - 1]) if radius else 0
-        if n or exhaustion:  # else radius 0, where the search reads no row
+        if n or outer:  # else radius 0, where the search reads no row
             with contextlib.suppress(GraphError):  # the search meets it again
-                src, _, ws, *_ = blk = g.block(order if exhaustion else order[:n])
+                src, _, ws, *_ = blk = g.block(order if outer else order[:n])
                 arrays = _assemble(order, blk)
                 if _discovers(ends, n, src, ws, *arrays[:2]):
                     return order, ends, arrays
@@ -589,15 +591,15 @@ def _ball(g: WeightedGraph, root: int, radii: tuple[int, ...], cap: int, exhaust
     seen = {root}
     layers, blocks = [_ids([root])], []
     size = 1
-    # the rows of layer k - 1 form layer k; an exhaustion reads layer radius too
-    for k in range(1, radius + 1 + exhaustion):
+    # the rows of layer k - 1 form layer k; ``outer`` reads layer radius too
+    for k in range(1, radius + 1 + outer):
         try:
             src, ys, ws, *_ = blk = g.block(layers[-1])
         except GraphError as exc:
-            if not exhaustion or k > radius:
+            if not steps or k > radius:
                 raise
             raise error(k, exc) from exc
-        if exhaustion:
+        if outer:
             blocks.append(blk)
         if k > radius:
             break
@@ -611,7 +613,7 @@ def _ball(g: WeightedGraph, root: int, radii: tuple[int, ...], cap: int, exhaust
         layers.append(np.array(new, dtype=np.int64))
     order = np.concatenate(layers)
     ends = np.cumsum([layer.size for layer in layers])
-    if not exhaustion:
+    if not outer:
         return order, ends, None
     # the blocks of the layers read as one block of their vertices
     src = np.concatenate([blk[0] + k for blk, k in zip(blocks, [0, *ends.tolist()])])
@@ -640,7 +642,7 @@ def ball(
     """
     if radius < 0:
         raise GraphError(f"radius must be >= 0, got {radius}")
-    return _ball(g, root, (radius,), materialization_cap(max_vertices), False)[0].tolist()
+    return _ball(g, root, (radius,), max_vertices, False, False)[0].tolist()
 
 
 def validate(g: WeightedGraph, probe: Iterable[int]) -> ValidationReport:
@@ -788,36 +790,58 @@ def graph_to_json(g: WeightedGraph, vertices: Iterable[int] | None = None) -> di
     return {"vertices": rows, "edges": edges}
 
 
-def _json_number(v: float) -> str:
-    # the spelling json.dumps gives a float, non-finite values included
+def _json_number(v: float) -> bytes:
     if math.isfinite(v):
-        return repr(v)
-    return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
+        return repr(v).encode()
+    return b"NaN" if v != v else (b"Infinity" if v > 0 else b"-Infinity")
 
 
 def _spelled(v: np.ndarray) -> np.ndarray:
-    """The JSON spelling of each float of v, as an object array: each
-    distinct bit pattern is spelled once, so -0.0 keeps its sign and
-    every NaN reads NaN."""
+    """json.dumps's spelling of each float of v, as an object array of
+    bytes: each distinct bit pattern is spelled once (non-finite ones
+    too), so -0.0 keeps its sign and every NaN reads NaN."""
     bits, inv = np.unique(v.view(np.int64), return_inverse=True)
     return np.array([_json_number(x) for x in bits.view(np.float64).tolist()], dtype=object)[inv]
 
 
-def _write_array(fh, item: str, columns: tuple[np.ndarray, ...]) -> int:
-    """Write an indent=2 JSON array, one level deep, of ``item % row``
-    for each row of the equally long columns, 4096 rows per ``%``."""
+def _write_array(fh, item: bytes, columns: tuple[np.ndarray, ...]) -> int:
+    """Write to the binary file fh an indent=2 JSON array, one level
+    deep, of ``item % row`` for each row of the equally long columns
+    (ints, and the bytes of :func:`_spelled`), 4096 rows per ``%``."""
     n, c = columns[0].size, len(columns)
-    template = ",\n    ".join([item] * 4096)
+    template = b",\n    ".join([item] * 4096)
     flat: list = [None] * (4096 * c)
     for a in range(0, n, 4096):
         if a + 4096 > n:
-            template = ",\n    ".join([item] * (n - a))
+            template = b",\n    ".join([item] * (n - a))
             flat = flat[:(n - a) * c]
         for k, col in enumerate(columns):
             flat[k::c] = col[a:a + 4096].tolist()
-        fh.write(("\n    " if a == 0 else ",\n    ") + template % tuple(flat))
-    fh.write("\n  ]" if n else "]")
+        fh.write(b"\n    " if a == 0 else b",\n    ")
+        fh.write(template % tuple(flat))
+    fh.write(b"\n  ]" if n else b"]")
     return n
+
+
+def _write_graph(path: str, xs: np.ndarray, i, j, b, m, deg) -> tuple[int, int]:
+    """:func:`write_graph_json` of the distinct vertices xs, given the
+    :func:`_assemble` arrays of their rows."""
+    # the edges of _edges: listed at the smaller end
+    keep = xs[i] < xs[j]
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(b'{\n  "edges": [')
+            n_edges = _write_array(fh, b'{\n      "b": %s,\n      "u": %d,\n      "v": %d\n    }',
+                                   (_spelled(b[keep]), xs[i[keep]], xs[j[keep]]))
+            fh.write(b',\n  "vertices": [')
+            _write_array(fh, b'{\n      "id": %d,\n      "m": %s\n    }', (xs, _spelled(m)))
+            fh.write(b"\n}\n")
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
+    return xs.size, n_edges
 
 
 def write_graph_json(
@@ -826,27 +850,12 @@ def write_graph_json(
     """Write graph_to_json(g, vertices) to path without building the document.
 
     The file holds the same bytes as ``json.dump(doc, fh, indent=2,
-    sort_keys=True)`` followed by a newline, formatted from the arrays
-    of one ``g.block`` call over the vertices: each distinct float is
-    spelled once, and each chunk of 4096 items is written with one
-    ``%`` on a repeated item template.  Returns the vertex and edge
-    counts.  On an error the partial file is removed.
+    sort_keys=True)`` followed by a newline, ``\\n`` on every platform:
+    it is written as bytes, from the arrays of one ``g.block`` call over
+    the vertices.  Each distinct float is spelled once, and each chunk
+    of 4096 items is written with one ``%`` on a repeated bytes item
+    template.  Returns the vertex and edge counts.  On an error the
+    partial file is removed.
     """
     xs = _vertex_list(g, vertices)
-    i, j, b, m, _ = _assemble(xs, g.block(xs))
-    # the edges of _edges: listed at the smaller end
-    keep = xs[i] < xs[j]
-    fh = open(path, "w", encoding="utf-8")
-    try:
-        with fh:
-            fh.write('{\n  "edges": [')
-            n_edges = _write_array(fh, '{\n      "b": %s,\n      "u": %d,\n      "v": %d\n    }',
-                                   (_spelled(b[keep]), xs[i[keep]], xs[j[keep]]))
-            fh.write(',\n  "vertices": [')
-            _write_array(fh, '{\n      "id": %d,\n      "m": %s\n    }', (xs, _spelled(m)))
-            fh.write("\n}\n")
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(path)
-        raise
-    return xs.size, n_edges
+    return _write_graph(path, xs, *_assemble(xs, g.block(xs)))

@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from .graphs import VertexFunction, WeightedGraph, _ball, _ids, _positions, materialization_cap
+from .graphs import VertexFunction, WeightedGraph, _ball, _ids, _positions
 from .nonlinearity import Nonlinearity
 from .solver import Potential, SolveError, SolveOptions, _check, _sample, _solve, _System
 
@@ -111,7 +111,7 @@ def make_exhaustion(
     for a, b in zip(radii, radii[1:]):
         if b <= a:
             raise ValueError(f"schedule must be strictly increasing, got {a} then {b}")
-    order, ends, arrays = _ball(g, r0, radii, materialization_cap(max_vertices), True)
+    order, ends, arrays = _ball(g, r0, radii, max_vertices, True, True)
     return Exhaustion(r0, radii, tuple(ends.tolist()), order, *arrays)
 
 

@@ -520,14 +520,14 @@ def test_exhaustion_and_classify_make_one_block_call_on_a_ruled_ball(counted, gr
 def test_gen_reads_no_scalar_neighbors(counted, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_generate", lambda spec, seed: ProceduralGraph(0, tree_rule(2)))
     assert cli.main(["gen", "--family", "tree:2", "--radii", "6", "--out", str(tmp_path)]) == 0
-    # ball(6) expands layers 0..5, the writer reads all 127 rows at once
+    # the search expands layers 0..5 and reads layer 6's rows too; the writer reuses them
     assert counted == {"block": 7, "neighbors": 0}
 
 
-def test_gen_reads_a_ruled_ball_in_two_block_calls(counted, tmp_path, capsys):
+def test_gen_reads_a_ruled_ball_in_one_block_call(counted, tmp_path, capsys):
     assert cli.main(["gen", "--family", "tree:2", "--radii", "6", "--out", str(tmp_path)]) == 0
-    # ball(6) reads layers 0..5 in one call, the writer reads all 127 rows
-    assert counted == {"block": 2, "neighbors": 0}
+    # all 127 rows of ball(6), checked against the rule and then written
+    assert counted == {"block": 1, "neighbors": 0}
 
 
 def test_scalar_neighbors_is_one_block_call(counted):

@@ -11,11 +11,15 @@ import pytest
 
 from nlresolvent import (
     Potential,
+    ProceduralGraph,
     ball,
     classify,
+    family_from_spec,
+    generate,
     graph_from_json,
     graph_to_json,
     identity,
+    lattice_z,
     make_exhaustion,
     symmetric_tree,
     validate,
@@ -431,16 +435,67 @@ def test_gen_procedural_family_needs_radii(tmp_path, capsys):
     assert len(g.vertices()) == 9  # ball of radius 4 around 0 in Z
 
 
-def test_gen_tree_bytes_match_reference(tmp_path, capsys):
+@pytest.mark.parametrize("family, radius", [
+    ("tree:2", 0), ("tree:2", 1), ("tree:2", 5), ("tree:3", 4),
+    ("lattice-z", 0), ("lattice-z", 7), ("birth-death:4", 20),
+])
+def test_gen_tree_bytes_match_reference(tmp_path, capsys, family, radius):
+    # at radius 0 ball() reads no row, and gen reads the root's
     out_dir = tmp_path / "gen"
-    code, out, _ = run_cli(capsys, "gen", "--family", "tree:2", "--radii", "5",
+    code, out, _ = run_cli(capsys, "gen", "--family", family, "--radii", str(radius),
                            "--out", str(out_dir))
     assert code == 0
-    assert "(63 vertices, 62 edges)" in out
-    g = symmetric_tree(2)
-    doc = graph_to_json(g, ball(g, g.root, 5))
+    g = generate(family_from_spec(family))
+    doc = graph_to_json(g, ball(g, g.root, radius))
+    assert f"({len(doc['vertices'])} vertices, {len(doc['edges'])} edges)" in out
     expect = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert (out_dir / "graph.json").read_text(encoding="utf-8") == expect
+    assert (out_dir / "graph.json").read_bytes() == expect.encode()
+
+
+def self_loop_at_7(x):
+    return ((x, 1.0),) if x == 7 else ((x - 1, 1.0), (x + 1, 1.0))
+
+
+def binary_tree(x):
+    kids = ((2 * x + 1, 1.0), (2 * x + 2, 1.0))
+    return kids if x == 0 else (((x - 1) // 2, 1.0), *kids)
+
+
+# a graph gen builds instead of the family's, or None for the family itself
+GEN_GRAPHS = {
+    "family": None,
+    "searched-tree": lambda: ProceduralGraph(0, binary_tree),
+    "searched-self-loop": lambda: ProceduralGraph(0, self_loop_at_7),
+    "ruled-self-loop": lambda: ProceduralGraph(0, self_loop_at_7,
+                                               ball_rule=lattice_z()._ball_rule),
+}
+CAP = ("error: materialization cap exceeded: ball(0, {}) has more than 1000 vertices "
+       "(set NLRESOLVENT_MAX_VERTICES to raise it)\n")
+LOOP = "error: neighbor rule produced a self-loop at 7\n"
+
+
+@pytest.mark.parametrize("graph, argv, err", [
+    ("family", ("tree:2", "--radii", "16", "--max-vertices", "1000"), CAP.format(16)),
+    ("family", ("lattice-z", "--radii", "600", "--max-vertices", "1000"), CAP.format(600)),
+    ("searched-tree", ("tree:2", "--radii", "16", "--max-vertices", "1000"), CAP.format(16)),
+    ("searched-self-loop", ("x", "--radii", "12"), LOOP),
+    ("ruled-self-loop", ("x", "--radii", "12"), LOOP),
+    ("family", ("birth-death:4", "--radii", "512"), "error: b(512, 513) overflows a float\n"),
+    ("searched-self-loop", ("x", "--radii", "7"), LOOP),
+    ("ruled-self-loop", ("x", "--radii", "7"), LOOP),
+], ids=["cap-tree", "cap-lattice", "cap-searched", "inner-row-searched", "inner-row-ruled",
+        "outer-row-birth-death:4", "outer-row-searched", "outer-row-ruled"])
+def test_gen_errors_keep_their_text_and_write_no_config(tmp_path, capsys, monkeypatch,
+                                                        graph, argv, err):
+    # no "exhaustion step at radius r:" prefix: gen reads a ball, not an exhaustion.
+    # An error in the outer layer's rows (outer-row-*) used to come from the
+    # writer, after config.json was written; gen now reads those rows with the
+    # ball, so like every error materializing a ball it leaves --out unmade.
+    if GEN_GRAPHS[graph]:
+        monkeypatch.setattr(cli, "_generate", lambda spec, seed: GEN_GRAPHS[graph]())
+    code, out, got = run_cli(capsys, "gen", "--family", *argv, "--out", str(tmp_path / "gen"))
+    assert (code, out, got) == (2, "", err)
+    assert not (tmp_path / "gen").exists()
 
 
 @pytest.mark.parametrize("argv", [
