@@ -796,18 +796,28 @@ def _json_number(v: float) -> bytes:
     return b"NaN" if v != v else (b"Infinity" if v > 0 else b"-Infinity")
 
 
-def _spelled(v: np.ndarray) -> np.ndarray:
-    """json.dumps's spelling of each float of v, as an object array of
-    bytes: each distinct bit pattern is spelled once (non-finite ones
-    too), so -0.0 keeps its sign and every NaN reads NaN."""
-    bits, inv = np.unique(v.view(np.int64), return_inverse=True)
+def _spelled(v: np.ndarray) -> np.ndarray | bytes:
+    """json.dumps's spelling of the floats of v, by bit pattern (non-finite
+    ones too), so -0.0 keeps its sign and every NaN reads NaN: one bytes
+    value when every float of v has the same bits, else an object array
+    of bytes, one per float, with each distinct bit pattern spelled once."""
+    bits = v.view(np.int64)
+    if bits.size and (bits == bits[0]).all():
+        return _json_number(float(v[0]))
+    bits, inv = np.unique(bits, return_inverse=True)
     return np.array([_json_number(x) for x in bits.view(np.float64).tolist()], dtype=object)[inv]
 
 
-def _write_array(fh, item: bytes, columns: tuple[np.ndarray, ...]) -> int:
+def _write_array(fh, item: bytes, columns: tuple[np.ndarray | bytes, ...]) -> int:
     """Write to the binary file fh an indent=2 JSON array, one level
     deep, of ``item % row`` for each row of the equally long columns
-    (ints, and the bytes of :func:`_spelled`), 4096 rows per ``%``."""
+    (ints, and the bytes of :func:`_spelled`), 4096 rows per ``%``.  A
+    column given as one bytes value is put into item once, in place of
+    its ``%s``; the first column that is an array sets the row count."""
+    head, *fields = item.split(b"%")
+    item = head + b"".join(c + f[1:] if isinstance(c, bytes) else b"%" + f
+                           for c, f in zip(columns, fields))
+    columns = tuple(c for c in columns if not isinstance(c, bytes))
     n, c = columns[0].size, len(columns)
     template = b",\n    ".join([item] * 4096)
     flat: list = [None] * (4096 * c)
@@ -825,7 +835,9 @@ def _write_array(fh, item: bytes, columns: tuple[np.ndarray, ...]) -> int:
 
 def _write_graph(path: str, xs: np.ndarray, i, j, b, m, deg) -> tuple[int, int]:
     """:func:`write_graph_json` of the distinct vertices xs, given the
-    :func:`_assemble` arrays of their rows."""
+    :func:`_assemble` arrays of their rows.  A float column (the written
+    edges' b, or m) whose rows share one bit pattern is spelled once,
+    into the item template."""
     # the edges of _edges: listed at the smaller end
     keep = xs[i] < xs[j]
     fh = open(path, "wb")
@@ -852,7 +864,9 @@ def write_graph_json(
     The file holds the same bytes as ``json.dump(doc, fh, indent=2,
     sort_keys=True)`` followed by a newline, ``\\n`` on every platform:
     it is written as bytes, from the arrays of one ``g.block`` call over
-    the vertices.  Each distinct float is spelled once, and each chunk
+    the vertices.  A float column with a single bit pattern (m in every
+    shipped family, b in most) is spelled once, into the item template;
+    in any other column each distinct float is spelled once.  Each chunk
     of 4096 items is written with one ``%`` on a repeated bytes item
     template.  Returns the vertex and edge counts.  On an error the
     partial file is removed.

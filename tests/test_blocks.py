@@ -530,6 +530,23 @@ def test_gen_reads_a_ruled_ball_in_one_block_call(counted, tmp_path, capsys):
     assert counted == {"block": 1, "neighbors": 0}
 
 
+@pytest.mark.parametrize("argv, passes", [
+    (("tree:2", "--radii", "5"), 0),
+    (("birth-death:1.5", "--radii", "20"), 1),  # b varies, m = 1
+    (("random-sparse:n=30,density=0.2", "--seed", "3"), 1),
+], ids=["tree", "birth-death", "random-sparse"])
+def test_gen_spells_only_columns_with_several_values(tmp_path, capsys, monkeypatch, argv, passes):
+    # a column with one bit pattern is spelled once, without np.unique's sort
+    unique, calls = np.unique, []
+
+    def counted_unique(a, *args, **kwargs):
+        calls.append(kwargs.get("return_inverse", False))
+        return unique(a, *args, **kwargs)
+    monkeypatch.setattr(np, "unique", counted_unique)
+    assert cli.main(["gen", "--family", *argv, "--out", str(tmp_path)]) == 0
+    assert calls.count(True) == passes
+
+
 def test_scalar_neighbors_is_one_block_call(counted):
     g = symmetric_tree(2)
     make_exhaustion(g, 0, [2, 7])

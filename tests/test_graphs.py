@@ -28,6 +28,7 @@ from nlresolvent import (
     validate,
     write_graph_json,
 )
+from nlresolvent import graphs
 
 
 # --- balls ---------------------------------------------------------------
@@ -295,12 +296,46 @@ def _spelled_floats_graph():
     return ProceduralGraph(0, rule, measure_rule=_SPELLED.__getitem__), list(range(7))
 
 
-@pytest.mark.parametrize("case", ["tree", "random-sparse", "single-vertex", "inf-weight",
-                                  "spelled-floats", "lattice-4097", "lattice-8193"])
+# (m, b) of a path whose measures and whose weights each have one value,
+# which the writer spells once, into the item template
+_UNIFORM = {"m=-0.0": (-0.0, 1.0), "m=5e-324": (5e-324, 1.0), "m=inf": (math.inf, 1.0),
+            "b=inf": (1.0, math.inf), "m=b=0.1": (0.1, 0.1)}
+
+
+def _path(measure_rule, b):
+    # the path 0..6 with every weight b
+    def rule(x):
+        return [(y, b) for y in (x - 1, x + 1) if 0 <= y <= 6]
+    return ProceduralGraph(0, rule, measure_rule=measure_rule), list(range(7))
+
+
+def _lattice_with_last_measure(m):
+    # lattice-z's ball of radius 4096, whose last vertex alone has measure m
+    lat = lattice_z()
+    verts = ball(lat, lat.root, 4096)
+    last = verts[-1]
+    g = ProceduralGraph(0, block_rule=lambda xs: lat.block(xs)[:3],
+                        measure_rule=lambda x: m if x == last else 1.0)
+    return g, verts
+
+
+@pytest.mark.parametrize("case", ["tree", "random-sparse", "single-vertex", "tree-r0",
+                                  "inf-weight", "spelled-floats", "lattice-4097",
+                                  "lattice-8193", "lattice-8193-last-m", "signed-zeros",
+                                  *_UNIFORM])
 def test_write_graph_json_matches_reference_bytes(tmp_path, case):
-    if case == "tree":
+    if case in ("tree", "tree-r0"):
         g = symmetric_tree(2)
-        verts = ball(g, g.root, 6)
+        verts = ball(g, g.root, 6 if case == "tree" else 0)
+    elif case == "lattice-8193-last-m":
+        # the first two 4096-item chunks of m have one value, the column two
+        g, verts = _lattice_with_last_measure(2.0)
+    elif case == "signed-zeros":
+        # equal as floats, but two bit patterns: the column is not folded
+        g, verts = _path(lambda x: -0.0 if x % 2 else 0.0, 1.0)
+    elif case in _UNIFORM:
+        m, b = _UNIFORM[case]
+        g, verts = _path(lambda x: m, b)
     elif case.startswith("lattice-"):
         # 4097 vertices and 4096 edges, or 8193 and 8192: items of a
         # second and a third 4096-item chunk
@@ -320,14 +355,19 @@ def test_write_graph_json_matches_reference_bytes(tmp_path, case):
     text = path.read_text(encoding="utf-8")
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert counts == (len(doc["vertices"]), len(doc["edges"]))
-    if case == "single-vertex":
+    if case in ("single-vertex", "tree-r0"):
         assert '"edges": [],' in text
+    if case == "signed-zeros":
+        ms = [line.split(": ")[1] for line in text.splitlines() if '"m": ' in line]
+        assert ms == ["0.0", "-0.0"] * 3 + ["0.0"]
+    if case == "lattice-8193-last-m":
+        assert text.count('"m": 2.0') == 1 and text.count('"m": 1.0') == 8192
     if case == "inf-weight":
         assert '"b": Infinity' in text
     if case == "spelled-floats":
         ms = [line.split(": ")[1] for line in text.splitlines() if '"m": ' in line]
         assert ms == ["-0.0", "0.0", "NaN", "Infinity", "5e-324", "0.1", "-Infinity"]
-    if case.startswith("lattice-"):
+    if case in ("lattice-4097", "lattice-8193"):
         assert counts == (int(case[8:]), int(case[8:]) - 1)
 
 
@@ -351,4 +391,42 @@ def test_write_graph_json_leaves_no_file_on_error(tmp_path):
     path = tmp_path / "graph.json"
     with pytest.raises(GraphError, match="self-loop at 3"):
         write_graph_json(str(path), ProceduralGraph(0, rule), [0, 1, 2, 3])
+    assert not path.exists()
+
+
+class _FileFailingOnChunk:
+    """A binary file whose write raises OSError on the nth write of a
+    4096-item chunk; what it wrote before stays in the file."""
+
+    def __init__(self, fh, n):
+        self.fh, self.n, self.written_at_error = fh, n, None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.n -= data.count(b"{") >= 4096
+        if self.n == 0:
+            self.fh.flush()
+            self.written_at_error = self.fh.tell()
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+
+def test_write_graph_json_leaves_no_partial_file_on_a_failed_write(tmp_path, monkeypatch):
+    # lattice-8193 writes its 8192 edges in two 4096-item chunks; the second fails
+    files = []
+
+    def failing_open(path, mode):
+        files.append(_FileFailingOnChunk(open(path, mode), 2))
+        return files[-1]
+    monkeypatch.setattr(graphs, "open", failing_open, raising=False)
+    g = lattice_z()
+    path = tmp_path / "graph.json"
+    with pytest.raises(OSError, match="No space left on device"):
+        write_graph_json(str(path), g, ball(g, g.root, 4096))
+    assert files[0].written_at_error > 4096 * 50  # the first chunk reached the file
     assert not path.exists()
