@@ -96,12 +96,12 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
     tol: float = 1e-6
-    sweep_tol: float = 1e-10
-    residual_tol: float = 1e-9
-    max_sweeps: int = 100_000
-    complete_tol: float = 1e-4
-    stabilization_tol: float = 1e-6
-    incomplete_floor: float = 1e-2
+    sweep_tol: float = SolveOptions.sweep_tol
+    residual_tol: float = SolveOptions.residual_tol
+    max_sweeps: int = SolveOptions.max_sweeps
+    complete_tol: float = Thresholds.complete_tol
+    stabilization_tol: float = Thresholds.stabilization_tol
+    incomplete_floor: float = Thresholds.incomplete_floor
     max_vertices: int | None = None
 
     def solve_options(self) -> SolveOptions:
@@ -372,15 +372,6 @@ def _parse_probes(cfg: RunConfig) -> str | tuple[int, ...]:
     raise CliError(f"unknown probes spec {spec!r}")
 
 
-def _probes_on(spec: str | tuple[int, ...], cfg: RunConfig, g: WeightedGraph, ex) -> tuple[int, ...]:
-    """The probe vertices a parsed --probes spec names on the exhaustion ex."""
-    if spec == "auto":
-        return default_probes(g, ex, seed=cfg.seed)
-    if spec == "root":
-        return (ex.root,)
-    return tuple(_probe_index(ex, spec))
-
-
 def _parse_alpha_grid(cfg: RunConfig) -> tuple[float, ...]:
     if cfg.alpha is None:
         return _alpha_grid(None)
@@ -452,18 +443,38 @@ def _write_json(outdir: str, name: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _prepare_out(cfg: RunConfig, extra: dict | None = None) -> str | None:
+def _prepare_out(cfg: RunConfig, **extra) -> str | None:
     if not cfg.out:
         return None
     os.makedirs(cfg.out, exist_ok=True)
-    doc = asdict(cfg)
-    if extra:
-        doc.update(extra)
-    _write_json(cfg.out, "config.json", doc)
+    _write_json(cfg.out, "config.json", {**asdict(cfg), **extra})
     return cfg.out
 
 
 # ---------------------------------------------------------------- modes
+
+def _problem(cfg: RunConfig) -> tuple[WeightedGraph, Nonlinearity, Potential]:
+    """The graph, phi and W of the run."""
+    g = _load_graph(cfg)
+    nl = parse_phi(cfg.phi)
+    return g, nl, _parse_potential(cfg, g, nl)
+
+
+def _exhaustion(cfg: RunConfig, g: WeightedGraph, radii: list[int],
+                spec: str | tuple[int, ...], **resolved):
+    """The run's exhaustion, the probes the parsed --probes spec names on
+    it, and the --out directory, whose config.json records them and ``resolved``."""
+    ex = make_exhaustion(g, g.root, radii, max_vertices=cfg.max_vertices)
+    if spec == "auto":
+        probes = default_probes(g, ex, seed=cfg.seed)
+    elif spec == "root":
+        probes = (ex.root,)
+    else:
+        probes = tuple(_probe_index(ex, spec))
+    outdir = _prepare_out(cfg, probes_resolved=list(probes), radii_resolved=list(ex.radii),
+                          **resolved)
+    return ex, probes, outdir
+
 
 def _run_validate(cfg: RunConfig) -> int:
     g = _load_graph(cfg)  # file graphs are fully validated on load
@@ -473,7 +484,7 @@ def _run_validate(cfg: RunConfig) -> int:
         r = _parse_radii(cfg)[0] if cfg.radii else 3
         probe = ball(g, g.root, r, max_vertices=cfg.max_vertices)
     report = validate(g, probe)
-    outdir = _prepare_out(cfg, {"probe_count": len(probe)})
+    outdir = _prepare_out(cfg, probe_count=len(probe))
     if outdir:
         _write_json(outdir, "result.json",
                     {"ok": report.ok, "failures": list(report.failures)})
@@ -482,9 +493,7 @@ def _run_validate(cfg: RunConfig) -> int:
 
 
 def _run_solve(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    nl = parse_phi(cfg.phi)
-    W = _parse_potential(cfg, g, nl)
+    g, nl, W = _problem(cfg)
     u_set = _parse_U(cfg, g)
     f = _parse_f(cfg)
     res = solve_dirichlet(g, W, nl, f, u_set, opts=cfg.solve_options())
@@ -515,17 +524,13 @@ def _run_solve(cfg: RunConfig) -> int:
 
 
 def _run_resolve(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    nl = parse_phi(cfg.phi)
-    W = _parse_potential(cfg, g, nl)
+    g, nl, W = _problem(cfg)
     radii = _parse_radii(cfg)
     spec = _parse_probes(cfg)
     f = _parse_f(cfg)
     _require_positive("tol", cfg.tol)
     opts = cfg.solve_options()
-    ex = make_exhaustion(g, g.root, radii, max_vertices=cfg.max_vertices)
-    probes = _probes_on(spec, cfg, g, ex)
-    outdir = _prepare_out(cfg, {"probes_resolved": list(probes), "radii_resolved": list(ex.radii)})
+    ex, probes, outdir = _exhaustion(cfg, g, radii, spec)
     est = extended_resolvent(g, W, nl, f, ex, probes=probes, opts=opts)
     converged = {p: est.stabilization_error(p) <= cfg.tol for p in est.probes}
     if outdir:
@@ -542,19 +547,13 @@ def _run_resolve(cfg: RunConfig) -> int:
 
 
 def _run_classify(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    nl = parse_phi(cfg.phi)
-    W = _parse_potential(cfg, g, nl)
+    g, nl, W = _problem(cfg)
     radii = _parse_radii(cfg)
     spec = _parse_probes(cfg)
     grid = _parse_alpha_grid(cfg)
     th = cfg.thresholds()
     opts = cfg.solve_options()
-    ex = make_exhaustion(g, g.root, radii, max_vertices=cfg.max_vertices)
-    probes = _probes_on(spec, cfg, g, ex)
-    outdir = _prepare_out(cfg, {"probes_resolved": list(probes),
-                                "radii_resolved": list(ex.radii),
-                                "alpha_resolved": list(grid)})
+    ex, probes, outdir = _exhaustion(cfg, g, radii, spec, alpha_resolved=list(grid))
     report = classify(g, W, nl, ex, alpha_grid=grid, probes=probes, thresholds=th, opts=opts)
     if outdir:
         _write_trace(outdir, CLASSIFY_CSV_HEADER, report.csv_rows())
@@ -571,9 +570,7 @@ def _run_classify(cfg: RunConfig) -> int:
 
 
 def _run_path_criterion(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    nl = parse_phi(cfg.phi)
-    W = _parse_potential(cfg, g, nl)
+    g, nl, W = _problem(cfg)
     alpha = _parse_alpha_single(cfg)
     path = _parse_path(cfg, g)
     rep = path_criterion(g, W, nl, path, alpha, cfg.terms)
@@ -597,17 +594,12 @@ def _run_path_criterion(cfg: RunConfig) -> int:
 
 
 def _run_verify_liouville(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    nl = parse_phi(cfg.phi)
-    W = _parse_potential(cfg, g, nl)
+    g, nl, W = _problem(cfg)
     radii = _parse_radii(cfg)
     spec = _parse_probes(cfg)
     alpha = _alpha(_parse_alpha_single(cfg))
     opts = cfg.solve_options()
-    ex = make_exhaustion(g, g.root, radii, max_vertices=cfg.max_vertices)
-    probes = _probes_on(spec, cfg, g, ex)
-    outdir = _prepare_out(cfg, {"probes_resolved": list(probes),
-                                "radii_resolved": list(ex.radii)})
+    ex, probes, outdir = _exhaustion(cfg, g, radii, spec)
     rep = verify_liouville(g, W, nl, ex, alpha, probes=probes, opts=opts, seed=cfg.seed)
     rows = rep.defect.csv_rows()
     last = rep.defect.resolvent.steps[-1]

@@ -29,7 +29,7 @@ import numpy as np
 from .graphs import WeightedGraph, _ids, _rows
 from .nonlinearity import Nonlinearity
 from .resolvent import (
-    CSV_HEADER, Exhaustion, ResolventEstimate, _extend, _inner_ball, _probe_index, _trace_rows,
+    CSV_HEADER, Exhaustion, ResolventEstimate, _extend, _probe_index, _trace_rows,
 )
 from .solver import Potential, SolveError, SolveOptions, _Ratio, _require_positive, _sample
 
@@ -133,10 +133,9 @@ def default_probes(g: WeightedGraph, ex: Exhaustion, seed: int = 0, count: int =
 
     Candidates are drawn from the ball one step inside the smallest
     scheduled radius, so every probe is interior to every set.  That
-    ball is read off the exhaustion; the graph is not searched again.
+    ball is ``ex.order[:ex.size(r)]``, root first: no search again.
     """
-    inner = _inner_ball(ex, max(ex.radii[0] - 1, 0))
-    pool = sorted(x for x in inner if x != ex.root)
+    pool = sorted(ex.order[1:ex.size(max(ex.radii[0] - 1, 0))].tolist())
     rng = random.Random(seed)
     picked = rng.sample(pool, min(count, len(pool))) if pool else []
     return (ex.root, *sorted(picked))
@@ -500,9 +499,9 @@ def verify_liouville(
     whole.  Since constants are harmonic, -Lw = Lu, so the residual at
     a probe p is |Lu(p) - phi(W(p) w(p))|; it should sit within a small
     factor of the solver residual tolerance at interior probes.  Also
-    checks 0 <= w <= alpha.  A repeated probe counts once.  Lu and W
-    are read off the exhaustion's arrays, bitwise as ``laplacian_apply``
-    and W give them.
+    checks 0 <= w <= alpha.  A repeated probe counts once.  W, and Lu
+    on the whole interior block in one ``np.bincount``, are read off the
+    exhaustion's arrays, bitwise as ``laplacian_apply`` and W give them.
     """
     probe_list = tuple(probes) if probes is not None else default_probes(g, ex, seed=seed)
     alpha = _alpha(alpha)
@@ -514,28 +513,22 @@ def verify_liouville(
     # the interior probes are those in the ball of radius R - 2 (the root
     # at R = 1; none at R = 0, where the root's row leaves the final set)
     R = ex.radii[-1]
-    inner = ex.ends[min(max(R - 2, 0), len(ex.ends) - 1)] if R else 0
-    skipped: list[int] = []
-    wvals: dict[int, float] = {}
-    residuals: dict[int, float] = {}
-    for p, i in at.items():
-        if i >= inner:
-            skipped.append(p)
-            continue
-        a, b = np.searchsorted(ex.rows, (i, i + 1)).tolist()
-        ux = u[i].item()
-        lu = 0.0  # summed from 0.0 in row order, as laplacian_apply sums
-        for bxy, uy in zip(ex.b[a:b].tolist(), u[ex.cols[a:b]].tolist()):
-            lu += bxy * (ux - uy)
-        wvals[p] = est.alpha - ux
-        residuals[p] = abs(lu / ex.m[i].item() - nl(w[i].item() * wvals[p]))
+    inner = ex.size(max(R - 2, 0)) if R else 0
+    # bincount sums each row from 0.0 in row order, as laplacian_apply sums
+    k = np.searchsorted(ex.rows, inner)
+    rows, cols = ex.rows[:k], ex.cols[:k]
+    lu = np.bincount(rows, ex.b[:k] * (u[rows] - u[cols]), minlength=inner) / ex.m[:inner]
+    skipped = tuple(p for p, i in at.items() if i >= inner)
+    wvals = {p: est.alpha - u[i].item() for p, i in at.items() if i < inner}
+    residuals = {p: abs(lu[i].item() - nl(w[i].item() * wvals[p]))
+                 for p, i in at.items() if i < inner}
 
     bound = 10.0 * (opts or SolveOptions()).residual_tol
     max_residual = max(residuals.values(), default=0.0)
     return LiouvilleReport(
         alpha=est.alpha,
         probes=tuple(wvals),
-        skipped=tuple(skipped),
+        skipped=skipped,
         w=wvals,
         residuals=residuals,
         max_w=max(wvals.values(), default=0.0),

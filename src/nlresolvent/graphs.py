@@ -654,8 +654,10 @@ def validate(g: WeightedGraph, probe: Iterable[int]) -> ValidationReport:
     materialized if needed).  A graph other than an ExplicitGraph is
     read in block calls, on the probe and then on its neighbors (two
     calls when every vertex reads cleanly); a vertex they did not cover
-    is read through ``measure``, ``neighbors`` and ``degree``.  What is
-    read is kept for the length of the call.
+    is read through ``measure``, ``neighbors`` and ``degree``.  A
+    ``GraphError`` met reading a row, a probe vertex's or a mirror
+    endpoint's, is reported as a failure.  What is read is kept for the
+    length of the call.
     """
     probe = list(probe)
     rows: dict[int, tuple] = {}  # x -> (row of x, m(x), deg(x)), as read
@@ -689,7 +691,11 @@ def validate(g: WeightedGraph, probe: Iterable[int]) -> ValidationReport:
             if not math.isfinite(w) or w < 0.0:
                 failures.append(f"weight at ({x},{y}): b = {w!r}")
                 continue
-            back = next((v for z, v in read(y)[0] if z == x), 0.0)  # b(y, x)
+            try:
+                back = next((v for z, v in read(y)[0] if z == x), 0.0)  # b(y, x)
+            except GraphError as exc:
+                failures.append(str(exc))
+                continue
             if back != w:
                 failures.append(
                     f"symmetry at ({x},{y}): b({x},{y}) = {w!r} but b({y},{x}) = {back!r}"

@@ -58,10 +58,11 @@ class Exhaustion:
     is a prefix of the next: ``order`` is the largest, and ``ends[r]``
     is the size of the ball of radius r, for every r up to the largest
     radius or until the ball saturates, which on a finite graph it does
-    once it covers the root's component; ``sizes`` are the sizes at the
-    scheduled radii.  ``order`` is an int64 array, and ``rows`` to
-    ``deg`` hold the graph on it as ``graphs._assemble`` builds it, once
-    per exhaustion: these arrays are the only per-vertex store of a run.
+    once it covers the root's component; ``order[:size(r)]`` is the
+    ball of radius r, and ``sizes`` are the sizes at the scheduled radii.
+    ``order`` is an int64 array, and ``rows`` to ``deg`` hold the graph
+    on it as ``graphs._assemble`` builds it, once per exhaustion: these
+    arrays are the only per-vertex store of a run.
     """
 
     root: int
@@ -77,9 +78,13 @@ class Exhaustion:
     def __len__(self) -> int:
         return len(self.radii)
 
+    def size(self, radius: int) -> int:
+        """The size of the ball of ``radius``, at most the largest radius."""
+        return self.ends[min(radius, len(self.ends) - 1)]
+
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(self.ends[min(r, len(self.ends) - 1)] for r in self.radii)
+        return tuple(self.size(r) for r in self.radii)
 
 
 def make_exhaustion(
@@ -113,12 +118,6 @@ def make_exhaustion(
             raise ValueError(f"schedule must be strictly increasing, got {a} then {b}")
     order, ends, arrays = _ball(g, r0, radii, max_vertices, True, True)
     return Exhaustion(r0, radii, tuple(ends.tolist()), order, *arrays)
-
-
-def _inner_ball(ex: Exhaustion, radius: int) -> tuple[int, ...]:
-    """``ball(g, ex.root, radius)`` for a radius up to the largest one,
-    read off the exhaustion instead of searching the graph."""
-    return tuple(ex.order[:ex.ends[min(radius, len(ex.ends) - 1)]].tolist())
 
 
 @dataclass(frozen=True)

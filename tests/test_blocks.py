@@ -45,6 +45,7 @@ from nlresolvent import (
     odd_power,
     path_criterion,
     residual,
+    random_sparse,
     symmetric_tree,
     validate,
     verify_liouville,
@@ -53,7 +54,6 @@ from nlresolvent import (
 from nlresolvent import cli
 from nlresolvent.graphs import _positions
 from nlresolvent.nonlinearity import RangeError
-from nlresolvent.resolvent import _inner_ball
 from nlresolvent.solver import _Ratio
 
 # --- per-vertex reference --------------------------------------------------
@@ -271,7 +271,7 @@ def test_inner_balls_are_read_off_the_exhaustion(name):
     fast, ref, radii = FAMILIES[name]
     ex = make_exhaustion(fast(), 0, radii)
     for r in range(radii[-1] + 1):
-        assert _inner_ball(ex, r) == tuple(ref_ball(ref(), 0, r))
+        assert ex.order[:ex.size(r)].tolist() == ref_ball(ref(), 0, r)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -362,6 +362,20 @@ def test_validate_matches_reference(rule):
     probe = [0, 2, 3, 4, -1, 9, 3, 6]
     fast = outcome(lambda: validate(ProceduralGraph(0, block_rule=as_block_rule(rule)), probe))
     assert fast == outcome(lambda: validate(RuleGraph(0, rule), probe))
+
+
+def no_row_at_5(x):
+    if x == 5:
+        raise GraphError("no row at 5")
+    return lattice_rule(x)
+
+
+def test_validate_reports_a_mirror_row_error():
+    # the row of a neighbor, read for the symmetry check, fails as a
+    # probe vertex's own row does: as that edge's failure, not raised
+    g = ProceduralGraph(0, block_rule=as_block_rule(no_row_at_5))
+    assert validate(g, [4]).failures == ("no row at 5",)
+    assert validate(g, [3, 4, 5, 6]).failures == ("no row at 5",) * 3
 
 
 # --- block against neighbors, fsum and int64 -----------------------------------
@@ -583,25 +597,44 @@ def test_path_criterion_reads_its_path_in_one_block_call(counted, potential):
     assert (rep.max_deg_over_m, rep.per_term_floor) == (2.0, 0.5)
 
 
-@pytest.mark.parametrize("potential", POTENTIALS.values(), ids=POTENTIALS)
-def test_verify_liouville_reads_no_row_after_the_exhaustion(counted, potential):
+def check_liouville(counted, g, W, schedules):
     # Lu and W at the interior probes come off the exhaustion's arrays,
     # with the bits of laplacian_apply and W; at radius 0 the root's row
-    # leaves the final set, so no probe is interior
-    g, nl = symmetric_tree(2), identity()
-    W = potential(g)
-    for radii, interior in [((4, 8, 10), True), ((1,), True), ((0,), False)]:
+    # leaves the final set, so no probe is interior.  With every vertex of
+    # the final ball as a probe, the interior/skipped split is checked at
+    # every index: interior exactly within radius R - 2, in probe order.
+    nl = identity()
+    for radii in schedules:
         ex = make_exhaustion(g, 0, radii)
-        probes = (*ball(g, 0, min(radii[-1], 3))[::5], *ball(g, 0, radii[-1])[-2:])
-        counted["block"] = 0
-        rep = verify_liouville(g, W, nl, ex, 1.0, probes=probes)
-        assert counted == {"block": 0, "neighbors": 0}
-        assert bool(rep.probes) == interior
-        assert set(rep.probes) | set(rep.skipped) == set(probes)
-        u = VertexFunction(dict(zip(ex.order.tolist(), rep.defect.resolvent.u.tolist())))
-        for p in rep.probes:
-            want = abs(laplacian_apply(g, u, p) - nl(W(p) * (1.0 - u(p))))
-            assert struct.pack("<d", rep.residuals[p]) == struct.pack("<d", want)
+        R = radii[-1]
+        inner = set(ball(g, 0, max(R - 2, 0)) if R else ())
+        some = (*ball(g, 0, min(R, 3))[::5], *ball(g, 0, R)[-2:])
+        for probes in (some, tuple(ex.order.tolist())):
+            counted["block"] = 0
+            rep = verify_liouville(g, W, nl, ex, 1.0, probes=probes)
+            assert counted == {"block": 0, "neighbors": 0}
+            assert bool(rep.probes) == (R > 0)
+            distinct = tuple(dict.fromkeys(probes))
+            assert rep.probes == tuple(p for p in distinct if p in inner)
+            assert rep.skipped == tuple(p for p in distinct if p not in inner)
+            u = VertexFunction(dict(zip(ex.order.tolist(), rep.defect.resolvent.u.tolist())))
+            for p in rep.probes:
+                assert rep.w[p] == 1.0 - u(p)
+                want = abs(laplacian_apply(g, u, p) - nl(W(p) * (1.0 - u(p))))
+                assert struct.pack("<d", rep.residuals[p]) == struct.pack("<d", want)
+
+
+@pytest.mark.parametrize("potential", POTENTIALS.values(), ids=POTENTIALS)
+def test_verify_liouville_reads_no_row_after_the_exhaustion(counted, potential):
+    g = symmetric_tree(2)
+    check_liouville(counted, g, potential(g), ((4, 8, 10), (1,), (0,)))
+
+
+@pytest.mark.parametrize("potential", POTENTIALS.values(), ids=POTENTIALS)
+def test_verify_liouville_sums_uneven_rows_in_row_order(counted, potential):
+    # rows of several uneven weights, so their summation order shows in the bits
+    g = random_sparse(200, 0.015, seed=1)
+    check_liouville(counted, g, potential(g), ((1, 2, 3), (1,), (0,)))
 
 
 def test_a_graph_keeps_no_per_vertex_state():

@@ -6,6 +6,7 @@ import math
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -147,7 +148,9 @@ def test_non_positive_max_vertices_exits_2(capsys, cap):
     (("classify", "--graph", "star:3", "--radii", "1,2", "--probes", "list:99"), 99, 2),
     (("resolve", "--graph", "lattice-z", "--radii", "5,10", "--f", "const:1",
       "--probes", "list:500"), 500, 10),
-], ids=["classify", "not-a-vertex", "resolve"])
+    (("verify-liouville", "--graph", "lattice-z", "--radii", "2,5", "--probes", "list:3,-6"),
+     -6, 5),
+], ids=["classify", "not-a-vertex", "resolve", "verify-liouville"])
 def test_probe_outside_the_largest_ball_exits_2(tmp_path, capsys, argv, probe, radius):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "run"))
     assert code == 2
@@ -344,6 +347,34 @@ def test_config_echo_includes_seed(tmp_path, capsys):
     assert cfg["alpha_resolved"] == [0.5, 1.0]
 
 
+# mode -> (mode flags, their RunConfig fields, the keys config.json adds after
+# probes_resolved and radii_resolved)
+EXHAUSTION_MODES = {
+    "resolve": (("--f", "const:1"), {"f": "const:1"}, {}),
+    "classify": (("--alpha", "0.5,1"), {"alpha": "0.5,1"}, {"alpha_resolved": [0.5, 1.0]}),
+    "verify-liouville": (("--alpha", "1"), {"alpha": "1"}, {}),
+}
+
+
+@pytest.mark.parametrize("probes, resolved", [
+    ("auto", [0, -1, 1]),  # the root, then the seeded draw from the ball of radius 1
+    ("root", [0]),
+    ("list:3,-2,3", [3, -2]),  # deduplicated, in the listed order
+], ids=["auto", "root", "list"])
+@pytest.mark.parametrize("mode", EXHAUSTION_MODES)
+def test_config_json_of_each_exhaustion_mode(tmp_path, capsys, mode, probes, resolved):
+    args, fields, extra = EXHAUSTION_MODES[mode]
+    out_dir = tmp_path / "run"
+    code, _, _ = run_cli(capsys, mode, "--graph", "lattice-z", "--radii", "2,5",
+                         "--probes", probes, *args, "--out", str(out_dir))
+    assert code == 0
+    want = {**asdict(RunConfig(mode=mode, graph="lattice-z", radii="2,5", probes=probes,
+                               out=str(out_dir), **fields)),
+            "probes_resolved": resolved, "radii_resolved": [2, 5], **extra}
+    text = (out_dir / "config.json").read_text(encoding="utf-8")
+    assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
 # --- config files ------------------------------------------------------------
 
 
@@ -517,6 +548,16 @@ def test_chain_weights_up_to_the_float_range_are_written(tmp_path, capsys):
     assert "(512 vertices, 511 edges)" in out
     doc = json.loads((tmp_path / "gen" / "graph.json").read_text(encoding="utf-8"))
     assert (len(doc["vertices"]), len(doc["edges"])) == (512, 511)
+
+
+def test_validate_reports_a_weight_past_the_float_range(tmp_path, capsys):
+    # the probe ball's last vertex, 511, reads fine; the row of its neighbor
+    # 512, read for the symmetry check, overflows and is reported
+    code, out, err = run_cli(capsys, "validate", "--graph", "birth-death:4", "--radii", "511",
+                             "--out", str(tmp_path / "run"))
+    assert (code, out, err) == (2, "invalid:\n  - b(512, 513) overflows a float\n", "")
+    result = json.loads((tmp_path / "run" / "result.json").read_text(encoding="utf-8"))
+    assert result == {"ok": False, "failures": ["b(512, 513) overflows a float"]}
 
 
 # --- help ----------------------------------------------------------------------
