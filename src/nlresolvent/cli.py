@@ -5,14 +5,15 @@ verify-liouville, gen.  Each run can emit three artifacts into --out:
 ``config.json`` (the fully resolved configuration, seed included),
 ``trace.csv`` (per-step rows), and ``result.json`` (the summary; every
 number in it also appears in the trace, so results are auditable
-against the raw rows).
+against the raw rows).  ``run`` alone writes them, once the mode's
+runner has returned its exit code, trace rows and result document.
 
 Exit codes: 0 for a completed run (an inconclusive verdict is a
 result, not a failure), 2 for configuration and input errors, 3 when
-a solve that the mode depends on did not converge.  On exit 3 the
-trace keeps the rows of the steps that completed, so partial traces
-stay reproducible, and ``result.json`` holds
-``{"converged": false, "error": ...}``.
+a solve that the mode depends on did not converge.  An error exit 2
+leaves no --out directory.  On exit 3 the trace keeps the rows of the
+steps that completed, so partial traces stay reproducible, and
+``result.json`` holds ``{"converged": false, "error": ...}``.
 
 CSV numbers are written with 17 significant digits and '.' decimal
 regardless of locale; identical configuration and seed reproduce
@@ -32,6 +33,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .completeness import (
     CLASSIFY_CSV_HEADER,
+    DEFAULT_ALPHA_GRID,
     Thresholds,
     _alpha,
     _alpha_grid,
@@ -71,6 +73,9 @@ __all__ = ["RunConfig", "build_parser", "run", "main"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
+
+# the alpha of path-criterion and verify-liouville when --alpha is not given
+_ALPHA_DEFAULT = 1.0
 
 
 class CliError(Exception):
@@ -143,12 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", help="family spec (lattice-z, finite-path:N, "
                        "complete:N, star:K, birth-death:RATE, tree:K, "
                        "random-sparse:n=..,density=..) or file:PATH")
-        p.add_argument("--phi", help="identity | power:P | log | atan (default identity)")
+        p.add_argument("--phi", help=f"identity | power:P | log | atan (default {RunConfig.phi})")
         p.add_argument("--W", help="const:C | degm:C (deg/m + C) | large-potential "
-                       "(default const:1)")
+                       f"(default {RunConfig.W})")
         p.add_argument("--config", help="JSON file of option values; explicit flags win")
         p.add_argument("--seed", type=int, help="seed for probe selection and for a "
-                       "random-sparse family whose spec has no seed= (default 0)")
+                       f"random-sparse family whose spec has no seed= (default {RunConfig.seed})")
         p.add_argument("--out", help="directory for config.json/trace.csv/result.json")
         p.add_argument("--max-vertices", type=int, dest="max_vertices",
                        help="materialization cap (overrides NLRESOLVENT_MAX_VERTICES)")
@@ -158,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cap on passes over each solve's vertex set: "
                        "conjugate-gradient iterations of the Newton solver, or "
                        "rounds of scalar solves where phi falls back to "
-                       "Gauss-Seidel (default 100000)")
+                       f"Gauss-Seidel (default {SolveOptions.max_sweeps})")
         return p
 
     p = sp("validate", "check graph axioms and report failures")
@@ -171,27 +176,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sp("resolve", "resolvent estimate along a ball exhaustion")
     p.add_argument("--f", help="delta:X | delta:X,SCALE | const:C | zero")
     p.add_argument("--radii", help="comma list 25,50,100 or doubling:START:STEPS")
-    p.add_argument("--probes", help="auto | root | list:0,5,7 (default auto)")
-    p.add_argument("--tol", type=float, help="per-probe increment tolerance (default 1e-6)")
+    p.add_argument("--probes", help=f"auto | root | list:0,5,7 (default {RunConfig.probes})")
+    p.add_argument("--tol", type=float,
+                   help=f"per-probe increment tolerance (default {RunConfig.tol:g})")
 
     p = sp("classify", "conservation-defect verdict over an alpha grid")
     p.add_argument("--radii", help="comma list or doubling:START:STEPS")
-    p.add_argument("--alpha", help="comma list of alphas (default 0.25,0.5,1,2,4)")
-    p.add_argument("--probes", help="auto | root | list:... (default auto)")
+    p.add_argument("--alpha", help="comma list of alphas (default "
+                   f"{','.join(f'{a:g}' for a in DEFAULT_ALPHA_GRID)})")
+    p.add_argument("--probes", help=f"auto | root | list:... (default {RunConfig.probes})")
     p.add_argument("--complete-tol", type=float, dest="complete_tol")
     p.add_argument("--stabilization-tol", type=float, dest="stabilization_tol")
     p.add_argument("--incomplete-floor", type=float, dest="incomplete_floor")
 
     p = sp("path-criterion", "term sums m*phi(alpha*W)/deg along a path")
-    p.add_argument("--alpha", help="single alpha in (0, 1] (default 1)")
-    p.add_argument("--terms", type=int, help="number of terms N (default 50)")
+    p.add_argument("--alpha", help=f"single alpha in (0, 1] (default {_ALPHA_DEFAULT:g})")
+    p.add_argument("--terms", type=int, help=f"number of terms N (default {RunConfig.terms})")
     p.add_argument("--path", help="ray (greedy smallest-id walk from root) | "
-                   "list:0,1,2,... (default ray)")
+                   f"list:0,1,2,... (default {RunConfig.path})")
 
     p = sp("verify-liouville", "equation check for w = alpha - R(alpha W)")
     p.add_argument("--radii", help="comma list or doubling:START:STEPS")
-    p.add_argument("--alpha", help="single alpha > 0 (default 1)")
-    p.add_argument("--probes", help="auto | root | list:... (default auto)")
+    p.add_argument("--alpha", help=f"single alpha > 0 (default {_ALPHA_DEFAULT:g})")
+    p.add_argument("--probes", help=f"auto | root | list:... (default {RunConfig.probes})")
 
     p = sp("gen", "write a generated family instance as graph.json")
     p.add_argument("--family", help="family spec, as for --graph")
@@ -382,9 +389,9 @@ def _parse_alpha_grid(cfg: RunConfig) -> tuple[float, ...]:
     return _alpha_grid(grid)
 
 
-def _parse_alpha_single(cfg: RunConfig, default: float = 1.0) -> float:
+def _parse_alpha_single(cfg: RunConfig) -> float:
     if cfg.alpha is None:
-        return default
+        return _ALPHA_DEFAULT
     try:
         return float(cfg.alpha)
     except (TypeError, ValueError):
@@ -443,14 +450,6 @@ def _write_json(outdir: str, name: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _prepare_out(cfg: RunConfig, **extra) -> str | None:
-    if not cfg.out:
-        return None
-    os.makedirs(cfg.out, exist_ok=True)
-    _write_json(cfg.out, "config.json", {**asdict(cfg), **extra})
-    return cfg.out
-
-
 # ---------------------------------------------------------------- modes
 
 def _problem(cfg: RunConfig) -> tuple[WeightedGraph, Nonlinearity, Potential]:
@@ -460,23 +459,22 @@ def _problem(cfg: RunConfig) -> tuple[WeightedGraph, Nonlinearity, Potential]:
     return g, nl, _parse_potential(cfg, g, nl)
 
 
-def _exhaustion(cfg: RunConfig, g: WeightedGraph, radii: list[int],
-                spec: str | tuple[int, ...], **resolved):
-    """The run's exhaustion, the probes the parsed --probes spec names on
-    it, and the --out directory, whose config.json records them and ``resolved``."""
+def _exhaustion(cfg: RunConfig, resolved: dict, g: WeightedGraph, radii: list[int],
+                spec: str | tuple[int, ...]):
+    """The run's exhaustion and the probes the parsed --probes spec names
+    on it, both recorded in ``resolved`` for config.json."""
     ex = make_exhaustion(g, g.root, radii, max_vertices=cfg.max_vertices)
     if spec == "auto":
-        probes = default_probes(g, ex, seed=cfg.seed)
+        probes = default_probes(ex, seed=cfg.seed)
     elif spec == "root":
         probes = (ex.root,)
     else:
         probes = tuple(_probe_index(ex, spec))
-    outdir = _prepare_out(cfg, probes_resolved=list(probes), radii_resolved=list(ex.radii),
-                          **resolved)
-    return ex, probes, outdir
+    resolved.update(probes_resolved=list(probes), radii_resolved=list(ex.radii))
+    return ex, probes
 
 
-def _run_validate(cfg: RunConfig) -> int:
+def _run_validate(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | None]:
     g = _load_graph(cfg)  # file graphs are fully validated on load
     if isinstance(g, ExplicitGraph):
         probe = g.vertices()
@@ -484,15 +482,13 @@ def _run_validate(cfg: RunConfig) -> int:
         r = _parse_radii(cfg)[0] if cfg.radii else 3
         probe = ball(g, g.root, r, max_vertices=cfg.max_vertices)
     report = validate(g, probe)
-    outdir = _prepare_out(cfg, probe_count=len(probe))
-    if outdir:
-        _write_json(outdir, "result.json",
-                    {"ok": report.ok, "failures": list(report.failures)})
+    resolved["probe_count"] = len(probe)
     print(str(report))
-    return EXIT_OK if report.ok else EXIT_CONFIG
+    return EXIT_OK if report.ok else EXIT_CONFIG, None, {
+        "ok": report.ok, "failures": list(report.failures)}
 
 
-def _run_solve(cfg: RunConfig) -> int:
+def _run_solve(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | None]:
     g, nl, W = _problem(cfg)
     u_set = _parse_U(cfg, g)
     f = _parse_f(cfg)
@@ -502,62 +498,53 @@ def _run_solve(cfg: RunConfig) -> int:
         (0, 0, len(order), x, res.u(x), res.u(x), res.sweeps_used, res.residual_inf)
         for x in order
     ]
-    outdir = _prepare_out(cfg)
-    if outdir:
-        _write_trace(outdir, CSV_HEADER, rows)
-        _write_json(outdir, "result.json", {
-            "u": {str(x): res.u(x) for x in order},
-            "residual_sup": res.residual_inf,
-            "sweeps": res.sweeps_used,
-            "converged": res.converged,
-        })
-    if not res.converged:
+    if res.converged:
+        print("u = (" + ", ".join(f"{res.u(x):.4f}" for x in sorted(order)) + ")")
+        print(f"sweeps {res.sweeps_used}, residual {res.residual_inf:.3g}")
+    else:
         print(
             f"error: solve did not converge after {res.sweeps_used} sweeps "
             f"(residual {res.residual_inf:.3g})",
             file=sys.stderr,
         )
-        return EXIT_NO_CONVERGENCE
-    print("u = (" + ", ".join(f"{res.u(x):.4f}" for x in sorted(order)) + ")")
-    print(f"sweeps {res.sweeps_used}, residual {res.residual_inf:.3g}")
-    return EXIT_OK
+    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE, rows, {
+        "u": {str(x): res.u(x) for x in order},
+        "residual_sup": res.residual_inf,
+        "sweeps": res.sweeps_used,
+        "converged": res.converged,
+    }
 
 
-def _run_resolve(cfg: RunConfig) -> int:
+def _run_resolve(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | None]:
     g, nl, W = _problem(cfg)
     radii = _parse_radii(cfg)
     spec = _parse_probes(cfg)
     f = _parse_f(cfg)
     _require_positive("tol", cfg.tol)
     opts = cfg.solve_options()
-    ex, probes, outdir = _exhaustion(cfg, g, radii, spec)
+    ex, probes = _exhaustion(cfg, resolved, g, radii, spec)
     est = extended_resolvent(g, W, nl, f, ex, probes=probes, opts=opts)
     converged = {p: est.stabilization_error(p) <= cfg.tol for p in est.probes}
-    if outdir:
-        _write_trace(outdir, CSV_HEADER, est.csv_rows())
-        _write_json(outdir, "result.json", {
-            "final": {str(p): est.final[p] for p in est.probes},
-            "converged": {str(p): converged[p] for p in est.probes},
-            "all_converged": all(converged.values()),
-        })
     for p in est.probes:
         tag = "converged" if converged[p] else "still increasing"
         print(f"probe {p}: estimate {est.final[p]:.10g} ({tag})")
-    return EXIT_OK
+    return EXIT_OK, est.csv_rows(), {
+        "final": {str(p): est.final[p] for p in est.probes},
+        "converged": {str(p): converged[p] for p in est.probes},
+        "all_converged": all(converged.values()),
+    }
 
 
-def _run_classify(cfg: RunConfig) -> int:
+def _run_classify(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | None]:
     g, nl, W = _problem(cfg)
     radii = _parse_radii(cfg)
     spec = _parse_probes(cfg)
     grid = _parse_alpha_grid(cfg)
     th = cfg.thresholds()
     opts = cfg.solve_options()
-    ex, probes, outdir = _exhaustion(cfg, g, radii, spec, alpha_resolved=list(grid))
+    resolved["alpha_resolved"] = list(grid)
+    ex, probes = _exhaustion(cfg, resolved, g, radii, spec)
     report = classify(g, W, nl, ex, alpha_grid=grid, probes=probes, thresholds=th, opts=opts)
-    if outdir:
-        _write_trace(outdir, CLASSIFY_CSV_HEADER, report.csv_rows())
-        _write_json(outdir, "result.json", report.to_json_doc())
     print(f"verdict: {report.verdict}")
     for est in report.estimates:
         p = est.probes[0]
@@ -566,10 +553,10 @@ def _run_classify(cfg: RunConfig) -> int:
             f"  alpha {est.alpha:g}: defect at {where} {est.final[p]:.6g}, "
             f"stabilization {est.stabilization_error(p):.3g}"
         )
-    return EXIT_OK
+    return EXIT_OK, report.csv_rows(), report.to_json_doc()
 
 
-def _run_path_criterion(cfg: RunConfig) -> int:
+def _run_path_criterion(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | None]:
     g, nl, W = _problem(cfg)
     alpha = _parse_alpha_single(cfg)
     path = _parse_path(cfg, g)
@@ -579,28 +566,24 @@ def _run_path_criterion(cfg: RunConfig) -> int:
          rep.partial_sums[k], rep.terms[k], 0, 0.0)
         for k in range(len(rep.terms))
     ]
-    outdir = _prepare_out(cfg)
-    if outdir:
-        _write_trace(outdir, CLASSIFY_CSV_HEADER, rows)
-        _write_json(outdir, "result.json", {
-            "alpha": rep.alpha,
-            "terms": len(rep.terms),
-            "partial_sum": rep.final_sum,
-            "diagnosis": rep.diagnosis,
-        })
     print(f"S_{len(rep.terms)} = {rep.final_sum:.10g}")
     print(rep.diagnosis)
-    return EXIT_OK
+    return EXIT_OK, rows, {
+        "alpha": rep.alpha,
+        "terms": len(rep.terms),
+        "partial_sum": rep.final_sum,
+        "diagnosis": rep.diagnosis,
+    }
 
 
-def _run_verify_liouville(cfg: RunConfig) -> int:
+def _run_verify_liouville(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | None]:
     g, nl, W = _problem(cfg)
     radii = _parse_radii(cfg)
     spec = _parse_probes(cfg)
     alpha = _alpha(_parse_alpha_single(cfg))
     opts = cfg.solve_options()
-    ex, probes, outdir = _exhaustion(cfg, g, radii, spec)
-    rep = verify_liouville(g, W, nl, ex, alpha, probes=probes, opts=opts, seed=cfg.seed)
+    ex, probes = _exhaustion(cfg, resolved, g, radii, spec)
+    rep = verify_liouville(g, W, nl, ex, alpha, probes=probes, opts=opts)
     rows = rep.defect.csv_rows()
     last = rep.defect.resolvent.steps[-1]
     rows.extend(
@@ -608,18 +591,6 @@ def _run_verify_liouville(cfg: RunConfig) -> int:
          rep.residuals[p], 0.0, 0, rep.residuals[p])
         for p in rep.probes
     )
-    if outdir:
-        _write_trace(outdir, CLASSIFY_CSV_HEADER, rows)
-        _write_json(outdir, "result.json", {
-            "alpha": rep.alpha,
-            "w": {str(p): rep.w[p] for p in rep.probes},
-            "residual": {str(p): rep.residuals[p] for p in rep.probes},
-            "max_w": rep.max_w,
-            "max_residual": rep.max_residual,
-            "bounds_ok": rep.bounds_ok,
-            "residual_ok": rep.residual_ok,
-            "skipped": list(rep.skipped),
-        })
     print(
         f"w in [0, {rep.alpha:g}]: {'ok' if rep.bounds_ok else 'VIOLATED'}; "
         f"max w = {rep.max_w:.6g}"
@@ -631,10 +602,19 @@ def _run_verify_liouville(cfg: RunConfig) -> int:
     )
     if rep.skipped:
         print(f"skipped non-interior probes: {list(rep.skipped)}")
-    return EXIT_OK
+    return EXIT_OK, rows, {
+        "alpha": rep.alpha,
+        "w": {str(p): rep.w[p] for p in rep.probes},
+        "residual": {str(p): rep.residuals[p] for p in rep.probes},
+        "max_w": rep.max_w,
+        "max_residual": rep.max_residual,
+        "bounds_ok": rep.bounds_ok,
+        "residual_ok": rep.residual_ok,
+        "skipped": list(rep.skipped),
+    }
 
 
-def _run_gen(cfg: RunConfig) -> int:
+def _run_gen(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | None]:
     spec = cfg.family or cfg.graph
     if not spec:
         raise CliError("--family is required for gen")
@@ -643,7 +623,7 @@ def _run_gen(cfg: RunConfig) -> int:
     g = _generate(spec, cfg.seed)
     path = os.path.join(cfg.out, "graph.json")
     if isinstance(g, ExplicitGraph):
-        _prepare_out(cfg)
+        os.makedirs(cfg.out, exist_ok=True)
         n_verts, n_edges = write_graph_json(path, g)
     else:
         if not cfg.radii:
@@ -653,10 +633,10 @@ def _run_gen(cfg: RunConfig) -> int:
             raise GraphError(f"radius must be >= 0, got {r}")
         # the ball as ``ball`` finds it, with the rows of all its vertices
         order, _, arrays = _ball(g, g.root, (r,), cfg.max_vertices, True, False)
-        _prepare_out(cfg)
+        os.makedirs(cfg.out, exist_ok=True)
         n_verts, n_edges = _write_graph(path, order, *arrays)
     print(f"wrote {path} ({n_verts} vertices, {n_edges} edges)")
-    return EXIT_OK
+    return EXIT_OK, None, None
 
 
 _RUNNERS = {
@@ -673,22 +653,32 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Execute a resolved configuration; returns the process exit code.
 
-    A SolveError ends the run with exit 3.  With --out, trace.csv then
-    holds the rows of the completed steps (its ``partial``) under the
-    mode's header, and result.json records the error.
+    ``runner(config, resolved)`` computes and prints, records config.json's
+    extra keys in ``resolved`` and returns (code, trace rows or None,
+    result.json document or None); a SolveError gives exit 3, its
+    ``partial``'s rows and the error.  Only then is --out written, so an
+    error exit 2 leaves none (gen writes its graph.json there itself).
     """
     runner = _RUNNERS.get(config.mode)
     if runner is None:
         raise CliError(f"unknown mode {config.mode!r}")
+    resolved: dict = {}
     try:
-        return runner(config)
+        code, rows, result = runner(config, resolved)
     except SolveError as exc:
-        if config.out:
-            header = CSV_HEADER if config.mode == "resolve" else CLASSIFY_CSV_HEADER
-            _write_trace(config.out, header, exc.partial.csv_rows() if exc.partial else [])
-            _write_json(config.out, "result.json", {"converged": False, "error": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        code = EXIT_NO_CONVERGENCE
+        rows = exc.partial.csv_rows() if exc.partial else []
+        result = {"converged": False, "error": str(exc)}
+    if config.out:
+        os.makedirs(config.out, exist_ok=True)
+        _write_json(config.out, "config.json", {**asdict(config), **resolved})
+        if rows is not None:
+            header = CSV_HEADER if config.mode in ("solve", "resolve") else CLASSIFY_CSV_HEADER
+            _write_trace(config.out, header, rows)
+        if result is not None:
+            _write_json(config.out, "result.json", result)
+    return code
 
 
 def main(argv=None) -> int:

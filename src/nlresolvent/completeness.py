@@ -128,8 +128,8 @@ class DefectEstimate:
                            self.increments, prefix=(self.alpha,))
 
 
-def default_probes(g: WeightedGraph, ex: Exhaustion, seed: int = 0, count: int = 4) -> tuple[int, ...]:
-    """Exhaustion root plus up to ``count`` seeded interior vertices.
+def default_probes(ex: Exhaustion, seed: int = 0) -> tuple[int, ...]:
+    """Exhaustion root plus up to four interior vertices drawn with ``seed``.
 
     Candidates are drawn from the ball one step inside the smallest
     scheduled radius, so every probe is interior to every set.  That
@@ -137,7 +137,7 @@ def default_probes(g: WeightedGraph, ex: Exhaustion, seed: int = 0, count: int =
     """
     pool = sorted(ex.order[1:ex.size(max(ex.radii[0] - 1, 0))].tolist())
     rng = random.Random(seed)
-    picked = rng.sample(pool, min(count, len(pool))) if pool else []
+    picked = rng.sample(pool, min(4, len(pool))) if pool else []
     return (ex.root, *sorted(picked))
 
 
@@ -275,7 +275,6 @@ def classify(
     alpha_grid: Iterable[float] | None = None,
     probes: Iterable[int] | None = None,
     thresholds: Thresholds | None = None,
-    seed: int = 0,
     opts: SolveOptions | None = None,
 ) -> ClassificationReport:
     """Run the defect over an alpha grid and issue a verdict.
@@ -289,12 +288,12 @@ def classify(
     W is sampled once, on the exhaustion's largest ball, for the whole
     grid.  A failed solve raises SolveError whose ``partial`` holds the
     rows of the alphas completed before it and of the failed alpha's
-    completed steps (None when nothing completed).
+    completed steps (None when nothing completed).  ``probes`` defaults
+    to ``default_probes(ex)``, drawn with seed 0.
     """
     grid = _alpha_grid(alpha_grid)
     th = thresholds or Thresholds()
-    at = _probe_index(
-        ex, tuple(probes) if probes is not None else default_probes(g, ex, seed=seed))
+    at = _probe_index(ex, tuple(probes) if probes is not None else default_probes(ex))
     w = _sample(g, W.fn, ex.order, ex.m, ex.deg)
 
     done: list[DefectEstimate] = []
@@ -368,7 +367,6 @@ def path_criterion(
     path: Iterable[int],
     alpha: float,
     n_terms: int,
-    stagnation_tol: float = 1e-9,
 ) -> PathCriterionReport:
     """Evaluate S_N = sum_{k=1..N} m(x_k) phi(alpha W(x_k)) / deg(x_k).
 
@@ -380,7 +378,8 @@ def path_criterion(
     reads nothing more.
     The diagnosis reports either a divergent trend (partial sums still
     growing, with the conditional per-term floor phi(alpha*W0)/C for
-    the observed C = max deg/m) or stalled partial sums, which are
+    the observed C = max deg/m) or stalled partial sums (growth at most
+    1e-9 (1 + |S_N|) over the last quarter of the terms), which are
     consistent with a summable series and decide nothing.
     """
     alpha = float(alpha)
@@ -420,7 +419,7 @@ def path_criterion(
     floor = nl(alpha * W.W0) / ratio_max
     n = len(sums)
     tail_growth = acc - sums[max(0, (3 * n) // 4 - 1)]
-    if tail_growth <= stagnation_tol * (1.0 + abs(acc)):
+    if tail_growth <= 1e-9 * (1.0 + abs(acc)):
         diagnosis = (
             f"inconclusive: partial sums stalled at {acc:.6g} "
             f"(growth {tail_growth:.3g} over the last quarter of the terms); "
@@ -491,7 +490,6 @@ def verify_liouville(
     alpha: float,
     probes: Iterable[int] | None = None,
     opts: SolveOptions | None = None,
-    seed: int = 0,
 ) -> LiouvilleReport:
     """Check the equation for w = alpha - u on the final exhaustion set.
 
@@ -502,8 +500,9 @@ def verify_liouville(
     checks 0 <= w <= alpha.  A repeated probe counts once.  W, and Lu
     on the whole interior block in one ``np.bincount``, are read off the
     exhaustion's arrays, bitwise as ``laplacian_apply`` and W give them.
+    ``probes`` defaults to ``default_probes(ex)``, drawn with seed 0.
     """
-    probe_list = tuple(probes) if probes is not None else default_probes(g, ex, seed=seed)
+    probe_list = tuple(probes) if probes is not None else default_probes(ex)
     alpha = _alpha(alpha)
     w = _sample(g, W.fn, ex.order, ex.m, ex.deg)
     at = _probe_index(ex, probe_list)

@@ -198,15 +198,13 @@ class ExplicitGraph(WeightedGraph):
         edges: Iterable[tuple[int, int, float]],
         measures: Mapping[int, float] | None = None,
         vertices: Iterable[int] | None = None,
-        default_measure: float = 1.0,
         root: int | None = None,
     ) -> "ExplicitGraph":
         """Build a graph from undirected edge triples (u, v, b).
 
         Each triple is stored in both directions, so the result is
         symmetric by construction.  Vertices not mentioned in
-        ``measures`` get ``default_measure``; ``vertices`` may add
-        isolated ones.
+        ``measures`` get measure 1; ``vertices`` may add isolated ones.
         """
         adj: dict[int, dict[int, float]] = {}
         seen: set[int] = set(int(v) for v in vertices) if vertices else set()
@@ -222,13 +220,10 @@ class ExplicitGraph(WeightedGraph):
                 continue  # zero weight means no edge
             adj.setdefault(u, {})[v] = w
             adj.setdefault(v, {})[u] = w
-        m = {x: default_measure for x in seen}
+        m = {x: 1.0 for x in seen}
         if measures:
             for x, mv in measures.items():
                 m[int(x)] = float(mv)
-                seen.add(int(x))
-        for x in seen:
-            m.setdefault(x, default_measure)
         return cls(m, adj, root=root)
 
     def vertices(self) -> list[int]:

@@ -39,6 +39,7 @@ __all__ = [
 
 _INV_ATOL = 1e-12
 _INV_RTOL = 1e-10
+_PHI_RTOL = 1e-10
 _HUGE = 1e300
 
 
@@ -109,7 +110,7 @@ class Nonlinearity:
         """Whether s lies in the open interval ran phi."""
         return self.lo < s < self.hi
 
-    def inverse(self, s: float, atol: float = _INV_ATOL, rtol: float = _INV_RTOL) -> float:
+    def inverse(self, s: float) -> float:
         """phi^{-1}(s); closed form if available, else numeric.
 
         Raises RangeError when s is not in ran phi.
@@ -118,7 +119,7 @@ class Nonlinearity:
             raise RangeError(s, self.lo, self.hi, self.name)
         if self.inv is not None:
             return self.inv(s)
-        return phi_inv_numeric(self, s, atol=atol, rtol=rtol)
+        return phi_inv_numeric(self, s)
 
     def antiderivative(self, s: float) -> float:
         """Phi(s) >= 0; closed form if available, else quadrature."""
@@ -127,23 +128,18 @@ class Nonlinearity:
         return Phi_numeric(self, s)
 
 
-def phi_inv_numeric(
-    n: Nonlinearity,
-    s: float,
-    atol: float = _INV_ATOL,
-    rtol: float = _INV_RTOL,
-) -> float:
+def phi_inv_numeric(n: Nonlinearity, s: float) -> float:
     """Invert phi at s by bracketed bisection with Newton refinement.
 
     The bracket starts at [-1, 1] and doubles outward until it contains
     the root (monotonicity makes the test a sign check).  Newton steps
     from the derivative hint are accepted while they stay inside the
     current bracket; every evaluation shrinks it, so the loop cannot
-    escape.  Stops when |phi(t) - s| <= atol + rtol*|s|.
+    escape.  Stops when |phi(t) - s| <= _INV_ATOL + _INV_RTOL*|s|.
     """
     if not n.contains(s):
         raise RangeError(s, n.lo, n.hi, n.name)
-    tol = atol + rtol * abs(s)
+    tol = _INV_ATOL + _INV_RTOL * abs(s)
     phi, deriv = n.phi, n.deriv
     if abs(s) <= tol and abs(phi(0.0)) <= tol:
         return 0.0
@@ -176,7 +172,7 @@ def phi_inv_numeric(
                 step_done = True
         if not step_done:
             t = 0.5 * (lo + hi)
-        if hi - lo <= atol * (1.0 + abs(t)):
+        if hi - lo <= _INV_ATOL * (1.0 + abs(t)):
             return t
     return t
 
@@ -196,8 +192,8 @@ def _adaptive_simpson(f, a, b, fa, fb, fm, whole, tol, depth):
     ) + _adaptive_simpson(f, m, b, fm, fb, frm, right, 0.5 * tol, depth - 1)
 
 
-def Phi_numeric(n: Nonlinearity, s: float, rel_tol: float = 1e-10) -> float:
-    """Phi(s) = integral_0^s 2 phi(t) dt by adaptive Simpson quadrature.
+def Phi_numeric(n: Nonlinearity, s: float) -> float:
+    """Phi(s) = integral_0^s 2 phi(t) dt by adaptive Simpson quadrature to _PHI_RTOL.
 
     Result is clamped at 0 from below to absorb quadrature noise near
     s = 0 (the exact value is nonnegative).
@@ -209,7 +205,7 @@ def Phi_numeric(n: Nonlinearity, s: float, rel_tol: float = 1e-10) -> float:
     fm = f(0.5 * s)
     whole = s / 6.0 * (fa + 4.0 * fm + fb)
     scale = abs(whole) + abs(s)
-    val = _adaptive_simpson(f, 0.0, s, fa, fb, fm, whole, rel_tol * scale, 40)
+    val = _adaptive_simpson(f, 0.0, s, fa, fb, fm, whole, _PHI_RTOL * scale, 40)
     return max(val, 0.0)
 
 

@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 _DENSE_CAP = 2000
+_GRID_POINTS = 17
+_COORD_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -403,18 +405,16 @@ def brute_force_minimizer(
     f: VertexFunction,
     U,
     box: tuple[float, float] | None = None,
-    grid_points: int = 17,
-    coord_tol: float = 1e-7,
 ) -> VertexFunction:
     """Energy minimizer over up to three unknowns, by search alone.
 
-    Exhaustive grid evaluation of the energy locates the basin; cyclic
-    per-coordinate golden-section search then refines each coordinate
-    well below 1e-6.  Only energy values are queried, which keeps this
-    oracle independent of the stationarity conditions the solver
-    iterates on.  The box must contain [-||f||/W0, ||f||/W0]; if the
-    refined minimizer presses against the box the box was too small
-    and a GraphError says so.
+    Exhaustive evaluation of the energy on a grid of _GRID_POINTS per
+    coordinate locates the basin; cyclic per-coordinate golden-section
+    search then refines each coordinate to _COORD_TOL.  Only energy
+    values are queried, which keeps this oracle independent of the
+    stationarity conditions the solver iterates on.  The box must
+    contain [-||f||/W0, ||f||/W0]; if the refined minimizer presses
+    against the box the box was too small and a GraphError says so.
     """
     u_list = list(dict.fromkeys(U))
     k = len(u_list)
@@ -437,7 +437,7 @@ def brute_force_minimizer(
             g, W, nl, f, VertexFunction(dict(zip(u_list, vals))), u_list
         )
 
-    grid = [lo + (hi - lo) * i / (grid_points - 1) for i in range(grid_points)]
+    grid = [lo + (hi - lo) * i / (_GRID_POINTS - 1) for i in range(_GRID_POINTS)]
     best, best_val = None, math.inf
     if k == 1:
         candidates = ([a] for a in grid)
@@ -461,13 +461,13 @@ def brute_force_minimizer(
                 trial[i] = t
                 return ener(trial)
 
-            new = _golden_section(slice_fun, lo, hi, coord_tol)
+            new = _golden_section(slice_fun, lo, hi, _COORD_TOL)
             moved = max(moved, abs(new - cur))
             best[i] = new
-        if moved <= coord_tol:
+        if moved <= _COORD_TOL:
             break
 
-    margin = 2.0 * coord_tol + (hi - lo) / (grid_points - 1) * 1e-3
+    margin = 2.0 * _COORD_TOL + (hi - lo) / (_GRID_POINTS - 1) * 1e-3
     for v in best:
         if v - lo < margin or hi - v < margin:
             raise GraphError(

@@ -117,6 +117,12 @@ def test_exit_3_writes_result_json(tmp_path, capsys, mode, args):
     result = json.loads((out_dir / "result.json").read_text())
     assert result == {"converged": False, "error": err.strip().removeprefix("error: ")}
     assert "did not converge" in result["error"]
+    # the keys the runner resolved before the failed solve still reach config.json
+    config = json.loads((out_dir / "config.json").read_text())
+    assert config["probes_resolved"] == [0]
+    assert config["radii_resolved"] == [1, 40]
+    if mode == "classify":
+        assert config["alpha_resolved"] == [1.0]
 
 
 def test_u_all_on_procedural_graph_is_config_error(capsys):
@@ -156,6 +162,26 @@ def test_probe_outside_the_largest_ball_exits_2(tmp_path, capsys, argv, probe, r
     assert code == 2
     assert out == ""
     assert err == f"error: probe {probe} is outside the largest ball, of radius {radius} around 0\n"
+    assert not (tmp_path / "run").exists()
+
+
+# input errors found only after the exhaustion is built: the run exits 2
+# and leaves no --out directory, not one holding a lone config.json
+@pytest.mark.parametrize("argv, err", [
+    (("classify", "--graph", "lattice-z", "--W", "large-potential", "--phi", "atan",
+      "--radii", "5"),
+     "2.0 is outside ran atan = (-1.5707963267948966, 1.5707963267948966)"),
+    (("verify-liouville", "--graph", "lattice-z", "--W", "large-potential", "--phi", "atan",
+      "--radii", "5"),
+     "2.0 is outside ran atan = (-1.5707963267948966, 1.5707963267948966)"),
+    (("resolve", "--graph", "lattice-z", "--f", "const:-1", "--radii", "5"),
+     "extended resolvent needs f >= 0, got f(0) = -1.0"),
+], ids=["classify-W-range", "verify-liouville-W-range", "resolve-negative-f"])
+def test_input_error_after_the_exhaustion_leaves_no_out_dir(tmp_path, capsys, argv, err):
+    code, out, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert out == ""
+    assert stderr == f"error: {err}\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -403,6 +429,26 @@ def test_flags_map_one_to_one_onto_run_config():
     dests = {a.dest for p in subparsers.choices.values() for a in p._actions
              if not isinstance(a, argparse._HelpAction)}
     assert dests - {"config"} == set(RunConfig.__dataclass_fields__) - {"mode"}
+
+
+def test_help_defaults_follow_their_sources(monkeypatch, capsys):
+    monkeypatch.setattr(RunConfig, "tol", 2.5e-3)
+    monkeypatch.setattr(RunConfig, "probes", "root")
+    monkeypatch.setattr(cli, "DEFAULT_ALPHA_GRID", (0.125, 3.0))
+    monkeypatch.setattr(cli, "_ALPHA_DEFAULT", 0.75)
+    monkeypatch.setattr(cli.SolveOptions, "max_sweeps", 1234)
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+
+    def help_of(mode):
+        return " ".join(subparsers.choices[mode].format_help().split())
+
+    assert "per-probe increment tolerance (default 0.0025)" in help_of("resolve")
+    assert "list:0,5,7 (default root)" in help_of("resolve")
+    assert "comma list of alphas (default 0.125,3)" in help_of("classify")
+    assert "single alpha in (0, 1] (default 0.75)" in help_of("path-criterion")
+    assert "single alpha > 0 (default 0.75)" in help_of("verify-liouville")
+    assert "Gauss-Seidel (default 1234)" in help_of("solve")
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

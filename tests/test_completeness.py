@@ -209,8 +209,8 @@ def test_custom_thresholds_change_verdict(chain4, unit_potential, chain_ex):
 
 def test_default_probes_deterministic(lattice, unit_potential):
     ex = make_exhaustion(lattice, 0, [10, 20])
-    a = default_probes(lattice, ex, seed=42)
-    b = default_probes(lattice, ex, seed=42)
+    a = default_probes(ex, seed=42)
+    b = default_probes(ex, seed=42)
     assert a == b
     assert a[0] == 0
     inner = set(range(-9, 10))
@@ -220,7 +220,7 @@ def test_default_probes_deterministic(lattice, unit_potential):
 
 def test_default_probes_tiny_first_ball(lattice):
     ex = make_exhaustion(lattice, 0, [1, 2])
-    assert default_probes(lattice, ex) == (0,)
+    assert default_probes(ex) == (0,)
 
 
 def test_json_doc_schema(chain4, unit_potential, chain_ex):

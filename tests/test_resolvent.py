@@ -238,7 +238,7 @@ def test_steps_equal_direct_solves_exactly(name, unit_potential):
     make_graph, nl, radii = SLICED_RUNS[name]
     g = make_graph()
     ex = make_exhaustion(g, g.root, radii)
-    probes = default_probes(g, ex)
+    probes = default_probes(ex)
     est = extended_resolvent(g, unit_potential, nl, lambda x: 1.0, ex, probes=probes)
     start = None
     for k, step in enumerate(est.steps):
