@@ -8,12 +8,18 @@ number in it also appears in the trace, so results are auditable
 against the raw rows).  ``run`` alone writes them, once the mode's
 runner has returned its exit code, trace rows and result document.
 
+``main`` parses with a parser of the invoked mode alone, which fails on
+a bad value and prints ``MODE -h`` as ``build_parser()``'s subcommand
+does; arguments that it does not know send the command line to
+``build_parser()``, the parser of every mode, which reports them.
+
 Exit codes: 0 for a completed run (an inconclusive verdict is a
 result, not a failure), 2 for configuration and input errors, 3 when
 a solve that the mode depends on did not converge.  An error exit 2
-leaves no --out directory.  On exit 3 the trace keeps the rows of the
-steps that completed, so partial traces stay reproducible, and
-``result.json`` holds ``{"converged": false, "error": ...}``.
+leaves no --out directory; an --out that names an existing file is
+such an error, found before the run computes.  On exit 3 the trace
+keeps the rows of the steps that completed, so partial traces stay
+reproducible, and ``result.json`` holds ``{"converged": false, "error": ...}``.
 
 CSV numbers are written with 17 significant digits and '.' decimal
 regardless of locale; identical configuration and seed reproduce
@@ -126,13 +132,81 @@ class RunConfig:
 
 # ---------------------------------------------------------------- parsing
 
-_MODES = ("validate", "solve", "resolve", "classify", "path-criterion",
-          "verify-liouville", "gen")
+_MODES = {
+    "validate": "check graph axioms and report failures",
+    "solve": "one Dirichlet solve on an explicit vertex set",
+    "resolve": "resolvent estimate along a ball exhaustion",
+    "classify": "conservation-defect verdict over an alpha grid",
+    "path-criterion": "term sums m*phi(alpha*W)/deg along a path",
+    "verify-liouville": "equation check for w = alpha - R(alpha W)",
+    "gen": "write a generated family instance as graph.json",
+}
+
+
+def _formatter():
+    # every add_argument builds a formatter: read the terminal width once for all
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def _add_arguments(p: argparse.ArgumentParser, mode: str) -> None:
+    """The flags of ``mode`` on p, a parser that stores only given flags."""
+    p.set_defaults(mode=mode)
+    p.add_argument("--graph", help="family spec (lattice-z, finite-path:N, "
+                   "complete:N, star:K, birth-death:RATE, tree:K, "
+                   "random-sparse:n=..,density=..) or file:PATH")
+    p.add_argument("--phi", help=f"identity | power:P | log | atan (default {RunConfig.phi})")
+    p.add_argument("--W", help="const:C | degm:C (deg/m + C) | large-potential "
+                   f"(default {RunConfig.W})")
+    p.add_argument("--config", help="JSON file of option values; explicit flags win")
+    p.add_argument("--seed", type=int, help="seed for probe selection and for a "
+                   f"random-sparse family whose spec has no seed= (default {RunConfig.seed})")
+    p.add_argument("--out", help="directory for config.json/trace.csv/result.json")
+    p.add_argument("--max-vertices", type=int, dest="max_vertices",
+                   help="materialization cap (overrides NLRESOLVENT_MAX_VERTICES)")
+    p.add_argument("--sweep-tol", type=float, dest="sweep_tol")
+    p.add_argument("--residual-tol", type=float, dest="residual_tol")
+    p.add_argument("--max-sweeps", type=int, dest="max_sweeps",
+                   help="cap on passes over each solve's vertex set: "
+                   "conjugate-gradient iterations of the Newton solver, or "
+                   "rounds of scalar solves where phi falls back to "
+                   f"Gauss-Seidel (default {SolveOptions.max_sweeps})")
+
+    if mode == "validate":
+        p.add_argument("--radii", help="probe ball radius for procedural graphs (first value)")
+    elif mode == "solve":
+        p.add_argument("--f", help="delta:X | delta:X,SCALE | const:C | zero")
+        p.add_argument("--U", help="all | ball:R | list:1,2,3")
+    elif mode == "resolve":
+        p.add_argument("--f", help="delta:X | delta:X,SCALE | const:C | zero")
+        p.add_argument("--radii", help="comma list 25,50,100 or doubling:START:STEPS")
+        p.add_argument("--probes", help=f"auto | root | list:0,5,7 (default {RunConfig.probes})")
+        p.add_argument("--tol", type=float,
+                       help=f"per-probe increment tolerance (default {RunConfig.tol:g})")
+    elif mode == "classify":
+        p.add_argument("--radii", help="comma list or doubling:START:STEPS")
+        p.add_argument("--alpha", help="comma list of alphas (default "
+                       f"{','.join(f'{a:g}' for a in DEFAULT_ALPHA_GRID)})")
+        p.add_argument("--probes", help=f"auto | root | list:... (default {RunConfig.probes})")
+        p.add_argument("--complete-tol", type=float, dest="complete_tol")
+        p.add_argument("--stabilization-tol", type=float, dest="stabilization_tol")
+        p.add_argument("--incomplete-floor", type=float, dest="incomplete_floor")
+    elif mode == "path-criterion":
+        p.add_argument("--alpha", help=f"single alpha in (0, 1] (default {_ALPHA_DEFAULT:g})")
+        p.add_argument("--terms", type=int, help=f"number of terms N (default {RunConfig.terms})")
+        p.add_argument("--path", help="ray (greedy smallest-id walk from root) | "
+                       f"list:0,1,2,... (default {RunConfig.path})")
+    elif mode == "verify-liouville":
+        p.add_argument("--radii", help="comma list or doubling:START:STEPS")
+        p.add_argument("--alpha", help=f"single alpha > 0 (default {_ALPHA_DEFAULT:g})")
+        p.add_argument("--probes", help=f"auto | root | list:... (default {RunConfig.probes})")
+    else:  # gen
+        p.add_argument("--family", help="family spec, as for --graph")
+        p.add_argument("--radii", help="ball radius to materialize a procedural family")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # every add_argument builds a formatter: read the terminal width once for all
-    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    """The parser of every mode, as a subcommand each."""
+    fmt = _formatter()
     parser = argparse.ArgumentParser(
         prog="nlresolvent",
         description="Dirichlet solves, resolvent estimates, and completeness "
@@ -140,70 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=fmt,
     )
     sub = parser.add_subparsers(dest="mode", required=True, metavar="|".join(_MODES))
-
-    def sp(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_, argument_default=argparse.SUPPRESS,
-                           formatter_class=fmt)
-        p.set_defaults(mode=name)
-        p.add_argument("--graph", help="family spec (lattice-z, finite-path:N, "
-                       "complete:N, star:K, birth-death:RATE, tree:K, "
-                       "random-sparse:n=..,density=..) or file:PATH")
-        p.add_argument("--phi", help=f"identity | power:P | log | atan (default {RunConfig.phi})")
-        p.add_argument("--W", help="const:C | degm:C (deg/m + C) | large-potential "
-                       f"(default {RunConfig.W})")
-        p.add_argument("--config", help="JSON file of option values; explicit flags win")
-        p.add_argument("--seed", type=int, help="seed for probe selection and for a "
-                       f"random-sparse family whose spec has no seed= (default {RunConfig.seed})")
-        p.add_argument("--out", help="directory for config.json/trace.csv/result.json")
-        p.add_argument("--max-vertices", type=int, dest="max_vertices",
-                       help="materialization cap (overrides NLRESOLVENT_MAX_VERTICES)")
-        p.add_argument("--sweep-tol", type=float, dest="sweep_tol")
-        p.add_argument("--residual-tol", type=float, dest="residual_tol")
-        p.add_argument("--max-sweeps", type=int, dest="max_sweeps",
-                       help="cap on passes over each solve's vertex set: "
-                       "conjugate-gradient iterations of the Newton solver, or "
-                       "rounds of scalar solves where phi falls back to "
-                       f"Gauss-Seidel (default {SolveOptions.max_sweeps})")
-        return p
-
-    p = sp("validate", "check graph axioms and report failures")
-    p.add_argument("--radii", help="probe ball radius for procedural graphs (first value)")
-
-    p = sp("solve", "one Dirichlet solve on an explicit vertex set")
-    p.add_argument("--f", help="delta:X | delta:X,SCALE | const:C | zero")
-    p.add_argument("--U", help="all | ball:R | list:1,2,3")
-
-    p = sp("resolve", "resolvent estimate along a ball exhaustion")
-    p.add_argument("--f", help="delta:X | delta:X,SCALE | const:C | zero")
-    p.add_argument("--radii", help="comma list 25,50,100 or doubling:START:STEPS")
-    p.add_argument("--probes", help=f"auto | root | list:0,5,7 (default {RunConfig.probes})")
-    p.add_argument("--tol", type=float,
-                   help=f"per-probe increment tolerance (default {RunConfig.tol:g})")
-
-    p = sp("classify", "conservation-defect verdict over an alpha grid")
-    p.add_argument("--radii", help="comma list or doubling:START:STEPS")
-    p.add_argument("--alpha", help="comma list of alphas (default "
-                   f"{','.join(f'{a:g}' for a in DEFAULT_ALPHA_GRID)})")
-    p.add_argument("--probes", help=f"auto | root | list:... (default {RunConfig.probes})")
-    p.add_argument("--complete-tol", type=float, dest="complete_tol")
-    p.add_argument("--stabilization-tol", type=float, dest="stabilization_tol")
-    p.add_argument("--incomplete-floor", type=float, dest="incomplete_floor")
-
-    p = sp("path-criterion", "term sums m*phi(alpha*W)/deg along a path")
-    p.add_argument("--alpha", help=f"single alpha in (0, 1] (default {_ALPHA_DEFAULT:g})")
-    p.add_argument("--terms", type=int, help=f"number of terms N (default {RunConfig.terms})")
-    p.add_argument("--path", help="ray (greedy smallest-id walk from root) | "
-                   f"list:0,1,2,... (default {RunConfig.path})")
-
-    p = sp("verify-liouville", "equation check for w = alpha - R(alpha W)")
-    p.add_argument("--radii", help="comma list or doubling:START:STEPS")
-    p.add_argument("--alpha", help=f"single alpha > 0 (default {_ALPHA_DEFAULT:g})")
-    p.add_argument("--probes", help=f"auto | root | list:... (default {RunConfig.probes})")
-
-    p = sp("gen", "write a generated family instance as graph.json")
-    p.add_argument("--family", help="family spec, as for --graph")
-    p.add_argument("--radii", help="ball radius to materialize a procedural family")
-
+    for mode, help_ in _MODES.items():
+        _add_arguments(sub.add_parser(mode, help=help_, argument_default=argparse.SUPPRESS,
+                                      formatter_class=fmt), mode)
     return parser
 
 
@@ -621,10 +634,8 @@ def _run_gen(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | N
     if not cfg.out:
         raise CliError("--out is required for gen")
     g = _generate(spec, cfg.seed)
-    path = os.path.join(cfg.out, "graph.json")
     if isinstance(g, ExplicitGraph):
-        os.makedirs(cfg.out, exist_ok=True)
-        n_verts, n_edges = write_graph_json(path, g)
+        write, data = write_graph_json, (g,)
     else:
         if not cfg.radii:
             raise CliError("procedural families need --radii to pick a finite ball")
@@ -633,8 +644,13 @@ def _run_gen(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | N
             raise GraphError(f"radius must be >= 0, got {r}")
         # the ball as ``ball`` finds it, with the rows of all its vertices
         order, _, arrays = _ball(g, g.root, (r,), cfg.max_vertices, True, False)
+        write, data = _write_graph, (order, *arrays)
+    path = os.path.join(cfg.out, "graph.json")
+    try:
         os.makedirs(cfg.out, exist_ok=True)
-        n_verts, n_edges = _write_graph(path, order, *arrays)
+        n_verts, n_edges = write(path, *data)
+    except OSError as exc:
+        raise CliError(f"cannot write --out: {exc}") from exc
     print(f"wrote {path} ({n_verts} vertices, {n_edges} edges)")
     return EXIT_OK, None, None
 
@@ -658,10 +674,14 @@ def run(config: RunConfig) -> int:
     result.json document or None); a SolveError gives exit 3, its
     ``partial``'s rows and the error.  Only then is --out written, so an
     error exit 2 leaves none (gen writes its graph.json there itself).
+    An --out that is an existing file is a CliError before the runner
+    starts, and an OSError from making or writing --out is one too.
     """
     runner = _RUNNERS.get(config.mode)
     if runner is None:
         raise CliError(f"unknown mode {config.mode!r}")
+    if config.out and os.path.exists(config.out) and not os.path.isdir(config.out):
+        raise CliError(f"--out {config.out} exists and is not a directory")
     resolved: dict = {}
     try:
         code, rows, result = runner(config, resolved)
@@ -671,19 +691,33 @@ def run(config: RunConfig) -> int:
         rows = exc.partial.csv_rows() if exc.partial else []
         result = {"converged": False, "error": str(exc)}
     if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        _write_json(config.out, "config.json", {**asdict(config), **resolved})
-        if rows is not None:
-            header = CSV_HEADER if config.mode in ("solve", "resolve") else CLASSIFY_CSV_HEADER
-            _write_trace(config.out, header, rows)
-        if result is not None:
-            _write_json(config.out, "result.json", result)
+        try:
+            os.makedirs(config.out, exist_ok=True)
+            _write_json(config.out, "config.json", {**asdict(config), **resolved})
+            if rows is not None:
+                header = CSV_HEADER if config.mode in ("solve", "resolve") else CLASSIFY_CSV_HEADER
+                _write_trace(config.out, header, rows)
+            if result is not None:
+                _write_json(config.out, "result.json", result)
+        except OSError as exc:
+            raise CliError(f"cannot write --out: {exc}") from exc
     return code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = rest = None
+    if argv and argv[0] in _MODES:
+        # a parser of the invoked mode alone: it fails as build_parser()'s
+        # subcommand does, except on arguments left over, which the full
+        # parser reports in its own words
+        mode_parser = argparse.ArgumentParser(prog=f"nlresolvent {argv[0]}",
+                                              argument_default=argparse.SUPPRESS,
+                                              formatter_class=_formatter())
+        _add_arguments(mode_parser, argv[0])
+        ns, rest = mode_parser.parse_known_args(argv[1:])
+    if ns is None or rest:
+        ns = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(ns)
         return run(cfg)

@@ -248,7 +248,9 @@ def _extend(
             sweeps = 0  # nested sets of equal size are identical: reuse the solve
         else:
             sys_ = _System(order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, fv, size)
-            res = _solve(sys_, nl, W0, np.pad(u, (0, size - u.size)), opts)
+            start = np.zeros(size)  # the last solve, extended by 0
+            start[:u.size] = u
+            res = _solve(sys_, nl, W0, start, opts)
             if not res.converged:
                 raise SolveError(
                     f"solve did not converge at exhaustion step {n} "

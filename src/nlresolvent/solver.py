@@ -365,7 +365,7 @@ def _forest(rows, cols, b, n: int):
         # layer k + 1 is the vertices whose parents lie in layer k
         ends = [0]
         while ends[-1] < n and len(ends) * _WIDE <= n:
-            ends.append(int(np.searchsorted(parent, ends[-1])))
+            ends.append(int(parent.searchsorted(ends[-1])))
         if ends[-1] == n:
             layers = ends
     return parent, pb, layers
@@ -382,7 +382,7 @@ class _System:
 
     def __init__(self, order: np.ndarray, rows, cols, b, m, deg, w, f, n: int):
         self.order = order
-        e = int(np.searchsorted(rows, n))
+        e = int(rows.searchsorted(n))
         keep = cols[:e] < n
         self.rows, self.cols, self.b = rows[:e][keep], cols[:e][keep], b[:e][keep]
         self.m, self.deg, self.w, self.f = m[:n], deg[:n], w[:n], f[:n]
@@ -411,9 +411,9 @@ class _System:
                     # inside ran phi mathematically but past float representability
                     ok[i] = False
         r = np.abs(inv + self.w * u - self.f)[ok]
-        sup = float(np.max(r, initial=0.0))
-        scaled = float(np.max(r / (1.0 + np.abs(self.f[ok])), initial=0.0))
-        return sup, scaled, tuple(self.order[np.flatnonzero(~ok)].tolist())
+        sup = float(r.max(initial=0.0))
+        scaled = float((r / (1.0 + np.abs(self.f[ok]))).max(initial=0.0))
+        return sup, scaled, tuple(self.order[(~ok).nonzero()[0]].tolist())
 
 
 def _pcg(sys_: _System, c: np.ndarray, rhs: np.ndarray, budget: int, eta: float):
@@ -524,26 +524,27 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
         c = m * w * arr.deriv(fwu)
         g = au - m * arr.phi(fwu)  # half the gradient of E
         del fwu
-        g_norm, g_last = np.sqrt(g @ g), g_norm
+        g_norm, g_last = math.sqrt(g @ g), g_norm
         # inexact Newton: the first step is exact, later ones take the
         # forcing term of Eisenstat & Walker's choice 1 with its safeguard
         if g_last is not None:
             floor = eta**_GOLDEN
-            eta = min(_ETA_MAX, abs(g_norm - r_norm) / g_last)
+            # a norm that underflowed to 0 gives the cap, as x / 0 = inf or nan would
+            eta = min(_ETA_MAX, abs(g_norm - r_norm) / g_last) if g_last else _ETA_MAX
             if floor > 0.1:
                 eta = max(eta, floor)
         # an exact step on a forest, one sweep with no residual left
         d = None if sys_.forest is None else _eliminate(sys_, c, -g)
         if d is None:
             d, its, r = _pcg(sys_, c, -g, opts.max_sweeps - sweeps, eta)
-            r_norm = np.sqrt(r @ r)
+            r_norm = math.sqrt(r @ r)
         else:
             its, r_norm = 1, 0.0
         sweeps += its
         # backtracking on E; where E cannot tell the points apart, a
         # smaller gradient decides instead
         slope = min(2.0 * float(g @ d), 0.0)
-        g0 = np.max(np.abs(g), initial=0.0)
+        g0 = np.abs(g).max(initial=0.0)
         del c, g
         t = 1.0
         for _ in range(64):
@@ -552,14 +553,14 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
             if e1 <= e0 + 1e-4 * t * slope:
                 break
             if (abs(e1 - e0) <= _NOISE * max(n0, n1)
-                    and np.max(np.abs(av - m * arr.phi(fwv)), initial=0.0) < g0):
+                    and np.abs(av - m * arr.phi(fwv)).max(initial=0.0) < g0):
                 break
             del v, av, fwv
             t *= 0.5
         else:
             halt = True  # no representable descent left
             continue
-        last, step = step, float(np.max(np.abs(t * d), initial=0.0))
+        last, step = step, float(np.abs(t * d).max(initial=0.0))
         if step == 0.0:
             halt = True
             continue
@@ -568,7 +569,7 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
         # error left after this step, from the contraction rate of the last
         # two; the first step counts as exact, as it is for quadratic E
         rate = step / last
-        noise = step <= _NOISE * np.max(np.abs(u))
+        noise = step <= _NOISE * np.abs(u).max()
         stalls = stalls + 1 if noise else 0
         tiny = noise or step * rate <= opts.sweep_tol * (1.0 - rate)
 
@@ -638,15 +639,15 @@ def _solve(sys_: _System, nl: Nonlinearity, W0: float, u0: np.ndarray,
     opts = opts or SolveOptions()
     with np.errstate(all="ignore"):
         newton = nl.arrays is not None and np.isfinite(nl.arrays.deriv(np.zeros(1))).all()
-        k_bound = float(np.max(np.abs(sys_.f))) / W0
+        k_bound = float(np.abs(sys_.f).max()) / W0
         # clamp into the certified box, where the solution lies
-        u = np.clip(u0, -k_bound, k_bound)
+        u = u0.clip(-k_bound, k_bound)
         if newton:
             u, sweeps, converged, (resid_inf, _, violations) = _newton(sys_, nl, u, opts)
         else:
             u, sweeps, converged = _gauss_seidel(sys_, nl, u, k_bound, opts)
             resid_inf, _, violations = sys_.residual(nl, u)
-        max_dec = max(float(np.max(u0 - u)), 0.0)
+        max_dec = max(float((u0 - u).max()), 0.0)
     return _Solved(u, resid_inf, sweeps, converged, max_dec, violations)
 
 

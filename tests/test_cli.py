@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -125,6 +126,15 @@ def test_exit_3_writes_result_json(tmp_path, capsys, mode, args):
         assert config["alpha_resolved"] == [1.0]
 
 
+def test_gradient_norm_underflowing_to_0_is_a_solve_failure(capsys):
+    # g = -1e-170 on every vertex: g @ g underflows to 0 while g does not,
+    # and a residual_tol of 1e-300 asks for further Newton steps
+    code, _, err = run_cli(capsys, "resolve", "--graph", "lattice-z", "--f", "const:1e-170",
+                           "--radii", "3,6", "--residual-tol", "1e-300", "--probes", "root")
+    assert (code, err) == (3, "error: solve did not converge at exhaustion step 0 (radius 3, "
+                              "7 vertices): residual 1.84e-186 after 3 sweeps\n")
+
+
 def test_u_all_on_procedural_graph_is_config_error(capsys):
     code, _, err = run_cli(capsys, "solve", "--graph", "lattice-z",
                            "--f", "const:1", "--U", "all")
@@ -183,6 +193,29 @@ def test_input_error_after_the_exhaustion_leaves_no_out_dir(tmp_path, capsys, ar
     assert out == ""
     assert stderr == f"error: {err}\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--graph", "finite-path:3"),
+    ("classify", "--graph", "lattice-z", "--radii", "3,6", "--alpha", "1"),
+    ("gen", "--family", "tree:2", "--radii", "2"),
+], ids=["validate", "classify", "gen"])
+def test_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys, argv):
+    target = tmp_path / "afile"
+    target.write_bytes(b"keep\n")
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: --out {target} exists and is not a directory\n"
+    assert target.read_bytes() == b"keep\n"
+
+
+def test_out_that_cannot_be_made_exits_2_with_one_error_line(tmp_path, capsys):
+    (tmp_path / "afile").write_bytes(b"")
+    code, _, err = run_cli(capsys, "validate", "--graph", "finite-path:3",
+                           "--out", str(tmp_path / "afile" / "run"))
+    assert code == 2
+    assert err.startswith("error: cannot write --out: ")
+    assert err.count("\n") == 1
 
 
 def test_classify_labels_a_first_probe_other_than_the_root(capsys):
@@ -306,6 +339,25 @@ def test_trace_is_byte_identical_across_reruns(tmp_path, capsys):
     first = (dirs[0] / "trace.csv").read_bytes()
     second = (dirs[1] / "trace.csv").read_bytes()
     assert first == second
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 65,535 vertices: at sizes like this numpy's float64 dot can give other
+    # last bits on one and on two OpenBLAS threads; the artifacts must not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["resolve", "--graph", "tree:2", "--phi", "power:3", "--W", "const:1",
+            "--f", "const:1", "--radii", "4,8,12,15", "--probes", "auto"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "nlresolvent", *argv, "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("trace.csv", "result.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 # per mode: the arguments and the result.json numbers that must appear
@@ -620,6 +672,63 @@ def test_help_wraps_at_the_terminal_width_read_once(monkeypatch):
         options = p.format_help().split("options:")[1]
         assert max(map(len, options.splitlines())) == 58
     assert len(reads) == 1
+
+
+# --- parsing -------------------------------------------------------------------
+
+
+def _exit_of(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+# main parses with the invoked mode's parser alone; each of these must come
+# out as build_parser() words it, exit code, stdout and stderr
+PARSE_FAILURES = [
+    *([mode, "-h"] for mode in cli._MODES),
+    ["classify", "--seed", "x"],
+    ["resolve", "--tol", "small"],
+    ["solve", "--graph"],
+    ["classify", "--graph", "lattice-z", "--radii"],
+    ["classify", "--s", "1"],
+    ["classify", "--bogus"],
+    ["classify", "--graph", "lattice-z", "--bogus", "1", "--radii", "5"],
+    ["gen", "--family", "tree:2", "stray"],
+    ["verify-liouville", "--seed", "x", "--bogus"],
+    ["--help"],
+    [],
+    ["nope", "--graph", "lattice-z"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_FAILURES, ids=" ".join)
+def test_mode_parser_fails_as_the_full_parser_does(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _exit_of(capsys, build_parser().parse_args, argv)
+    assert _exit_of(capsys, main, argv) == expected
+
+
+def test_mode_parser_reads_what_the_full_parser_reads(monkeypatch):
+    argv = ["classify", "--graph=lattice-z", "--rad", "3,6", "--alpha", "1",
+            "--seed", "-2", "--sweep-tol", "1e-9", "--seed", "4"]
+    seen = []
+    monkeypatch.setattr(cli, "_merge_config", lambda ns: seen.append(ns) or RunConfig("x"))
+    monkeypatch.setattr(cli, "run", lambda cfg: 0)
+    assert main(argv) == 0
+    assert vars(seen[0]) == vars(build_parser().parse_args(argv))
+
+
+def test_a_valid_command_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(k.get("prog")) or init(self, *a, **k))
+    code, _, _ = run_cli(capsys, "classify", "--graph", "finite-path:3", "--radii", "1,2",
+                         "--alpha", "1")
+    assert code == 0
+    assert built == ["nlresolvent classify"]
 
 
 # --- installed entry point -----------------------------------------------------
