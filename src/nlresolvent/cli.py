@@ -674,14 +674,21 @@ def run(config: RunConfig) -> int:
     result.json document or None); a SolveError gives exit 3, its
     ``partial``'s rows and the error.  Only then is --out written, so an
     error exit 2 leaves none (gen writes its graph.json there itself).
-    An --out that is an existing file is a CliError before the runner
-    starts, and an OSError from making or writing --out is one too.
+    An --out whose nearest existing path (itself or an ancestor) is not
+    a directory is a CliError before the runner starts, and an OSError
+    from making or writing --out is one too.
     """
     runner = _RUNNERS.get(config.mode)
     if runner is None:
         raise CliError(f"unknown mode {config.mode!r}")
-    if config.out and os.path.exists(config.out) and not os.path.isdir(config.out):
-        raise CliError(f"--out {config.out} exists and is not a directory")
+    if config.out:
+        head = config.out
+        while head and not os.path.lexists(head):
+            head = os.path.dirname(head)
+        if head and not os.path.isdir(head):
+            if head == config.out:
+                raise CliError(f"--out {config.out} exists and is not a directory")
+            raise CliError(f"cannot write --out: {head} is not a directory")
     resolved: dict = {}
     try:
         code, rows, result = runner(config, resolved)

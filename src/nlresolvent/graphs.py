@@ -303,7 +303,8 @@ class ProceduralGraph(WeightedGraph):
     def block(self, xs: np.ndarray):
         xs = _ids(xs)
         src, ys, ws = self._rule(xs)
-        bad = (ys == xs[src]) | (ws < 0)
+        bad = ys == xs[src]
+        bad |= ws < 0
         if bad.any():
             e = np.flatnonzero(bad)[0]
             x, y, w = int(xs[src[e]]), int(ys[e]), float(ws[e])
@@ -321,14 +322,22 @@ class ProceduralGraph(WeightedGraph):
 def _row_sums(src: np.ndarray, ws: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """math.fsum of the weights of each row (``counts`` long), bit for bit.
 
-    bincount adds a row's weights in order, starting from 0.0.  That is
-    exact, and so equal to fsum, for a row of at most two terms and for
-    integer terms with a total below 2**53, whenever the sum comes out
-    finite; every other row takes math.fsum.
+    The weights are those of a block, so none is negative.  bincount
+    adds a row's weights in order, starting from 0.0.  That is exact,
+    and so equal to fsum, for a row of at most two terms whenever the
+    sum comes out finite, and for integer terms with a total below
+    2**53.  Where every row passes one of these tests as a whole (at
+    most two terms each, or every weight an integer and every total
+    below 2**53) the bincount is returned as it is; otherwise each row
+    is tested on its own, and every row that passes neither takes
+    math.fsum.
     """
     n = counts.size
     deg = np.bincount(src, ws, minlength=n)
     if counts.max(initial=0) <= 2 and np.isfinite(deg).all():
+        return deg
+    # a NaN total fails the comparison, so no NaN row is returned here
+    if deg.max(initial=0.0) < 2.0**53 and (ws == np.floor(ws)).all():
         return deg
     fraction = np.bincount(src, ws != np.floor(ws), minlength=n) > 0
     slow = ~np.isfinite(deg) | ((counts > 2) & (fraction | (deg >= 2.0**53)))
@@ -462,7 +471,8 @@ def _positions(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     n = xs.size
     if n and int(xs[-1]) - int(xs[0]) == n - 1 and (np.diff(xs) == 1).all():
         j = ys - xs[0]
-        j[(j < 0) | (j >= n)] = -1
+        # a negative j reads as at least 2**63 unsigned, so one test finds both ends
+        j[j.view(np.uint64) >= n] = -1
         return j
     perm = np.argsort(xs, kind="stable")
     ordered = xs[perm]
@@ -479,7 +489,8 @@ def _assemble(xs: np.ndarray, blk):
     measure and weighted degree."""
     src, ys, ws, m, deg = blk
     cols = _positions(xs, ys)
-    inside = (cols >= 0) & (ws > 0.0)
+    inside = cols >= 0
+    inside &= ws > 0.0
     return src[inside], cols[inside], ws[inside], m, deg
 
 
@@ -530,11 +541,23 @@ def _discovers(ends: np.ndarray, n: int, src, ws, rows, cols) -> bool:
     if np.count_nonzero(ws[:np.searchsorted(src, n)] > 0.0) != e:
         return False
     top = np.maximum.accumulate(cols[:e])
-    if (top[-1] if e else 0) != ends[-1] - 1 or (np.diff(top, prepend=0) > 1).any():
+    if (top[-1] if e else 0) != ends[-1] - 1:
         return False
-    first = np.searchsorted(top, np.arange(1, ends[-1]))
-    layer = np.repeat(np.arange(ends.size), np.diff(ends, prepend=0))
-    return np.array_equal(layer[rows[first]] + 1, layer[1:])
+    # the entries where the maximum rises, from 0 before the first: it
+    # climbs to ends[-1] - 1 in that many rises only by one at a time,
+    # and then vertex k + 1 first occurs at entry first[k]
+    rise = np.empty(e, dtype=bool)
+    if e:
+        rise[0] = top[0] > 0
+        np.not_equal(top[1:], top[:-1], out=rise[1:])
+    first = rise.nonzero()[0]
+    if first.size != ends[-1] - 1:
+        return False
+    # the rows where the vertices are first seen ascend, so every vertex of
+    # layer k + 1 is first seen from layer k where the first and the last are
+    seen, starts = rows[first], ends[:-1]
+    return bool((seen[starts - 1] >= np.concatenate(([0], starts[:-1]))).all()
+                and (seen[ends[1:] - 2] < starts).all())
 
 
 def _ball(g: WeightedGraph, root: int, radii: tuple[int, ...], max_vertices: int | None,

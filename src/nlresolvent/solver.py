@@ -342,7 +342,8 @@ def _check(xs: np.ndarray, m, deg, w, f, W0: float) -> None:
 
 
 def _forest(rows, cols, b, n: int):
-    """The in-set graph as a forest whose parents come first, or None.
+    """The in-set graph, given with rows ascending, as a forest whose
+    parents come first, or None.
 
     The graph is symmetric, so it is such a forest exactly when each
     vertex has at most one earlier neighbor, its parent.  Returns
@@ -354,7 +355,7 @@ def _forest(rows, cols, b, n: int):
     """
     low = cols < rows
     kids = rows[low]
-    if np.bincount(kids, minlength=n).max(initial=0) > 1:
+    if (kids[1:] == kids[:-1]).any():  # rows ascend, so a repeat is adjacent
         return None
     parent = np.full(n, -1)
     parent[kids] = cols[low]
@@ -377,20 +378,29 @@ class _System:
     with row < n and col < n in the same order and the prefixes of the
     vertex arrays.  ``apply`` is the Dirichlet Laplacian
     A u = deg u - sum_y b(., y) u(y) with u = 0 off that block, and
-    ``forest`` is its ``_forest`` structure, or None.
+    ``forest`` is its ``_forest`` structure, or None.  Where the block is
+    the whole of ``order`` (a set ``solve_dirichlet`` assembles, or an
+    exhaustion's largest ball), every edge already lies in it, and the
+    edge arrays are kept as they are, with no copy.
     """
 
     def __init__(self, order: np.ndarray, rows, cols, b, m, deg, w, f, n: int):
         self.order = order
-        e = int(rows.searchsorted(n))
-        keep = cols[:e] < n
-        self.rows, self.cols, self.b = rows[:e][keep], cols[:e][keep], b[:e][keep]
+        if n == len(order):
+            self.rows, self.cols, self.b = rows, cols, b
+        else:
+            e = int(rows.searchsorted(n))
+            keep = cols[:e] < n
+            self.rows, self.cols, self.b = rows[:e][keep], cols[:e][keep], b[:e][keep]
         self.m, self.deg, self.w, self.f = m[:n], deg[:n], w[:n], f[:n]
         self.forest = _forest(self.rows, self.cols, self.b, n)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        off = np.bincount(self.rows, self.b * u[self.cols], minlength=u.size)
-        return self.deg * u - off
+        terms = u[self.cols]
+        terms *= self.b
+        au = self.deg * u
+        au -= np.bincount(self.rows, terms, minlength=u.size)
+        return au
 
     def residual(self, nl: Nonlinearity, u: np.ndarray, au: np.ndarray | None = None):
         """Raw and data-scaled sup residual at u, and the range violations;
@@ -401,7 +411,7 @@ class _System:
         lu = (self.apply(u) if au is None else au) / self.m
         ok = (nl.lo < lu) & (lu < nl.hi)
         if nl.arrays is not None:
-            inv = nl.arrays.inv(np.where(ok, lu, 0.0))
+            inv = nl.arrays.inv(lu if ok.all() else np.where(ok, lu, 0.0))
         else:
             inv = np.zeros_like(lu)
             for i in np.flatnonzero(ok):
@@ -410,9 +420,11 @@ class _System:
                 except RangeError:
                     # inside ran phi mathematically but past float representability
                     ok[i] = False
-        r = np.abs(inv + self.w * u - self.f)[ok]
+        r, f = np.abs(inv + self.w * u - self.f), self.f
+        if not ok.all():  # else every vertex is kept, with no copy
+            r, f = r[ok], f[ok]
         sup = float(r.max(initial=0.0))
-        scaled = float((r / (1.0 + np.abs(self.f[ok]))).max(initial=0.0))
+        scaled = float((r / (1.0 + np.abs(f))).max(initial=0.0))
         return sup, scaled, tuple(self.order[(~ok).nonzero()[0]].tolist())
 
 
@@ -503,12 +515,14 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
     arr = nl.arrays
     m, w, f = sys_.m, sys_.w, sys_.f
 
-    def point(v):  # A v, f - W v, E(v) up to a constant and the size of its rounding
+    def point(v):  # A v, f - W v and E(v) up to a constant
         av, fw = sys_.apply(v), f - w * v
-        kappa = arr.antideriv(fw) * m / w
-        return av, fw, v @ av + kappa.sum(), sys_.deg @ (v * v) + np.abs(kappa).sum()
+        return av, fw, v @ av + (arr.antideriv(fw) * m / w).sum()
 
-    au, fwu, e0, n0 = point(u)
+    def rounding(v, fw):  # the size of the rounding of E(v), fw = f - W v
+        return sys_.deg @ (v * v) + np.abs(arr.antideriv(fw) * m / w).sum()
+
+    au, fwu, e0 = point(u)
     sweeps, last, step, tiny, stalls, halt = 0, math.inf, math.inf, False, 0, False
     eta, g_norm, r_norm = 0.0, None, None  # forcing term, gradient and CG residual norms
     while True:
@@ -546,13 +560,15 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
         slope = min(2.0 * float(g @ d), 0.0)
         g0 = np.abs(g).max(initial=0.0)
         del c, g
-        t = 1.0
+        t, n0 = 1.0, None
         for _ in range(64):
             v = u + t * d
-            av, fwv, e1, n1 = point(v)
+            av, fwv, e1 = point(v)
             if e1 <= e0 + 1e-4 * t * slope:
                 break
-            if (abs(e1 - e0) <= _NOISE * max(n0, n1)
+            if n0 is None:
+                n0 = rounding(u, f - w * u)
+            if (abs(e1 - e0) <= _NOISE * max(n0, rounding(v, fwv))
                     and np.abs(av - m * arr.phi(fwv)).max(initial=0.0) < g0):
                 break
             del v, av, fwv
@@ -564,7 +580,7 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
         if step == 0.0:
             halt = True
             continue
-        u, au, fwu, e0, n0 = v, av, fwv, e1, n1
+        u, au, fwu, e0 = v, av, fwv, e1
         del v, av, fwv, d  # one name per array, each freed after its last use
         # error left after this step, from the contraction rate of the last
         # two; the first step counts as exact, as it is for quadratic E

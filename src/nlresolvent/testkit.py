@@ -200,17 +200,24 @@ def symmetric_tree(branching: int | Callable[[int], int]) -> ProceduralGraph:
         _require_int64(offsets[d_top + 1] + (top - offsets[d_top] + 1) * ks[d_top] - 1)
         offs = np.array(offsets[: d_top + 2], dtype=np.int64)
         kk = np.array(ks[: d_top + 1], dtype=np.int64)
-        d = np.searchsorted(offs, xs, side="right") - 1
-        i = xs - offs[d]
+        d = np.searchsorted(offs, xs, side="right") - 1  # each vertex's depth
+        k, i = kk[d], xs - offs[d]  # its branching and its index in its depth
         up = d > 0
-        count = kk[d] + up
-        src = np.arange(xs.size).repeat(count)
+        count = k + up
         start = np.cumsum(count) - count
-        # the children of row r are offs[d + 1] + i * k onward, after the parent
-        ys = np.arange(src.size) + (offs[d + 1] + i * kk[d] - start - up)[src]
-        du = d[up]
-        ys[start[up]] = offs[du - 1] + i[up] // kk[du - 1]
-        return src, ys, np.ones(src.size)
+        # the children of row r are offs[d + 1] + i * k onward, after the
+        # parent, so entry e of row r reads e plus row r's value here
+        ys = (offs[d + 1] + i * k - start - up).repeat(count)
+        ys += np.arange(ys.size)
+        # the parent, offs[d - 1] + i // kk[d - 1], where d > 0 (at the
+        # root d - 1 = -1 reads the last entries, into a value nothing reads)
+        d -= 1
+        i //= kk[d]
+        i += offs[d]
+        ys[start[up]] = i[up]
+        # src after ys: in a cold process the allocator then serves src and
+        # ws from heap pages that the solves reuse, not from fresh mappings
+        return np.arange(xs.size).repeat(count), ys, np.ones(ys.size)
 
     def ball(root: int, radius: int, cap: int):
         if root != 0:

@@ -16,7 +16,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlresolvent import (
@@ -52,7 +52,7 @@ from nlresolvent import (
     write_graph_json,
 )
 from nlresolvent import cli
-from nlresolvent.graphs import _positions
+from nlresolvent.graphs import _positions, _row_sums
 from nlresolvent.nonlinearity import RangeError
 from nlresolvent.solver import _Ratio
 
@@ -406,6 +406,7 @@ def row_bits(row):
 
 
 @settings(max_examples=60, deadline=None)
+@example(family="tree:1+d%3", xs=[40, 3, 0, 17, 3, 1, 2, 800])
 @given(
     family=st.sampled_from(["tree:2", "tree:1+d%3", "lattice-z", "birth-death:(n+1)^1.5"]),
     xs=st.lists(st.integers(min_value=0, max_value=3000), max_size=40),
@@ -439,6 +440,20 @@ def test_block_degree_is_fsum_bit_for_bit(weights, xs):
     for x, d in zip(xs, want):
         assert struct.pack("<d", g.degree(x)) == d
         assert row_bits(g.neighbors(x)) == row_bits(rule(x))
+
+
+@pytest.mark.parametrize("row", [
+    [2.0**53, 1.0, 1.0],  # bincount rounds after the first term
+    [2.0**52, 2.0**52, 1.0],  # a total of 2**53 exactly
+    [1.0, math.inf, 1.0],
+    [2.0**52, 0.5, 0.5],  # bincount rounds each half away
+], ids=["2^53+1+1", "2^52+2^52+1", "inf", "2^52+0.5+0.5"])
+def test_row_sums_are_fsum_beside_integer_rows(row):
+    rows = [[1.0, 2.0, 3.0], row, [4.0, 4.0, 4.0, 4.0]]
+    src = np.arange(3).repeat([len(r) for r in rows])
+    ws = np.array([w for r in rows for w in r])
+    deg = _row_sums(src, ws, np.bincount(src, minlength=3))
+    assert [struct.pack("<d", d) for d in deg] == [fsum_bits(r) for r in rows]
 
 
 @pytest.mark.parametrize("call, vertex", [
@@ -840,7 +855,7 @@ def lattice_ball(root, radius, cap):
 
 def swapped(root, radius, cap):
     order, ends = lattice_ball(root, radius, cap)
-    order[[3, 4]] = order[[4, 3]]  # layer 2 as 2, -2
+    order[[3, 4]] = order[[4, 3]]  # layer 2 as 2, -2: the running maximum jumps by 2
     return order, ends
 
 
@@ -877,6 +892,24 @@ def test_a_lying_ball_rule_gives_the_searched_ball(counted, rule):
         assert bits(got) == bits(want)
     for r in (2, 6):
         assert ball(g, 0, r) == ref_ball(RuleGraph(0, lattice_rule), 0, r)
+
+
+@pytest.mark.parametrize("nbrs, claimed, ends", [
+    # the path 0 - 1 - 2 - 3: 2 is first seen from layer 1, its claimed layer
+    ({0: (1,), 1: (0, 2), 2: (1, 3), 3: (2,)}, [1, 3, 4], (1, 2, 3)),
+    # 0 - 1, 0 - 2, 1 - 3: 2 is first seen from layer 0, two before its claimed
+    # layer 2, while 3, the last vertex there, is seen from layer 1
+    ({0: (1, 2), 1: (0, 3), 2: (0,), 3: (1,)}, [1, 2, 4], (1, 3, 4)),
+], ids=["own-layer", "two-layers-early"])
+def test_a_ball_rule_with_a_misplaced_vertex_gives_the_searched_ball(counted, nbrs, claimed,
+                                                                     ends):
+    # every other test of the rows read passes: each target lies in the
+    # claimed ball and the running maximum climbs by one at a time
+    g = ProceduralGraph(0, lambda x: [(y, 1.0) for y in nbrs[x]],
+                        ball_rule=lambda root, radius, cap: (np.arange(4), np.array(claimed)))
+    ex = make_exhaustion(g, 0, (2,))
+    assert counted["block"] > 1  # the search ran
+    assert (ex.ends, ex.order.tolist()) == (ends, list(range(ends[-1])))
 
 
 @pytest.mark.parametrize("make, ref, radii, cap, at", [

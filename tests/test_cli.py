@@ -209,6 +209,19 @@ def test_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys, argv):
     assert target.read_bytes() == b"keep\n"
 
 
+@pytest.mark.parametrize("argv, under", [
+    (("validate", "--graph", "finite-path:3"), ("sub",)),
+    (("resolve", "--graph", "tree:2", "--f", "const:1", "--radii", "2,4"), ("sub", "x")),
+], ids=["validate", "resolve"])
+def test_out_under_a_file_exits_2_before_the_run(tmp_path, capsys, argv, under):
+    target = tmp_path / "afile"
+    target.write_bytes(b"keep\n")
+    code, out, err = run_cli(capsys, *argv, "--out", str(target.joinpath(*under)))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out: {target} is not a directory\n"
+    assert target.read_bytes() == b"keep\n"
+
+
 def test_out_that_cannot_be_made_exits_2_with_one_error_line(tmp_path, capsys):
     (tmp_path / "afile").write_bytes(b"")
     code, _, err = run_cli(capsys, "validate", "--graph", "finite-path:3",

@@ -522,6 +522,43 @@ def test_exhaustion_forests_and_their_layers():
     assert sys_.forest is not None and sys_.forest[2] is None
 
 
+def test_system_residual_leaves_out_the_range_violations():
+    # on the path 0 - 1 - 2 at u = (3, 0, 0), L u = (3, -3, 0): under atan
+    # only vertex 2 has a residual, |atan^-1(0) + 0 - f(2)| = 0.25
+    xs = np.arange(3)
+    rows, cols, b, m, deg = solver._assemble(xs, finite_path(3).block(xs))
+    f = np.array([5.0, 7.0, 0.25])
+    sys_ = solver._System(xs, rows, cols, b, m, deg, np.ones(3), f, 3)
+    assert sys_.residual(bounded_atan(), np.array([3.0, 0.0, 0.0])) == (0.25, 0.2, (0, 1))
+
+
+@pytest.mark.parametrize("make, radius", [
+    (lambda: symmetric_tree(2), 6),
+    (lattice_z, 10),
+    (lambda: random_sparse(40, 0.15, seed=2), 3),  # cyclic, saturated at 40 vertices
+], ids=["tree:2", "lattice-z", "random-sparse"])
+def test_a_system_is_the_cut_of_its_block(make, radius):
+    # every ball of the exhaustion, the whole set among them, against the
+    # edges with both ends in the ball and the forest of those edges
+    g = make()
+    ex = make_exhaustion(g, g.root, [radius])
+    assert ex.ends[-1] == len(ex.order)
+    ones = np.ones(len(ex.order))
+    for n in ex.ends:
+        keep = (ex.rows < n) & (ex.cols < n)
+        rows, cols, b = ex.rows[keep], ex.cols[keep], ex.b[keep]
+        sys_ = solver._System(ex.order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, ones, ones, n)
+        assert np.array_equal(sys_.rows, rows) and np.array_equal(sys_.cols, cols)
+        assert sys_.b.tobytes() == b.tobytes()
+        want = solver._forest(rows, cols, b, n)
+        if want is None:
+            assert sys_.forest is None
+        else:
+            assert np.array_equal(sys_.forest[0], want[0])
+            assert sys_.forest[1].tobytes() == want[1].tobytes()
+            assert sys_.forest[2] == want[2]
+
+
 def test_two_earlier_neighbors_are_not_a_forest():
     # the path 0 - 1 - 2 given in the order 0, 2, 1: vertex 1 comes last
     # and has both others before it; a cycle has such a vertex as well
