@@ -9,9 +9,11 @@ solver.
 The builtins extend the usual examples (powers, log(1+t), arctan) to the
 negative axis as odd functions, phi(-t) = -phi(t).  That choice is free
 for everything computed here, which only depends on phi restricted to
-[0, oo), and it keeps Phi even.  Custom nonlinearities may supply any
-subset of {inverse, antiderivative, derivative}; missing pieces fall
-back to safeguarded bisection and adaptive quadrature.  The builtins
+[0, oo), and it keeps Phi even; ``_odd`` and ``_even`` extend formulas
+stated on [0, oo) and map an overflow to +-inf.  Custom nonlinearities
+may supply any subset of {inverse, antiderivative, derivative}; missing
+pieces fall back to ``_scalar_root``, the one safeguarded
+Newton-bisection root finder, and to adaptive quadrature.  The builtins
 also carry :class:`ArrayForms`, vectorized versions of the same calculus
 that the solver's Newton path evaluates on whole vertex sets.
 """
@@ -37,8 +39,6 @@ __all__ = [
     "Phi_numeric",
 ]
 
-_INV_ATOL = 1e-12
-_INV_RTOL = 1e-10
 _PHI_RTOL = 1e-10
 _HUGE = 1e300
 
@@ -128,21 +128,81 @@ class Nonlinearity:
         return Phi_numeric(self, s)
 
 
-def phi_inv_numeric(n: Nonlinearity, s: float) -> float:
-    """Invert phi at s by bracketed bisection with Newton refinement.
+# F is evaluated as a difference of terms that can sit many orders above
+# the root value (in the solver a = deg/m grows like 4^x on fast
+# branching graphs), so |F| cannot be resolved below a few ulp of them.
+_FT_NOISE = 8.0 * math.ulp(1.0)
 
-    The bracket starts at [-1, 1] and doubles outward until it contains
-    the root (monotonicity makes the test a sign check).  Newton steps
-    from the derivative hint are accepted while they stay inside the
-    current bracket; every evaluation shrinks it, so the loop cannot
-    escape.  Stops when |phi(t) - s| <= _INV_ATOL + _INV_RTOL*|s|.
+
+def _scalar_root(a, s_over_m, fx, wx, phi, deriv, lo, hi, t, tol):
+    """Root of F(t) = a*t - s_over_m - phi(fx - wx*t) on a certified bracket.
+
+    a >= 0 and wx > 0, so F is strictly increasing with
+    F(lo) <= 0 <= F(hi).  Newton from the derivative hint is used while
+    it stays inside the bracket and keeps halving the step (classic
+    safeguarded scheme); otherwise bisect.
+
+    Termination: |F| at its float evaluation noise accepts t outright,
+    a Newton step below tol accepts its landing point, and bisection
+    refines until the bracket is float-tight.  An absolute width cutoff
+    would quantize roots to ~tol and is not used: at degree growth 4^x
+    a tol-sized root error is amplified into residuals the sweep loop
+    can never pass.  1500 iterations cover halving the widest float64
+    bracket down to adjacent floats in pure-bisection mode.
+    """
+    if t < lo:
+        t = lo
+    elif t > hi:
+        t = hi
+    xl, xh = lo, hi
+    dxold = xh - xl
+    for _ in range(1500):
+        at = a * t
+        pv = phi(fx - wx * t)
+        ft = at - s_over_m - pv
+        if abs(ft) <= _FT_NOISE * (abs(at) + abs(s_over_m) + abs(pv)):
+            return t
+        if ft < 0.0:
+            xl = t
+        else:
+            xh = t
+        tn = None
+        newton = False
+        if deriv is not None:
+            d = deriv(fx - wx * t)
+            if d is not None and d >= 0.0 and math.isfinite(d):
+                fp = a + wx * d
+                if fp > 0.0 and math.isfinite(fp) and math.isfinite(ft):
+                    cand = t - ft / fp
+                    if xl <= cand <= xh and abs(cand - t) <= 0.5 * dxold:
+                        tn = cand
+                        newton = True
+        if tn is None:
+            tn = 0.5 * (xl + xh)
+            if tn == xl or tn == xh:
+                return tn  # bracket is float-tight
+        dxold = abs(tn - t)
+        if newton and dxold <= tol:
+            return tn
+        if tn == t:
+            return t  # no representable progress
+        t = tn
+    raise RuntimeError(
+        "scalar root finder exhausted its iteration budget; "
+        "this indicates a broken bracket and is a bug"
+    )
+
+
+def phi_inv_numeric(n: Nonlinearity, s: float) -> float:
+    """Invert phi at s: double a bracket out from [-1, 1] until it holds
+    the root, then solve phi(-tau) = s, t = -tau, by ``_scalar_root``
+    (a = 0, fx = 0, wx = 1, step tolerance 0).  Returns t once
+    |phi(t) - s| is at the float noise of s and phi(t), or once the
+    bracket is float-tight; s = 0 gives +0.0.
     """
     if not n.contains(s):
         raise RangeError(s, n.lo, n.hi, n.name)
-    tol = _INV_ATOL + _INV_RTOL * abs(s)
-    phi, deriv = n.phi, n.deriv
-    if abs(s) <= tol and abs(phi(0.0)) <= tol:
-        return 0.0
+    phi = n.phi
     lo, hi = -1.0, 1.0
     while phi(hi) < s:
         lo = hi
@@ -154,27 +214,7 @@ def phi_inv_numeric(n: Nonlinearity, s: float) -> float:
         lo *= 2.0
         if lo < -_HUGE:
             raise RangeError(s, n.lo, n.hi, n.name)
-    t = 0.5 * (lo + hi)
-    for _ in range(400):
-        ft = phi(t) - s
-        if abs(ft) <= tol:
-            return t
-        if ft < 0.0:
-            lo = t
-        else:
-            hi = t
-        step_done = False
-        d = deriv(t) if deriv is not None else None
-        if d is not None and math.isfinite(d) and d > 0.0:
-            tn = t - ft / d
-            if lo < tn < hi:
-                t = tn
-                step_done = True
-        if not step_done:
-            t = 0.5 * (lo + hi)
-        if hi - lo <= _INV_ATOL * (1.0 + abs(t)):
-            return t
-    return t
+    return -_scalar_root(0.0, -s, 0.0, 1.0, phi, n.deriv, -hi, -lo, -0.5 * (lo + hi), 0.0)
 
 
 def _adaptive_simpson(f, a, b, fa, fb, fm, whole, tol, depth):
@@ -209,8 +249,29 @@ def Phi_numeric(n: Nonlinearity, s: float) -> float:
     return max(val, 0.0)
 
 
-def _sign(t: float) -> float:
-    return 1.0 if t > 0.0 else (-1.0 if t < 0.0 else 0.0)
+def _odd(pos: Callable[[float], float]) -> Callable[[float], float]:
+    """t -> sign(t) pos(|t|) for a formula pos on [0, oo); overflow gives +-inf."""
+
+    def odd(t: float) -> float:
+        sign = 1.0 if t > 0.0 else (-1.0 if t < 0.0 else 0.0)
+        try:
+            return sign * pos(abs(t))
+        except OverflowError:
+            return sign * math.inf
+
+    return odd
+
+
+def _even(pos: Callable[[float], float]) -> Callable[[float], float]:
+    """t -> pos(|t|) for a formula pos on [0, oo); overflow gives +inf."""
+
+    def even(t: float) -> float:
+        try:
+            return pos(abs(t))
+        except OverflowError:
+            return math.inf
+
+    return even
 
 
 def identity() -> Nonlinearity:
@@ -237,72 +298,33 @@ def odd_power(p: float) -> Nonlinearity:
     if p <= 0.0:
         raise ValueError(f"odd_power needs p > 0, got {p}")
 
-    def phi(t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        try:
-            return _sign(t) * abs(t) ** p
-        except OverflowError:
-            return _sign(t) * math.inf
-
-    def inv(s: float) -> float:
-        if s == 0.0:
-            return 0.0
-        try:
-            return _sign(s) * abs(s) ** (1.0 / p)
-        except OverflowError:
-            return _sign(s) * math.inf
-
-    def antideriv(s: float) -> float:
-        try:
-            return 2.0 * abs(s) ** (p + 1.0) / (p + 1.0)
-        except OverflowError:
-            return math.inf
-
-    def deriv(t: float) -> float:
-        if t == 0.0:
-            return 1.0 if p == 1.0 else (0.0 if p > 1.0 else math.inf)
-        try:
-            return p * abs(t) ** (p - 1.0)
-        except OverflowError:
-            return math.inf
-
-    arrays = ArrayForms(
-        phi=lambda t: np.sign(t) * np.abs(t) ** p,
-        deriv=lambda t: p * np.abs(t) ** (p - 1.0),
-        inv=lambda s: np.sign(s) * np.abs(s) ** (1.0 / p),
-        antideriv=lambda s: 2.0 * np.abs(s) ** (p + 1.0) / (p + 1.0),
-    )
     return Nonlinearity(
-        name=f"power:{p:g}", phi=phi, inv=inv, antideriv=antideriv, deriv=deriv,
-        arrays=arrays,
+        name=f"power:{p:g}",
+        phi=_odd(lambda a: a ** p),
+        inv=_odd(lambda a: a ** (1.0 / p)),
+        antideriv=_even(lambda a: 2.0 * a ** (p + 1.0) / (p + 1.0)),
+        # 0.0 ** (p - 1.0) raises ZeroDivisionError for p < 1
+        deriv=_even(lambda a: math.inf if a == 0.0 and p < 1.0 else p * a ** (p - 1.0)),
+        arrays=ArrayForms(
+            phi=lambda t: np.sign(t) * np.abs(t) ** p,
+            deriv=lambda t: p * np.abs(t) ** (p - 1.0),
+            inv=lambda s: np.sign(s) * np.abs(s) ** (1.0 / p),
+            antideriv=lambda s: 2.0 * np.abs(s) ** (p + 1.0) / (p + 1.0),
+        ),
     )
 
 
 def odd_log() -> Nonlinearity:
     """phi(t) = sign(t) log(1 + |t|); concave on [0, oo), range all of R."""
 
-    def phi(t: float) -> float:
-        return _sign(t) * math.log1p(abs(t))
-
-    def inv(s: float) -> float:
-        try:
-            return _sign(s) * math.expm1(abs(s))
-        except OverflowError:
-            return _sign(s) * math.inf
-
-    def antideriv(s: float) -> float:
-        a = abs(s)
-        return 2.0 * ((1.0 + a) * math.log1p(a) - a)
-
     def deriv(t):  # floats and numpy arrays alike
         return 1.0 / (1.0 + abs(t))
 
     return Nonlinearity(
         name="log",
-        phi=phi,
-        inv=inv,
-        antideriv=antideriv,
+        phi=_odd(math.log1p),
+        inv=_odd(math.expm1),
+        antideriv=_even(lambda a: 2.0 * ((1.0 + a) * math.log1p(a) - a)),
         deriv=deriv,
         arrays=ArrayForms(
             phi=lambda t: np.sign(t) * np.log1p(np.abs(t)),

@@ -65,12 +65,15 @@ is strictly increasing, and as long as all neighbor values stay in
 nonpositive at -K and nonnegative at +K there).  Roots are found by
 bisection on the certified bracket [-K-1, K+1], accelerated by Newton
 steps whenever a derivative hint exists and the step stays inside the
-shrinking bracket, to a fixed step tolerance of 1e-12.  There a sweep is
-one pass of scalar solves over U.
+shrinking bracket, to a fixed step tolerance of 1e-12
+(``nonlinearity._scalar_root``).  There a sweep is one pass of scalar
+solves over U.
 Starting from u = 0 with f >= 0 the sweep map is monotone, so iterates
-increase toward the minimizer; for general f the same map is a
-contraction in the sup norm with factor bounded by deg / (deg + m W0)
-< 1 at each vertex.
+increase toward the minimizer.  Each scalar solve moves by at most
+deg / (deg + m W phi') times its neighbors' change, phi' taken near
+f - W u, so a sweep contracts in the sup norm by a factor that tends to
+1 where phi' -> 0: near a solution with f = W u and phi'(0) = 0 the
+sweeps slow down without bound (the README gives an example).
 
 Both paths share the assembly and sampling, which reject non-finite
 inputs, and the residual check on the arrays.
@@ -86,7 +89,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import VertexFunction, WeightedGraph, _assemble, _ids, energy
-from .nonlinearity import Nonlinearity, RangeError
+from .nonlinearity import Nonlinearity, RangeError, _scalar_root
 
 __all__ = [
     "Potential",
@@ -234,10 +237,6 @@ class SolveError(RuntimeError):
         self.partial = partial
 
 
-# F is evaluated as a difference of terms that can sit many orders above
-# the root value (a = deg/m grows like 4^x on fast branching graphs), so
-# |F| cannot be resolved below a few ulp of those terms.
-_FT_NOISE = 8.0 * math.ulp(1.0)
 # Relative rounding of E and of the Newton iterates: E sums O(deg u^2)
 # terms, so values of E closer than this times those terms are equal.
 _NOISE = 64.0 * math.ulp(1.0)
@@ -251,65 +250,6 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _WIDE = 16
 # Newton step size at which the scalar root finder accepts its landing point
 _ROOT_TOL = 1e-12
-
-
-def _scalar_root(a, s_over_m, fx, wx, phi, deriv, lo, hi, t, tol):
-    """Root of F(t) = a*t - s_over_m - phi(fx - wx*t) on a certified bracket.
-
-    a = deg/m >= 0 and wx > 0, so F is strictly increasing with
-    F(lo) <= 0 <= F(hi).  Newton from the derivative hint is used while
-    it stays inside the bracket and keeps halving the step (classic
-    safeguarded scheme); otherwise bisect.
-
-    Termination: |F| at its float evaluation noise accepts t outright,
-    a Newton step below tol accepts its landing point, and bisection
-    refines until the bracket is float-tight.  An absolute width cutoff
-    would quantize roots to ~tol and is not used: at degree growth 4^x
-    a tol-sized root error is amplified into residuals the sweep loop
-    can never pass.  1500 iterations cover halving the widest float64
-    bracket down to adjacent floats in pure-bisection mode.
-    """
-    if t < lo:
-        t = lo
-    elif t > hi:
-        t = hi
-    xl, xh = lo, hi
-    dxold = xh - xl
-    for _ in range(1500):
-        at = a * t
-        pv = phi(fx - wx * t)
-        ft = at - s_over_m - pv
-        if abs(ft) <= _FT_NOISE * (abs(at) + abs(s_over_m) + abs(pv)):
-            return t
-        if ft < 0.0:
-            xl = t
-        else:
-            xh = t
-        tn = None
-        newton = False
-        if deriv is not None:
-            d = deriv(fx - wx * t)
-            if d is not None and d >= 0.0 and math.isfinite(d):
-                fp = a + wx * d
-                if fp > 0.0 and math.isfinite(fp) and math.isfinite(ft):
-                    cand = t - ft / fp
-                    if xl <= cand <= xh and abs(cand - t) <= 0.5 * dxold:
-                        tn = cand
-                        newton = True
-        if tn is None:
-            tn = 0.5 * (xl + xh)
-            if tn == xl or tn == xh:
-                return tn  # bracket is float-tight
-        dxold = abs(tn - t)
-        if newton and dxold <= tol:
-            return tn
-        if tn == t:
-            return t  # no representable progress
-        t = tn
-    raise RuntimeError(
-        "scalar root finder exhausted its iteration budget; "
-        "this indicates a broken bracket and is a bug"
-    )
 
 
 def _sample(g: WeightedGraph, fn: Callable[[int], float], xs: np.ndarray, m, deg) -> np.ndarray:

@@ -295,8 +295,6 @@ def generate(family: GraphFamily) -> WeightedGraph:
     if kind == "finite-path":
         return finite_path(int(p["n"]))
     if kind == "birth-death":
-        if "b_rule" in p:
-            return birth_death(p["b_rule"], p.get("m_rule"))
         return geometric_chain(float(p["rate"]))
     if kind == "symmetric-tree":
         return symmetric_tree(p["branching"])

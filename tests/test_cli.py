@@ -532,6 +532,81 @@ def test_config_mode_conflict_exits_2(tmp_path, capsys):
     assert "conflicts with subcommand" in err
 
 
+# spec and input errors: each exits 2 with one error line, prints nothing
+# and makes no --out directory.  A token "{tmp}" in argv names tmp_path.
+@pytest.mark.parametrize("argv, err", [
+    (("solve", "--config", "{tmp}/missing.json"), "cannot read config file: "),
+    (("solve", "--config", "{tmp}/bad.json"), "malformed config file "),
+    (("solve", "--config", "{tmp}/list.json"), "config file {tmp}/list.json must hold a JSON object"),
+    (("validate",), "--graph is required for this mode"),
+    (("validate", "--graph", "file:{tmp}/missing.json"), "cannot read graph file: "),
+    (("validate", "--graph", "file:{tmp}/bad.json"), "malformed JSON in {tmp}/bad.json: "),
+    (("classify", "--graph", "tree:2", "--radii", "2", "--W", "const:x"),
+     "potential spec 'const:x' needs a numeric parameter"),
+    (("classify", "--graph", "tree:2", "--radii", "2", "--W", "const:-1"),
+     "potential parameter must be positive, got -1.0"),
+    (("classify", "--graph", "tree:2", "--radii", "2", "--W", "bogus:1"),
+     "unknown potential spec 'bogus:1'"),
+    (("solve", "--graph", "finite-path:2", "--U", "all"), "--f is required for this mode"),
+    (("solve", "--graph", "finite-path:2", "--U", "all", "--f", "delta:x"),
+     "bad delta spec 'delta:x'"),
+    (("solve", "--graph", "finite-path:2", "--U", "all", "--f", "const:x"),
+     "bad const spec 'const:x'"),
+    (("solve", "--graph", "finite-path:2", "--U", "all", "--f", "bogus"), "unknown f spec 'bogus'"),
+    (("solve", "--graph", "finite-path:2", "--f", "const:1"), "--U is required for solve"),
+    (("solve", "--graph", "finite-path:2", "--f", "const:1", "--U", "ball:x"),
+     "bad ball spec 'ball:x'"),
+    (("solve", "--graph", "finite-path:2", "--f", "const:1", "--U", "list:0,x"),
+     "bad vertex list 'list:0,x'"),
+    (("solve", "--graph", "finite-path:2", "--f", "const:1", "--U", "bogus"),
+     "unknown U spec 'bogus'"),
+    (("resolve", "--graph", "tree:2", "--f", "const:1"), "--radii is required for this mode"),
+    (("resolve", "--graph", "tree:2", "--f", "const:1", "--radii", "2,x"),
+     "bad radii list '2,x'"),
+    (("resolve", "--graph", "tree:2", "--f", "const:1", "--radii", "doubling:2"),
+     "bad doubling spec 'doubling:2'; want doubling:START:STEPS"),
+    (("resolve", "--graph", "tree:2", "--f", "const:1", "--radii", "doubling:2:x"),
+     "bad doubling spec 'doubling:2:x'; want doubling:START:STEPS"),
+    (("classify", "--graph", "tree:2", "--radii", "2", "--alpha", "1,x"), "bad alpha list '1,x'"),
+    (("path-criterion", "--graph", "tree:2", "--alpha", "1,2"),
+     "this mode takes a single alpha, got '1,2'"),
+    (("verify-liouville", "--graph", "tree:2", "--radii", "2", "--alpha", "x"),
+     "this mode takes a single alpha, got 'x'"),
+    (("path-criterion", "--graph", "tree:2", "--path", "list:0,x"), "bad path list 'list:0,x'"),
+    (("path-criterion", "--graph", "tree:2", "--path", "bogus"), "unknown path spec 'bogus'"),
+    (("gen",), "--family is required for gen"),
+], ids=["config-unreadable", "config-malformed", "config-not-object", "no-graph",
+        "graph-file-unreadable", "graph-file-not-json", "W-not-numeric", "W-not-positive",
+        "W-unknown", "no-f", "f-delta", "f-const", "f-unknown", "no-U", "U-ball", "U-list",
+        "U-unknown", "no-radii", "radii-list", "doubling-short", "doubling-not-int",
+        "alpha-grid", "alpha-single", "alpha-liouville", "path-list", "path-unknown",
+        "gen-no-family"])
+def test_spec_and_input_errors_exit_2_with_one_error_line(tmp_path, capsys, argv, err):
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, got = run_cli(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert (code, out) == (2, "")
+    assert got.startswith("error: " + err.replace("{tmp}", str(tmp_path)))
+    assert got.count("\n") == 1 and got.endswith("\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_gen_without_out_exits_2(capsys):
+    assert run_cli(capsys, "gen", "--family", "tree:2", "--radii", "2") == (
+        2, "", "error: --out is required for gen\n")
+
+
+def test_listed_vertex_set_and_path_match_their_defaults(capsys):
+    # on finite-path:3 the list is all of U; on the birth-death chain it is the ray
+    solve = ("solve", "--graph", "finite-path:3", "--f", "const:1", "--U")
+    assert run_cli(capsys, *solve, "list:0,1,2") == run_cli(capsys, *solve, "all")
+    crit = ("path-criterion", "--graph", "birth-death:4", "--alpha", "0.5", "--terms", "3")
+    listed = run_cli(capsys, *crit, "--path", "list:0,1,2,3")
+    assert listed[0] == 0 and listed[1].startswith("S_3 = ")
+    assert listed == run_cli(capsys, *crit)
+
+
 # --- gen -----------------------------------------------------------------------
 
 

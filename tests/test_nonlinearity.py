@@ -1,6 +1,8 @@
 """Nonlinearities: exact values, inverses, ranges, numeric fallbacks."""
 
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -116,8 +118,8 @@ def _no_helpers(n: Nonlinearity) -> Nonlinearity:
 
 
 def test_phi_inv_numeric_against_closed_forms():
-    # moderate s only: the stopping rule |phi(t) - s| <= atol + rtol |s|
-    # lets the error in t grow with the inverse's slope
+    # moderate s only: the error in t is the backward error at float noise
+    # times the inverse's slope
     for n in (identity(), odd_power(3.0), odd_log()):
         bare = _no_helpers(n)
         for s in (-7.0, -0.3, 0.0, 0.3, 7.0):
@@ -133,6 +135,42 @@ def test_phi_inv_numeric_with_derivative_hint():
     )
     root = phi_inv_numeric(n, 2.928)
     assert root == pytest.approx(1.2, abs=1e-9)
+
+
+def _inverse_grid(n: Nonlinearity) -> list[float]:
+    """A seeded grid of s from +-1e-300 to +-1e300 and in [-10, 10], kept
+    where the exact phi^{-1}(s) is a normal float of magnitude <= 1e299."""
+    rng = random.Random(0)
+    grid = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0) for _ in range(300)]
+    grid += [rng.uniform(-10.0, 10.0) for _ in range(100)]
+    return [s for s in grid if n.contains(s) and sys.float_info.min <= abs(n.inv(s)) <= 1e299]
+
+
+@pytest.mark.parametrize("spec", ["identity", "power:0.5", "power:1", "power:3", "power:5",
+                                  "log", "atan"])
+@pytest.mark.parametrize("hint", [True, False], ids=["deriv", "bare"])
+def test_phi_inv_numeric_backward_error_at_float_noise(spec, hint):
+    # the numeric inverse stops at the float noise of phi(t) - s, or on a
+    # float-tight bracket, so its backward error is a few ulp(s) at any scale
+    n = parse_phi(spec)
+    stripped = Nonlinearity(name=spec, phi=n.phi, lo=n.lo, hi=n.hi,
+                            deriv=n.deriv if hint else None)
+    grid = _inverse_grid(n)
+    assert len(grid) >= 100
+    for s in grid:
+        t = stripped.inverse(s)
+        assert abs(n.phi(t) - s) <= 32.0 * math.ulp(s), (s, t)
+
+
+def test_phi_inv_numeric_resolves_small_values():
+    # an absolute stopping tolerance cannot tell these s from 0, although
+    # their inverses are 4.6e-5 (cubic) and 1e-18 (square root)
+    cubic = Nonlinearity(name="cubic", phi=odd_power(3.0).phi, deriv=odd_power(3.0).deriv)
+    exact = pytest.approx(4.641588833612779e-05, rel=1e-15, abs=0.0)
+    assert phi_inv_numeric(cubic, 1e-13) == exact
+    root = Nonlinearity(name="sqrt", phi=odd_power(0.5).phi, deriv=odd_power(0.5).deriv)
+    assert phi_inv_numeric(root, 1e-9) == pytest.approx(1e-18, rel=1e-15, abs=0.0)
+    assert math.copysign(1.0, phi_inv_numeric(cubic, 0.0)) == 1.0
 
 
 def test_phi_numeric_against_closed_forms():
@@ -153,16 +191,28 @@ def test_inverse_round_trip(t):
         assert n.inverse(n(t)) == pytest.approx(t, abs=1e-8, rel=1e-8)
 
 
+def _same(a: float, b: float) -> bool:
+    """Equal floats (+-0 compare equal), or both NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
 @given(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
     st.floats(min_value=1e-6, max_value=10.0, allow_nan=False),
+    st.floats(min_value=5e-324, max_value=1e300) | st.sampled_from([5e-324, 1e300, math.inf]),
 )
 @settings(max_examples=300, deadline=None)
-def test_strictly_increasing_and_odd(t, gap):
+def test_strictly_increasing_and_odd(t, gap, big):
+    # exact symmetry: phi and phi^{-1} odd, Phi and phi' even, at every scale
     for n in ALL_BUILTINS:
         assert n(t + gap) > n(t)
-        assert n(-t) == pytest.approx(-n(t), rel=1e-12, abs=0.0)
         assert n(0.0) == 0.0
+        for x in (t, big):
+            assert n(-x) == -n(x)
+            assert _same(n.antiderivative(-x), n.antiderivative(x))
+            assert _same(n.deriv(-x), n.deriv(x))
+            if n.contains(x):
+                assert n.inverse(-x) == -n.inverse(x)
 
 
 @given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
