@@ -17,9 +17,12 @@ Exit codes: 0 for a completed run (an inconclusive verdict is a
 result, not a failure), 2 for configuration and input errors, 3 when
 a solve that the mode depends on did not converge.  An error exit 2
 leaves no --out directory; an --out that names an existing file is
-such an error, found before the run computes.  On exit 3 the trace
-keeps the rows of the steps that completed, so partial traces stay
-reproducible, and ``result.json`` holds ``{"converged": false, "error": ...}``.
+such an error, found before the run computes.  resolve, classify and
+verify-liouville check their own parameters, then (``_exhaustion``) the
+graph, phi and W, then --radii and --probes, and only then build the
+exhaustion.  On exit 3 the trace keeps the rows of the steps that
+completed, so partial traces stay reproducible, and ``result.json``
+holds ``{"converged": false, "error": ...}``.
 
 CSV numbers are written with 17 significant digits and '.' decimal
 regardless of locale; identical configuration and seed reproduce
@@ -64,7 +67,6 @@ from .graphs import (
 from .nonlinearity import Nonlinearity, RangeError, parse_phi
 from .resolvent import (
     CSV_HEADER,
-    _probe_index,
     doubling_schedule,
     extended_resolvent,
     make_exhaustion,
@@ -336,6 +338,14 @@ def _parse_f(cfg: RunConfig):
     raise CliError(f"unknown f spec {spec!r}")
 
 
+def _numbers(text: str, kind: type, what: str, spec) -> list:
+    """The comma list ``text`` as ``kind`` values; CliError naming ``spec`` otherwise."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise CliError(f"bad {what} list {spec!r}") from None
+
+
 def _parse_U(cfg: RunConfig, g: WeightedGraph) -> list[int]:
     spec = cfg.U
     if not spec:
@@ -353,10 +363,7 @@ def _parse_U(cfg: RunConfig, g: WeightedGraph) -> list[int]:
             raise CliError(f"bad ball spec {spec!r}") from None
         return ball(g, g.root, r, max_vertices=cfg.max_vertices)
     if head == "list":
-        try:
-            return [int(v) for v in rest.split(",")]
-        except ValueError:
-            raise CliError(f"bad vertex list {spec!r}") from None
+        return _numbers(rest, int, "vertex", spec)
     raise CliError(f"unknown U spec {spec!r}")
 
 
@@ -372,10 +379,7 @@ def _parse_radii(cfg: RunConfig) -> list[int]:
         except (ValueError, IndexError):
             raise CliError(f"bad doubling spec {spec!r}; want doubling:START:STEPS") from None
         return doubling_schedule(start, steps)
-    try:
-        return [int(v) for v in spec.split(",")]
-    except ValueError:
-        raise CliError(f"bad radii list {spec!r}") from None
+    return _numbers(spec, int, "radii", spec)
 
 
 def _parse_probes(cfg: RunConfig) -> str | tuple[int, ...]:
@@ -385,21 +389,14 @@ def _parse_probes(cfg: RunConfig) -> str | tuple[int, ...]:
         return spec
     head, _, rest = spec.partition(":")
     if head == "list":
-        try:
-            return tuple(dict.fromkeys(int(v) for v in rest.split(",")))
-        except ValueError:
-            raise CliError(f"bad probe list {spec!r}") from None
+        return tuple(dict.fromkeys(_numbers(rest, int, "probe", spec)))
     raise CliError(f"unknown probes spec {spec!r}")
 
 
 def _parse_alpha_grid(cfg: RunConfig) -> tuple[float, ...]:
     if cfg.alpha is None:
         return _alpha_grid(None)
-    try:
-        grid = tuple(float(v) for v in str(cfg.alpha).split(","))
-    except ValueError:
-        raise CliError(f"bad alpha list {cfg.alpha!r}") from None
-    return _alpha_grid(grid)
+    return _alpha_grid(_numbers(str(cfg.alpha), float, "alpha", cfg.alpha))
 
 
 def _parse_alpha_single(cfg: RunConfig) -> float:
@@ -434,10 +431,7 @@ def _parse_path(cfg: RunConfig, g: WeightedGraph):
         return _ray(g, g.root)
     head, _, rest = spec.partition(":")
     if head == "list":
-        try:
-            return [int(v) for v in rest.split(",")]
-        except ValueError:
-            raise CliError(f"bad path list {spec!r}") from None
+        return _numbers(rest, int, "path", spec)
     raise CliError(f"unknown path spec {spec!r}")
 
 
@@ -472,19 +466,19 @@ def _problem(cfg: RunConfig) -> tuple[WeightedGraph, Nonlinearity, Potential]:
     return g, nl, _parse_potential(cfg, g, nl)
 
 
-def _exhaustion(cfg: RunConfig, resolved: dict, g: WeightedGraph, radii: list[int],
-                spec: str | tuple[int, ...]):
-    """The run's exhaustion and the probes the parsed --probes spec names
-    on it, both recorded in ``resolved`` for config.json."""
+def _exhaustion(cfg: RunConfig, resolved: dict):
+    """The graph, phi and W of the run, its exhaustion and the probes
+    --probes names on it, the latter two recorded in ``resolved``."""
+    g, nl, W = _problem(cfg)
+    radii = _parse_radii(cfg)
+    probes = _parse_probes(cfg)
     ex = make_exhaustion(g, g.root, radii, max_vertices=cfg.max_vertices)
-    if spec == "auto":
+    if probes == "auto":
         probes = default_probes(ex, seed=cfg.seed)
-    elif spec == "root":
+    elif probes == "root":
         probes = (ex.root,)
-    else:
-        probes = tuple(_probe_index(ex, spec))
     resolved.update(probes_resolved=list(probes), radii_resolved=list(ex.radii))
-    return ex, probes
+    return g, nl, W, ex, probes
 
 
 def _run_validate(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | None]:
@@ -529,13 +523,10 @@ def _run_solve(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict |
 
 
 def _run_resolve(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | None]:
-    g, nl, W = _problem(cfg)
-    radii = _parse_radii(cfg)
-    spec = _parse_probes(cfg)
     f = _parse_f(cfg)
     _require_positive("tol", cfg.tol)
     opts = cfg.solve_options()
-    ex, probes = _exhaustion(cfg, resolved, g, radii, spec)
+    g, nl, W, ex, probes = _exhaustion(cfg, resolved)
     est = extended_resolvent(g, W, nl, f, ex, probes=probes, opts=opts)
     converged = {p: est.stabilization_error(p) <= cfg.tol for p in est.probes}
     for p in est.probes:
@@ -549,14 +540,11 @@ def _run_resolve(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict
 
 
 def _run_classify(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | None]:
-    g, nl, W = _problem(cfg)
-    radii = _parse_radii(cfg)
-    spec = _parse_probes(cfg)
     grid = _parse_alpha_grid(cfg)
     th = cfg.thresholds()
     opts = cfg.solve_options()
     resolved["alpha_resolved"] = list(grid)
-    ex, probes = _exhaustion(cfg, resolved, g, radii, spec)
+    g, nl, W, ex, probes = _exhaustion(cfg, resolved)
     report = classify(g, W, nl, ex, alpha_grid=grid, probes=probes, thresholds=th, opts=opts)
     print(f"verdict: {report.verdict}")
     for est in report.estimates:
@@ -590,12 +578,9 @@ def _run_path_criterion(cfg: RunConfig, resolved: dict) -> tuple[int, list | Non
 
 
 def _run_verify_liouville(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | None]:
-    g, nl, W = _problem(cfg)
-    radii = _parse_radii(cfg)
-    spec = _parse_probes(cfg)
     alpha = _alpha(_parse_alpha_single(cfg))
     opts = cfg.solve_options()
-    ex, probes = _exhaustion(cfg, resolved, g, radii, spec)
+    g, nl, W, ex, probes = _exhaustion(cfg, resolved)
     rep = verify_liouville(g, W, nl, ex, alpha, probes=probes, opts=opts)
     rows = rep.defect.csv_rows()
     last = rep.defect.resolvent.steps[-1]

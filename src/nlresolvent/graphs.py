@@ -185,9 +185,7 @@ class ExplicitGraph(WeightedGraph):
             for y, _ in nbrs:
                 if y not in self._m:
                     raise GraphError(f"edge ({x}, {y}) points at unknown vertex {y}")
-        self._deg = {
-            x: math.fsum(w for _, w in self._adj.get(x, ())) for x in self._m
-        }
+        self._deg = {x: _fsum([w for _, w in self._adj.get(x, ())]) for x in self._m}
         self.root = int(root) if root is not None else min(self._m)
         if self.root not in self._m:
             raise GraphError(f"root {self.root} is not a vertex")
@@ -330,7 +328,7 @@ def _row_sums(src: np.ndarray, ws: np.ndarray, counts: np.ndarray) -> np.ndarray
     most two terms each, or every weight an integer and every total
     below 2**53) the bincount is returned as it is; otherwise each row
     is tested on its own, and every row that passes neither takes
-    math.fsum.
+    ``_fsum``.
     """
     n = counts.size
     deg = np.bincount(src, ws, minlength=n)
@@ -345,8 +343,17 @@ def _row_sums(src: np.ndarray, ws: np.ndarray, counts: np.ndarray) -> np.ndarray
     if rows.size:
         starts = np.cumsum(counts) - counts
         for i in rows.tolist():
-            deg[i] = math.fsum(ws[starts[i]:starts[i] + counts[i]].tolist())
+            deg[i] = _fsum(ws[starts[i]:starts[i] + counts[i]].tolist())
     return deg
+
+
+def _fsum(ws: list[float]) -> float:
+    """math.fsum of ws, or their float sum (+-inf, as bincount gives it)
+    where fsum overflows."""
+    try:
+        return math.fsum(ws)
+    except OverflowError:
+        return sum(ws)
 
 
 class VertexFunction:

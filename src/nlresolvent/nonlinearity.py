@@ -21,6 +21,7 @@ that the solver's Newton path evaluates on whole vertex sets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from collections.abc import Callable
 
@@ -41,6 +42,7 @@ __all__ = [
 
 _PHI_RTOL = 1e-10
 _HUGE = 1e300
+_FMAX = sys.float_info.max
 
 
 class RangeError(ValueError):
@@ -195,10 +197,12 @@ def _scalar_root(a, s_over_m, fx, wx, phi, deriv, lo, hi, t, tol):
 
 def phi_inv_numeric(n: Nonlinearity, s: float) -> float:
     """Invert phi at s: double a bracket out from [-1, 1] until it holds
-    the root, then solve phi(-tau) = s, t = -tau, by ``_scalar_root``
-    (a = 0, fx = 0, wx = 1, step tolerance 0).  Returns t once
-    |phi(t) - s| is at the float noise of s and phi(t), or once the
-    bracket is float-tight; s = 0 gives +0.0.
+    the root, or, where [-1, 1] holds it, bisect over the exponent down
+    to the root's binade (arithmetic halving would cost one phi per
+    binade, 1,000 at |s| = 1e-300); then solve phi(-tau) = s,
+    t = -tau, by ``_scalar_root`` (a = 0, fx = 0, wx = 1, step
+    tolerance 0).  Returns t once |phi(t) - s| is at the float noise of
+    s and phi(t), or once the bracket is float-tight; s = 0 gives +0.0.
     """
     if not n.contains(s):
         raise RangeError(s, n.lo, n.hi, n.name)
@@ -214,6 +218,17 @@ def phi_inv_numeric(n: Nonlinearity, s: float) -> float:
         lo *= 2.0
         if lo < -_HUGE:
             raise RangeError(s, n.lo, n.hi, n.name)
+    if lo < 0.0 < hi and s != 0.0:
+        # the root is sign * 2**e for a real e in (-1075, 0]; 2**-1075 rounds to 0
+        sign = math.copysign(1.0, s)
+        e_lo, e_hi = -1075, 0
+        while e_hi - e_lo > 1:
+            e = (e_lo + e_hi) // 2
+            if sign * phi(math.ldexp(sign, e)) < abs(s):
+                e_lo = e
+            else:
+                e_hi = e
+        lo, hi = sorted((math.ldexp(sign, e_lo), math.ldexp(sign, e_hi)))
     return -_scalar_root(0.0, -s, 0.0, 1.0, phi, n.deriv, -hi, -lo, -0.5 * (lo + hi), 0.0)
 
 
@@ -315,7 +330,10 @@ def odd_power(p: float) -> Nonlinearity:
 
 
 def odd_log() -> Nonlinearity:
-    """phi(t) = sign(t) log(1 + |t|); concave on [0, oo), range all of R."""
+    """phi(t) = sign(t) log(1 + |t|); concave on [0, oo), range all of R.
+
+    Phi caps its last term at the largest float: Phi(+-inf) = inf, not inf - inf.
+    """
 
     def deriv(t):  # floats and numpy arrays alike
         return 1.0 / (1.0 + abs(t))
@@ -324,13 +342,14 @@ def odd_log() -> Nonlinearity:
         name="log",
         phi=_odd(math.log1p),
         inv=_odd(math.expm1),
-        antideriv=_even(lambda a: 2.0 * ((1.0 + a) * math.log1p(a) - a)),
+        antideriv=_even(lambda a: 2.0 * ((1.0 + a) * math.log1p(a) - min(a, _FMAX))),
         deriv=deriv,
         arrays=ArrayForms(
             phi=lambda t: np.sign(t) * np.log1p(np.abs(t)),
             deriv=deriv,
             inv=lambda s: np.sign(s) * np.expm1(np.abs(s)),
-            antideriv=lambda s: 2.0 * ((1.0 + np.abs(s)) * np.log1p(np.abs(s)) - np.abs(s)),
+            antideriv=lambda s: 2.0 * ((1.0 + np.abs(s)) * np.log1p(np.abs(s))
+                                       - np.minimum(np.abs(s), _FMAX)),
         ),
     )
 
@@ -341,6 +360,10 @@ def bounded_atan() -> Nonlinearity:
     The interesting feature is that ran phi is a proper interval: the
     inverse raises RangeError outside it, which downstream code reports
     as a range-violation state rather than a crash.
+
+    Phi caps s*s, which overflows from |s| ~ 1.34e154, at the largest
+    float: there log1p of either is far below the rounding of
+    2 s atan(s) ~ pi |s|, and Phi(+-inf) = inf.
     """
 
     def deriv(t):  # floats and numpy arrays alike
@@ -352,13 +375,13 @@ def bounded_atan() -> Nonlinearity:
         lo=-0.5 * math.pi,
         hi=0.5 * math.pi,
         inv=math.tan,
-        antideriv=lambda s: 2.0 * s * math.atan(s) - math.log1p(s * s),
+        antideriv=lambda s: 2.0 * s * math.atan(s) - math.log1p(min(s * s, _FMAX)),
         deriv=deriv,
         arrays=ArrayForms(
             phi=np.arctan,
             deriv=deriv,
             inv=np.tan,
-            antideriv=lambda s: 2.0 * s * np.arctan(s) - np.log1p(s * s),
+            antideriv=lambda s: 2.0 * s * np.arctan(s) - np.log1p(np.minimum(s * s, _FMAX)),
         ),
     )
 

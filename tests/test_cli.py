@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from dataclasses import asdict
 import pytest
 
 from nlresolvent import (
+    GraphError,
     Potential,
     ProceduralGraph,
     ball,
@@ -746,6 +748,76 @@ def test_validate_reports_a_weight_past_the_float_range(tmp_path, capsys):
     assert result == {"ok": False, "failures": ["b(512, 513) overflows a float"]}
 
 
+# deg(1750) = 1.5**1749 + 1.5**1750 passes the float range although both of
+# its weights are floats: the degree is +inf, a bad input, not a traceback
+def test_degree_past_the_float_range_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "resolve", "--graph", "birth-death:1.5", "--f", "const:1",
+                             "--radii", "1750", "--out", str(tmp_path / "run"))
+    assert (code, out, err) == (2, "", "error: deg(1750) = inf is not finite\n")
+    assert not (tmp_path / "run").exists()
+    code, out, _ = run_cli(capsys, "validate", "--graph", "birth-death:1.5", "--radii", "1750")
+    assert code == 2
+    assert "  - degree at 1750 is not finite\n" in out
+
+
+def test_file_graph_with_a_degree_past_the_float_range_exits_2(tmp_path, capsys):
+    doc = {"vertices": [{"id": x, "m": 1.0} for x in range(3)],
+           "edges": [{"u": 0, "v": 1, "b": 1e308}, {"u": 1, "v": 2, "b": 1e308}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", "--graph", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert err == f"error: graph file {path} is invalid:\n  - degree at 1 is not finite\n"
+
+
+# --- graph files ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family, argv", [
+    (("tree:2", "--radii", "9"),
+     ("resolve", "--f", "const:1", "--radii", "2,4,8", "--probes", "auto", "--seed", "3")),
+    (("random-sparse:n=40,density=0.1,seed=2",),
+     ("classify", "--phi", "log", "--radii", "1,2,4")),
+], ids=["tree", "random-sparse"])
+def test_generated_file_reproduces_its_family(tmp_path, capsys, family, argv):
+    spec, *radii = family
+    assert run_cli(capsys, "gen", "--family", spec, *radii, "--out", str(tmp_path / "gen"))[0] == 0
+    mode, *args = argv
+    graph_file = f"file:{tmp_path / 'gen' / 'graph.json'}"
+    for name, graph in (("file", graph_file), ("family", spec)):
+        code, _, _ = run_cli(capsys, mode, "--graph", graph, *args, "--out", str(tmp_path / name))
+        assert code == 0
+    for artifact in ("trace.csv", "result.json"):
+        assert ((tmp_path / "file" / artifact).read_bytes()
+                == (tmp_path / "family" / artifact).read_bytes())
+
+
+@pytest.mark.parametrize("doc, err", [
+    ({"vertices": [{"id": 0}]}, "malformed vertex row {'id': 0}"),
+    ({"vertices": [{"id": 0, "m": 1.0}], "edges": [{"u": 0}]}, "malformed edge row {'u': 0}"),
+    ({"edges": []}, "malformed graph document: 'vertices'"),
+    ({"vertices": [{"id": 0, "m": 1.0}], "edges": [{"u": 0, "v": 7, "b": 1.0}]},
+     "edge (0,7) references a vertex with no row"),
+], ids=["vertex-row", "edge-row", "no-vertices", "edge-to-no-row"])
+def test_malformed_graph_file_exits_2(tmp_path, capsys, doc, err):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(GraphError, match=re.escape(err)):
+        graph_from_json(str(path))
+    assert run_cli(capsys, "validate", "--graph", f"file:{path}") == (2, "", f"error: {err}\n")
+
+
+def test_validate_reports_a_stored_diagonal_entry(tmp_path, capsys):
+    doc = {"vertices": [{"id": 0, "m": 1.0}, {"id": 1, "m": 1.0}],
+           "edges": [{"u": 0, "v": 0, "b": 2.0}, {"u": 0, "v": 1, "b": 1.0}]}
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert validate(graph_from_json(str(path)), [0, 1]).failures == (
+        "diagonal at 0: b(0,0) = 2.0 stored",)
+    assert run_cli(capsys, "validate", "--graph", f"file:{path}") == (
+        2, "", f"error: graph file {path} is invalid:\n  - diagonal at 0: b(0,0) = 2.0 stored\n")
+
+
 # --- help ----------------------------------------------------------------------
 
 
@@ -830,3 +902,12 @@ def test_console_script_end_to_end():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "u = (0.6667, 0.3333)" in proc.stdout
+
+
+def test_module_entry_point():
+    # the package's own src/ directory, wherever the tests were started from
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "nlresolvent", "--help"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: nlresolvent ")

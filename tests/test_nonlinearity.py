@@ -4,6 +4,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +174,24 @@ def test_phi_inv_numeric_resolves_small_values():
     assert math.copysign(1.0, phi_inv_numeric(cubic, 0.0)) == 1.0
 
 
+@pytest.mark.parametrize("spec", ["identity", "power:0.5", "power:3", "log", "atan"])
+@pytest.mark.parametrize("hint", [True, False], ids=["deriv", "bare"])
+def test_phi_inv_numeric_narrows_a_tiny_s_by_its_exponent(spec, hint):
+    # halving [-1, 1] arithmetically cost one phi per binade: 1,047 at 1e-300
+    n = parse_phi(spec)
+    calls = []
+    counted = Nonlinearity(name=spec, phi=lambda t: calls.append(t) or n.phi(t), lo=n.lo, hi=n.hi,
+                           deriv=n.deriv if hint else None)
+    for s in (1e-300, -1e-300, 1e-100, -1e-100, 1e-20, -1e-20):
+        calls.clear()
+        t = counted.inverse(s)
+        assert len(calls) <= 100, (s, len(calls))
+        if abs(n.inv(s)) >= sys.float_info.min:
+            assert abs(n.phi(t) - s) <= 32.0 * math.ulp(s), (s, t)
+        else:  # the square root's inverse s**2 underflows
+            assert abs(t) <= math.ulp(0.0), (s, t)
+
+
 def test_phi_numeric_against_closed_forms():
     for n in (identity(), odd_power(3.0), odd_log(), bounded_atan()):
         for s in (-2.0, -0.5, 0.0, 0.5, 2.0):
@@ -223,6 +242,19 @@ def test_antiderivative_nonnegative_and_even_growth(s):
         v = n.antiderivative(s)
         assert v >= 0.0
         assert n.antiderivative(s * 1.5) >= v - 1e-12
+
+
+@pytest.mark.parametrize("n", [odd_log(), bounded_atan()], ids=["log", "atan"])
+def test_antiderivative_at_the_ends_of_the_float_range(n):
+    # s*s overflows from 1.34e154, and inf - inf is NaN: Phi read -inf or NaN there
+    ends = [1.4e154, 1e200, 1e308, math.inf]
+    ends += [-s for s in ends]
+    with np.errstate(all="ignore"):
+        arrays = n.arrays.antideriv(np.array(ends)).tolist()
+    for s, v in zip(ends, arrays):
+        for phi in (n.antiderivative(s), v):
+            assert phi >= 0.0, (s, phi)  # False for NaN too
+    assert n.antiderivative(math.inf) == n.antiderivative(-math.inf) == math.inf
 
 
 # --- parsing ---------------------------------------------------------------

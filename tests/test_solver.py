@@ -269,6 +269,16 @@ def test_square_root_power_takes_the_fallback(path3, unit_potential):
     assert rep.ok and rep.sup <= 1e-8
 
 
+@pytest.mark.parametrize("opts, sweeps", [
+    (SolveOptions(max_sweeps=1), 1),  # the budget runs out
+    (SolveOptions(residual_tol=1e-300), 42),  # an exact fixed point, long before 100,000
+], ids=["max-sweeps", "fixed-point"])
+def test_gauss_seidel_reports_its_two_unconverged_exits(path3, unit_potential, opts, sweeps):
+    f = VertexFunction({0: 1.0, 1: -2.0, 2: 0.5})
+    res = solve_dirichlet(path3, unit_potential, odd_power(0.5), f, [0, 1, 2], opts=opts)
+    assert (res.converged, res.sweeps_used) == (False, sweeps)
+
+
 def test_array_forms_raise_no_numpy_warnings(path3, unit_potential):
     # overflow inside phi, expm1 or tan must surface as inf or a range
     # violation, never as a RuntimeWarning
