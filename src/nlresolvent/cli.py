@@ -169,9 +169,9 @@ def _add_arguments(p: argparse.ArgumentParser, mode: str) -> None:
     p.add_argument("--residual-tol", type=float, dest="residual_tol")
     p.add_argument("--max-sweeps", type=int, dest="max_sweeps",
                    help="cap on passes over each solve's vertex set: "
-                   "conjugate-gradient iterations of the Newton solver, or "
-                   "rounds of scalar solves where phi falls back to "
-                   f"Gauss-Seidel (default {SolveOptions.max_sweeps})")
+                   "conjugate-gradient iterations of the Newton solver, or one "
+                   "elimination per Newton step where the set spans a forest "
+                   f"(default {SolveOptions.max_sweeps})")
 
     if mode == "validate":
         p.add_argument("--radii", help="probe ball radius for procedural graphs (first value)")
@@ -547,6 +547,8 @@ def _run_classify(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dic
     g, nl, W, ex, probes = _exhaustion(cfg, resolved)
     report = classify(g, W, nl, ex, alpha_grid=grid, probes=probes, thresholds=th, opts=opts)
     print(f"verdict: {report.verdict}")
+    if report.reason:
+        print(f"  {report.reason}")
     for est in report.estimates:
         p = est.probes[0]
         where = "root" if p == ex.root else f"probe {p}"

@@ -80,7 +80,8 @@ class Thresholds:
     complete_tol bounds defects accepted as zero, incomplete_floor is
     the smallest defect read as genuinely positive, and stabilization_tol
     bounds the change over the last two schedule steps required before a
-    defect value is trusted at all.
+    defect value is trusted at all, and, for an incomplete verdict, the
+    change since the largest scheduled radius <= R/2.
     """
 
     complete_tol: float = 1e-4
@@ -233,6 +234,10 @@ class _DefectRows:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """A verdict and its evidence.  ``reason`` says why an incomplete
+    verdict was withheld by the doubling check, and is empty otherwise;
+    the CLI prints it, and ``to_json_doc`` leaves it out."""
+
     verdict: str
     alpha_grid: tuple[float, ...]
     probes: tuple[int, ...]
@@ -240,6 +245,7 @@ class ClassificationReport:
     estimates: tuple[DefectEstimate, ...]
     stabilization: dict[float, dict[int, float]]
     note: str = TRUNCATION_NOTE
+    reason: str = ""
 
     def to_json_doc(self) -> dict:
         """Verdict document; every number here also appears in the CSV rows."""
@@ -281,8 +287,11 @@ def classify(
 
     Complete-at-infinity requires every (alpha, probe) defect to be
     stabilized and below complete_tol; incomplete-at-infinity requires
-    some stabilized defect at or above incomplete_floor; anything else
-    is inconclusive (a verdict, not an error).  Per-alpha runs are
+    some stabilized defect at or above incomplete_floor that also changed
+    by at most stabilization_tol since the largest scheduled radius
+    <= R/2, R the last one; anything else is inconclusive (a verdict, not
+    an error), and where only that doubling check withheld an incomplete
+    verdict the report's ``reason`` says so.  Per-alpha runs are
     independent; they execute sequentially here for determinism.
 
     W is sampled once, on the exhaustion's largest ball, for the whole
@@ -314,18 +323,32 @@ def classify(
     def stable(est: DefectEstimate, p: int) -> bool:
         return stabilization[est.alpha][p] <= th.stabilization_tol
 
+    # truncation over-estimates the defect, and a slowly decaying one moves
+    # little over closely spaced radii: an incomplete verdict also needs
+    # the defect to have held still since the largest radius <= R/2
+    R = ex.radii[-1]
+    half = max((k for k, r in enumerate(ex.radii) if 2 * r <= R), default=None)
+    positive = [(est, p) for est in ests for p in est.probes
+                if stable(est, p) and est.final[p] >= th.incomplete_floor]
+    reason = ""
     if all(
         stable(est, p) and est.final[p] <= th.complete_tol
         for est in ests
         for p in est.probes
     ):
         verdict = VERDICT_COMPLETE
-    elif any(
-        stable(est, p) and est.final[p] >= th.incomplete_floor
-        for est in ests
-        for p in est.probes
-    ):
-        verdict = VERDICT_INCOMPLETE
+    elif positive and half is None:
+        verdict = VERDICT_INCONCLUSIVE
+        reason = (f"not {VERDICT_INCOMPLETE}: no scheduled radius is <= {R}/2, "
+                  "against which the defect must have stabilized")
+    elif positive:
+        moved = min(abs(est.final[p] - est.defects[p][half]) for est, p in positive)
+        if moved <= th.stabilization_tol:
+            verdict = VERDICT_INCOMPLETE
+        else:
+            verdict = VERDICT_INCONCLUSIVE
+            reason = (f"not {VERDICT_INCOMPLETE}: the defect moved by {moved:.3g} > "
+                      f"stabilization_tol between radii {ex.radii[half]} and {R}")
     else:
         verdict = VERDICT_INCONCLUSIVE
 
@@ -336,6 +359,7 @@ def classify(
         thresholds=th,
         estimates=ests,
         stabilization=stabilization,
+        reason=reason,
     )
 
 

@@ -11,11 +11,14 @@ negative axis as odd functions, phi(-t) = -phi(t).  That choice is free
 for everything computed here, which only depends on phi restricted to
 [0, oo), and it keeps Phi even; ``_odd`` and ``_even`` extend formulas
 stated on [0, oo) and map an overflow to +-inf.  Custom nonlinearities
-may supply any subset of {inverse, antiderivative, derivative}; missing
-pieces fall back to ``_scalar_root``, the one safeguarded
-Newton-bisection root finder, and to adaptive quadrature.  The builtins
-also carry :class:`ArrayForms`, vectorized versions of the same calculus
-that the solver's Newton path evaluates on whole vertex sets.
+may supply any subset of {inverse, antiderivative, derivative}; a missing
+inverse is found by ``_scalar_root``, the one safeguarded
+Newton-bisection root finder, on the root's binade, a missing Phi by
+adaptive quadrature.  The builtins also carry :class:`ArrayForms`,
+vectorized versions of the same calculus that the solver's Newton steps
+evaluate on whole vertex sets; a custom nonlinearity without them gets
+its scalar forms mapped over the entries (``_array_forms``), with phi'
+from difference quotients where it has no derivative.
 """
 
 from __future__ import annotations
@@ -41,8 +44,10 @@ __all__ = [
 ]
 
 _PHI_RTOL = 1e-10
-_HUGE = 1e300
 _FMAX = sys.float_info.max
+# relative step of the difference quotient that stands in for a missing phi'
+_DIFF_STEP = 2.0**-17
+_TINY, _TINY_SQRT = 2.0**-1000, 2.0**-500
 
 
 class RangeError(ValueError):
@@ -87,13 +92,15 @@ class Nonlinearity:
     antideriv : callable or None
         Closed form of Phi(s) = integral_0^s 2 phi(t) dt.
     deriv : callable or None
-        phi' where it exists; used to accelerate root finding.
+        phi' where it exists (inf where phi' is infinite); it accelerates
+        root finding, and without it the solver takes difference
+        quotients.
     arrays : ArrayForms or None
-        Vectorized phi, phi', phi^{-1} and Phi.  With them, and a finite
-        phi'(0), the solver runs Newton on whole vertex sets; without
-        them it falls back to per-vertex Gauss-Seidel.  They must agree
-        with the scalar fields, which ``dataclasses.replace`` does not
-        check.
+        Vectorized phi, phi', phi^{-1} and Phi, which the solver's Newton
+        steps evaluate on whole vertex sets.  Without them it maps the
+        scalar forms over the entries, one call per vertex.  They must
+        agree with the scalar fields, which ``dataclasses.replace`` does
+        not check.
     """
 
     name: str
@@ -130,62 +137,50 @@ class Nonlinearity:
         return Phi_numeric(self, s)
 
 
-# F is evaluated as a difference of terms that can sit many orders above
-# the root value (in the solver a = deg/m grows like 4^x on fast
-# branching graphs), so |F| cannot be resolved below a few ulp of them.
+# phi(t) - s is evaluated as a difference of terms that can sit many
+# orders above the root value, so it cannot be resolved below a few ulp
+# of them.
 _FT_NOISE = 8.0 * math.ulp(1.0)
 
 
-def _scalar_root(a, s_over_m, fx, wx, phi, deriv, lo, hi, t, tol):
-    """Root of F(t) = a*t - s_over_m - phi(fx - wx*t) on a certified bracket.
+def _scalar_root(phi, deriv, s, lo, hi):
+    """Root of phi(t) = s on a bracket with phi(lo) <= s <= phi(hi).
 
-    a >= 0 and wx > 0, so F is strictly increasing with
-    F(lo) <= 0 <= F(hi).  Newton from the derivative hint is used while
-    it stays inside the bracket and keeps halving the step (classic
-    safeguarded scheme); otherwise bisect.
-
-    Termination: |F| at its float evaluation noise accepts t outright,
-    a Newton step below tol accepts its landing point, and bisection
-    refines until the bracket is float-tight.  An absolute width cutoff
-    would quantize roots to ~tol and is not used: at degree growth 4^x
-    a tol-sized root error is amplified into residuals the sweep loop
-    can never pass.  1500 iterations cover halving the widest float64
-    bracket down to adjacent floats in pure-bisection mode.
+    Starts at the midpoint.  Newton from the derivative hint is used
+    while it stays inside the bracket and keeps halving the step (classic
+    safeguarded scheme); otherwise bisect.  |phi(t) - s| at its float
+    evaluation noise accepts t outright, and bisection refines until the
+    bracket is float-tight or a step lands where it started.  An absolute
+    width cutoff would quantize roots, and is not used.  Midpoints halve
+    each end first, so the top binade's do not overflow.  1500 iterations
+    cover halving the widest float64 bracket down to adjacent floats in
+    pure-bisection mode.
     """
-    if t < lo:
-        t = lo
-    elif t > hi:
-        t = hi
+    t = 0.5 * lo + 0.5 * hi
     xl, xh = lo, hi
     dxold = xh - xl
     for _ in range(1500):
-        at = a * t
-        pv = phi(fx - wx * t)
-        ft = at - s_over_m - pv
-        if abs(ft) <= _FT_NOISE * (abs(at) + abs(s_over_m) + abs(pv)):
+        pv = phi(t)
+        ft = pv - s
+        # each term scaled apart, so the bound overflows only where phi(t) did
+        if abs(ft) <= _FT_NOISE * abs(s) + _FT_NOISE * abs(pv) < math.inf:
             return t
-        if ft < 0.0:
-            xl = t
-        else:
+        if ft > 0.0:
             xh = t
+        else:
+            xl = t
         tn = None
-        newton = False
         if deriv is not None:
-            d = deriv(fx - wx * t)
-            if d is not None and d >= 0.0 and math.isfinite(d):
-                fp = a + wx * d
-                if fp > 0.0 and math.isfinite(fp) and math.isfinite(ft):
-                    cand = t - ft / fp
-                    if xl <= cand <= xh and abs(cand - t) <= 0.5 * dxold:
-                        tn = cand
-                        newton = True
+            d = deriv(t)
+            if d is not None and 0.0 < d < math.inf and math.isfinite(ft):
+                cand = t - ft / d
+                if xl <= cand <= xh and abs(cand - t) <= 0.5 * dxold:
+                    tn = cand
         if tn is None:
-            tn = 0.5 * (xl + xh)
+            tn = 0.5 * xl + 0.5 * xh
             if tn == xl or tn == xh:
                 return tn  # bracket is float-tight
         dxold = abs(tn - t)
-        if newton and dxold <= tol:
-            return tn
         if tn == t:
             return t  # no representable progress
         t = tn
@@ -196,40 +191,90 @@ def _scalar_root(a, s_over_m, fx, wx, phi, deriv, lo, hi, t, tol):
 
 
 def phi_inv_numeric(n: Nonlinearity, s: float) -> float:
-    """Invert phi at s: double a bracket out from [-1, 1] until it holds
-    the root, or, where [-1, 1] holds it, bisect over the exponent down
-    to the root's binade (arithmetic halving would cost one phi per
-    binade, 1,000 at |s| = 1e-300); then solve phi(-tau) = s,
-    t = -tau, by ``_scalar_root`` (a = 0, fx = 0, wx = 1, step
-    tolerance 0).  Returns t once |phi(t) - s| is at the float noise of
-    s and phi(t), or once the bracket is float-tight; s = 0 gives +0.0.
+    """Invert phi at s, by ``_scalar_root`` on the root's binade.
+
+    The root is sign(s) 2**e for a real e in (-1075, 1024] (2**-1075
+    rounds to 0, and 2**1024 stands for the largest float).  A bracket on
+    e grows from 0 by doubling, outward (1, 2, 4, ..., 1024) or inward
+    (-1, -2, -4, ..., -1075), and is then bisected down to one binade: at
+    most 21 phi evaluations at any s, where halving or doubling the
+    bracket on t would cost one per binade (1,000 at 1e-300 or 1e299).
+    Returns t once |phi(t) - s| is at the float noise of s and phi(t), or
+    once the bracket is float-tight; s = 0 gives +0.0.  Raises RangeError
+    where s lies outside ran phi or its inverse beyond the largest float.
     """
     if not n.contains(s):
         raise RangeError(s, n.lo, n.hi, n.name)
-    phi = n.phi
-    lo, hi = -1.0, 1.0
-    while phi(hi) < s:
-        lo = hi
-        hi *= 2.0
-        if hi > _HUGE:
-            raise RangeError(s, n.lo, n.hi, n.name)
-    while phi(lo) > s:
-        hi = lo
-        lo *= 2.0
-        if lo < -_HUGE:
-            raise RangeError(s, n.lo, n.hi, n.name)
-    if lo < 0.0 < hi and s != 0.0:
-        # the root is sign * 2**e for a real e in (-1075, 0]; 2**-1075 rounds to 0
-        sign = math.copysign(1.0, s)
-        e_lo, e_hi = -1075, 0
-        while e_hi - e_lo > 1:
-            e = (e_lo + e_hi) // 2
-            if sign * phi(math.ldexp(sign, e)) < abs(s):
-                e_lo = e
-            else:
-                e_hi = e
-        lo, hi = sorted((math.ldexp(sign, e_lo), math.ldexp(sign, e_hi)))
-    return -_scalar_root(0.0, -s, 0.0, 1.0, phi, n.deriv, -hi, -lo, -0.5 * (lo + hi), 0.0)
+    if s == 0.0:
+        return 0.0
+    phi, sign = n.phi, math.copysign(1.0, s)
+
+    def power(e):
+        return sign * (_FMAX if e == 1024 else math.ldexp(1.0, e))
+
+    def below(e):  # phi(sign 2**e) lies strictly between 0 and s
+        return sign * phi(power(e)) < abs(s)
+
+    if below(0):
+        e_lo, e_hi = 0, 1
+        while below(e_hi):
+            if e_hi == 1024:
+                raise RangeError(s, n.lo, n.hi, n.name)
+            e_lo, e_hi = e_hi, min(2 * e_hi, 1024)
+    else:
+        e_lo, e_hi = -1, 0
+        while e_lo > -1075 and not below(e_lo):
+            e_lo, e_hi = max(2 * e_lo, -1075), e_lo
+    while e_hi - e_lo > 1:
+        e = (e_lo + e_hi) // 2
+        if below(e):
+            e_lo = e
+        else:
+            e_hi = e
+    lo, hi = sorted((power(e_lo), power(e_hi)))
+    return _scalar_root(phi, n.deriv, s, lo, hi)
+
+
+def _mapped(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """fn on each entry of a 1-D float array."""
+    return lambda a: np.fromiter(map(fn, a.tolist()), dtype=float, count=a.size)
+
+
+def _difference_quotient(phi: Callable[[float], float]) -> Callable[[float], float]:
+    """phi' as the central difference quotient of phi on the step
+    _DIFF_STEP |t| (at least 2**-1000), near the cube root of the float
+    precision, where truncation and rounding errors balance.  At t = 0 it
+    is phi(h)/h at h = 2**-1000, or inf where that is more than twice its
+    value at h = 2**-500: a phi like t**p, whose phi'(0) is infinite for
+    p < 1, doubles it for p < 0.998."""
+
+    def deriv(t: float) -> float:
+        if t == 0.0:
+            q = phi(_TINY) / _TINY
+            return math.inf if q > 2.0 * (phi(_TINY_SQRT) / _TINY_SQRT) else q
+        h = max(_DIFF_STEP * abs(t), _TINY)
+        return (phi(t + h) - phi(t - h)) / (h + h)
+
+    return deriv
+
+
+def _array_forms(n: Nonlinearity) -> ArrayForms:
+    """``n.arrays``, or where n has none, its scalar calculus mapped over
+    the entries: phi, phi' (the difference quotient where n has no
+    ``deriv``), the inverse (``phi_inv_numeric`` where n has no ``inv``;
+    +-inf beyond ran phi or the float range) and Phi (``Phi_numeric``
+    where n has no ``antideriv``)."""
+    if n.arrays is not None:
+        return n.arrays
+
+    def inv(s: float) -> float:
+        try:
+            return n.inverse(s)
+        except RangeError:
+            return math.copysign(math.inf, s)
+
+    return ArrayForms(phi=_mapped(n.phi), deriv=_mapped(n.deriv or _difference_quotient(n.phi)),
+                      inv=_mapped(inv), antideriv=_mapped(n.antiderivative))
 
 
 def _adaptive_simpson(f, a, b, fa, fb, fm, whole, tol, depth):
@@ -306,8 +351,9 @@ def odd_power(p: float) -> Nonlinearity:
     """phi(t) = sign(t) |t|^p for p > 0; Phi(s) = 2 |s|^(p+1) / (p+1).
 
     p < 1 has an infinite derivative at 0 (the hint returns inf there,
-    root finders fall back to bisection and the solver to Gauss-Seidel);
-    p > 1 has derivative 0.
+    root finders bisect, and the solver's Newton steps linearize
+    phi^{-1}(L u) + W u = f instead of the gradient of E); p > 1 has
+    derivative 0.
     """
     p = float(p)
     if p <= 0.0:

@@ -51,32 +51,23 @@ exact Newton step, counts as one sweep, and leaves no linear residual
 for the next forcing term.  Sets with cycles, and steps whose
 elimination meets a pivot that is not positive and finite, take CG.
 
-Newton needs the nonlinearity's array forms and a finite phi'(0).  A
-custom phi without array forms, or odd_power(p < 1) with phi'(0) = oo,
-takes the fallback: nonlinear Gauss-Seidel, which visits the vertices of
-U in the order given (breadth-first from the root for the balls of an
-exhaustion) and re-solves the scalar stationarity equation at x in the
-unknown t = u(x), holding neighbors fixed.  That scalar function
+Where phi'(0) is infinite (odd_power(p < 1)) E is not C^2, so the step
+linearizes the inverse form r(u) = psi(A u / m) + W u - f, psi = phi^{-1},
+whose Jacobian diag(D) A + diag(W), D = psi'(A u / m) / m >= 0, is a
+nonsingular M-matrix at every u.  Divided by D, a row reads
+(A + diag(W/D)) d = -r/D with 1/D = m phi'(psi(A u / m)), a system of the
+same kind.  A row with D = 0 sees no neighbour and reads W d = -r, which
+takes u to f / W: right on a dead core, far off where heavy edges hold u
+down.  Where phi'(f - W u) is finite on such rows, the step with E's own
+rows in their place is solved too, and the one with the smaller E at
+t = 1 is kept.  Held rows' steps move to the right-hand side of the
+others (``_held``).  The line search backtracks on E where the step
+descends and on sup |r| where it does not, and the stall test compares
+each vertex's step with its own |u|, since psi flattens where u is small.
 
-    F(t) = (deg(x) t - S) / m(x) - phi(f(x) - W(x) t),  S = sum b(x,y) u(y),
-
-is strictly increasing, and as long as all neighbor values stay in
-[-K, K] with K = ||f||_inf / W0 the root lies in [-K, K] as well (F is
-nonpositive at -K and nonnegative at +K there).  Roots are found by
-bisection on the certified bracket [-K-1, K+1], accelerated by Newton
-steps whenever a derivative hint exists and the step stays inside the
-shrinking bracket, to a fixed step tolerance of 1e-12
-(``nonlinearity._scalar_root``).  There a sweep is one pass of scalar
-solves over U.
-Starting from u = 0 with f >= 0 the sweep map is monotone, so iterates
-increase toward the minimizer.  Each scalar solve moves by at most
-deg / (deg + m W phi') times its neighbors' change, phi' taken near
-f - W u, so a sweep contracts in the sup norm by a factor that tends to
-1 where phi' -> 0: near a solution with f = W u and phi'(0) = 0 the
-sweeps slow down without bound (the README gives an example).
-
-Both paths share the assembly and sampling, which reject non-finite
-inputs, and the residual check on the arrays.
+A nonlinearity without array forms gets them mapped from its scalar
+forms (``nonlinearity._array_forms``): the numeric inverse, Phi by
+quadrature, and phi' by difference quotients where it has none.
 """
 
 from __future__ import annotations
@@ -89,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import VertexFunction, WeightedGraph, _assemble, _ids, energy
-from .nonlinearity import Nonlinearity, RangeError, _scalar_root
+from .nonlinearity import Nonlinearity, RangeError, _array_forms
 
 __all__ = [
     "Potential",
@@ -166,13 +157,13 @@ class SolveOptions:
     (potentials like deg^2 push f beyond 1e40) float64 cannot represent
     an absolute residual below the rounding of f itself.
 
-    A sweep is one pass over the in-U arrays: on the Newton path one
-    conjugate-gradient iteration, or where U spans a forest one
-    elimination, that is one exact Newton step; on the Gauss-Seidel
-    fallback one round of scalar solves.  ``max_sweeps`` caps their
-    total.  ``sweep_tol`` bounds the error left after the last update:
-    Newton estimates it from the ratio of successive steps, Gauss-Seidel
-    takes the update itself.
+    A sweep is one pass over the in-U arrays: one conjugate-gradient
+    iteration, or where U spans a forest one elimination, that is one
+    exact Newton step; an inverse-form step whose rows all read
+    W d = -r counts one too, and one that solves two systems counts
+    both.  ``max_sweeps`` caps their total.
+    ``sweep_tol`` bounds the error left after the last step, which
+    Newton estimates from the ratio of successive steps.
     """
 
     sweep_tol: float = 1e-10
@@ -191,8 +182,8 @@ class SolveResult:
     """Outcome of one Dirichlet solve.
 
     ``sweeps_used`` counts passes over the arrays as ``SolveOptions``
-    defines them (conjugate-gradient iterations on the Newton path, and
-    on a forest eliminations, one per Newton step).
+    defines them (conjugate-gradient iterations, and on a forest
+    eliminations, one per Newton step), for every phi.
     ``max_decrease`` is the largest decrease of any vertex value from
     the start (zero, or the warm start) to the returned solution; for
     f >= 0 started at zero or warm-started from a smaller problem the
@@ -248,8 +239,6 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # Mean breadth-first layer width from which a forest is eliminated a
 # layer at a time; thinner forests take a loop over the vertices
 _WIDE = 16
-# Newton step size at which the scalar root finder accepts its landing point
-_ROOT_TOL = 1e-12
 
 
 def _sample(g: WeightedGraph, fn: Callable[[int], float], xs: np.ndarray, m, deg) -> np.ndarray:
@@ -350,16 +339,7 @@ class _System:
         """
         lu = (self.apply(u) if au is None else au) / self.m
         ok = (nl.lo < lu) & (lu < nl.hi)
-        if nl.arrays is not None:
-            inv = nl.arrays.inv(lu if ok.all() else np.where(ok, lu, 0.0))
-        else:
-            inv = np.zeros_like(lu)
-            for i in np.flatnonzero(ok):
-                try:
-                    inv[i] = nl.inverse(float(lu[i]))
-                except RangeError:
-                    # inside ran phi mathematically but past float representability
-                    ok[i] = False
+        inv = _array_forms(nl).inv(lu if ok.all() else np.where(ok, lu, 0.0))
         r, f = np.abs(inv + self.w * u - self.f), self.f
         if not ok.all():  # else every vertex is kept, with no copy
             r, f = r[ok], f[ok]
@@ -449,10 +429,38 @@ def _eliminate(sys_: _System, c: np.ndarray, rhs: np.ndarray):
     return None
 
 
-def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
-    """Damped Newton on E from u; returns the iterate, sweeps, convergence
-    and ``_System.residual`` there."""
-    arr = nl.arrays
+def _linear(sys_: _System, c: np.ndarray, rhs: np.ndarray, budget: int, eta: float):
+    """(A + diag(c)) d = rhs by ``_eliminate`` (one sweep, no residual left),
+    else by ``_pcg``; returns d, the sweeps and the linear residual's 2-norm."""
+    d = None if sys_.forest is None else _eliminate(sys_, c, rhs)
+    if d is not None:
+        return d, 1, 0.0
+    d, its, r = _pcg(sys_, c, rhs, budget, eta)
+    return d, its, math.sqrt(r @ r)
+
+
+def _held(sys_: _System, c: np.ndarray, rhs: np.ndarray, held: np.ndarray):
+    """The rows of (A + diag(c)) d = rhs whose c and rhs are finite, every
+    other row's step held at ``held``: returns d (``held`` there, 0
+    elsewhere), the free rows, and their system, c and right-hand side,
+    to which the held steps have moved."""
+    free = np.isfinite(c) & np.isfinite(rhs)
+    d = np.where(free, 0.0, held)
+    if free.all():
+        return d, free, sys_, c, rhs
+    at = np.cumsum(free) - 1  # the free rows' places among themselves
+    e = free[sys_.rows] & free[sys_.cols]
+    sub = _System(sys_.order[:free.size][free], at[sys_.rows[e]], at[sys_.cols[e]], sys_.b[e],
+                  sys_.m[free], sys_.deg[free], sys_.w[free], sys_.f[free], int(at[-1]) + 1)
+    return d, free, sub, c[free], rhs[free] - sys_.apply(d)[free]
+
+
+def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions,
+            inverse: bool):
+    """Damped Newton from u, on the gradient of E or, with ``inverse``, on
+    the inverse form; returns the iterate, sweeps, convergence and
+    ``_System.residual`` there."""
+    arr = _array_forms(nl)
     m, w, f = sys_.m, sys_.w, sys_.f
 
     def point(v):  # A v, f - W v and E(v) up to a constant
@@ -462,9 +470,14 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
     def rounding(v, fw):  # the size of the rounding of E(v), fw = f - W v
         return sys_.deg @ (v * v) + np.abs(arr.antideriv(fw) * m / w).sum()
 
+    def misfit(av, fw):  # sup of the equations a step linearizes, at A v and f - W v
+        if inverse:
+            return np.abs(arr.inv(av / m) - fw).max(initial=0.0)
+        return np.abs(av - m * arr.phi(fw)).max(initial=0.0)
+
     au, fwu, e0 = point(u)
     sweeps, last, step, tiny, stalls, halt = 0, math.inf, math.inf, False, 0, False
-    eta, g_norm, r_norm = 0.0, None, None  # forcing term, gradient and CG residual norms
+    eta, g_norm, r_norm = 0.0, None, None  # forcing term, right-hand side and linear residual norms
     while True:
         # the residual test runs where the step test has passed, and on the
         # exits: budget spent, steps at float noise, or no descent left
@@ -475,10 +488,28 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
             converged = not violations and scaled <= opts.residual_tol and (tiny or halt)
             if converged or stop:
                 return u, sweeps, converged, rep
-        c = m * w * arr.deriv(fwu)
+        if inverse:  # rows divided by D = 1 / k, k = m phi'(phi^{-1}(A u / m))
+            psi = arr.inv(au / m)
+            k = m * arr.deriv(psi)
+            r = psi - fwu
+            del psi
+            c, rhs = w * k, -(k * r)
+            del k
+        else:
+            c = m * w * arr.deriv(fwu)
         g = au - m * arr.phi(fwu)  # half the gradient of E
+        if inverse:
+            # a row with D = 0 reads W d = -r; where phi'(f - W u) is finite
+            # there, the step with E's own row in its place is solved too
+            systems = [_held(sys_, c, rhs, -r / w)]
+            c_g = m * w * arr.deriv(fwu)
+            swap = ~(np.isfinite(c) & np.isfinite(rhs)) & np.isfinite(c_g) & np.isfinite(g)
+            if swap.any():
+                systems.append(_held(sys_, np.where(swap, c_g, c), np.where(swap, -g, rhs), -r / w))
+            del c_g, swap
         del fwu
-        g_norm, g_last = math.sqrt(g @ g), g_norm
+        rhs = systems[0][4] if inverse else -g
+        g_norm, g_last = math.sqrt(rhs @ rhs), g_norm
         # inexact Newton: the first step is exact, later ones take the
         # forcing term of Eisenstat & Walker's choice 1 with its safeguard
         if g_last is not None:
@@ -487,30 +518,41 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
             eta = min(_ETA_MAX, abs(g_norm - r_norm) / g_last) if g_last else _ETA_MAX
             if floor > 0.1:
                 eta = max(eta, floor)
-        # an exact step on a forest, one sweep with no residual left
-        d = None if sys_.forest is None else _eliminate(sys_, c, -g)
-        if d is None:
-            d, its, r = _pcg(sys_, c, -g, opts.max_sweeps - sweeps, eta)
-            r_norm = math.sqrt(r @ r)
+        if inverse:
+            d = None
+            for held, free, sub, c_s, rhs_s in systems:  # an empty system is one sweep
+                if d is not None and sweeps >= opts.max_sweeps:
+                    break
+                held[free], its, r_x = _linear(sub, c_s, rhs_s, opts.max_sweeps - sweeps, eta)
+                sweeps += its
+                e_x = point(u + held)[2] if len(systems) > 1 else 0.0
+                if d is None or e_x < e_d:
+                    d, r_norm, e_d = held, r_x, e_x
+            del systems, held, free, sub, c_s, rhs_s
         else:
-            its, r_norm = 1, 0.0
-        sweeps += its
-        # backtracking on E; where E cannot tell the points apart, a
-        # smaller gradient decides instead
+            d, its, r_norm = _linear(sys_, c, rhs, opts.max_sweeps - sweeps, eta)
+            sweeps += its
+        del rhs
+        # backtracking on E where the step descends, else on the misfit;
+        # where E cannot tell the points apart, a smaller misfit decides
         slope = min(2.0 * float(g @ d), 0.0)
-        g0 = np.abs(g).max(initial=0.0)
+        on_e = not inverse or slope < 0.0
+        g0 = np.abs(r if inverse else g).max(initial=0.0)
         del c, g
         t, n0 = 1.0, None
         for _ in range(64):
             v = u + t * d
             av, fwv, e1 = point(v)
-            if e1 <= e0 + 1e-4 * t * slope:
+            if not on_e:
+                if misfit(av, fwv) <= (1.0 - 1e-4 * t) * g0:
+                    break
+            elif e1 <= e0 + 1e-4 * t * slope:
                 break
-            if n0 is None:
-                n0 = rounding(u, f - w * u)
-            if (abs(e1 - e0) <= _NOISE * max(n0, rounding(v, fwv))
-                    and np.abs(av - m * arr.phi(fwv)).max(initial=0.0) < g0):
-                break
+            else:
+                if n0 is None:
+                    n0 = rounding(u, f - w * u)
+                if abs(e1 - e0) <= _NOISE * max(n0, rounding(v, fwv)) and misfit(av, fwv) < g0:
+                    break
             del v, av, fwv
             t *= 0.5
         else:
@@ -520,61 +562,17 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions):
         if step == 0.0:
             halt = True
             continue
+        if inverse:  # at float noise on each vertex's own scale
+            noise = bool((np.abs(t * d) <= _NOISE * np.abs(v)).all())
         u, au, fwu, e0 = v, av, fwv, e1
         del v, av, fwv, d  # one name per array, each freed after its last use
         # error left after this step, from the contraction rate of the last
         # two; the first step counts as exact, as it is for quadratic E
         rate = step / last
-        noise = step <= _NOISE * np.abs(u).max()
+        if not inverse:
+            noise = step <= _NOISE * np.abs(u).max()
         stalls = stalls + 1 if noise else 0
         tiny = noise or step * rate <= opts.sweep_tol * (1.0 - rate)
-
-
-def _gauss_seidel(sys_: _System, nl: Nonlinearity, u: np.ndarray, k_bound: float,
-                  opts: SolveOptions):
-    """Per-vertex nonlinear Gauss-Seidel from u; returns the iterate, sweeps and convergence."""
-    n_u = sys_.m.size
-    starts = np.searchsorted(sys_.rows, np.arange(n_u + 1)).tolist()
-    cols, bs = sys_.cols.tolist(), sys_.b.tolist()
-    m_arr, deg_arr = sys_.m.tolist(), sys_.deg.tolist()
-    w_arr, f_arr = sys_.w.tolist(), sys_.f.tolist()
-    lo, hi = -k_bound - 1.0, k_bound + 1.0
-    u = u.tolist()
-    phi, deriv = nl.phi, nl.deriv
-    sweeps = 0
-    zero_stalls = 0
-    while sweeps < opts.max_sweeps:
-        sweeps += 1
-        delta = 0.0
-        for i in range(n_u):
-            s = 0.0
-            for k in range(starts[i], starts[i + 1]):
-                s += bs[k] * u[cols[k]]
-            mi = m_arr[i]
-            t = _scalar_root(
-                deg_arr[i] / mi, s / mi, f_arr[i], w_arr[i],
-                phi, deriv, lo, hi, u[i], _ROOT_TOL,
-            )
-            d = abs(t - u[i])
-            if d > delta:
-                delta = d
-            u[i] = t
-        # residual checks are gated on sweep stagnation, plus a periodic
-        # check so convergence is still detected if updates keep dancing
-        # at float granularity above sweep_tol
-        if delta > opts.sweep_tol and sweeps % 64 != 0:
-            zero_stalls = 0
-            continue
-        _, scaled, violations = sys_.residual(nl, np.array(u))
-        if not violations and scaled <= opts.residual_tol:
-            return np.array(u), sweeps, True
-        if delta == 0.0:
-            zero_stalls += 1
-            if zero_stalls >= 2:
-                break  # exact fixed point of the scalar solves; no further progress
-        else:
-            zero_stalls = 0
-    return np.array(u), sweeps, False
 
 
 class _Solved(NamedTuple):
@@ -590,19 +588,16 @@ class _Solved(NamedTuple):
 
 def _solve(sys_: _System, nl: Nonlinearity, W0: float, u0: np.ndarray,
            opts: SolveOptions | None) -> _Solved:
-    """The solve core: Newton or Gauss-Seidel on sys_ from u0, with the
+    """The solve core: Newton on sys_ from u0, on the gradient of E where
+    phi'(0) is finite and on the inverse form where it is not, with the
     residual at the returned iterate."""
     opts = opts or SolveOptions()
     with np.errstate(all="ignore"):
-        newton = nl.arrays is not None and np.isfinite(nl.arrays.deriv(np.zeros(1))).all()
+        inverse = not np.isfinite(_array_forms(nl).deriv(np.zeros(1))).all()
         k_bound = float(np.abs(sys_.f).max()) / W0
         # clamp into the certified box, where the solution lies
         u = u0.clip(-k_bound, k_bound)
-        if newton:
-            u, sweeps, converged, (resid_inf, _, violations) = _newton(sys_, nl, u, opts)
-        else:
-            u, sweeps, converged = _gauss_seidel(sys_, nl, u, k_bound, opts)
-            resid_inf, _, violations = sys_.residual(nl, u)
+        u, sweeps, converged, (resid_inf, _, violations) = _newton(sys_, nl, u, opts, inverse)
         max_dec = max(float((u0 - u).max()), 0.0)
     return _Solved(u, resid_inf, sweeps, converged, max_dec, violations)
 

@@ -241,6 +241,28 @@ def test_classify_labels_a_first_probe_other_than_the_root(capsys):
     assert "root" not in out
 
 
+# a slowly decaying defect moves little between close radii: an explicit
+# supersolution proves d* <= 2.4/sqrt(R) for this problem, so it is complete
+# at infinity, yet the last two steps changed the defect by only 8.9e-7
+WRONG_INCOMPLETE = ("classify", "--graph", "lattice-z", "--phi", "power:5", "--W", "const:1.26",
+                    "--alpha", "1", "--probes", "root", "--radii")
+
+
+@pytest.mark.parametrize("radii, why", [
+    ("6000,6001,6002", "no scheduled radius is <= 6002/2"),
+    ("3000,6000,6001,6002", "the defect moved by 0.00441 > stabilization_tol between radii "
+                            "3000 and 6002"),
+], ids=["no-half-radius", "moved-since-half"])
+def test_incomplete_needs_a_defect_stable_since_half_the_radius(tmp_path, capsys, radii, why):
+    code, out, _ = run_cli(capsys, *WRONG_INCOMPLETE, radii, "--out", str(tmp_path / "run"))
+    assert code == 0
+    assert out.startswith(f"verdict: inconclusive\n  not incomplete-at-infinity: {why}")
+    doc = json.loads((tmp_path / "run" / "result.json").read_text())
+    assert doc["verdict"] == "inconclusive"
+    assert set(doc) == {"alpha", "defect", "stabilization", "verdict", "thresholds", "note"}
+    assert doc["stabilization"]["1.0"]["0"] == pytest.approx(8.88e-7, rel=1e-3)
+
+
 def test_unknown_phi_spec_exits_2(capsys):
     code, _, err = run_cli(capsys, "solve", "--graph", "finite-path:2",
                            "--phi", "cosh", "--f", "delta:0", "--U", "all")
@@ -356,12 +378,17 @@ def test_trace_is_byte_identical_across_reruns(tmp_path, capsys):
     assert first == second
 
 
-def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+@pytest.mark.parametrize("phi, f, probes", [
+    ("power:3", "const:1", ["--probes", "auto"]),
+    # the inverse-form Newton step, phi'(0) infinite
+    ("power:0.5", "delta:0", []),
+], ids=["power:3", "power:0.5"])
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, phi, f, probes):
     # 65,535 vertices: at sizes like this numpy's float64 dot can give other
     # last bits on one and on two OpenBLAS threads; the artifacts must not
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    argv = ["resolve", "--graph", "tree:2", "--phi", "power:3", "--W", "const:1",
-            "--f", "const:1", "--radii", "4,8,12,15", "--probes", "auto"]
+    argv = ["resolve", "--graph", "tree:2", "--phi", phi, "--W", "const:1",
+            "--f", f, "--radii", "4,8,12,15", *probes]
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -515,7 +542,7 @@ def test_help_defaults_follow_their_sources(monkeypatch, capsys):
     assert "comma list of alphas (default 0.125,3)" in help_of("classify")
     assert "single alpha in (0, 1] (default 0.75)" in help_of("path-criterion")
     assert "single alpha > 0 (default 0.75)" in help_of("verify-liouville")
-    assert "Gauss-Seidel (default 1234)" in help_of("solve")
+    assert "spans a forest (default 1234)" in help_of("solve")
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

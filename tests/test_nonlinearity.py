@@ -1,5 +1,6 @@
 """Nonlinearities: exact values, inverses, ranges, numeric fallbacks."""
 
+import dataclasses
 import math
 import random
 import sys
@@ -20,6 +21,7 @@ from nlresolvent import (
     parse_phi,
     phi_inv_numeric,
 )
+from nlresolvent.nonlinearity import _array_forms
 
 ALL_BUILTINS = [identity(), odd_power(3.0), odd_power(0.5), odd_log(), bounded_atan()]
 
@@ -139,12 +141,15 @@ def test_phi_inv_numeric_with_derivative_hint():
 
 
 def _inverse_grid(n: Nonlinearity) -> list[float]:
-    """A seeded grid of s from +-1e-300 to +-1e300 and in [-10, 10], kept
-    where the exact phi^{-1}(s) is a normal float of magnitude <= 1e299."""
+    """A seeded grid of s from +-1e-300 to +-1e300, in [-10, 10] and from
+    +-1e299 to +-1e308, kept where the exact phi^{-1}(s) is a normal float
+    of magnitude <= 1e308."""
     rng = random.Random(0)
     grid = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0) for _ in range(300)]
     grid += [rng.uniform(-10.0, 10.0) for _ in range(100)]
-    return [s for s in grid if n.contains(s) and sys.float_info.min <= abs(n.inv(s)) <= 1e299]
+    grid += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(299.0, 308.0) for _ in range(50)]
+    grid += [1e308, -1e308, sys.float_info.max]
+    return [s for s in grid if n.contains(s) and sys.float_info.min <= abs(n.inv(s)) <= 1e308]
 
 
 @pytest.mark.parametrize("spec", ["identity", "power:0.5", "power:1", "power:3", "power:5",
@@ -153,14 +158,19 @@ def _inverse_grid(n: Nonlinearity) -> list[float]:
 def test_phi_inv_numeric_backward_error_at_float_noise(spec, hint):
     # the numeric inverse stops at the float noise of phi(t) - s, or on a
     # float-tight bracket, so its backward error is a few ulp(s) at any scale
+    # far from 1 too: the bracket grows over the exponent, so an inverse
+    # up to 1e308 costs about as few phi evaluations as one near 1
     n = parse_phi(spec)
-    stripped = Nonlinearity(name=spec, phi=n.phi, lo=n.lo, hi=n.hi,
-                            deriv=n.deriv if hint else None)
+    calls = []
+    stripped = Nonlinearity(name=spec, phi=lambda t: calls.append(t) or n.phi(t), lo=n.lo,
+                            hi=n.hi, deriv=n.deriv if hint else None)
     grid = _inverse_grid(n)
     assert len(grid) >= 100
     for s in grid:
+        calls.clear()
         t = stripped.inverse(s)
         assert abs(n.phi(t) - s) <= 32.0 * math.ulp(s), (s, t)
+        assert len(calls) <= 100, (s, len(calls))
 
 
 def test_phi_inv_numeric_resolves_small_values():
@@ -190,6 +200,39 @@ def test_phi_inv_numeric_narrows_a_tiny_s_by_its_exponent(spec, hint):
             assert abs(n.phi(t) - s) <= 32.0 * math.ulp(s), (s, t)
         else:  # the square root's inverse s**2 underflows
             assert abs(t) <= math.ulp(0.0), (s, t)
+
+
+def test_phi_inv_numeric_past_the_old_bracket_cap():
+    # inverses beyond 1e300, up to the largest float
+    bare = _no_helpers(identity())
+    for s in (8e299, 1e308, sys.float_info.max):
+        for x in (s, -s):
+            assert bare.inverse(x) == pytest.approx(x, rel=1e-14, abs=0.0)
+    with pytest.raises(RangeError):  # its inverse 1e308**2 is no float
+        _no_helpers(odd_power(0.5)).inverse(1e308)
+
+
+@pytest.mark.parametrize("n", ALL_BUILTINS, ids=lambda n: n.name)
+def test_array_forms_mapped_from_the_scalar_forms(n):
+    # a Nonlinearity without arrays gets its scalar forms mapped over the entries
+    scalar = _array_forms(dataclasses.replace(n, arrays=None))
+    bare = _array_forms(Nonlinearity(name="bare", phi=n.phi, lo=n.lo, hi=n.hi))
+    t = np.array([-3.0, -0.5, 0.0, 1e-9, 0.25, 2.0])
+    s = np.array([x for x in (-1.5, -0.2, 0.0, 0.3, 1.2, 40.0) if n.contains(x)])
+    with np.errstate(all="ignore"):
+        for name in ("phi", "deriv", "antideriv"):
+            assert getattr(scalar, name)(t).tolist() == [getattr(n, name)(x) for x in t.tolist()]
+        assert scalar.inv(s) == pytest.approx(n.arrays.inv(s), rel=1e-14, abs=0.0)
+        assert bare.inv(s) == pytest.approx(n.arrays.inv(s), rel=1e-12, abs=0.0)
+        assert bare.antideriv(t) == pytest.approx(n.arrays.antideriv(t), rel=1e-9, abs=1e-12)
+        # the difference quotient: inf at 0 exactly where phi'(0) is
+        assert bare.deriv(t) == pytest.approx(n.arrays.deriv(t), rel=1e-6, abs=1e-9)
+    assert _array_forms(n) is n.arrays
+
+
+def test_bare_inverse_is_signed_inf_beyond_ran_phi():
+    bare = _array_forms(Nonlinearity(name="bare", phi=math.atan, lo=-1.5, hi=1.5))
+    assert bare.inv(np.array([-2.0, 2.0])).tolist() == [-math.inf, math.inf]
 
 
 def test_phi_numeric_against_closed_forms():

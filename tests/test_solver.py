@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import time
 import warnings
 
 import numpy as np
@@ -12,12 +13,14 @@ from hypothesis import strategies as st
 
 from nlresolvent import (
     ExplicitGraph,
+    Nonlinearity,
     Potential,
     ProceduralGraph,
     SolveOptions,
     VertexFunction,
     ball,
     bounded_atan,
+    brute_force_minimizer,
     energy_functional,
     extended_resolvent,
     finite_path,
@@ -206,6 +209,7 @@ def test_options_validation():
                 SolveOptions(**{name: bad})
 
 
+# the second id names odd_power(0.5), whose Newton step runs on the inverse form
 @pytest.mark.parametrize("nl", [ID, odd_power(0.5)], ids=["newton", "gauss-seidel"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_potential_rejected(path3, nl, bad):
@@ -220,14 +224,26 @@ def test_non_finite_weight_rejected(unit_potential):
         solve_dirichlet(g, unit_potential, ID, VertexFunction.delta(0), [0, 1, 2])
 
 
-# --- Newton path against the Gauss-Seidel fallback ---------------------------
+# --- array forms mapped from the scalar calculus -----------------------------
+# A phi without array forms runs Newton on forms mapped from its scalar
+# ones; the tests keep the names they had when it ran Gauss-Seidel.  The
+# reference is the per-vertex ``residual``: by the comparison principle
+# ||u - u*||_inf <= sup |r| / W0.
 
 BUILTINS = (ID, odd_power(3.0), odd_log(), bounded_atan())
+# odd_power(3)'s phi and phi' alone: Phi and the inverse are numeric
+CUBIC = Nonlinearity(name="cubic", phi=odd_power(3.0).phi, deriv=odd_power(3.0).deriv)
 
 
 def _without_arrays(nl):
-    """The same phi with no array forms, which forces Gauss-Seidel."""
+    """The same phi with no array forms, which the solver maps from its scalar forms."""
     return dataclasses.replace(nl, name=f"{nl.name}/scalar", arrays=None)
+
+
+def _certified(g, W, nl, f, res, U, bound=1e-8):
+    """res converged, and within ``bound`` of the solution by its residual."""
+    rep = residual(g, W, nl, f, res.u, U)
+    return res.converged and rep.ok and rep.sup / W.W0 <= bound
 
 
 @pytest.mark.parametrize("nl", BUILTINS, ids=lambda nl: nl.name)
@@ -242,7 +258,7 @@ def test_newton_agrees_with_gauss_seidel_on_random_graphs(nl):
         U = sorted(rng.sample(range(n), rng.randint(1, n)))
         a = solve_dirichlet(g, W, nl, f, U)
         b = solve_dirichlet(g, W, _without_arrays(nl), f, U)
-        assert a.converged and b.converged
+        assert _certified(g, W, nl, f, a, U) and _certified(g, W, nl, f, b, U)
         assert max(abs(a.u(x) - b.u(x)) for x in U) <= 1e-9
 
 
@@ -253,17 +269,19 @@ def test_newton_agrees_with_gauss_seidel_on_lattice_ball(nl, unit_potential):
     f = VertexFunction({x: 1.0 for x in U})
     a = solve_dirichlet(g, unit_potential, nl, f, U)
     b = solve_dirichlet(g, unit_potential, _without_arrays(nl), f, U)
-    assert a.converged and b.converged
+    assert _certified(g, unit_potential, nl, f, a, U)
+    assert _certified(g, unit_potential, nl, f, b, U)
     assert max(abs(a.u(x) - b.u(x)) for x in U) <= 1e-9
 
 
-def test_square_root_power_takes_the_fallback(path3, unit_potential):
-    # phi'(0) is infinite, so Newton cannot run; Gauss-Seidel still solves
+def test_square_root_power_takes_the_inverse_form(path3, unit_potential):
+    # phi'(0) is infinite: Newton runs on phi^{-1}(L u) + W u = f, whose
+    # Jacobian diag(psi'(L u) / m) A + diag(W), psi = phi^{-1}, is an M-matrix
     nl = odd_power(0.5)
     f = VertexFunction({0: 1.0, 1: -2.0, 2: 0.5})
     res = solve_dirichlet(path3, unit_potential, nl, f, [0, 1, 2])
     scalar = solve_dirichlet(path3, unit_potential, _without_arrays(nl), f, [0, 1, 2])
-    assert res.converged
+    assert res.converged and res.sweeps_used <= 10
     assert res.sweeps_used == scalar.sweeps_used
     rep = residual(path3, unit_potential, nl, f, res.u, [0, 1, 2])
     assert rep.ok and rep.sup <= 1e-8
@@ -271,12 +289,116 @@ def test_square_root_power_takes_the_fallback(path3, unit_potential):
 
 @pytest.mark.parametrize("opts, sweeps", [
     (SolveOptions(max_sweeps=1), 1),  # the budget runs out
-    (SolveOptions(residual_tol=1e-300), 42),  # an exact fixed point, long before 100,000
-], ids=["max-sweeps", "fixed-point"])
-def test_gauss_seidel_reports_its_two_unconverged_exits(path3, unit_potential, opts, sweeps):
+    (SolveOptions(residual_tol=1e-300), 7),  # steps at float noise, long before 100,000
+], ids=["max-sweeps", "float-noise"])
+def test_inverse_form_reports_its_two_unconverged_exits(path3, unit_potential, opts, sweeps):
     f = VertexFunction({0: 1.0, 1: -2.0, 2: 0.5})
     res = solve_dirichlet(path3, unit_potential, odd_power(0.5), f, [0, 1, 2], opts=opts)
     assert (res.converged, res.sweeps_used) == (False, sweeps)
+
+
+@pytest.mark.parametrize("case, u0", [
+    ("finite-path:3", 0.9999999999216018),
+    ("lattice-r200", 0.9908309421245018),
+])
+def test_custom_cubic_converges(case, u0, unit_potential):
+    # phi'(0) = 0 where f = W u; u(0) is the builtin power:3's
+    g = finite_path(3) if case == "finite-path:3" else lattice_z()
+    U = [0, 1, 2] if case == "finite-path:3" else ball(g, 0, 200)
+    f = VertexFunction({x: 1.0 for x in U})
+    start = time.perf_counter()
+    res = solve_dirichlet(g, unit_potential, CUBIC, f, U)
+    assert time.perf_counter() - start < 1.0
+    assert res.converged
+    assert res.u(0) == pytest.approx(u0, abs=1e-9)
+    bare = Nonlinearity(name="bare", phi=CUBIC.phi)  # phi' from difference quotients
+    res = solve_dirichlet(g, unit_potential, bare, f, U)
+    assert _certified(g, unit_potential, CUBIC, f, res, U)
+
+
+@pytest.mark.parametrize("nl", [odd_power(0.5), odd_power(0.25)], ids=lambda nl: nl.name)
+def test_a_bare_phi_solves(nl, unit_potential):
+    # phi alone: phi' is a difference quotient, infinite at 0 for t**p, p < 1
+    bare = Nonlinearity(name="bare", phi=nl.phi)
+    g = lattice_z()
+    U = ball(g, 0, 20)
+    for f in (VertexFunction({x: 1.0 for x in U}), VertexFunction({0: 1.0, 3: -2.0})):
+        res = solve_dirichlet(g, unit_potential, bare, f, U)
+        assert _certified(g, unit_potential, nl, f, res, U)
+        ref = solve_dirichlet(g, unit_potential, nl, f, U)
+        assert max(abs(res.u(x) - ref.u(x)) for x in U) <= 1e-9
+
+
+@pytest.mark.parametrize("nl", [odd_power(0.5), CUBIC], ids=lambda nl: nl.name)
+def test_newton_matches_the_brute_force_minimizer(nl):
+    # energy values alone locate the minimizer: an oracle independent of
+    # the equations either Newton form linearizes
+    for case in micro_suite():
+        g, W, f, U = case["g"], case["W"], case["f"], case["U"]
+        res = solve_dirichlet(g, W, nl, f, U)
+        assert res.converged, case["name"]
+        ref = brute_force_minimizer(g, W, nl, f, U)
+        assert max(abs(res.u(x) - ref(x)) for x in U) <= 1e-4, case["name"]
+
+
+def test_a_cold_sublinear_solve_on_a_tree_is_fast(unit_potential):
+    # 8,191 vertices, f = delta_0, the support compact
+    g = symmetric_tree(2)
+    U = ball(g, 0, 12)
+    start = time.perf_counter()
+    res = solve_dirichlet(g, unit_potential, odd_power(0.5), VertexFunction.delta(0), U)
+    assert time.perf_counter() - start < 0.5
+    assert res.converged
+    assert res.u(0) == pytest.approx(0.4385663786555008, abs=1e-9)
+    assert _certified(g, unit_potential, odd_power(0.5), VertexFunction.delta(0), res, U)
+
+
+def test_a_step_that_does_not_descend_e_backtracks_on_r():
+    # at this start the inverse-form Newton step d raises E: g . d > 0
+    # for the gradient g of E, computed densely here; the line search then
+    # backtracks on sup |r| instead, and the solve still converges
+    g = ExplicitGraph.from_edges([(0, 1, 1.67), (0, 2, 0.6), (1, 2, 0.63), (1, 3, 0.8),
+                                  (2, 3, 1.12)], measures={0: 0.16, 1: 0.15, 2: 0.2})
+    w, f = np.array([3.81, 5.92, 10.3]), np.array([-1.14, 1.77, 1.24])
+    u, m, nl = np.array([-0.161, -0.079, -0.303]), np.array([0.16, 0.15, 0.2]), odd_power(0.1)
+    A = np.array([[2.27, -1.67, -0.6], [-1.67, 3.1, -0.63], [-0.6, -0.63, 2.35]])
+    lu = A @ u / m
+    psi = nl.arrays.inv(lu)
+    jac = (A / m[:, None]) / nl.arrays.deriv(psi)[:, None] + np.diag(w)
+    d = np.linalg.solve(jac, -(psi - (f - w * u)))
+    assert (A @ u - m * nl.arrays.phi(f - w * u)) @ d > 0.0
+    W = Potential.from_callable(lambda x: w[x], W0=3.81)
+    fv = VertexFunction(dict(enumerate(f.tolist())))
+    start = VertexFunction(dict(enumerate(u.tolist())))
+    res = solve_dirichlet(g, W, nl, fv, [0, 1, 2], start=start)
+    assert _certified(g, W, nl, fv, res, [0, 1, 2])
+    cold = solve_dirichlet(g, W, nl, fv, [0, 1, 2])
+    assert max(abs(res.u(x) - cold.u(x)) for x in range(3)) <= 1e-12
+
+
+def test_a_heavy_chain_shell_takes_the_gradient_rows(chain4, unit_potential):
+    # on each new shell A u = 0, so D = 0, and W d = -r would lift u to
+    # f / W = 1 where edges of weight 4^n hold it near 0: from radius 40 on,
+    # no line search down to t = 2^-64 recovers from that step.  E's own
+    # rows there give the step; u(0) and u(3) are Gauss-Seidel's, to 1e-9
+    ex = make_exhaustion(chain4, 0, [5, 10, 20, 40, 80])
+    est = extended_resolvent(chain4, unit_potential, odd_power(0.5), lambda x: 1.0, ex,
+                             probes=[0, 3])
+    assert est.values[0][-1] == pytest.approx(0.8538441529464346, abs=1e-9)
+    assert est.values[3][-1] == pytest.approx(0.0687954796199873, abs=1e-9)
+
+
+def test_rows_where_phi_prime_is_infinite_step_alone(unit_potential):
+    # f = W = 1 on a lattice ball: u = 1 with L u = 0 on a dead core, where
+    # the inverse form's row reads W d = -r; only the rows near the
+    # boundary are solved as a system
+    g = lattice_z()
+    U = ball(g, 0, 200)
+    f = VertexFunction({x: 1.0 for x in U})
+    res = solve_dirichlet(g, unit_potential, odd_power(0.5), f, U)
+    assert res.converged and res.sweeps_used <= 10
+    assert all(res.u(x) == 1.0 for x in range(-150, 151))
+    assert res.u(200) < 1.0
 
 
 def test_array_forms_raise_no_numpy_warnings(path3, unit_potential):
@@ -297,7 +419,7 @@ def test_array_forms_raise_no_numpy_warnings(path3, unit_potential):
         for nl in (odd_power(3.0), bounded_atan()):
             res = solve_dirichlet(path3, unit_potential, nl, huge, [0, 1, 2])
             assert not res.converged
-        # probing phi'(0) = inf for the fallback choice divides by zero
+        # probing phi'(0) = inf for the choice of the inverse form divides by zero
         assert solve_dirichlet(path3, unit_potential, odd_power(0.5),
                                VertexFunction.delta(0), [0, 1, 2]).converged
 
