@@ -38,7 +38,7 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .completeness import (
     CLASSIFY_CSV_HEADER,
@@ -52,6 +52,7 @@ from .completeness import (
     path_criterion,
     verify_liouville,
 )
+from .families import generate
 from .graphs import (
     ExplicitGraph,
     GraphError,
@@ -74,7 +75,6 @@ from .resolvent import (
 from .solver import (
     Potential, SolveError, SolveOptions, _Ratio, _require_positive, solve_dirichlet,
 )
-from .testkit import family_from_spec, generate
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
@@ -153,9 +153,9 @@ def _formatter():
 def _add_arguments(p: argparse.ArgumentParser, mode: str) -> None:
     """The flags of ``mode`` on p, a parser that stores only given flags."""
     p.set_defaults(mode=mode)
-    p.add_argument("--graph", help="family spec (lattice-z, finite-path:N, "
-                   "complete:N, star:K, birth-death:RATE, tree:K, "
-                   "random-sparse:n=..,density=..) or file:PATH")
+    p.add_argument("--graph", help="family spec: lattice-z (or lattice_z, z), "
+                   "finite-path:N, complete:N, star:K, birth-death:RATE, tree:K, or "
+                   "random-sparse:n=N,density=D[,wmin=A][,wmax=B][,seed=S]; or file:PATH")
     p.add_argument("--phi", help=f"identity | power:P | log | atan (default {RunConfig.phi})")
     p.add_argument("--W", help="const:C | degm:C (deg/m + C) | large-potential "
                    f"(default {RunConfig.W})")
@@ -283,16 +283,7 @@ def _load_graph(cfg: RunConfig) -> WeightedGraph:
         if not report.ok:
             raise CliError(f"graph file {path} is {report}")
         return g
-    return _generate(spec, cfg.seed)
-
-
-def _generate(spec: str, seed: int) -> WeightedGraph:
-    """The family graph of ``spec``; ``seed`` seeds a random-sparse spec
-    without ``seed=``, so gen and --graph build the same graph."""
-    fam = family_from_spec(spec)
-    if fam.kind == "random-sparse":
-        fam = replace(fam, params={"seed": seed, **fam.params})
-    return generate(fam)
+    return generate(spec, cfg.seed)
 
 
 def _parse_potential(cfg: RunConfig, g: WeightedGraph, nl: Nonlinearity) -> Potential:
@@ -620,7 +611,7 @@ def _run_gen(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | N
         raise CliError("--family is required for gen")
     if not cfg.out:
         raise CliError("--out is required for gen")
-    g = _generate(spec, cfg.seed)
+    g = generate(spec, cfg.seed)
     if isinstance(g, ExplicitGraph):
         write, data = write_graph_json, (g,)
     else:

@@ -282,7 +282,6 @@ class ProceduralGraph(WeightedGraph):
         root: int,
         neighbor_rule: Callable[[int], Iterable[tuple[int, float]]] | None = None,
         measure_rule: Callable[[int], float] | None = None,
-        name: str = "procedural",
         *,
         block_rule: Callable[[np.ndarray], tuple] | None = None,
         ball_rule: Callable[[int, int, int], tuple | None] | None = None,
@@ -293,7 +292,6 @@ class ProceduralGraph(WeightedGraph):
             def block_rule(xs):
                 return _pack([list(neighbor_rule(x)) for x in xs.tolist()])
         self.root = int(root)
-        self.name = name
         self._rule = block_rule
         self._ball_rule = ball_rule
         self._m_rule = measure_rule

@@ -3,7 +3,6 @@
 import pytest
 
 from nlresolvent import (
-    GraphFamily,
     Potential,
     finite_path,
     generate,
@@ -31,7 +30,7 @@ def lattice():
 @pytest.fixture
 def chain4():
     """Birth-death chain on N with b(n, n+1) = 4^n, m = 1."""
-    return generate(GraphFamily("birth-death", {"rate": 4.0}))
+    return generate("birth-death:4")
 
 
 @pytest.fixture

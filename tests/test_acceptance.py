@@ -22,7 +22,6 @@ from nlresolvent import (
     energy,
     energy_functional,
     generate,
-    GraphFamily,
     identity,
     laplacian_apply,
     large_potential,
@@ -58,7 +57,7 @@ def _sup_bound_ok(res, W, f, U) -> bool:
 
 
 def _chain4():
-    return generate(GraphFamily("birth-death", {"rate": 4.0}))
+    return generate("birth-death:4")
 
 
 # --- criterion 1: linear oracle equivalence ------------------------------------

@@ -551,7 +551,7 @@ def test_exhaustion_and_classify_make_one_block_call_on_a_ruled_ball(counted, gr
 
 
 def test_gen_reads_no_scalar_neighbors(counted, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_generate", lambda spec, seed: ProceduralGraph(0, tree_rule(2)))
+    monkeypatch.setattr(cli, "generate", lambda spec, seed: ProceduralGraph(0, tree_rule(2)))
     assert cli.main(["gen", "--family", "tree:2", "--radii", "6", "--out", str(tmp_path)]) == 0
     # the search expands layers 0..5 and reads layer 6's rows too; the writer reuses them
     assert counted == {"block": 7, "neighbors": 0}

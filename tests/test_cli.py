@@ -18,7 +18,6 @@ from nlresolvent import (
     ProceduralGraph,
     ball,
     classify,
-    family_from_spec,
     generate,
     graph_from_json,
     graph_to_json,
@@ -448,7 +447,7 @@ def test_degm_potential_traces_as_its_per_vertex_form(tmp_path, capsys, graph, r
                          "--radii", ",".join(map(str, radii)), "--alpha", "0.5,1",
                          "--probes", "root", "--out", str(tmp_path / "cli"))
     assert code == 0
-    g = cli._generate(graph, 0)
+    g = cli.generate(graph, 0)
     W = Potential.from_callable(lambda x: g.degree(x) / g.measure(x) + 1, W0=1)
     rep = classify(g, W, identity(), make_exhaustion(g, g.root, radii),
                    alpha_grid=[0.5, 1.0], probes=[g.root])
@@ -604,12 +603,25 @@ def test_config_mode_conflict_exits_2(tmp_path, capsys):
     (("path-criterion", "--graph", "tree:2", "--path", "list:0,x"), "bad path list 'list:0,x'"),
     (("path-criterion", "--graph", "tree:2", "--path", "bogus"), "unknown path spec 'bogus'"),
     (("gen",), "--family is required for gen"),
+    (("validate", "--graph", "lattice-z:5", "--radii", "2"),
+     "graph spec 'lattice-z:5': lattice-z takes no parameter"),
+    (("validate", "--graph", "tree:abc"), "graph spec 'tree:abc': "),
+    (("validate", "--graph", "random-sparse:n=5,density=0.5,foo=1"),
+     "graph spec 'random-sparse:n=5,density=0.5,foo=1': random-sparse has no parameter 'foo'"),
+    (("gen", "--family", "birth-death:inf", "--radii", "3"),
+     "graph spec 'birth-death:inf': rate must be positive and finite, got inf"),
+    (("gen", "--family", "birth-death:nan", "--radii", "3"),
+     "graph spec 'birth-death:nan': rate must be positive and finite, got nan"),
+    (("gen", "--family", "random-sparse:n=5,density=0.5,wmax=inf"),
+     "graph spec 'random-sparse:n=5,density=0.5,wmax=inf': weight range must be positive "
+     "and finite, got (0.5, inf)"),
 ], ids=["config-unreadable", "config-malformed", "config-not-object", "no-graph",
         "graph-file-unreadable", "graph-file-not-json", "W-not-numeric", "W-not-positive",
         "W-unknown", "no-f", "f-delta", "f-const", "f-unknown", "no-U", "U-ball", "U-list",
         "U-unknown", "no-radii", "radii-list", "doubling-short", "doubling-not-int",
         "alpha-grid", "alpha-single", "alpha-liouville", "path-list", "path-unknown",
-        "gen-no-family"])
+        "gen-no-family", "graph-extra-parameter", "graph-not-int", "graph-unknown-key",
+        "graph-rate-inf", "graph-rate-nan", "graph-wmax-inf"])
 def test_spec_and_input_errors_exit_2_with_one_error_line(tmp_path, capsys, argv, err):
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "list.json").write_text("[1, 2]")
@@ -691,7 +703,7 @@ def test_gen_tree_bytes_match_reference(tmp_path, capsys, family, radius):
     code, out, _ = run_cli(capsys, "gen", "--family", family, "--radii", str(radius),
                            "--out", str(out_dir))
     assert code == 0
-    g = generate(family_from_spec(family))
+    g = generate(family)
     doc = graph_to_json(g, ball(g, g.root, radius))
     assert f"({len(doc['vertices'])} vertices, {len(doc['edges'])} edges)" in out
     expect = json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -738,7 +750,7 @@ def test_gen_errors_keep_their_text_and_write_no_config(tmp_path, capsys, monkey
     # writer, after config.json was written; gen now reads those rows with the
     # ball, so like every error materializing a ball it leaves --out unmade.
     if GEN_GRAPHS[graph]:
-        monkeypatch.setattr(cli, "_generate", lambda spec, seed: GEN_GRAPHS[graph]())
+        monkeypatch.setattr(cli, "generate", lambda spec, seed: GEN_GRAPHS[graph]())
     code, out, got = run_cli(capsys, "gen", "--family", *argv, "--out", str(tmp_path / "gen"))
     assert (code, out, got) == (2, "", err)
     assert not (tmp_path / "gen").exists()

@@ -1,5 +1,8 @@
 """Graph families, oracles, and the micro instance suite."""
 
+import math
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,23 +10,26 @@ from hypothesis import strategies as st
 from nlresolvent import (
     ExplicitGraph,
     GraphError,
-    GraphFamily,
     Potential,
+    SolveOptions,
     VertexFunction,
     ball,
     birth_death,
     brute_force_minimizer,
     complete_graph,
-    family_from_spec,
+    conservation_defect,
     finite_path,
     generate,
     geometric_chain,
     graph_to_json,
     identity,
+    lattice_z,
     linear_oracle,
+    make_exhaustion,
     micro_suite,
     odd_power,
     random_sparse,
+    shooting_defect,
     solve_dirichlet,
     star,
     symmetric_tree,
@@ -142,6 +148,19 @@ def test_random_sparse_rejects_bad_density():
         random_sparse(10, 1.5)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: geometric_chain(0.0),
+    lambda: geometric_chain(math.inf),
+    lambda: geometric_chain(math.nan),
+    lambda: random_sparse(10, 0.5, weight_range=(1.0, math.inf)),
+    lambda: random_sparse(10, 0.5, weight_range=(math.nan, 2.0)),
+    lambda: random_sparse(10, 0.5, weight_range=(0.5, math.nan)),
+], ids=["rate-0", "rate-inf", "rate-nan", "wmax-inf", "wmin-nan", "wmax-nan"])
+def test_constructors_reject_non_finite_parameters(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_generate_round_trips_family_specs():
     cases = {
         "lattice-z": lambda g: g.degree(-3) == 2.0,
@@ -153,16 +172,23 @@ def test_generate_round_trips_family_specs():
         "random-sparse:n=12,density=0.4,wmin=1,wmax=1,seed=5": lambda g: len(g) == 12,
     }
     for spec, check in cases.items():
-        g = generate(family_from_spec(spec))
+        g = generate(spec)
         assert check(g), spec
+    # the seed argument seeds a random-sparse spec without seed=
+    spec = "random-sparse:n=12,density=0.4"
+    expect = graph_to_json(random_sparse(12, 0.4, seed=5))
+    assert graph_to_json(generate(spec, 5)) == expect
+    assert graph_to_json(generate(spec + ",seed=5", 0)) == expect
 
 
 def test_bad_specs_rejected():
-    for bad in ("moebius", "finite-path:x", "random-sparse:n=5", ""):
-        with pytest.raises(ValueError):
-            family_from_spec(bad)
-    with pytest.raises(ValueError):
-        generate(GraphFamily("moebius"))
+    for bad in ("moebius", "finite-path:x", "random-sparse:n=5", "", "lattice-z:5", "z:junk",
+                "tree:abc", "random-sparse:n=5,density=0.5,foo=1", "birth-death:inf",
+                "birth-death:nan", "random-sparse:n=5,density=0.5,wmax=inf",
+                "random-sparse:n=5,n=7,density=0.5"):
+        # every spec error names the spec
+        with pytest.raises(ValueError, match=f"graph spec {re.escape(repr(bad))}"):
+            generate(bad)
 
 
 # --- linear oracle -------------------------------------------------------------
@@ -251,3 +277,43 @@ def test_micro_suite_cases_solve(unit_potential):
     for case in micro_suite():
         res = solve_dirichlet(case["g"], case["W"], identity(), case["f"], case["U"])
         assert res.converged, case["name"]
+
+
+# --- shooting defect -----------------------------------------------------------
+
+# m(n) and b(n, n+1) of the lattice's spheres {-n, n}
+LATTICE_QUOTIENT = (lambda n: 1 if n == 0 else 2, lambda n: 2)
+# radii past 6,400 exit 3 today: at r = 12,800 the solve for u = alpha - w stops at a
+# residual of 6e-9, from cancellation, so they wait for a solve in the defect variable
+LATTICE_RADII = [400, 1600, 6400]
+
+
+@pytest.fixture(scope="module")
+def lattice_cubic_defects():
+    return [shooting_defect(*LATTICE_QUOTIENT, lambda t: t**3, r) for r in LATTICE_RADII]
+
+
+def _root_defects(g, nl, radii):
+    W = Potential.constant(1.0)
+    est = conservation_defect(g, W, nl, 1.0, make_exhaustion(g, 0, radii), probes=(0,))
+    return est.defects[0], SolveOptions.residual_tol / W.W0
+
+
+def test_chain4_root_defects_match_the_shooting_reference(chain4):
+    radii = [5, 10, 20, 40, 80]
+    got, tol = _root_defects(chain4, identity(), radii)
+    for r, d in zip(radii, got):
+        assert abs(d - float(shooting_defect(lambda n: 1, lambda n: 4**n, lambda t: t, r))) <= tol
+
+
+def test_lattice_cubic_root_defects_match_the_shooting_reference(lattice_cubic_defects):
+    got, tol = _root_defects(lattice_z(), odd_power(3.0), LATTICE_RADII)
+    for d, ref in zip(got, lattice_cubic_defects):
+        assert abs(d - float(ref)) <= tol
+
+
+def test_lattice_cubic_shooting_defect_follows_its_asymptote(lattice_cubic_defects):
+    # d_R ~ K / (R + 2.21) for phi = t^3, with K = K(1/sqrt 2) = Gamma(1/4)^2 / (4 sqrt(pi))
+    K = 1.8540746773
+    assert float(lattice_cubic_defects[-1]) * (LATTICE_RADII[-1] + 2.21) / K == pytest.approx(
+        1.0, abs=5e-4)
