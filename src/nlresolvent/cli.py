@@ -39,6 +39,7 @@ import os
 import shutil
 import sys
 from dataclasses import asdict, dataclass
+from typing import get_args, get_type_hints
 
 from .completeness import (
     CLASSIFY_CSV_HEADER,
@@ -222,6 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", type(None): "null"}
+
+
+def _check_config_value(key: str, val, hint) -> None:
+    """Raise CliError unless a config file's val has the type of its RunConfig
+    field, whose annotation is hint; an int is a valid float, a bool is no number."""
+    types = get_args(hint) or (hint,)
+    fits = isinstance(val, types) or (float in types and isinstance(val, int))
+    if isinstance(val, bool) or not fits:
+        want = " or ".join(_TYPE_NAMES[t] for t in types)
+        raise CliError(f"config key {key!r} must be {want}, got {json.dumps(val)}")
+
+
 def _merge_config(ns: argparse.Namespace) -> RunConfig:
     provided = {k: v for k, v in vars(ns).items()}
     mode = provided.pop("mode")
@@ -237,7 +251,7 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
             raise CliError(f"malformed config file {config_path}: {exc}") from exc
         if not isinstance(file_vals, dict):
             raise CliError(f"config file {config_path} must hold a JSON object")
-        fields = set(RunConfig.__dataclass_fields__)
+        fields = get_type_hints(RunConfig)
         for key, val in file_vals.items():
             key_n = key.replace("-", "_")
             if key_n == "mode":
@@ -250,6 +264,7 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
                 continue
             if key_n not in fields:
                 raise CliError(f"unknown config key {key!r}")
+            _check_config_value(key, val, fields[key_n])
             if key_n in provided and provided[key_n] != val:
                 print(
                     f"warning: --{key_n.replace('_', '-')} = {provided[key_n]!r} "

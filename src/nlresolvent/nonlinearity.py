@@ -9,16 +9,17 @@ solver.
 The builtins extend the usual examples (powers, log(1+t), arctan) to the
 negative axis as odd functions, phi(-t) = -phi(t).  That choice is free
 for everything computed here, which only depends on phi restricted to
-[0, oo), and it keeps Phi even; ``_odd`` and ``_even`` extend formulas
-stated on [0, oo) and map an overflow to +-inf.  Custom nonlinearities
-may supply any subset of {inverse, antiderivative, derivative}; a missing
-inverse is found by ``_scalar_root``, the one safeguarded
-Newton-bisection root finder, on the root's binade, a missing Phi by
-adaptive quadrature.  The builtins also carry :class:`ArrayForms`,
-vectorized versions of the same calculus that the solver's Newton steps
-evaluate on whole vertex sets; a custom nonlinearity without them gets
-its scalar forms mapped over the entries (``_array_forms``), with phi'
-from difference quotients where it has no derivative.
+[0, oo), and it keeps Phi even.  Each builtin writes phi, phi^{-1}, Phi
+and phi' once over a few elementary functions; ``_builtin`` evaluates
+them with math's for the scalar fields and numpy's for
+:class:`ArrayForms`, the vectorized calculus of the solver's Newton
+steps.  Custom nonlinearities may supply any subset of {inverse,
+antiderivative, derivative}; a missing inverse is found by
+``_scalar_root``, the one safeguarded Newton-bisection root finder, on
+the root's binade, a missing Phi by adaptive quadrature, and missing
+array forms by mapping the scalar forms over the entries
+(``_array_forms``), with phi' from difference quotients where it has no
+derivative.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 from collections.abc import Callable
 
 import numpy as np
@@ -98,9 +100,10 @@ class Nonlinearity:
     arrays : ArrayForms or None
         Vectorized phi, phi', phi^{-1} and Phi, which the solver's Newton
         steps evaluate on whole vertex sets.  Without them it maps the
-        scalar forms over the entries, one call per vertex.  They must
-        agree with the scalar fields, which ``dataclasses.replace`` does
-        not check.
+        scalar forms over the entries, one call per vertex.  The builtins
+        derive both from one formula; a custom phi's arrays must agree
+        with its scalar fields, which ``dataclasses.replace`` does not
+        check.
     """
 
     name: str
@@ -309,42 +312,55 @@ def Phi_numeric(n: Nonlinearity, s: float) -> float:
     return max(val, 0.0)
 
 
-def _odd(pos: Callable[[float], float]) -> Callable[[float], float]:
-    """t -> sign(t) pos(|t|) for a formula pos on [0, oo); overflow gives +-inf."""
+# the elementary functions of the builtins' formulas: math's for floats, numpy's for arrays
+_FLOATS = SimpleNamespace(log1p=math.log1p, expm1=math.expm1, atan=math.atan, tan=math.tan,
+                          min=min, one=lambda t: 1.0)
+_ARRAYS = SimpleNamespace(log1p=np.log1p, expm1=np.expm1, atan=np.arctan, tan=np.tan,
+                          min=np.minimum, one=np.ones_like)
 
-    def odd(t: float) -> float:
+
+def _half_line(pos: Callable, odd: bool, m: SimpleNamespace) -> Callable:
+    """t -> sign(t) pos(|t|) (odd) or pos(|t|) (even) for a formula pos on
+    [0, oo).  On floats an OverflowError gives +-inf, and the even
+    extension maps 0 ** (p - 1) at p < 1 (a ZeroDivisionError) to +inf:
+    the values numpy returns on arrays."""
+    if m is _ARRAYS:
+        return (lambda t: np.sign(t) * pos(np.abs(t))) if odd else (lambda t: pos(np.abs(t)))
+
+    def odd_ext(t: float) -> float:
         sign = 1.0 if t > 0.0 else (-1.0 if t < 0.0 else 0.0)
         try:
             return sign * pos(abs(t))
         except OverflowError:
             return sign * math.inf
 
-    return odd
-
-
-def _even(pos: Callable[[float], float]) -> Callable[[float], float]:
-    """t -> pos(|t|) for a formula pos on [0, oo); overflow gives +inf."""
-
-    def even(t: float) -> float:
+    def even_ext(t: float) -> float:
         try:
             return pos(abs(t))
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             return math.inf
 
-    return even
+    return odd_ext if odd else even_ext
+
+
+def _builtin(name: str, calculus: Callable, half_line: bool = False, **ran: float) -> Nonlinearity:
+    """The builtin ``name`` from ``calculus(m)``, its phi, inv, antideriv
+    and deriv written once against the elementary functions m: ``_FLOATS``
+    gives the scalar fields, ``_ARRAYS`` the ArrayForms.  With
+    ``half_line`` the formulas are stated on [0, oo) and extended by
+    ``_half_line``: phi and inv oddly, antideriv and deriv evenly."""
+
+    def forms(m):
+        return {key: _half_line(pos, key in ("phi", "inv"), m) if half_line else pos
+                for key, pos in calculus(m).items()}
+
+    return Nonlinearity(name, **forms(_FLOATS), **ran, arrays=ArrayForms(**forms(_ARRAYS)))
 
 
 def identity() -> Nonlinearity:
-    """phi(t) = t, the linear case; Phi(s) = s^2."""
-    return Nonlinearity(
-        name="identity",
-        phi=lambda t: t,
-        inv=lambda s: s,
-        antideriv=lambda s: s * s,
-        deriv=lambda t: 1.0,
-        arrays=ArrayForms(phi=lambda t: t, deriv=np.ones_like, inv=lambda s: s,
-                          antideriv=np.square),
-    )
+    """phi(t) = t, the linear case; Phi(s) = s^2; the array phi and inverse return t itself."""
+    return _builtin("identity", lambda m: dict(
+        phi=lambda t: t, inv=lambda s: s, antideriv=lambda s: s * s, deriv=m.one))
 
 
 def odd_power(p: float) -> Nonlinearity:
@@ -358,21 +374,11 @@ def odd_power(p: float) -> Nonlinearity:
     p = float(p)
     if p <= 0.0:
         raise ValueError(f"odd_power needs p > 0, got {p}")
-
-    return Nonlinearity(
-        name=f"power:{p:g}",
-        phi=_odd(lambda a: a ** p),
-        inv=_odd(lambda a: a ** (1.0 / p)),
-        antideriv=_even(lambda a: 2.0 * a ** (p + 1.0) / (p + 1.0)),
-        # 0.0 ** (p - 1.0) raises ZeroDivisionError for p < 1
-        deriv=_even(lambda a: math.inf if a == 0.0 and p < 1.0 else p * a ** (p - 1.0)),
-        arrays=ArrayForms(
-            phi=lambda t: np.sign(t) * np.abs(t) ** p,
-            deriv=lambda t: p * np.abs(t) ** (p - 1.0),
-            inv=lambda s: np.sign(s) * np.abs(s) ** (1.0 / p),
-            antideriv=lambda s: 2.0 * np.abs(s) ** (p + 1.0) / (p + 1.0),
-        ),
-    )
+    return _builtin(f"power:{p:g}", lambda m: dict(
+        phi=lambda a: a ** p, inv=lambda a: a ** (1.0 / p),
+        antideriv=lambda a: 2.0 * a ** (p + 1.0) / (p + 1.0),
+        deriv=lambda a: p * a ** (p - 1.0),
+    ), half_line=True)
 
 
 def odd_log() -> Nonlinearity:
@@ -380,24 +386,11 @@ def odd_log() -> Nonlinearity:
 
     Phi caps its last term at the largest float: Phi(+-inf) = inf, not inf - inf.
     """
-
-    def deriv(t):  # floats and numpy arrays alike
-        return 1.0 / (1.0 + abs(t))
-
-    return Nonlinearity(
-        name="log",
-        phi=_odd(math.log1p),
-        inv=_odd(math.expm1),
-        antideriv=_even(lambda a: 2.0 * ((1.0 + a) * math.log1p(a) - min(a, _FMAX))),
-        deriv=deriv,
-        arrays=ArrayForms(
-            phi=lambda t: np.sign(t) * np.log1p(np.abs(t)),
-            deriv=deriv,
-            inv=lambda s: np.sign(s) * np.expm1(np.abs(s)),
-            antideriv=lambda s: 2.0 * ((1.0 + np.abs(s)) * np.log1p(np.abs(s))
-                                       - np.minimum(np.abs(s), _FMAX)),
-        ),
-    )
+    return _builtin("log", lambda m: dict(
+        phi=m.log1p, inv=m.expm1,
+        antideriv=lambda a: 2.0 * ((1.0 + a) * m.log1p(a) - m.min(a, _FMAX)),
+        deriv=lambda a: 1.0 / (1.0 + a),
+    ), half_line=True)
 
 
 def bounded_atan() -> Nonlinearity:
@@ -411,25 +404,11 @@ def bounded_atan() -> Nonlinearity:
     float: there log1p of either is far below the rounding of
     2 s atan(s) ~ pi |s|, and Phi(+-inf) = inf.
     """
-
-    def deriv(t):  # floats and numpy arrays alike
-        return 1.0 / (1.0 + t * t)
-
-    return Nonlinearity(
-        name="atan",
-        phi=math.atan,
-        lo=-0.5 * math.pi,
-        hi=0.5 * math.pi,
-        inv=math.tan,
-        antideriv=lambda s: 2.0 * s * math.atan(s) - math.log1p(min(s * s, _FMAX)),
-        deriv=deriv,
-        arrays=ArrayForms(
-            phi=np.arctan,
-            deriv=deriv,
-            inv=np.tan,
-            antideriv=lambda s: 2.0 * s * np.arctan(s) - np.log1p(np.minimum(s * s, _FMAX)),
-        ),
-    )
+    return _builtin("atan", lambda m: dict(
+        phi=m.atan, inv=m.tan,
+        antideriv=lambda s: 2.0 * s * m.atan(s) - m.log1p(m.min(s * s, _FMAX)),
+        deriv=lambda t: 1.0 / (1.0 + t * t),
+    ), lo=-0.5 * math.pi, hi=0.5 * math.pi)
 
 
 def parse_phi(spec: str) -> Nonlinearity:

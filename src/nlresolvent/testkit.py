@@ -233,37 +233,42 @@ def shooting_defect(
     b: Callable[[int], int],
     phi: Callable[[Decimal], Decimal],
     radius: int,
+    alpha: float = 1,
+    W: float = 1,
 ) -> Decimal:
-    """Truncated defect 1 - R(1) at 0 on a chain, to 50 digits, with W = 1.
+    """Truncated defect alpha - R(alpha W) at 0 on a chain, to 50 digits,
+    for a constant W.
 
     The chain has vertices 0, 1, 2, ... with measures m(n) and weights
     b(n, n+1) = b(n); the radial quotient of a symmetric graph is such a
     chain (the lattice's has m = 1, 2, 2, ... and b = 2).  On the ball
-    0..radius the defect w = 1 - u solves L w = -phi(w) with w = 1
-    outside, so the flux J(n) = b(n) (w(n+1) - w(n)) obeys J(n) = J(n-1)
-    + m(n) phi(w(n)), J(-1) = 0.  Shot from w(0) = c, w(radius + 1)
-    increases with c; the defect is the c in [0, 1] with w(radius + 1) =
-    1, found by Illinois regula falsi in ``decimal`` at 50 digits.  A
-    shot stops at the first w(n) > 1, so phi is called on [0, 1] only,
-    with and returning Decimals.
+    0..radius the defect w = alpha - u solves L w = -phi(W w) with w =
+    alpha outside, so the flux J(n) = b(n) (w(n+1) - w(n)) obeys J(n) =
+    J(n-1) + m(n) phi(W w(n)), J(-1) = 0.  Shot from w(0) = c, w(radius +
+    1) increases with c; the defect is the c in [0, alpha] with w(radius
+    + 1) = alpha, found by Illinois regula falsi in ``decimal`` at 50
+    digits.  A shot stops at the first w(n) > alpha, so phi is called on
+    [0, W alpha] only, with and returning Decimals.
     """
     # imported here: every CLI run imports this module, and none needs decimal
     from decimal import Context, Decimal, localcontext
 
     with localcontext(Context(prec=50)):
+        alpha, W = Decimal(alpha), Decimal(W)
+
         def miss(c: Decimal) -> Decimal:
             w, flux = c, Decimal(0)
             for n in range(radius + 1):
-                flux += m(n) * phi(w)
+                flux += m(n) * phi(W * w)
                 w += flux / b(n)
-                if w > 1:  # then w(radius + 1) > 1 too
+                if w > alpha:  # then w(radius + 1) > alpha too
                     break
-            return w - 1
+            return w - alpha
 
-        lo, hi = Decimal(0), Decimal(1)
-        f_lo, f_hi = Decimal(-1), miss(hi)
+        lo, hi = Decimal(0), alpha
+        f_lo, f_hi = -alpha, miss(hi)
         side = 0
-        while hi - lo > Decimal("1e-45"):
+        while hi - lo > Decimal("1e-45") * alpha:
             c = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
             f_c = miss(c)
             if f_c == 0:

@@ -560,6 +560,31 @@ def test_config_mode_conflict_exits_2(tmp_path, capsys):
     assert "conflicts with subcommand" in err
 
 
+@pytest.mark.parametrize("doc, err", [
+    ({"max_sweeps": "10"}, "config key 'max_sweeps' must be an integer, got \"10\""),
+    ({"probes": 5}, "config key 'probes' must be a string, got 5"),
+    ({"seed": "x"}, "config key 'seed' must be an integer, got \"x\""),
+    ({"residual_tol": True}, "config key 'residual_tol' must be a number, got true"),
+], ids=["str-for-int", "int-for-str", "str-for-seed", "bool-for-float"])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, doc, err):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, got = run_cli(capsys, "resolve", "--graph", "tree:2", "--f", "const:1",
+                             "--radii", "1,2", "--config", str(cfg), "--out", str(tmp_path / "run"))
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_values_of_the_field_types_are_taken(tmp_path, capsys):
+    # an int stands for a float, and null for a field that allows None
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": "finite-path:2", "f": "delta:0", "U": "all",
+                               "residual_tol": 1, "max_vertices": None}))
+    code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert "u = (0.6667, 0.3333)" in out
+
+
 # spec and input errors: each exits 2 with one error line, prints nothing
 # and makes no --out directory.  A token "{tmp}" in argv names tmp_path.
 @pytest.mark.parametrize("argv, err", [
@@ -588,6 +613,8 @@ def test_config_mode_conflict_exits_2(tmp_path, capsys):
      "bad vertex list 'list:0,x'"),
     (("solve", "--graph", "finite-path:2", "--f", "const:1", "--U", "bogus"),
      "unknown U spec 'bogus'"),
+    (("solve", "--graph", "finite-path:3", "--U", "list:0,7", "--f", "delta:0"),
+     "unknown vertex 7"),
     (("resolve", "--graph", "tree:2", "--f", "const:1"), "--radii is required for this mode"),
     (("resolve", "--graph", "tree:2", "--f", "const:1", "--radii", "2,x"),
      "bad radii list '2,x'"),
@@ -618,7 +645,7 @@ def test_config_mode_conflict_exits_2(tmp_path, capsys):
 ], ids=["config-unreadable", "config-malformed", "config-not-object", "no-graph",
         "graph-file-unreadable", "graph-file-not-json", "W-not-numeric", "W-not-positive",
         "W-unknown", "no-f", "f-delta", "f-const", "f-unknown", "no-U", "U-ball", "U-list",
-        "U-unknown", "no-radii", "radii-list", "doubling-short", "doubling-not-int",
+        "U-unknown", "U-unknown-vertex", "no-radii", "radii-list", "doubling-short", "doubling-not-int",
         "alpha-grid", "alpha-single", "alpha-liouville", "path-list", "path-unknown",
         "gen-no-family", "graph-extra-parameter", "graph-not-int", "graph-unknown-key",
         "graph-rate-inf", "graph-rate-nan", "graph-wmax-inf"])

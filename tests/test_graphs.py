@@ -247,6 +247,13 @@ def test_from_edges_zero_weight_is_no_edge():
     assert len(g) == 2
 
 
+def test_unknown_vertex_rejected():
+    g = finite_path(3)
+    for query in (g.measure, g.neighbors, g.degree):
+        with pytest.raises(GraphError, match=r"^unknown vertex 7$"):
+            query(7)
+
+
 def test_empty_graph_rejected():
     with pytest.raises(GraphError):
         ExplicitGraph({}, {})

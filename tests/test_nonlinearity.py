@@ -230,6 +230,34 @@ def test_array_forms_mapped_from_the_scalar_forms(n):
     assert _array_forms(n) is n.arrays
 
 
+EDGE_GRID = [0.0, 5e-324, 1e-300, 1e-16, 1e-9, 0.3, 1.0, 2.5, 40.0, 1e6, 1.34e154, 1e308,
+             math.inf]
+EDGE_GRID += [-t for t in EDGE_GRID]
+# Phi's largest term, where its formula is a difference: log's cancels at small |s|
+PHI_LARGEST_TERM = {"log": lambda s: 2.0 * (1.0 + abs(s)) * math.log1p(abs(s)),
+                    "atan": lambda s: 2.0 * s * math.atan(s)}
+
+
+@pytest.mark.parametrize("spec", ["identity", "power:0.25", "power:0.5", "power:1", "power:3",
+                                  "power:5", "log", "atan"])
+def test_array_forms_agree_with_the_float_forms(spec):
+    n = parse_phi(spec)
+    t = np.array(EDGE_GRID)
+    s = np.array([x for x in EDGE_GRID + [n.phi(x) for x in EDGE_GRID] if n.contains(x)])
+    largest = PHI_LARGEST_TERM.get(spec, abs)
+    with np.errstate(all="ignore"):
+        cases = [(n.phi, n.arrays.phi, t, abs), (n.inverse, n.arrays.inv, s, abs),
+                 (n.antiderivative, n.arrays.antideriv, t, largest), (n.deriv, n.arrays.deriv, t, abs)]
+        for scalar, array, xs, term in cases:
+            for x, got in zip(xs.tolist(), array(xs).tolist()):
+                want = scalar(x)
+                if math.isfinite(want) and math.isfinite(got):
+                    scale = max(abs(want), abs(term(x)))
+                    assert abs(got - want) <= 4 * math.ulp(min(scale, sys.float_info.max)), (x, want, got)
+                else:
+                    assert got == want, (x, want, got)
+
+
 def test_bare_inverse_is_signed_inf_beyond_ran_phi():
     bare = _array_forms(Nonlinearity(name="bare", phi=math.atan, lo=-1.5, hi=1.5))
     assert bare.inv(np.array([-2.0, 2.0])).tolist() == [-math.inf, math.inf]

@@ -293,9 +293,9 @@ def lattice_cubic_defects():
     return [shooting_defect(*LATTICE_QUOTIENT, lambda t: t**3, r) for r in LATTICE_RADII]
 
 
-def _root_defects(g, nl, radii):
-    W = Potential.constant(1.0)
-    est = conservation_defect(g, W, nl, 1.0, make_exhaustion(g, 0, radii), probes=(0,))
+def _root_defects(g, nl, radii, alpha=1.0, W0=1.0):
+    W = Potential.constant(W0)
+    est = conservation_defect(g, W, nl, alpha, make_exhaustion(g, 0, radii), probes=(0,))
     return est.defects[0], SolveOptions.residual_tol / W.W0
 
 
@@ -317,3 +317,20 @@ def test_lattice_cubic_shooting_defect_follows_its_asymptote(lattice_cubic_defec
     K = 1.8540746773
     assert float(lattice_cubic_defects[-1]) * (LATTICE_RADII[-1] + 2.21) / K == pytest.approx(
         1.0, abs=5e-4)
+
+
+@pytest.mark.parametrize("alpha, W0", [(0.5, 1.0), (2.0, 1.0), (1.0, 2.0)])
+def test_lattice_cubic_root_defects_match_the_shooting_reference_at_alpha_and_W(alpha, W0):
+    radii = LATTICE_RADII[:2]
+    got, tol = _root_defects(lattice_z(), odd_power(3.0), radii, alpha, W0)
+    for r, d in zip(radii, got):
+        assert abs(d - float(shooting_defect(*LATTICE_QUOTIENT, lambda t: t**3, r, alpha, W0))) <= tol
+
+
+@pytest.mark.parametrize("alpha, W0", [(0.5, 1.0), (1.0, 2.0)])
+def test_chain4_root_defects_match_the_shooting_reference_at_alpha_and_W(chain4, alpha, W0):
+    radii = [5, 20, 80]
+    got, tol = _root_defects(chain4, identity(), radii, alpha, W0)
+    for r, d in zip(radii, got):
+        ref = shooting_defect(lambda n: 1, lambda n: 4**n, lambda t: t, r, alpha, W0)
+        assert abs(d - float(ref)) <= tol
