@@ -85,6 +85,8 @@ EXIT_NO_CONVERGENCE = 3
 
 # the alpha of path-criterion and verify-liouville when --alpha is not given
 _ALPHA_DEFAULT = 1.0
+# the solver's and the classifier's defaults, which RunConfig's mirror
+_OPTS, _THRESHOLDS = SolveOptions(), Thresholds()
 
 
 class CliError(Exception):
@@ -110,12 +112,12 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
     tol: float = 1e-6
-    sweep_tol: float = SolveOptions.sweep_tol
-    residual_tol: float = SolveOptions.residual_tol
-    max_sweeps: int = SolveOptions.max_sweeps
-    complete_tol: float = Thresholds.complete_tol
-    stabilization_tol: float = Thresholds.stabilization_tol
-    incomplete_floor: float = Thresholds.incomplete_floor
+    sweep_tol: float = _OPTS.sweep_tol
+    residual_tol: float = _OPTS.residual_tol
+    max_sweeps: int = _OPTS.max_sweeps
+    complete_tol: float = _THRESHOLDS.complete_tol
+    stabilization_tol: float = _THRESHOLDS.stabilization_tol
+    incomplete_floor: float = _THRESHOLDS.incomplete_floor
     max_vertices: int | None = None
 
     def solve_options(self) -> SolveOptions:
@@ -172,7 +174,7 @@ def _add_arguments(p: argparse.ArgumentParser, mode: str) -> None:
                    help="cap on passes over each solve's vertex set: "
                    "conjugate-gradient iterations of the Newton solver, or one "
                    "elimination per Newton step where the set spans a forest "
-                   f"(default {SolveOptions.max_sweeps})")
+                   f"(default {_OPTS.max_sweeps})")
 
     if mode == "validate":
         p.add_argument("--radii", help="probe ball radius for procedural graphs (first value)")

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from collections.abc import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,13 @@ TRUNCATION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class _ThresholdsFields(NamedTuple):
+    complete_tol: float = 1e-4
+    stabilization_tol: float = 1e-6
+    incomplete_floor: float = 1e-2
+
+
+class Thresholds(_ThresholdsFields):
     """Classification cutoffs, separated by design from solver residuals.
 
     complete_tol bounds defects accepted as zero, incomplete_floor is
@@ -84,22 +89,21 @@ class Thresholds:
     change since the largest scheduled radius <= R/2.
     """
 
-    complete_tol: float = 1e-4
-    stabilization_tol: float = 1e-6
-    incomplete_floor: float = 1e-2
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("complete_tol", "stabilization_tol", "incomplete_floor"):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name in self._fields:
             _require_positive(name, getattr(self, name))
         if self.complete_tol >= self.incomplete_floor:
             raise ValueError(
                 f"complete_tol {self.complete_tol} must sit below "
                 f"incomplete_floor {self.incomplete_floor}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class DefectEstimate:
+class DefectEstimate(NamedTuple):
     """Defect sequences alpha - R_n(alpha*W) at the probes.
 
     Increments are successive differences with the empty-set baseline
@@ -221,8 +225,7 @@ def _defect_estimate(alpha: float, est: ResolventEstimate) -> DefectEstimate:
     )
 
 
-@dataclass(frozen=True)
-class _DefectRows:
+class _DefectRows(NamedTuple):
     """Per-alpha defect estimates in grid order, without a verdict: the
     rows of a classification, and the ``partial`` of a failed one."""
 
@@ -232,8 +235,7 @@ class _DefectRows:
         return [row for est in self.estimates for row in est.csv_rows()]
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """A verdict and its evidence.  ``reason`` says why an incomplete
     verdict was withheld by the doubling check, and is empty otherwise;
     the CLI prints it, and ``to_json_doc`` leaves it out."""
@@ -363,8 +365,7 @@ def classify(
     )
 
 
-@dataclass(frozen=True)
-class PathCriterionReport:
+class PathCriterionReport(NamedTuple):
     """Partial sums of m*phi(alpha*W)/deg along a path.
 
     Divergence of the full series certifies completeness at infinity
@@ -482,8 +483,7 @@ def large_potential(g: WeightedGraph, nl: Nonlinearity) -> Potential:
     return Potential(_Ratio(1.0, g, nl.inverse), W0=1.0)
 
 
-@dataclass(frozen=True)
-class LiouvilleReport:
+class LiouvilleReport(NamedTuple):
     """Direct check that w = alpha - R(alpha*W) solves -Lw = phi(W w).
 
     Residuals are evaluated only at probes at least two steps inside the

@@ -36,9 +36,9 @@ import json
 import math
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from itertools import filterfalse
+from typing import NamedTuple
 
 import numpy as np
 
@@ -407,8 +407,7 @@ class VertexFunction:
         return f"VertexFunction({{{inside}}})"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 

@@ -28,6 +28,7 @@ import math
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 from collections.abc import Callable
 
 import numpy as np
@@ -62,8 +63,7 @@ class RangeError(ValueError):
         super().__init__(f"{value!r} is outside ran {name} = ({lo!r}, {hi!r})")
 
 
-@dataclass(frozen=True)
-class ArrayForms:
+class ArrayForms(NamedTuple):
     """phi, phi', phi^{-1} and Phi as numpy expressions on float arrays.
 
     Callers evaluate them under ``np.errstate``: overflow yields +-inf,
@@ -314,9 +314,9 @@ def Phi_numeric(n: Nonlinearity, s: float) -> float:
 
 # the elementary functions of the builtins' formulas: math's for floats, numpy's for arrays
 _FLOATS = SimpleNamespace(log1p=math.log1p, expm1=math.expm1, atan=math.atan, tan=math.tan,
-                          min=min, one=lambda t: 1.0)
+                          min=min, one=lambda t: 1.0, where=lambda c, x, y: x if c else y)
 _ARRAYS = SimpleNamespace(log1p=np.log1p, expm1=np.expm1, atan=np.arctan, tan=np.tan,
-                          min=np.minimum, one=np.ones_like)
+                          min=np.minimum, one=np.ones_like, where=np.where)
 
 
 def _half_line(pos: Callable, odd: bool, m: SimpleNamespace) -> Callable:
@@ -384,11 +384,23 @@ def odd_power(p: float) -> Nonlinearity:
 def odd_log() -> Nonlinearity:
     """phi(t) = sign(t) log(1 + |t|); concave on [0, oo), range all of R.
 
-    Phi caps its last term at the largest float: Phi(+-inf) = inf, not inf - inf.
+    Phi(a) = 2 ((1 + a) log1p(a) - a) cancels to a^2 at small a, losing
+    about log10(2/a) digits, so below a = 0.1 Phi is its series
+    2 a^2 sum_j (-a)^j / ((j + 1)(j + 2)) to j = 13, whose first omitted
+    term is below 1e-16 of it.  Phi caps its last term at the largest
+    float: Phi(+-inf) = inf, not inf - inf.
     """
+
+    def series(a):
+        acc = 0.0
+        for j in range(13, -1, -1):
+            acc = acc * -a + 1.0 / ((j + 1) * (j + 2))
+        return 2.0 * a * a * acc
+
     return _builtin("log", lambda m: dict(
         phi=m.log1p, inv=m.expm1,
-        antideriv=lambda a: 2.0 * ((1.0 + a) * m.log1p(a) - m.min(a, _FMAX)),
+        antideriv=lambda a: m.where(a < 0.1, series(m.min(a, 0.1)),
+                                    2.0 * ((1.0 + a) * m.log1p(a) - m.min(a, _FMAX))),
         deriv=lambda a: 1.0 / (1.0 + a),
     ), half_line=True)
 

@@ -19,8 +19,8 @@ vertex, and it saves sweeps on the larger sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Callable, Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ def doubling_schedule(start: int, steps: int) -> list[int]:
     return [start * 2**k for k in range(steps)]
 
 
-@dataclass(frozen=True, eq=False)
-class Exhaustion:
+class Exhaustion(NamedTuple):
     """Strictly increasing ball radii around a root, with realized sets.
 
     The balls are materialized eagerly in breadth-first order, so each
@@ -74,6 +73,11 @@ class Exhaustion:
     b: np.ndarray
     m: np.ndarray
     deg: np.ndarray
+
+    # compared by identity: a tuple's comparisons would reach the arrays,
+    # whose truth value is ambiguous
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    __lt__, __le__, __gt__, __ge__ = object.__lt__, object.__le__, object.__gt__, object.__ge__
 
     def __len__(self) -> int:
         return len(self.radii)
@@ -120,8 +124,7 @@ def make_exhaustion(
     return Exhaustion(r0, radii, tuple(ends.tolist()), order, *arrays)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Per-step diagnostics; sweeps is 0 when a saturated set reused the
     previous solution."""
 
@@ -132,8 +135,7 @@ class StepRecord:
     residual_inf: float
 
 
-@dataclass(frozen=True, eq=False)
-class ResolventEstimate:
+class ResolventEstimate(NamedTuple):
     """Probe-wise value sequences along the exhaustion.
 
     ``increments[p][0]`` is the first value itself (the increment from
@@ -153,6 +155,11 @@ class ResolventEstimate:
     max_decrease: float
     steps: tuple[StepRecord, ...]
     u: np.ndarray
+
+    # compared by identity: a tuple's comparisons would reach the arrays,
+    # whose truth value is ambiguous
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    __lt__, __le__, __gt__, __ge__ = object.__lt__, object.__le__, object.__gt__, object.__ge__
 
     def stabilization_error(self, probe: int) -> float:
         """Largest |increment| at ``probe`` over the last two schedule steps."""

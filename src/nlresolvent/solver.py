@@ -73,7 +73,6 @@ quadrature, and phi' by difference quotients where it has none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
@@ -102,8 +101,12 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
-@dataclass(frozen=True)
-class Potential:
+class _PotentialFields(NamedTuple):
+    fn: Callable[[int], float]
+    W0: float
+
+
+class Potential(_PotentialFields):
     """Strictly positive vertex potential with a certified lower bound.
 
     W0 must satisfy W(x) >= W0 > 0 at every vertex the run touches; it
@@ -111,12 +114,13 @@ class Potential:
     the solver's root brackets.
     """
 
-    fn: Callable[[int], float]
-    W0: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.W0 > 0.0) or not math.isfinite(self.W0):
             raise ValueError(f"W0 must be a positive real, got {self.W0!r}")
+        return self
 
     @classmethod
     def constant(cls, c: float) -> "Potential":
@@ -148,8 +152,13 @@ class _Ratio:
         return (t if self.h is None else self.h(t)) + self.c
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class _SolveOptionsFields(NamedTuple):
+    sweep_tol: float = 1e-10
+    residual_tol: float = 1e-9
+    max_sweeps: int = 100_000
+
+
+class SolveOptions(_SolveOptionsFields):
     """Iteration controls.
 
     The residual test is scaled per vertex by 1 + |f(x)|: at data of
@@ -166,19 +175,18 @@ class SolveOptions:
     Newton estimates from the ratio of successive steps.
     """
 
-    sweep_tol: float = 1e-10
-    residual_tol: float = 1e-9
-    max_sweeps: int = 100_000
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_positive("sweep_tol", self.sweep_tol)
         _require_positive("residual_tol", self.residual_tol)
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of one Dirichlet solve.
 
     ``sweeps_used`` counts passes over the arrays as ``SolveOptions``
@@ -201,8 +209,7 @@ class SolveResult:
     range_violations: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Per-vertex residual of phi^{-1}(L u) + W u - f over U."""
 
     values: dict[int, float]

@@ -4,13 +4,17 @@ The two oracles solve the same problems as the Dirichlet solver by
 entirely different means: a dense direct linear solve for phi =
 identity, and exhaustive grid search plus coordinate refinement on the
 raw energy for up to three unknowns.  ``micro_suite`` lists the tiny
-instances they are checked on.
+instances they are checked on, and ``shooting_defect`` gives a chain's
+truncated defect to 50 digits.  The package imports this module on the
+first access to one of its names, so a CLI run, which needs none of
+them, loads neither it nor ``decimal``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
@@ -250,9 +254,6 @@ def shooting_defect(
     digits.  A shot stops at the first w(n) > alpha, so phi is called on
     [0, W alpha] only, with and returning Decimals.
     """
-    # imported here: every CLI run imports this module, and none needs decimal
-    from decimal import Context, Decimal, localcontext
-
     with localcontext(Context(prec=50)):
         alpha, W = Decimal(alpha), Decimal(W)
 

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import sys
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -75,6 +76,30 @@ def test_odd_log_values():
     # int_0^1 2 log(1+t) dt = 2 (2 log 2 - 1)
     assert n.antiderivative(1.0) == pytest.approx(2.0 * (2.0 * math.log(2.0) - 1.0))
     assert n.inverse(1.0) == pytest.approx(math.e - 1.0)
+
+
+def _log_Phi_to_60_digits(s: float) -> Decimal:
+    """2 ((1 + a) log(1 + a) - a) at a = |s|; below a = 1e-3, where that
+    difference cancels, its series 2 sum_{k >= 2} (-a)^k / (k (k - 1))."""
+    with localcontext(Context(prec=60)):
+        a = abs(Decimal(s))
+        if a >= Decimal("1e-3"):
+            return 2 * ((1 + a) * (1 + a).ln() - a)
+        return 2 * sum((-a) ** k / (k * (k - 1)) for k in range(2, 24))
+
+
+def test_odd_log_antiderivative_matches_decimal_from_1e_300_to_1e3():
+    n = odd_log()
+    s = [10.0 ** (k / 10) for k in range(-3000, 31)] + [math.nextafter(0.1, 0.0)]
+    s += [-x for x in s]
+    with np.errstate(all="ignore"):
+        arrays = n.arrays.antideriv(np.array(s)).tolist()
+    for x, got_array in zip(s, arrays):
+        want = float(_log_Phi_to_60_digits(x))
+        # a few ulp of 2^-1074 where Phi is subnormal or rounds to 0
+        tol = 1e-14 * want + 4 * math.ulp(0.0)
+        for got in (n.antiderivative(x), got_array):
+            assert abs(got - want) <= tol, (x, want, got)
 
 
 def test_bounded_atan_values():

@@ -296,7 +296,7 @@ def lattice_cubic_defects():
 def _root_defects(g, nl, radii, alpha=1.0, W0=1.0):
     W = Potential.constant(W0)
     est = conservation_defect(g, W, nl, alpha, make_exhaustion(g, 0, radii), probes=(0,))
-    return est.defects[0], SolveOptions.residual_tol / W.W0
+    return est.defects[0], SolveOptions().residual_tol / W.W0
 
 
 def test_chain4_root_defects_match_the_shooting_reference(chain4):
@@ -317,6 +317,15 @@ def test_lattice_cubic_shooting_defect_follows_its_asymptote(lattice_cubic_defec
     K = 1.8540746773
     assert float(lattice_cubic_defects[-1]) * (LATTICE_RADII[-1] + 2.21) / K == pytest.approx(
         1.0, abs=5e-4)
+
+
+def test_lattice_quintic_shooting_defect_follows_its_asymptote():
+    # d_R ~ (sqrt((p + 1) / 2) I_p / R)^(2 / (p - 1)), I_p = B(1/2 - 1/(p + 1), 1/2) / (p + 1):
+    # for phi = t^5, (sqrt(3) I_5 / R)^(1/2) with I_5 = B(1/3, 1/2) / 6
+    R = LATTICE_RADII[-1]
+    I5 = math.gamma(1 / 3) * math.gamma(1 / 2) / math.gamma(5 / 6) / 6
+    d = float(shooting_defect(*LATTICE_QUOTIENT, lambda t: t**5, R))
+    assert d / math.sqrt(math.sqrt(3.0) * I5 / R) == pytest.approx(1.0, abs=5e-4)
 
 
 @pytest.mark.parametrize("alpha, W0", [(0.5, 1.0), (2.0, 1.0), (1.0, 2.0)])
