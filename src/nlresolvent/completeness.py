@@ -12,9 +12,11 @@ the finite alpha grid and probe set actually tested.
 
 Also here: the summability test along a path (diverging term sums
 certify completeness when deg/m is bounded), the construction of a
-potential large enough to force completeness, and a direct check that
-w = alpha - R(alpha*W) solves its equation, which certifies a
-nontrivial bounded solution whenever the defect is positive.
+potential large enough to force completeness, and a check that the
+truncated w = alpha - R_n(alpha*W) solves its equation at interior
+probes.  That check certifies nothing about the Liouville property: the
+truncated w solves the equation on every ball, and is positive there,
+on complete and incomplete graphs alike.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from .nonlinearity import Nonlinearity
 from .resolvent import (
     CSV_HEADER, Exhaustion, ResolventEstimate, _extend, _probe_index, _trace_rows,
 )
-from .solver import Potential, SolveError, SolveOptions, _Ratio, _require_positive, _sample
+from .solver import (
+    Potential, SolveError, SolveOptions, _checked_make, _Ratio, _require_positive, _sample,
+)
 
 __all__ = [
     "CLASSIFY_CSV_HEADER",
@@ -90,6 +94,7 @@ class Thresholds(_ThresholdsFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -194,7 +199,7 @@ def _defect(alpha: float, ex: Exhaustion, nl: Nonlinearity, W0: float, w: np.nda
     with np.errstate(all="ignore"):
         fv = alpha * w
     try:
-        est = _extend(ex, nl, W0, w, fv, at, opts)
+        est = _extend(ex, nl, W0, w, fv, at, opts, shifted=True)
     except SolveError as exc:
         if exc.partial is not None:
             exc.partial = _defect_estimate(alpha, exc.partial)
@@ -484,13 +489,17 @@ def large_potential(g: WeightedGraph, nl: Nonlinearity) -> Potential:
 
 
 class LiouvilleReport(NamedTuple):
-    """Direct check that w = alpha - R(alpha*W) solves -Lw = phi(W w).
+    """Check that the truncated w = alpha - R_n(alpha*W) on the last
+    ball solves -Lw = phi(W w) at interior probes.
 
     Residuals are evaluated only at probes at least two steps inside the
     final set, where the truncated solution satisfies the genuine
-    equation; probes that are not interior are listed as skipped.  A
-    positive max_w with a small residual certifies a nontrivial bounded
-    solution, the hallmark of incompleteness.
+    equation; probes that are not interior are listed as skipped.  This
+    is the solver's own equation, so a small residual only confirms the
+    solve, and max_w >= the truncated defect > 0 on every finite ball:
+    neither certifies a nontrivial bounded solution on the whole graph,
+    and both read the same on complete graphs (the lattice with
+    phi = t^3) as on incomplete ones.
     """
 
     alpha: float

@@ -12,9 +12,15 @@ bound has stabilized, not that it is close to the limit.
 The balls are breadth-first prefixes of the largest one, so the graph,
 W and f are turned into arrays once, on the largest ball, and each step
 solves a leading block of them, warm-started from the previous solution
-(extended by zero).  For f >= 0 that start lies below the new solution,
-so the solver's ``max_decrease`` certifies the monotonicity vertex by
-vertex, and it saves sweeps on the larger sets.
+extended by zero.  For f >= 0 that extension lies below the new
+solution, so the solver's ``max_decrease``, always measured from it,
+certifies the monotonicity vertex by vertex.  The conservation defect
+(``completeness``) also offers each step after the first the previous
+solution's boundary profile moved out to the new boundary
+(``_shifted_profile``), and the solve starts from whichever of the two
+has the smaller energy: near the boundary the solution follows one
+profile in the distance to it, which the extension by zero solves again
+on every ball.  ``extended_resolvent`` keeps the one start.
 """
 
 from __future__ import annotations
@@ -236,9 +242,12 @@ def _extend(
     fv: np.ndarray,
     at: dict[int, int],
     opts: SolveOptions | None,
+    shifted: bool = False,
 ) -> ResolventEstimate:
     """extended_resolvent with W and f already sampled on ``ex.order``
-    and the probes mapped to their indices there (``_probe_index``)."""
+    and the probes mapped to their indices there (``_probe_index``).
+    With ``shifted``, each ball after the first may also start from the
+    last solution's ``_shifted_profile``, where its energy is smaller."""
     order = ex.order
     _check(order, ex.m, ex.deg, w, fv, W0)
     neg = np.flatnonzero(fv < 0.0)
@@ -248,7 +257,7 @@ def _extend(
 
     values: dict[int, list[float]] = {p: [] for p in at}
     steps: list[StepRecord] = []
-    max_dec, resid, u = 0.0, 0.0, np.zeros(0)
+    max_dec, resid, u, last = 0.0, 0.0, np.zeros(0), 0
 
     for n, (r, size) in enumerate(zip(ex.radii, ex.sizes)):
         if size == u.size:
@@ -257,7 +266,8 @@ def _extend(
             sys_ = _System(order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, fv, size)
             start = np.zeros(size)  # the last solve, extended by 0
             start[:u.size] = u
-            res = _solve(sys_, nl, W0, start, opts)
+            alt = _shifted_profile(ex.ends, u, last, r) if shifted and u.size else None
+            res = _solve(sys_, nl, W0, start, opts, alt)
             if not res.converged:
                 raise SolveError(
                     f"solve did not converge at exhaustion step {n} "
@@ -265,13 +275,31 @@ def _extend(
                     f"after {res.sweeps_used} sweeps",
                     partial=_estimate(values, steps, max_dec, u) if steps else None,
                 )
-            sweeps, resid, u = res.sweeps_used, res.residual_inf, res.u
+            sweeps, resid, u, last = res.sweeps_used, res.residual_inf, res.u, r
             max_dec = max(max_dec, res.max_decrease)
         for p, i in at.items():
             values[p].append(float(u[i]) if i < size else 0.0)
         steps.append(StepRecord(n=n, radius=r, set_size=size,
                                 sweeps=sweeps, residual_inf=resid))
     return _estimate(values, steps, max_dec, u)
+
+
+def _shifted_profile(ends: tuple[int, ...], u: np.ndarray, r_old: int, r_new: int) -> np.ndarray:
+    """The solution u on the ball of radius ``r_old``, averaged over its
+    breadth-first layers and moved out to the ball of radius ``r_new``.
+
+    ``ends`` are the exhaustion's layer ends.  The mean of u over layer
+    k, at distance r_old - k from the old boundary, goes to every vertex
+    of layer k + r_new - r_old, at the same distance from the new one;
+    the layers inside those take the root's value.  A new ball that
+    saturates before ``r_new`` keeps its layers where they are, so it
+    reads the root's value farther out."""
+    old = np.array(ends[:r_old + 1])
+    first = np.concatenate(([0], old[:-1]))
+    means = np.add.reduceat(u, first) / (old - first)
+    counts = np.diff(ends[:r_new + 1], prepend=0)
+    layer = np.repeat(np.arange(counts.size), counts)
+    return means[np.maximum(layer - (r_new - r_old), 0)]
 
 
 def _estimate(

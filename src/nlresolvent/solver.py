@@ -101,6 +101,13 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _checked_make(cls, iterable):
+    """``_make`` of a record whose constructor checks its fields:
+    through the constructor, so that ``_replace``, which calls it, runs
+    the checks too."""
+    return cls(*iterable)
+
+
 class _PotentialFields(NamedTuple):
     fn: Callable[[int], float]
     W0: float
@@ -115,6 +122,7 @@ class Potential(_PotentialFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -176,6 +184,7 @@ class SolveOptions(_SolveOptionsFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -193,9 +202,11 @@ class SolveResult(NamedTuple):
     defines them (conjugate-gradient iterations, and on a forest
     eliminations, one per Newton step), for every phi.
     ``max_decrease`` is the largest decrease of any vertex value from
-    the start (zero, or the warm start) to the returned solution; for
-    f >= 0 started at zero or warm-started from a smaller problem the
-    solution dominates the start and this stays at float noise.
+    the given start (zero, or the warm start) to the returned solution,
+    also where the solve core began from a second start of smaller
+    energy (see ``resolvent``); for f >= 0 started at zero or
+    warm-started from a smaller problem the solution dominates the given
+    start and this stays at float noise.
     ``range_violations`` lists vertices where the final L u left ran
     phi, which forces ``converged = False``.  The energy of ``u`` is
     ``energy_functional(g, W, nl, f, u, U)``.
@@ -463,10 +474,10 @@ def _held(sys_: _System, c: np.ndarray, rhs: np.ndarray, held: np.ndarray):
 
 
 def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions,
-            inverse: bool):
-    """Damped Newton from u, on the gradient of E or, with ``inverse``, on
-    the inverse form; returns the iterate, sweeps, convergence and
-    ``_System.residual`` there."""
+            inverse: bool, alt: np.ndarray | None = None):
+    """Damped Newton from u, or from ``alt`` where its E is smaller, on
+    the gradient of E or, with ``inverse``, on the inverse form; returns
+    the iterate, sweeps, convergence and ``_System.residual`` there."""
     arr = _array_forms(nl)
     m, w, f = sys_.m, sys_.w, sys_.f
 
@@ -483,6 +494,11 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions,
         return np.abs(av - m * arr.phi(fw)).max(initial=0.0)
 
     au, fwu, e0 = point(u)
+    if alt is not None:  # a tie, or an E that is not finite, keeps u
+        av, fwv, e1 = point(alt)
+        if -math.inf < e1 < e0 < math.inf:
+            u, au, fwu, e0 = alt, av, fwv, e1
+        del av, fwv
     sweeps, last, step, tiny, stalls, halt = 0, math.inf, math.inf, False, 0, False
     eta, g_norm, r_norm = 0.0, None, None  # forcing term, right-hand side and linear residual norms
     while True:
@@ -594,17 +610,20 @@ class _Solved(NamedTuple):
 
 
 def _solve(sys_: _System, nl: Nonlinearity, W0: float, u0: np.ndarray,
-           opts: SolveOptions | None) -> _Solved:
-    """The solve core: Newton on sys_ from u0, on the gradient of E where
-    phi'(0) is finite and on the inverse form where it is not, with the
-    residual at the returned iterate."""
+           opts: SolveOptions | None, alt: np.ndarray | None = None) -> _Solved:
+    """The solve core: Newton on sys_ from u0, or from ``alt`` where its
+    energy is smaller, on the gradient of E where phi'(0) is finite and
+    on the inverse form where it is not, with the residual at the
+    returned iterate.  ``max_decrease`` is measured from u0 either way."""
     opts = opts or SolveOptions()
     with np.errstate(all="ignore"):
         inverse = not np.isfinite(_array_forms(nl).deriv(np.zeros(1))).all()
         k_bound = float(np.abs(sys_.f).max()) / W0
         # clamp into the certified box, where the solution lies
         u = u0.clip(-k_bound, k_bound)
-        u, sweeps, converged, (resid_inf, _, violations) = _newton(sys_, nl, u, opts, inverse)
+        if alt is not None:
+            alt = alt.clip(-k_bound, k_bound)
+        u, sweeps, converged, (resid_inf, _, violations) = _newton(sys_, nl, u, opts, inverse, alt)
         max_dec = max(float((u0 - u).max()), 0.0)
     return _Solved(u, resid_inf, sweeps, converged, max_dec, violations)
 

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, artifacts, determinism, config merging."""
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -330,6 +331,19 @@ def test_classify_inconclusive_is_a_result_not_an_error(capsys):
     assert "verdict: inconclusive" in out
 
 
+def test_classify_starts_each_lattice_ball_from_the_shifted_profile(tmp_path, capsys):
+    # near its boundary the solution follows one profile in the distance to
+    # it, so the last ball's profile moved out leaves a few Newton steps;
+    # the start padded with 0 took 11-15 sweeps per ball here, growing with R
+    code, _, _ = run_cli(capsys, "classify", "--graph", "lattice-z", "--phi", "power:3",
+                         "--radii", "25,50,100,200,400", "--alpha", "1", "--probes", "root",
+                         "--out", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        sweeps = [int(row["sweeps"]) for row in csv.DictReader(fh)]
+    assert len(sweeps) == 5 and max(sweeps[1:]) <= 6
+
+
 def test_resolve_smoke(tmp_path, capsys):
     out_dir = tmp_path / "run"
     code, out, _ = run_cli(capsys, "resolve", "--graph", "lattice-z",
@@ -377,17 +391,19 @@ def test_trace_is_byte_identical_across_reruns(tmp_path, capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("phi, f, probes", [
-    ("power:3", "const:1", ["--probes", "auto"]),
+@pytest.mark.parametrize("mode, phi, data", [
+    ("resolve", "power:3", ["--f", "const:1", "--probes", "auto"]),
     # the inverse-form Newton step, phi'(0) infinite
-    ("power:0.5", "delta:0", []),
-], ids=["power:3", "power:0.5"])
-def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, phi, f, probes):
+    ("resolve", "power:0.5", ["--f", "delta:0"]),
+    # each ball after the first starts where the energy, a dot product, is smaller
+    ("classify", "power:3", ["--alpha", "0.5,1,2", "--probes", "auto"]),
+], ids=["power:3", "power:0.5", "classify-power:3"])
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, mode, phi, data):
     # 65,535 vertices: at sizes like this numpy's float64 dot can give other
     # last bits on one and on two OpenBLAS threads; the artifacts must not
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    argv = ["resolve", "--graph", "tree:2", "--phi", phi, "--W", "const:1",
-            "--f", f, "--radii", "4,8,12,15", *probes]
+    argv = [mode, "--graph", "tree:2", "--phi", phi, "--W", "const:1",
+            "--radii", "4,8,12,15", *data]
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,

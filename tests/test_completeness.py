@@ -23,6 +23,8 @@ from nlresolvent import (
     complete_graph,
     conservation_defect,
     default_probes,
+    extended_resolvent,
+    generate,
     identity,
     large_potential,
     linear_oracle,
@@ -415,3 +417,50 @@ def test_birth_death_verdict_agrees_with_analytic_criterion(beta, unit_potential
     assert rep.verdict != (VERDICT_INCOMPLETE if beta <= 2.0 else VERDICT_COMPLETE)
     if beta == 1.0:
         assert rep.verdict == VERDICT_COMPLETE
+
+
+# --- the start of each ball ---------------------------------------------------
+
+
+def _sweeps(rep):
+    return [[st.sweeps for st in est.resolvent.steps] for est in rep.estimates]
+
+
+@pytest.mark.parametrize("phi, most", [(odd_power(0.5), 34), (odd_power(3.0), 10)],
+                         ids=["power:0.5", "power:3"])
+def test_chain_keeps_the_padded_start_where_it_has_the_smaller_energy(chain4, unit_potential,
+                                                                      phi, most):
+    # the shifted profile alone takes 91 and 17 sweeps here: the energy
+    # choice keeps the padded start, and the padded start's counts
+    ex = make_exhaustion(chain4, 0, [5, 10, 20, 40])
+    rep = classify(chain4, unit_potential, phi, ex, alpha_grid=[1.0], probes=[0])
+    assert sum(_sweeps(rep)[0]) <= most
+
+
+@pytest.mark.parametrize("spec, radii", [
+    ("lattice-z", [25, 50, 100, 200, 400]),  # the shifted start wins
+    ("tree:2", [4, 8, 12]),
+    ("birth-death:4", [5, 10, 20, 40]),  # the padded start wins
+])
+def test_max_decrease_is_measured_from_the_padded_start(unit_potential, spec, radii):
+    # measured from the shifted profile, birth-death:4 would read 0.44 at
+    # alpha = 1 on a monotone sequence: that start is not below the solution
+    g = generate(spec)
+    rep = classify(g, unit_potential, odd_power(3.0), make_exhaustion(g, 0, radii),
+                   alpha_grid=[0.5, 1.0, 2.0], probes=[0])
+    for est in rep.estimates:
+        assert est.resolvent.max_decrease <= 1e-12
+        assert est.monotone_ok
+
+
+def test_resolve_keeps_the_one_padded_start(lattice, unit_potential):
+    # classify's alpha = 1 is the resolvent of f = W = 1: the same values,
+    # where only classify starts the later balls from the shifted profile
+    nl, ex = odd_power(3.0), make_exhaustion(lattice, 0, [25, 50, 100])
+    est = extended_resolvent(lattice, unit_potential, nl, lambda x: 1.0, ex, probes=[0])
+    rep = classify(lattice, unit_potential, nl, ex, alpha_grid=[1.0], probes=[0])
+    assert est.values[0] == pytest.approx([1.0 - d for d in rep.estimates[0].defects[0]],
+                                          abs=1e-12)
+    padded, shifted = [st.sweeps for st in est.steps], _sweeps(rep)[0]
+    assert padded[0] == shifted[0]
+    assert all(p > s for p, s in zip(padded[1:], shifted[1:]))

@@ -116,6 +116,21 @@ def test_validated_records_check_keyword_construction():
         Potential(fn=len, W0=-1.0)
 
 
+@pytest.mark.parametrize("record, change, message", [
+    (SolveOptions(), dict(max_sweeps=0), "max_sweeps must be >= 1"),
+    (Thresholds(), dict(complete_tol=-1), "complete_tol must be positive, got -1"),
+    (Potential.constant(1.0), dict(W0=-2.0), "W0 must be a positive real, got -2.0"),
+], ids=["SolveOptions", "Thresholds", "Potential"])
+def test_validated_records_check_replace_and_make(record, change, message):
+    with pytest.raises(ValueError, match=message):
+        record._replace(**change)
+    with pytest.raises(ValueError, match=message):
+        type(record)._make({**record._asdict(), **change}.values())
+    # a valid change still goes through, and keeps the class
+    same = record._replace(**{k: getattr(record, k) for k in change})
+    assert type(same) is type(record) and same == record
+
+
 def test_record_fields_are_read_only(records):
     for r in records.values():
         for name in (*r._fields, "extra"):

@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from nlresolvent import (
     star,
     symmetric_tree,
 )
+from nlresolvent.resolvent import _shifted_profile
 
 ID = identity()
 
@@ -268,3 +270,27 @@ def test_non_finite_data_raises_value_error_naming_the_vertex(x, bad, where):
     f = data if where == "f" else (lambda y: 1.0)
     with pytest.raises(ValueError, match=re.escape(f"{where}({x}) = {bad} is not finite")):
         extended_resolvent(lattice_z(), W, ID, f, _LATTICE_EX)
+
+
+# --- the shifted start ---------------------------------------------------------
+
+
+def test_shifted_profile_on_a_lattice_ball(lattice):
+    # ball 2 is 0, -1, 1, -2, 2: layer means 5, 2 and 1, moved out by 2 layers
+    ex = make_exhaustion(lattice, 0, [2, 4])
+    u = np.array([5.0, 3.0, 1.0, 2.0, 0.0])
+    start = _shifted_profile(ex.ends, u, 2, 4)
+    assert start.tolist() == [5.0, 5.0, 5.0, 5.0, 5.0, 2.0, 2.0, 1.0, 1.0]
+    assert start.size == ex.sizes[1]
+
+
+def test_shifted_profile_on_a_ball_that_saturates():
+    # the path 0 - 1 - 2 - 3 - 4 has 5 layers, so the ball of radius 5 is
+    # the ball of radius 4: the shift by 3 layers still reads radius 5
+    ex = make_exhaustion(finite_path(5), 0, [2, 5])
+    assert ex.ends == (1, 2, 3, 4, 5)
+    start = _shifted_profile(ex.ends, np.array([6.0, 4.0, 1.0]), 2, 5)
+    assert start.tolist() == [6.0, 6.0, 6.0, 6.0, 4.0]
+    # classify runs through it to the exact answer on the finite graph
+    rep = classify(finite_path(5), Potential.constant(1.0), ID, ex, alpha_grid=[1.0], probes=[0])
+    assert rep.estimates[0].defects[0][-1] == pytest.approx(0.0, abs=1e-12)
