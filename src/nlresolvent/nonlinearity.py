@@ -15,16 +15,16 @@ them with math's for the scalar fields and numpy's for
 :class:`ArrayForms`, the vectorized calculus of the solver's Newton
 steps.  Custom nonlinearities may supply any subset of {inverse,
 antiderivative, derivative}; a missing inverse is found by
-``_scalar_root``, the one safeguarded Newton-bisection root finder, on
-the root's binade, a missing Phi by adaptive quadrature, and missing
-array forms by mapping the scalar forms over the entries
-(``_array_forms``), with phi' from difference quotients where it has no
-derivative.
+``phi_inv_numeric``, one bisection of the floats' bit patterns, a
+missing Phi by adaptive quadrature, and missing array forms by mapping
+the scalar forms over the entries (``_array_forms``), with phi' from
+difference quotients where it has no derivative.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -94,8 +94,8 @@ class Nonlinearity:
     antideriv : callable or None
         Closed form of Phi(s) = integral_0^s 2 phi(t) dt.
     deriv : callable or None
-        phi' where it exists (inf where phi' is infinite); it accelerates
-        root finding, and without it the solver takes difference
+        phi' where it exists (inf where phi' is infinite), for the
+        solver's Newton steps; without it the solver takes difference
         quotients.
     arrays : ArrayForms or None
         Vectorized phi, phi', phi^{-1} and Phi, which the solver's Newton
@@ -140,107 +140,62 @@ class Nonlinearity:
         return Phi_numeric(self, s)
 
 
-# phi(t) - s is evaluated as a difference of terms that can sit many
-# orders above the root value, so it cannot be resolved below a few ulp
-# of them.
-_FT_NOISE = 8.0 * math.ulp(1.0)
+def _float(bits: int) -> float:
+    """The double whose IEEE 754 bit pattern is the integer ``bits``."""
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-def _scalar_root(phi, deriv, s, lo, hi):
-    """Root of phi(t) = s on a bracket with phi(lo) <= s <= phi(hi).
-
-    Starts at the midpoint.  Newton from the derivative hint is used
-    while it stays inside the bracket and keeps halving the step (classic
-    safeguarded scheme); otherwise bisect.  |phi(t) - s| at its float
-    evaluation noise accepts t outright, and bisection refines until the
-    bracket is float-tight or a step lands where it started.  An absolute
-    width cutoff would quantize roots, and is not used.  Midpoints halve
-    each end first, so the top binade's do not overflow.  1500 iterations
-    cover halving the widest float64 bracket down to adjacent floats in
-    pure-bisection mode.
-    """
-    t = 0.5 * lo + 0.5 * hi
-    xl, xh = lo, hi
-    dxold = xh - xl
-    for _ in range(1500):
-        pv = phi(t)
-        ft = pv - s
-        # each term scaled apart, so the bound overflows only where phi(t) did
-        if abs(ft) <= _FT_NOISE * abs(s) + _FT_NOISE * abs(pv) < math.inf:
-            return t
-        if ft > 0.0:
-            xh = t
-        else:
-            xl = t
-        tn = None
-        if deriv is not None:
-            d = deriv(t)
-            if d is not None and 0.0 < d < math.inf and math.isfinite(ft):
-                cand = t - ft / d
-                if xl <= cand <= xh and abs(cand - t) <= 0.5 * dxold:
-                    tn = cand
-        if tn is None:
-            tn = 0.5 * xl + 0.5 * xh
-            if tn == xl or tn == xh:
-                return tn  # bracket is float-tight
-        dxold = abs(tn - t)
-        if tn == t:
-            return t  # no representable progress
-        t = tn
-    raise RuntimeError(
-        "scalar root finder exhausted its iteration budget; "
-        "this indicates a broken bracket and is a bug"
-    )
+_FMAX_BITS = struct.unpack("<q", struct.pack("<d", _FMAX))[0]
 
 
 def phi_inv_numeric(n: Nonlinearity, s: float) -> float:
-    """Invert phi at s, by ``_scalar_root`` on the root's binade.
+    """Invert phi at s by bisecting the bit patterns of the floats.
 
-    The root is sign(s) 2**e for a real e in (-1075, 1024] (2**-1075
-    rounds to 0, and 2**1024 stands for the largest float).  A bracket on
-    e grows from 0 by doubling, outward (1, 2, 4, ..., 1024) or inward
-    (-1, -2, -4, ..., -1075), and is then bisected down to one binade: at
-    most 21 phi evaluations at any s, where halving or doubling the
-    bracket on t would cost one per binade (1,000 at 1e-300 or 1e299).
-    Returns t once |phi(t) - s| is at the float noise of s and phi(t), or
-    once the bracket is float-tight; s = 0 gives +0.0.  Raises RangeError
-    where s lies outside ran phi or its inverse beyond the largest float.
+    The non-negative doubles are ordered like their bit patterns read as
+    integers, so one bisection of 0 ... bits(largest float) finds the two
+    adjacent floats x < x' between which sign(s) phi(sign(s) x) first
+    reaches |s|, in at most 63 phi evaluations at any s.  Only a value
+    below |s| moves the lower end: inf, NaN and an OverflowError from phi
+    count as reaching it.  Returns sign(s) x or sign(s) x', whichever phi
+    lies nearer s; s = 0 gives +0.0.  Raises RangeError where s lies
+    outside ran phi or its inverse beyond the largest float; phi is
+    evaluated at the largest float only when the bracket ends there.
     """
     if not n.contains(s):
         raise RangeError(s, n.lo, n.hi, n.name)
     if s == 0.0:
         return 0.0
-    phi, sign = n.phi, math.copysign(1.0, s)
-
-    def power(e):
-        return sign * (_FMAX if e == 1024 else math.ldexp(1.0, e))
-
-    def below(e):  # phi(sign 2**e) lies strictly between 0 and s
-        return sign * phi(power(e)) < abs(s)
-
-    if below(0):
-        e_lo, e_hi = 0, 1
-        while below(e_hi):
-            if e_hi == 1024:
-                raise RangeError(s, n.lo, n.hi, n.name)
-            e_lo, e_hi = e_hi, min(2 * e_hi, 1024)
-    else:
-        e_lo, e_hi = -1, 0
-        while e_lo > -1075 and not below(e_lo):
-            e_lo, e_hi = max(2 * e_lo, -1075), e_lo
-    while e_hi - e_lo > 1:
-        e = (e_lo + e_hi) // 2
-        if below(e):
-            e_lo = e
+    sign, target = math.copysign(1.0, s), abs(s)
+    lo, hi = 0, _FMAX_BITS + 1  # phi(0) = 0 < |s|; past the largest float counts as reached
+    v_lo = v_hi = 0.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            v = sign * n.phi(sign * _float(mid))
+        except OverflowError:
+            v = math.inf
+        if v < target:
+            lo, v_lo = mid, v
         else:
-            e_hi = e
-    lo, hi = sorted((power(e_lo), power(e_hi)))
-    return _scalar_root(phi, n.deriv, s, lo, hi)
+            hi, v_hi = mid, v
+    if hi > _FMAX_BITS:
+        raise RangeError(s, n.lo, n.hi, n.name)
+    # a NaN v_hi compares False, so the lower end is kept
+    return sign * _float(hi if v_hi - target <= target - v_lo else lo)
 
 
-def _mapped(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """fn on each entry of a 1-D float array."""
-    return lambda a: np.fromiter(map(fn, a.tolist()), dtype=float, count=a.size)
+def _mapped(fn: Callable[[float], float], odd: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """fn on each entry of a 1-D float array; an OverflowError, or the
+    inverse's RangeError, gives inf, signed like the entry where fn is
+    ``odd``, as numpy's forms give."""
+
+    def entry(t: float) -> float:
+        try:
+            return fn(t)
+        except (OverflowError, RangeError):
+            return math.copysign(math.inf, t) if odd else math.inf
+
+    return lambda a: np.fromiter(map(entry, a.tolist()), dtype=float, count=a.size)
 
 
 def _difference_quotient(phi: Callable[[float], float]) -> Callable[[float], float]:
@@ -266,18 +221,14 @@ def _array_forms(n: Nonlinearity) -> ArrayForms:
     the entries: phi, phi' (the difference quotient where n has no
     ``deriv``), the inverse (``phi_inv_numeric`` where n has no ``inv``;
     +-inf beyond ran phi or the float range) and Phi (``Phi_numeric``
-    where n has no ``antideriv``)."""
+    where n has no ``antideriv``).  A form that overflows gives inf:
+    signed like the entry for phi and the inverse, +inf for phi' and
+    Phi."""
     if n.arrays is not None:
         return n.arrays
-
-    def inv(s: float) -> float:
-        try:
-            return n.inverse(s)
-        except RangeError:
-            return math.copysign(math.inf, s)
-
-    return ArrayForms(phi=_mapped(n.phi), deriv=_mapped(n.deriv or _difference_quotient(n.phi)),
-                      inv=_mapped(inv), antideriv=_mapped(n.antiderivative))
+    return ArrayForms(phi=_mapped(n.phi, True),
+                      deriv=_mapped(n.deriv or _difference_quotient(n.phi), False),
+                      inv=_mapped(n.inverse, True), antideriv=_mapped(n.antiderivative, False))
 
 
 def _adaptive_simpson(f, a, b, fa, fb, fm, whole, tol, depth):
@@ -366,10 +317,9 @@ def identity() -> Nonlinearity:
 def odd_power(p: float) -> Nonlinearity:
     """phi(t) = sign(t) |t|^p for p > 0; Phi(s) = 2 |s|^(p+1) / (p+1).
 
-    p < 1 has an infinite derivative at 0 (the hint returns inf there,
-    root finders bisect, and the solver's Newton steps linearize
-    phi^{-1}(L u) + W u = f instead of the gradient of E); p > 1 has
-    derivative 0.
+    p < 1 has an infinite derivative at 0 (deriv returns inf there, and
+    the solver's Newton steps linearize phi^{-1}(L u) + W u = f instead
+    of the gradient of E); p > 1 has derivative 0.
     """
     p = float(p)
     if p <= 0.0:

@@ -148,7 +148,7 @@ class ResolventEstimate(NamedTuple):
     the empty-set baseline 0); later entries are successive differences.
     ``max_decrease`` is the monotonicity certificate: the largest
     decrease seen either inside a solve or across steps, which for
-    f >= 0 should never exceed root-finder noise.  ``u`` is the last
+    f >= 0 should never exceed float noise.  ``u`` is the last
     solution, on the exhaustion's ``order[:u.size]``.  The estimate
     holds data only: each reader compares ``stabilization_error`` with
     its own tolerance.

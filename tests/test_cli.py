@@ -852,6 +852,15 @@ def test_file_graph_with_a_degree_past_the_float_range_exits_2(tmp_path, capsys)
     assert err == f"error: graph file {path} is invalid:\n  - degree at 1 is not finite\n"
 
 
+def test_gen_negative_radius_exits_2_without_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "gen", "--family", "tree:2", "--radii=-1",
+                                "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: radius must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 # --- graph files ---------------------------------------------------------------
 
 
@@ -979,9 +988,10 @@ def test_a_valid_command_builds_one_parser(monkeypatch, capsys):
 def test_console_script_end_to_end():
     exe = shutil.which("nlresolvent")
     cmd = [exe] if exe else [sys.executable, "-m", "nlresolvent"]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     proc = subprocess.run(cmd + ["solve", "--graph", "finite-path:2",
                                  "--f", "delta:0", "--U", "all"],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert "u = (0.6667, 0.3333)" in proc.stdout
 

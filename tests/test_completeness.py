@@ -1,6 +1,7 @@
 """Conservation defects, verdicts, path criterion, Liouville check."""
 
 import math
+import re
 
 import pytest
 
@@ -244,6 +245,16 @@ def test_csv_rows_carry_alpha_column(chain4, unit_potential, chain_ex):
     assert len(rows) == 2 * 5 * 2
     assert {r[0] for r in rows} == {0.5, 1.0}
     assert all(len(r) == len(CLASSIFY_CSV_HEADER) for r in rows)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g, W, ex: classify(g, W, ID, ex, alpha_grid=()), "alpha grid must be non-empty"),
+    (lambda g, W, ex: path_criterion(g, W, ID, range(5), 1.0, n_terms=0),
+     "n_terms must be >= 1, got 0"),
+], ids=["empty-alpha-grid", "no-terms"])
+def test_completeness_input_checks(chain4, chain_ex, unit_potential, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(chain4, unit_potential, chain_ex)
 
 
 # --- path criterion ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,20 @@ def test_unknown_vertex_rejected():
 def test_empty_graph_rejected():
     with pytest.raises(GraphError):
         ExplicitGraph({}, {})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ExplicitGraph({0: 1.0}, {1: {0: 1.0}}), "edge endpoint 1 has no vertex entry"),
+    (lambda: ExplicitGraph({0: 1.0}, {0: {1: 1.0}}), "edge (0, 1) points at unknown vertex 1"),
+    (lambda: ExplicitGraph({0: 1.0}, {}, root=5), "root 5 is not a vertex"),
+    (materialization_cap, "NLRESOLVENT_MAX_VERTICES must be an integer, got 'abc'"),
+    (lambda: graph_to_json(lattice_z()),
+     "procedural graphs need an explicit vertex list to serialize"),
+], ids=["endpoint", "neighbour", "root", "cap-env", "procedural-json"])
+def test_graph_input_checks(monkeypatch, build, message):
+    monkeypatch.setenv("NLRESOLVENT_MAX_VERTICES", "abc")
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_json_round_trip():

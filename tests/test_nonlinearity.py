@@ -237,6 +237,65 @@ def test_phi_inv_numeric_past_the_old_bracket_cap():
         _no_helpers(odd_power(0.5)).inverse(1e308)
 
 
+def _straddles(n: Nonlinearity, s: float, t: float) -> bool:
+    """Whether t and its float neighbour on the far side of phi^{-1}(s)
+    bracket s in computed phi."""
+    sign, a = math.copysign(1.0, s), abs(t)
+
+    def reaches(x):  # inf, NaN and an OverflowError count as reaching |s|
+        try:
+            return not sign * n.phi(sign * x) < abs(s)
+        except OverflowError:
+            return True
+
+    if reaches(a):
+        return a == 0.0 or not reaches(math.nextafter(a, 0.0))
+    return reaches(math.nextafter(a, math.inf))
+
+
+@pytest.mark.parametrize("spec", ["identity", "power:0.5", "power:1", "power:3", "power:5",
+                                  "log", "atan"])
+@pytest.mark.parametrize("hint", [True, False], ids=["deriv", "bare"])
+def test_phi_inv_numeric_brackets_the_root_between_adjacent_floats(spec, hint):
+    # one bisection of the bit patterns: the answer and its neighbour across
+    # the root straddle s in computed phi, in at most 64 phi evaluations
+    n = parse_phi(spec)
+    calls = []
+    counted = Nonlinearity(name=spec, phi=lambda t: calls.append(t) or n.phi(t), lo=n.lo,
+                           hi=n.hi, deriv=n.deriv if hint else None)
+    for s in _inverse_grid(n):
+        calls.clear()
+        t = counted.inverse(s)
+        assert len(calls) <= 64, (s, len(calls))
+        assert _straddles(n, s, t), (s, t)
+
+
+def test_phi_inv_numeric_where_phi_overflows_or_is_nan():
+    # t**3 raises OverflowError from t ~ 5.6e102, and t*t*t - 0.5*t*t*t is
+    # inf - inf = NaN from t ~ 5.6e102: both count as reaching |s|
+    cubic = Nonlinearity(name="cubic", phi=lambda t: t**3)
+    assert cubic.inverse(1e300) == 1e100
+    for s in (1e308, -1e308):
+        t = cubic.inverse(s)
+        assert t == math.copysign(4.641588833612779e102, s)
+        assert _straddles(cubic, s, t)
+    half = Nonlinearity(name="half-cubic", phi=lambda t: t * t * t - 0.5 * t * t * t)
+    with localcontext(Context(prec=50)):
+        cbrt14 = float(Decimal(14) ** (Decimal(1) / Decimal(3)))
+    for s in (7.0, -7.0):
+        t = half.inverse(s)
+        assert abs(t - math.copysign(cbrt14, s)) <= math.ulp(cbrt14), (s, t)
+        assert _straddles(half, s, t)
+
+
+def test_phi_inv_numeric_exact_at_the_ends_of_the_float_range():
+    bare = _no_helpers(identity())
+    for s in (sys.float_info.max, 5e-324):
+        assert bare.inverse(s) == s
+        assert bare.inverse(-s) == -s
+    assert _no_helpers(odd_power(0.5)).inverse(2.0) == 4.0
+
+
 @pytest.mark.parametrize("n", ALL_BUILTINS, ids=lambda n: n.name)
 def test_array_forms_mapped_from_the_scalar_forms(n):
     # a Nonlinearity without arrays gets its scalar forms mapped over the entries

@@ -1,7 +1,14 @@
-"""The package namespace: exactly the public names of its modules."""
+"""The package namespace, and README's library example."""
+
+import contextlib
+import io
+import pathlib
+import re
 
 import nlresolvent
 from nlresolvent import completeness, families, graphs, nonlinearity, resolvent, solver, testkit
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_package_exports_the_modules_public_names():
@@ -12,3 +19,23 @@ def test_package_exports_the_modules_public_names():
     for mod in modules:
         for name in mod.__all__:
             assert getattr(nlresolvent, name) is getattr(mod, name)
+
+
+def test_readme_library_example_prints_what_its_comments_claim():
+    # the first python block; each print's comment states what it prints,
+    # "0.666..." for a number that starts with those digits
+    code = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    claims = [line.split("#", 1)[1].split(", ") for line in code.splitlines()
+              if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    printed = [line.split() for line in out.getvalue().splitlines()]
+    assert len(printed) == len(claims) == 2
+    for values, claim in zip(printed, claims):
+        assert len(values) == len(claim), (values, claim)
+        for value, expected in zip(values, (c.strip() for c in claim)):
+            if expected.endswith("..."):
+                assert value.startswith(expected[:-3]), (value, expected)
+            else:
+                assert value == expected

@@ -727,12 +727,17 @@ def test_a_zero_pivot_falls_back_to_pcg(pcg_calls, eliminations, unit_potential)
     assert max(abs(res.u(x) - ref.u(x)) for x in (0, 1)) <= 1e-9
 
 
-def test_overflowing_data_spends_no_sweep(unit_potential):
+@pytest.mark.parametrize("nl", [
+    odd_power(3.0),
+    Nonlinearity(name="cubic", phi=lambda t: t**3),
+    Nonlinearity(name="cubic", phi=lambda t: t**3, deriv=lambda t: 3.0 * t * t),
+], ids=["builtin", "custom", "custom-deriv"])
+def test_overflowing_data_spends_no_sweep(unit_potential, nl):
     # phi(1e120) overflows: the first step's right-hand side is not finite,
-    # so no step is taken, and none is counted
+    # so no step is taken, and none is counted; a custom phi's t**3 raises
+    # OverflowError, which its mapped array forms turn into inf
     g = lattice_z()
-    res = solve_dirichlet(g, unit_potential, odd_power(3.0), VertexFunction({0: 1e120}),
-                          ball(g, 0, 2))
+    res = solve_dirichlet(g, unit_potential, nl, VertexFunction({0: 1e120}), ball(g, 0, 2))
     assert not res.converged
     assert res.sweeps_used == 0
 

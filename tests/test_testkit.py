@@ -191,6 +191,20 @@ def test_bad_specs_rejected():
             generate(bad)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: finite_path(0), "finite_path needs n >= 1, got 0"),
+    (lambda: generate("finite-path:0"),
+     "graph spec 'finite-path:0': finite_path needs n >= 1, got 0"),
+    (lambda: symmetric_tree(0), "branching must be >= 1, got 0"),
+    (lambda: complete_graph(0), "complete graph needs n >= 1, got 0"),
+    (lambda: star(-1), "star needs k >= 0 spokes, got -1"),
+    (lambda: random_sparse(0, 0.5), "random_sparse needs n >= 1, got 0"),
+], ids=["finite-path", "spec", "tree", "complete", "star", "random-sparse"])
+def test_family_rejects_a_size_below_its_least(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 # --- linear oracle -------------------------------------------------------------
 
 
