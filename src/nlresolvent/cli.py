@@ -1,12 +1,12 @@
 """Batch command-line driver.
 
-Subcommands: validate, solve, resolve, classify, path-criterion,
-verify-liouville, gen.  Each run can emit three artifacts into --out:
-``config.json`` (the fully resolved configuration, seed included),
-``trace.csv`` (per-step rows), and ``result.json`` (the summary; every
-number in it also appears in the trace, so results are auditable
-against the raw rows).  ``run`` alone writes them, once the mode's
-runner has returned its exit code, trace rows and result document.
+Subcommands: validate, solve, resolve, classify, path-criterion, gen.
+Each run can emit three artifacts into --out: ``config.json`` (the fully
+resolved configuration, seed included), ``trace.csv`` (per-step rows),
+and ``result.json`` (the summary; every number in it also appears in
+the trace, so results are auditable against the raw rows).  ``run``
+alone writes them, once the mode's runner has returned its exit code,
+trace rows and result document.
 
 ``main`` parses with a parser of the invoked mode alone, which fails on
 a bad value and prints ``MODE -h`` as ``build_parser()``'s subcommand
@@ -17,12 +17,12 @@ Exit codes: 0 for a completed run (an inconclusive verdict is a
 result, not a failure), 2 for configuration and input errors, 3 when
 a solve that the mode depends on did not converge.  An error exit 2
 leaves no --out directory; an --out that names an existing file is
-such an error, found before the run computes.  resolve, classify and
-verify-liouville check their own parameters, then (``_exhaustion``) the
-graph, phi and W, then --radii and --probes, and only then build the
-exhaustion.  On exit 3 the trace keeps the rows of the steps that
-completed, so partial traces stay reproducible, and ``result.json``
-holds ``{"converged": false, "error": ...}``.
+such an error, found before the run computes.  resolve and classify
+check their own parameters, then (``_exhaustion``) the graph, phi and
+W, then --radii and --probes, and only then build the exhaustion.  On
+exit 3 the trace keeps the rows of the steps that completed, so
+partial traces stay reproducible, and ``result.json`` holds
+``{"converged": false, "error": ...}``.
 
 CSV numbers are written with 17 significant digits and '.' decimal
 regardless of locale; identical configuration and seed reproduce
@@ -45,13 +45,11 @@ from .completeness import (
     CLASSIFY_CSV_HEADER,
     DEFAULT_ALPHA_GRID,
     Thresholds,
-    _alpha,
     _alpha_grid,
     classify,
     default_probes,
     large_potential,
     path_criterion,
-    verify_liouville,
 )
 from .families import generate
 from .graphs import (
@@ -83,7 +81,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 
-# the alpha of path-criterion and verify-liouville when --alpha is not given
+# the alpha of path-criterion when --alpha is not given
 _ALPHA_DEFAULT = 1.0
 # the solver's and the classifier's defaults, which RunConfig's mirror
 _OPTS, _THRESHOLDS = SolveOptions(), Thresholds()
@@ -143,7 +141,6 @@ _MODES = {
     "resolve": "resolvent estimate along a ball exhaustion",
     "classify": "conservation-defect verdict over an alpha grid",
     "path-criterion": "term sums m*phi(alpha*W)/deg along a path",
-    "verify-liouville": "equation check for w = alpha - R(alpha W)",
     "gen": "write a generated family instance as graph.json",
 }
 
@@ -200,10 +197,6 @@ def _add_arguments(p: argparse.ArgumentParser, mode: str) -> None:
         p.add_argument("--terms", type=int, help=f"number of terms N (default {RunConfig.terms})")
         p.add_argument("--path", help="ray (greedy smallest-id walk from root) | "
                        f"list:0,1,2,... (default {RunConfig.path})")
-    elif mode == "verify-liouville":
-        p.add_argument("--radii", help="comma list or doubling:START:STEPS")
-        p.add_argument("--alpha", help=f"single alpha > 0 (default {_ALPHA_DEFAULT:g})")
-        p.add_argument("--probes", help=f"auto | root | list:... (default {RunConfig.probes})")
     else:  # gen
         p.add_argument("--family", help="family spec, as for --graph")
         p.add_argument("--radii", help="ball radius to materialize a procedural family")
@@ -587,41 +580,6 @@ def _run_path_criterion(cfg: RunConfig, resolved: dict) -> tuple[int, list | Non
     }
 
 
-def _run_verify_liouville(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | None]:
-    alpha = _alpha(_parse_alpha_single(cfg))
-    opts = cfg.solve_options()
-    g, nl, W, ex, probes = _exhaustion(cfg, resolved)
-    rep = verify_liouville(g, W, nl, ex, alpha, probes=probes, opts=opts)
-    rows = rep.defect.csv_rows()
-    last = rep.defect.resolvent.steps[-1]
-    rows.extend(
-        (alpha, last.n + 1, last.radius, last.set_size, p,
-         rep.residuals[p], 0.0, 0, rep.residuals[p])
-        for p in rep.probes
-    )
-    print(
-        f"w in [0, {rep.alpha:g}]: {'ok' if rep.bounds_ok else 'VIOLATED'}; "
-        f"max w = {rep.max_w:.6g}"
-    )
-    print(
-        f"equation residual at {len(rep.probes)} interior probes: "
-        f"max {rep.max_residual:.3g} "
-        f"({'ok' if rep.residual_ok else 'ABOVE'} bound {rep.residual_bound:.3g})"
-    )
-    if rep.skipped:
-        print(f"skipped non-interior probes: {list(rep.skipped)}")
-    return EXIT_OK, rows, {
-        "alpha": rep.alpha,
-        "w": {str(p): rep.w[p] for p in rep.probes},
-        "residual": {str(p): rep.residuals[p] for p in rep.probes},
-        "max_w": rep.max_w,
-        "max_residual": rep.max_residual,
-        "bounds_ok": rep.bounds_ok,
-        "residual_ok": rep.residual_ok,
-        "skipped": list(rep.skipped),
-    }
-
-
 def _run_gen(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | None]:
     spec = cfg.family or cfg.graph
     if not spec:
@@ -656,7 +614,6 @@ _RUNNERS = {
     "resolve": _run_resolve,
     "classify": _run_classify,
     "path-criterion": _run_path_criterion,
-    "verify-liouville": _run_verify_liouville,
     "gen": _run_gen,
 }
 

@@ -11,12 +11,8 @@ sequence has visibly stopped moving.  Verdicts are always relative to
 the finite alpha grid and probe set actually tested.
 
 Also here: the summability test along a path (diverging term sums
-certify completeness when deg/m is bounded), the construction of a
-potential large enough to force completeness, and a check that the
-truncated w = alpha - R_n(alpha*W) solves its equation at interior
-probes.  That check certifies nothing about the Liouville property: the
-truncated w solves the equation on every ball, and is positive there,
-on complete and incomplete graphs alike.
+certify completeness when deg/m is bounded) and the construction of a
+potential large enough to force completeness.
 """
 
 from __future__ import annotations
@@ -48,13 +44,11 @@ __all__ = [
     "DefectEstimate",
     "ClassificationReport",
     "PathCriterionReport",
-    "LiouvilleReport",
     "default_probes",
     "conservation_defect",
     "classify",
     "path_criterion",
     "large_potential",
-    "verify_liouville",
 ]
 
 VERDICT_COMPLETE = "complete-at-infinity"
@@ -199,7 +193,7 @@ def _defect(alpha: float, ex: Exhaustion, nl: Nonlinearity, W0: float, w: np.nda
     with np.errstate(all="ignore"):
         fv = alpha * w
     try:
-        est = _extend(ex, nl, W0, w, fv, at, opts, shifted=True)
+        est = _extend(ex, nl, W0, w, fv, at, opts, alpha)
     except SolveError as exc:
         if exc.partial is not None:
             exc.partial = _defect_estimate(alpha, exc.partial)
@@ -486,87 +480,3 @@ def large_potential(g: WeightedGraph, nl: Nonlinearity) -> Potential:
     the range error from the inversion.
     """
     return Potential(_Ratio(1.0, g, nl.inverse), W0=1.0)
-
-
-class LiouvilleReport(NamedTuple):
-    """Check that the truncated w = alpha - R_n(alpha*W) on the last
-    ball solves -Lw = phi(W w) at interior probes.
-
-    Residuals are evaluated only at probes at least two steps inside the
-    final set, where the truncated solution satisfies the genuine
-    equation; probes that are not interior are listed as skipped.  This
-    is the solver's own equation, so a small residual only confirms the
-    solve, and max_w >= the truncated defect > 0 on every finite ball:
-    neither certifies a nontrivial bounded solution on the whole graph,
-    and both read the same on complete graphs (the lattice with
-    phi = t^3) as on incomplete ones.
-    """
-
-    alpha: float
-    probes: tuple[int, ...]
-    skipped: tuple[int, ...]
-    w: dict[int, float]
-    residuals: dict[int, float]
-    max_w: float
-    max_residual: float
-    bounds_ok: bool
-    residual_ok: bool
-    residual_bound: float
-    defect: DefectEstimate
-
-
-def verify_liouville(
-    g: WeightedGraph,
-    W: Potential,
-    nl: Nonlinearity,
-    ex: Exhaustion,
-    alpha: float,
-    probes: Iterable[int] | None = None,
-    opts: SolveOptions | None = None,
-) -> LiouvilleReport:
-    """Check the equation for w = alpha - u on the final exhaustion set.
-
-    u is the defect's last solution, which this check alone reads as a
-    whole.  Since constants are harmonic, -Lw = Lu, so the residual at
-    a probe p is |Lu(p) - phi(W(p) w(p))|; it should sit within a small
-    factor of the solver residual tolerance at interior probes.  Also
-    checks 0 <= w <= alpha.  A repeated probe counts once.  W, and Lu
-    on the whole interior block in one ``np.bincount``, are read off the
-    exhaustion's arrays, bitwise as ``laplacian_apply`` and W give them.
-    ``probes`` defaults to ``default_probes(ex)``, drawn with seed 0.
-    """
-    probe_list = tuple(probes) if probes is not None else default_probes(ex)
-    alpha = _alpha(alpha)
-    w = _sample(g, W.fn, ex.order, ex.m, ex.deg)
-    at = _probe_index(ex, probe_list)
-    est = _defect(alpha, ex, nl, W.W0, w, at, opts)
-    u = est.resolvent.u
-
-    # the interior probes are those in the ball of radius R - 2 (the root
-    # at R = 1; none at R = 0, where the root's row leaves the final set)
-    R = ex.radii[-1]
-    inner = ex.size(max(R - 2, 0)) if R else 0
-    # bincount sums each row from 0.0 in row order, as laplacian_apply sums
-    k = np.searchsorted(ex.rows, inner)
-    rows, cols = ex.rows[:k], ex.cols[:k]
-    lu = np.bincount(rows, ex.b[:k] * (u[rows] - u[cols]), minlength=inner) / ex.m[:inner]
-    skipped = tuple(p for p, i in at.items() if i >= inner)
-    wvals = {p: est.alpha - u[i].item() for p, i in at.items() if i < inner}
-    residuals = {p: abs(lu[i].item() - nl(w[i].item() * wvals[p]))
-                 for p, i in at.items() if i < inner}
-
-    bound = 10.0 * (opts or SolveOptions()).residual_tol
-    max_residual = max(residuals.values(), default=0.0)
-    return LiouvilleReport(
-        alpha=est.alpha,
-        probes=tuple(wvals),
-        skipped=skipped,
-        w=wvals,
-        residuals=residuals,
-        max_w=max(wvals.values(), default=0.0),
-        max_residual=max_residual,
-        bounds_ok=all(-_SLACK <= v <= est.alpha + _SLACK for v in wvals.values()),
-        residual_ok=max_residual <= bound,
-        residual_bound=bound,
-        defect=est,
-    )

@@ -20,7 +20,8 @@ solution's boundary profile moved out to the new boundary
 (``_shifted_profile``), and the solve starts from whichever of the two
 has the smaller energy: near the boundary the solution follows one
 profile in the distance to it, which the extension by zero solves again
-on every ball.  ``extended_resolvent`` keeps the one start.
+on every ball; on a ball that covers the root's component it takes
+u = alpha with no solve.  ``extended_resolvent`` keeps the one start.
 """
 
 from __future__ import annotations
@@ -242,13 +243,17 @@ def _extend(
     fv: np.ndarray,
     at: dict[int, int],
     opts: SolveOptions | None,
-    shifted: bool = False,
+    alpha: float | None = None,
 ) -> ResolventEstimate:
     """extended_resolvent with W and f already sampled on ``ex.order``
     and the probes mapped to their indices there (``_probe_index``).
-    With ``shifted``, each ball after the first may also start from the
-    last solution's ``_shifted_profile``, where its energy is smaller."""
+    With ``alpha``, f is alpha * W: each ball after the first may also
+    start from the last solution's ``_shifted_profile``, where its energy
+    is smaller, and a ball of a radius at which the exhaustion saturated
+    before its largest one covers the root's component, so no edge leaves
+    it, A alpha = 0 and u = alpha solves it exactly, with no sweep."""
     order = ex.order
+    closed = len(ex.ends) - 1 if alpha is not None and len(ex.ends) - 1 < ex.radii[-1] else None
     _check(order, ex.m, ex.deg, w, fv, W0)
     neg = np.flatnonzero(fv < 0.0)
     if neg.size:
@@ -262,11 +267,16 @@ def _extend(
     for n, (r, size) in enumerate(zip(ex.radii, ex.sizes)):
         if size == u.size:
             sweeps = 0  # nested sets of equal size are identical: reuse the solve
+        elif closed is not None and r >= closed:
+            sys_ = _System(order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, fv, size)
+            max_dec = max(max_dec, float((u - alpha).max(initial=0.0)))
+            u = np.full(size, alpha)
+            sweeps, resid, last = 0, sys_.residual(nl, u)[0], r
         else:
             sys_ = _System(order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, fv, size)
             start = np.zeros(size)  # the last solve, extended by 0
             start[:u.size] = u
-            alt = _shifted_profile(ex.ends, u, last, r) if shifted and u.size else None
+            alt = _shifted_profile(ex.ends, u, last, r) if alpha is not None and u.size else None
             res = _solve(sys_, nl, W0, start, opts, alt)
             if not res.converged:
                 raise SolveError(

@@ -180,7 +180,9 @@ class SolveOptions(_SolveOptionsFields):
     W d = -r counts one too, and one that solves two systems counts
     both.  ``max_sweeps`` caps their total.
     ``sweep_tol`` bounds the error left after the last step, which
-    Newton estimates from the ratio of successive steps.
+    Newton estimates from the ratio of successive steps; a first step
+    leaves none only where phi' at f - W u is unchanged by it, as where
+    E is quadratic.
     """
 
     __slots__ = ()
@@ -511,6 +513,8 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions,
             converged = not violations and scaled <= opts.residual_tol and (tiny or halt)
             if converged or stop:
                 return u, sweeps, converged, rep
+        dphi = arr.deriv(fwu)  # phi' at f - W u
+        first = dphi if step == math.inf else None
         if inverse:  # rows divided by D = 1 / k, k = m phi'(phi^{-1}(A u / m))
             psi = arr.inv(au / m)
             k = m * arr.deriv(psi)
@@ -519,18 +523,18 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions,
             c, rhs = w * k, -(k * r)
             del k
         else:
-            c = m * w * arr.deriv(fwu)
+            c = m * w * dphi
         g = au - m * arr.phi(fwu)  # half the gradient of E
         if inverse:
             # a row with D = 0 reads W d = -r; where phi'(f - W u) is finite
             # there, the step with E's own row in its place is solved too
             systems = [_held(sys_, c, rhs, -r / w)]
-            c_g = m * w * arr.deriv(fwu)
+            c_g = m * w * dphi
             swap = ~(np.isfinite(c) & np.isfinite(rhs)) & np.isfinite(c_g) & np.isfinite(g)
             if swap.any():
                 systems.append(_held(sys_, np.where(swap, c_g, c), np.where(swap, -g, rhs), -r / w))
             del c_g, swap
-        del fwu
+        del fwu, dphi
         rhs = systems[0][4] if inverse else -g
         g_norm, g_last = math.sqrt(rhs @ rhs), g_norm
         # inexact Newton: the first step is exact, later ones take the
@@ -589,13 +593,14 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions,
             noise = bool((np.abs(t * d) <= _NOISE * np.abs(v)).all())
         u, au, fwu, e0 = v, av, fwv, e1
         del v, av, fwv, d  # one name per array, each freed after its last use
-        # error left after this step, from the contraction rate of the last
-        # two; the first step counts as exact, as it is for quadratic E
-        rate = step / last
         if not inverse:
             noise = step <= _NOISE * np.abs(u).max()
         stalls = stalls + 1 if noise else 0
-        tiny = noise or step * rate <= opts.sweep_tol * (1.0 - rate)
+        if first is None:  # error left after this step, from the contraction rate of the last two
+            rate = step / last
+            tiny = noise or step * rate <= opts.sweep_tol * (1.0 - rate)
+        else:  # the first step is exact where it left phi' at f - W u unchanged: E is quadratic
+            tiny = noise or bool((first == arr.deriv(fwu)).all())
 
 
 class _Solved(NamedTuple):

@@ -45,10 +45,8 @@ from nlresolvent import (
     odd_power,
     path_criterion,
     residual,
-    random_sparse,
     symmetric_tree,
     validate,
-    verify_liouville,
     write_graph_json,
 )
 from nlresolvent import cli
@@ -616,46 +614,6 @@ def test_path_criterion_reads_its_path_in_one_block_call(counted, potential):
     assert (rep.max_deg_over_m, rep.per_term_floor) == (2.0, 0.5)
 
 
-def check_liouville(counted, g, W, schedules):
-    # Lu and W at the interior probes come off the exhaustion's arrays,
-    # with the bits of laplacian_apply and W; at radius 0 the root's row
-    # leaves the final set, so no probe is interior.  With every vertex of
-    # the final ball as a probe, the interior/skipped split is checked at
-    # every index: interior exactly within radius R - 2, in probe order.
-    nl = identity()
-    for radii in schedules:
-        ex = make_exhaustion(g, 0, radii)
-        R = radii[-1]
-        inner = set(ball(g, 0, max(R - 2, 0)) if R else ())
-        some = (*ball(g, 0, min(R, 3))[::5], *ball(g, 0, R)[-2:])
-        for probes in (some, tuple(ex.order.tolist())):
-            counted["block"] = 0
-            rep = verify_liouville(g, W, nl, ex, 1.0, probes=probes)
-            assert counted == {"block": 0, "neighbors": 0}
-            assert bool(rep.probes) == (R > 0)
-            distinct = tuple(dict.fromkeys(probes))
-            assert rep.probes == tuple(p for p in distinct if p in inner)
-            assert rep.skipped == tuple(p for p in distinct if p not in inner)
-            u = VertexFunction(dict(zip(ex.order.tolist(), rep.defect.resolvent.u.tolist())))
-            for p in rep.probes:
-                assert rep.w[p] == 1.0 - u(p)
-                want = abs(laplacian_apply(g, u, p) - nl(W(p) * (1.0 - u(p))))
-                assert struct.pack("<d", rep.residuals[p]) == struct.pack("<d", want)
-
-
-@pytest.mark.parametrize("potential", POTENTIALS.values(), ids=POTENTIALS)
-def test_verify_liouville_reads_no_row_after_the_exhaustion(counted, potential):
-    g = symmetric_tree(2)
-    check_liouville(counted, g, potential(g), ((4, 8, 10), (1,), (0,)))
-
-
-@pytest.mark.parametrize("potential", POTENTIALS.values(), ids=POTENTIALS)
-def test_verify_liouville_sums_uneven_rows_in_row_order(counted, potential):
-    # rows of several uneven weights, so their summation order shows in the bits
-    g = random_sparse(200, 0.015, seed=1)
-    check_liouville(counted, g, potential(g), ((1, 2, 3), (1,), (0,)))
-
-
 def test_a_graph_keeps_no_per_vertex_state():
     # once the exhaustion is gone, nothing of its 32,767 vertices is left
     # in the graph (a degree memo held about 3 MiB here)
@@ -884,7 +842,23 @@ def raises(root, radius, cap):
     raise GraphError("no closed form")
 
 
-@pytest.mark.parametrize("rule", [swapped, short, shifted, extra, raises],
+def float_ends(root, radius, cap):
+    order, ends = lattice_ball(root, radius, cap)
+    return order, ends.astype(float)  # the right ends, of the wrong dtype
+
+
+def int32_order(root, radius, cap):
+    order, ends = lattice_ball(root, radius, cap)
+    return order.astype(np.int32), ends  # the right order, of the wrong dtype
+
+
+def column_order(root, radius, cap):
+    order, ends = lattice_ball(root, radius, cap)
+    return order[:, None], ends  # the right order, of the wrong shape
+
+
+@pytest.mark.parametrize("rule", [swapped, short, shifted, extra, raises, float_ends,
+                                  int32_order, column_order],
                          ids=lambda rule: rule.__name__)
 def test_a_lying_ball_rule_gives_the_searched_ball(counted, rule):
     g = ProceduralGraph(0, block_rule=as_block_rule(lattice_rule), ball_rule=rule)

@@ -48,6 +48,12 @@ def test_solve_prints_solution(capsys):
     assert "u = (0.6667, 0.3333)" in out
 
 
+def test_solve_zero_data_gives_zero(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--graph", "finite-path:3", "--f", "zero", "--U", "all")
+    assert code == 0
+    assert "u = (0.0000, 0.0000, 0.0000)" in out
+
+
 def test_validate_reports_valid(capsys):
     code, out, _ = run_cli(capsys, "validate", "--graph", "finite-path:3")
     assert code == 0
@@ -86,20 +92,18 @@ CYCLIC = "random-sparse:n=60,density=0.06,seed=0"
 
 
 # an exhaustion of CYCLIC whose step 0 (radius 1, 7 vertices) converges
-# and whose step 1 (radius 40, all 60) runs out of sweeps; the completed
-# step's rows must equal those of a run that stops at radius 1 (for
-# verify-liouville: the defect rows classify writes for it)
-@pytest.mark.parametrize("mode, args, ref_mode", [
-    ("resolve", ("--f", "delta:0"), "resolve"),
-    ("classify", ("--alpha", "1"), "classify"),
-    ("verify-liouville", ("--alpha", "1"), "classify"),
-], ids=["resolve", "classify", "verify-liouville"])
-def test_exit_3_keeps_completed_steps(tmp_path, capsys, mode, args, ref_mode):
+# and whose step 1 (radius 3, 50 of the 60 vertices) runs out of sweeps;
+# the completed step's rows must equal those of a run that stops at radius 1
+@pytest.mark.parametrize("mode, args", [
+    ("resolve", ("--f", "delta:0")),
+    ("classify", ("--alpha", "1")),
+], ids=["resolve", "classify"])
+def test_exit_3_keeps_completed_steps(tmp_path, capsys, mode, args):
     common = ("--graph", CYCLIC, "--max-sweeps", "8", *args)
-    code, _, _ = run_cli(capsys, mode, *common, "--radii", "1,40",
+    code, _, _ = run_cli(capsys, mode, *common, "--radii", "1,3",
                          "--out", str(tmp_path / "cut"))
     assert code == 3
-    code, _, _ = run_cli(capsys, ref_mode, *common, "--radii", "1",
+    code, _, _ = run_cli(capsys, mode, *common, "--radii", "1",
                          "--out", str(tmp_path / "step0"))
     assert code == 0
     rows = [(d / "trace.csv").read_text().splitlines()[1:]
@@ -110,12 +114,11 @@ def test_exit_3_keeps_completed_steps(tmp_path, capsys, mode, args, ref_mode):
 @pytest.mark.parametrize("mode, args", [
     ("resolve", ("--f", "delta:0")),
     ("classify", ("--alpha", "1")),
-    ("verify-liouville", ("--alpha", "1")),
-], ids=["resolve", "classify", "verify-liouville"])
+], ids=["resolve", "classify"])
 def test_exit_3_writes_result_json(tmp_path, capsys, mode, args):
     out_dir = tmp_path / "cut"
     code, _, err = run_cli(capsys, mode, "--graph", CYCLIC, "--max-sweeps", "8",
-                           *args, "--radii", "1,40", "--out", str(out_dir))
+                           *args, "--radii", "1,3", "--out", str(out_dir))
     assert code == 3
     result = json.loads((out_dir / "result.json").read_text())
     assert result == {"converged": False, "error": err.strip().removeprefix("error: ")}
@@ -123,7 +126,7 @@ def test_exit_3_writes_result_json(tmp_path, capsys, mode, args):
     # the keys the runner resolved before the failed solve still reach config.json
     config = json.loads((out_dir / "config.json").read_text())
     assert config["probes_resolved"] == [0]
-    assert config["radii_resolved"] == [1, 40]
+    assert config["radii_resolved"] == [1, 3]
     if mode == "classify":
         assert config["alpha_resolved"] == [1.0]
 
@@ -166,9 +169,7 @@ def test_non_positive_max_vertices_exits_2(capsys, cap):
     (("classify", "--graph", "star:3", "--radii", "1,2", "--probes", "list:99"), 99, 2),
     (("resolve", "--graph", "lattice-z", "--radii", "5,10", "--f", "const:1",
       "--probes", "list:500"), 500, 10),
-    (("verify-liouville", "--graph", "lattice-z", "--radii", "2,5", "--probes", "list:3,-6"),
-     -6, 5),
-], ids=["classify", "not-a-vertex", "resolve", "verify-liouville"])
+], ids=["classify", "not-a-vertex", "resolve"])
 def test_probe_outside_the_largest_ball_exits_2(tmp_path, capsys, argv, probe, radius):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "run"))
     assert code == 2
@@ -183,12 +184,9 @@ def test_probe_outside_the_largest_ball_exits_2(tmp_path, capsys, argv, probe, r
     (("classify", "--graph", "lattice-z", "--W", "large-potential", "--phi", "atan",
       "--radii", "5"),
      "2.0 is outside ran atan = (-1.5707963267948966, 1.5707963267948966)"),
-    (("verify-liouville", "--graph", "lattice-z", "--W", "large-potential", "--phi", "atan",
-      "--radii", "5"),
-     "2.0 is outside ran atan = (-1.5707963267948966, 1.5707963267948966)"),
     (("resolve", "--graph", "lattice-z", "--f", "const:-1", "--radii", "5"),
      "extended resolvent needs f >= 0, got f(0) = -1.0"),
-], ids=["classify-W-range", "verify-liouville-W-range", "resolve-negative-f"])
+], ids=["classify-W-range", "resolve-negative-f"])
 def test_input_error_after_the_exhaustion_leaves_no_out_dir(tmp_path, capsys, argv, err):
     code, out, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "run"))
     assert code == 2
@@ -222,6 +220,18 @@ def test_out_under_a_file_exits_2_before_the_run(tmp_path, capsys, argv, under):
     assert (code, out) == (2, "")
     assert err == f"error: cannot write --out: {target} is not a directory\n"
     assert target.read_bytes() == b"keep\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("gen", "--family", "tree:2", "--radii", "2"), "graph.json"),
+    (("classify", "--graph", "tree:2", "--radii", "1,2", "--alpha", "1"), "trace.csv"),
+], ids=["gen", "classify"])
+def test_an_artifact_name_taken_by_a_directory_exits_2(tmp_path, capsys, argv, name):
+    (tmp_path / name).mkdir()
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: cannot write --out: ")
+    assert (tmp_path / name).is_dir()
 
 
 def test_out_that_cannot_be_made_exits_2_with_one_error_line(tmp_path, capsys):
@@ -294,12 +304,11 @@ def test_non_finite_parameter_exits_2_naming_it(capsys, argv, name):
     (("classify", "--alpha", "nan"), "alpha"),
     (("classify", "--stabilization-tol", "nan"), "stabilization_tol"),
     (("classify", "--sweep-tol", "-1"), "sweep_tol"),
-    (("verify-liouville", "--alpha", "nan"), "alpha"),
-    (("verify-liouville", "--residual-tol", "0"), "residual_tol"),
+    (("classify", "--residual-tol", "0"), "residual_tol"),
     (("resolve", "--f", "const:1", "--probes", "bogus"), "unknown probes spec"),
     (("classify", "--probes", "list:1,x"), "bad probe list"),
 ], ids=["residual-tol", "tol", "max-sweeps", "alpha", "stabilization-tol", "sweep-tol",
-        "liouville-alpha", "liouville-residual-tol", "probes", "probe-list"])
+        "residual-tol-0", "probes", "probe-list"])
 def test_bad_parameter_exits_2_before_the_exhaustion(monkeypatch, tmp_path, capsys, argv, name):
     def never(*args, **kwargs):
         raise AssertionError("make_exhaustion ran before the parameters were checked")
@@ -329,6 +338,19 @@ def test_classify_inconclusive_is_a_result_not_an_error(capsys):
                            "--radii", "5,10", "--alpha", "1", "--probes", "root")
     assert code == 0
     assert "verdict: inconclusive" in out
+
+
+def test_classify_solves_a_ball_that_covers_its_component_exactly(tmp_path, capsys):
+    # star:8 saturates at radius 1: u = alpha there, with no sweep; Newton
+    # on phi = t^3 converges only linearly to it, phi'(0) = 0 leaving E's
+    # Hessian singular there
+    code, out, _ = run_cli(capsys, "classify", "--graph", "star:8", "--phi", "power:3",
+                           "--radii", "1,2,3", "--alpha", "1", "--out", str(tmp_path))
+    assert code == 0
+    assert out.startswith("verdict: complete-at-infinity\n")
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["value"], r["sweeps"]) for r in rows if r["probe_id"] == "0"] == [("0", "0")] * 3
 
 
 def test_classify_starts_each_lattice_ball_from_the_shifted_profile(tmp_path, capsys):
@@ -362,15 +384,6 @@ def test_path_criterion_cli(capsys):
     assert code == 0
     assert "S_40 = 20" in out
     assert "divergent" in out
-
-
-def test_verify_liouville_cli(capsys):
-    code, out, _ = run_cli(capsys, "verify-liouville", "--graph", "birth-death:4",
-                           "--radii", "5,10,20,40,80", "--alpha", "1",
-                           "--probes", "root")
-    assert code == 0
-    assert "w in [0, 1]: ok" in out
-    assert "max w = 0.301515" in out
 
 
 # --- artifacts ---------------------------------------------------------------
@@ -422,11 +435,6 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, mode, phi, d
 TRACEABLE = {
     "classify": (CLASSIFY_ARGS, lambda doc: [
         *doc["alpha"], *(v for per_probe in doc["defect"].values() for v in per_probe.values())]),
-    "verify-liouville": (
-        ("verify-liouville", "--graph", "birth-death:4", "--radii", "5,10,20,40,80",
-         "--alpha", "1", "--probes", "root"),
-        lambda doc: [doc["alpha"], *doc["w"].values(), *doc["residual"].values(),
-                     doc["max_w"], doc["max_residual"]]),
     "path-criterion": (
         ("path-criterion", "--graph", "lattice-z", "--terms", "40"),
         lambda doc: [doc["alpha"], doc["terms"], doc["partial_sum"]]),
@@ -487,7 +495,6 @@ def test_config_echo_includes_seed(tmp_path, capsys):
 EXHAUSTION_MODES = {
     "resolve": (("--f", "const:1"), {"f": "const:1"}, {}),
     "classify": (("--alpha", "0.5,1"), {"alpha": "0.5,1"}, {"alpha_resolved": [0.5, 1.0]}),
-    "verify-liouville": (("--alpha", "1"), {"alpha": "1"}, {}),
 }
 
 
@@ -556,7 +563,6 @@ def test_help_defaults_follow_their_sources(monkeypatch, capsys):
     assert "list:0,5,7 (default root)" in help_of("resolve")
     assert "comma list of alphas (default 0.125,3)" in help_of("classify")
     assert "single alpha in (0, 1] (default 0.75)" in help_of("path-criterion")
-    assert "single alpha > 0 (default 0.75)" in help_of("verify-liouville")
     assert "spans a forest (default 1234)" in help_of("solve")
 
 
@@ -641,9 +647,9 @@ def test_config_values_of_the_field_types_are_taken(tmp_path, capsys):
     (("classify", "--graph", "tree:2", "--radii", "2", "--alpha", "1,x"), "bad alpha list '1,x'"),
     (("path-criterion", "--graph", "tree:2", "--alpha", "1,2"),
      "this mode takes a single alpha, got '1,2'"),
-    (("verify-liouville", "--graph", "tree:2", "--radii", "2", "--alpha", "x"),
-     "this mode takes a single alpha, got 'x'"),
     (("path-criterion", "--graph", "tree:2", "--path", "list:0,x"), "bad path list 'list:0,x'"),
+    (("path-criterion", "--graph", "finite-path:3", "--terms", "5"),
+     "path ended after 3 vertices; need 6"),
     (("path-criterion", "--graph", "tree:2", "--path", "bogus"), "unknown path spec 'bogus'"),
     (("gen",), "--family is required for gen"),
     (("validate", "--graph", "lattice-z:5", "--radii", "2"),
@@ -662,7 +668,7 @@ def test_config_values_of_the_field_types_are_taken(tmp_path, capsys):
         "graph-file-unreadable", "graph-file-not-json", "W-not-numeric", "W-not-positive",
         "W-unknown", "no-f", "f-delta", "f-const", "f-unknown", "no-U", "U-ball", "U-list",
         "U-unknown", "U-unknown-vertex", "no-radii", "radii-list", "doubling-short", "doubling-not-int",
-        "alpha-grid", "alpha-single", "alpha-liouville", "path-list", "path-unknown",
+        "alpha-grid", "alpha-single", "path-list", "path-ended", "path-unknown",
         "gen-no-family", "graph-extra-parameter", "graph-not-int", "graph-unknown-key",
         "graph-rate-inf", "graph-rate-nan", "graph-wmax-inf"])
 def test_spec_and_input_errors_exit_2_with_one_error_line(tmp_path, capsys, argv, err):
@@ -947,7 +953,10 @@ PARSE_FAILURES = [
     ["classify", "--bogus"],
     ["classify", "--graph", "lattice-z", "--bogus", "1", "--radii", "5"],
     ["gen", "--family", "tree:2", "stray"],
+    ["classify", "--seed", "x", "--bogus"],
+    # a removed mode is an invalid choice, as any unknown mode is
     ["verify-liouville", "--seed", "x", "--bogus"],
+    ["verify-liouville", "-h"],
     ["--help"],
     [],
     ["nope", "--graph", "lattice-z"],
@@ -959,6 +968,22 @@ def test_mode_parser_fails_as_the_full_parser_does(monkeypatch, capsys, argv):
     monkeypatch.setenv("COLUMNS", "80")
     expected = _exit_of(capsys, build_parser().parse_args, argv)
     assert _exit_of(capsys, main, argv) == expected
+
+
+def test_a_removed_mode_is_an_invalid_choice(tmp_path, monkeypatch, capsys):
+    # verify-liouville re-checked the equation each solve had just solved;
+    # as a subcommand it is now unknown, and a config file cannot name it
+    monkeypatch.setenv("COLUMNS", "80")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "verify-liouville"}))
+    for argv in (["verify-liouville", "--graph", "lattice-z"],
+                 ["verify-liouville", "--config", str(cfg)]):
+        code, out, err = _exit_of(capsys, main, argv)
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'verify-liouville'" in err
+    code, _, err = run_cli(capsys, "classify", "--config", str(cfg))
+    assert (code, err) == (2, "error: config file mode 'verify-liouville' conflicts with "
+                              "subcommand 'classify'\n")
 
 
 def test_mode_parser_reads_what_the_full_parser_reads(monkeypatch):

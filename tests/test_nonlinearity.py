@@ -120,6 +120,8 @@ def test_atan_range_is_open():
     assert not n.contains(2.0)
     with pytest.raises(RangeError):
         n.inverse(2.0)
+    with pytest.raises(RangeError):
+        phi_inv_numeric(n, 2.0)
 
 
 def test_range_error_carries_context():

@@ -1,12 +1,13 @@
-"""The package namespace, and README's library example."""
+"""The package namespace, and README's library example and CLI commands."""
 
 import contextlib
 import io
 import pathlib
 import re
+import shlex
 
 import nlresolvent
-from nlresolvent import completeness, families, graphs, nonlinearity, resolvent, solver, testkit
+from nlresolvent import cli, completeness, families, graphs, nonlinearity, resolvent, solver, testkit
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,3 +40,15 @@ def test_readme_library_example_prints_what_its_comments_claim():
                 assert value.startswith(expected[:-3]), (value, expected)
             else:
                 assert value == expected
+
+
+def test_readme_cli_commands_parse():
+    # the CLI section's block, each command joined across its "\" continuations:
+    # a removed mode or flag fails the parse, and every mode has an example
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(encoding="utf-8"),
+                      re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert all(argv[0] == "nlresolvent" for argv in commands)
+    parser = cli.build_parser()
+    assert [parser.parse_args(argv[1:]).mode for argv in commands] == [argv[1] for argv in commands]
+    assert {argv[1] for argv in commands} == set(cli._MODES)

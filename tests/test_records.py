@@ -22,7 +22,6 @@ from nlresolvent import (
     ClassificationReport,
     DefectEstimate,
     Exhaustion,
-    LiouvilleReport,
     PathCriterionReport,
     Potential,
     ResidualReport,
@@ -41,7 +40,6 @@ from nlresolvent import (
     residual,
     solve_dirichlet,
     validate,
-    verify_liouville,
 )
 from nlresolvent import cli, completeness, families, graphs, nonlinearity, resolvent, solver
 from nlresolvent.completeness import _DefectRows
@@ -63,7 +61,6 @@ def records():
         nl.arrays, W, SolveOptions(), res, residual(g, W, nl, f, res.u, [-1, 0, 1]),
         validate(g, [0]), ex, est.resolvent.steps[0], est.resolvent, Thresholds(), est,
         _DefectRows(report.estimates), report, path_criterion(g, W, nl, range(6), 0.5, 4),
-        verify_liouville(g, W, nl, ex, 1.0, probes=[0]),
     ]
     return {type(r): r for r in made}
 
@@ -72,7 +69,7 @@ def test_every_record_is_a_named_tuple(records):
     assert set(records) == {
         ArrayForms, Potential, SolveOptions, SolveResult, ResidualReport, ValidationReport,
         Exhaustion, StepRecord, ResolventEstimate, Thresholds, DefectEstimate, _DefectRows,
-        ClassificationReport, PathCriterionReport, LiouvilleReport}
+        ClassificationReport, PathCriterionReport}
     for r in records.values():
         assert isinstance(r, tuple) and r._fields
 

@@ -181,6 +181,15 @@ def test_residual_report_range_violations(pair, unit_potential):
     assert 0 in violated
 
 
+def test_residual_report_an_inverse_past_the_largest_float(pair, unit_potential):
+    # ran phi is all of R, but phi^{-1}(+-1e12) = +-1e312 is no float
+    nl = Nonlinearity(name="flat", phi=lambda t: 1e-300 * t)
+    u = VertexFunction({0: 5e11, 1: -5e11})
+    rep = residual(pair, unit_potential, nl, VertexFunction.zero(), u, [0, 1])
+    assert rep.range_violations == ((0, 1e12), (1, -1e12))
+    assert (rep.values, rep.sup) == ({}, 0.0)
+
+
 def test_residual_report_at_solution(pair, unit_potential):
     res = solve_dirichlet(pair, unit_potential, ID, VertexFunction.delta(0), [0, 1])
     rep = residual(pair, unit_potential, ID, VertexFunction.delta(0), res.u, [0, 1])
