@@ -596,7 +596,7 @@ def _run_gen(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict | N
         if r < 0:
             raise GraphError(f"radius must be >= 0, got {r}")
         # the ball as ``ball`` finds it, with the rows of all its vertices
-        order, _, arrays = _ball(g, g.root, (r,), cfg.max_vertices, True, False)
+        order, _, arrays, _ = _ball(g, g.root, (r,), cfg.max_vertices, True, False)
         write, data = _write_graph, (order, *arrays)
     path = os.path.join(cfg.out, "graph.json")
     try:

@@ -566,12 +566,14 @@ def _discovers(ends: np.ndarray, n: int, src, ws, rows, cols) -> bool:
 
 def _ball(g: WeightedGraph, root: int, radii: tuple[int, ...], max_vertices: int | None,
           outer: bool, steps: bool):
-    """``order, ends, arrays`` of the ball of radius ``radii[-1]``
+    """``order, ends, arrays, closed`` of the ball of radius ``radii[-1]``
     around root, for :func:`ball`, ``gen`` and ``make_exhaustion``: the
     ball in breadth-first order (int64), its layer ends (int64, the ball
-    sizes at radii 0, 1, ..., fewer where it saturates) and the
+    sizes at radii 0, 1, ..., fewer where it saturates), the
     :func:`_assemble` arrays of the rows read, all of the ball's with
-    ``outer``; a search without it neither keeps nor assembles them: None.
+    ``outer``, and with ``outer`` whether no edge with b > 0 leaves the
+    ball, so that it covers root's component; a search without ``outer``
+    neither keeps nor assembles the rows: None and None.
 
     The search reads one layer's rows per ``g.block`` call, every layer
     but the last, and with ``outer`` the last too.  Where g has a ball
@@ -606,7 +608,7 @@ def _ball(g: WeightedGraph, root: int, radii: tuple[int, ...], max_vertices: int
                 src, _, ws, *_ = blk = g.block(order if outer else order[:n])
                 arrays = _assemble(order, blk)
                 if _discovers(ends, n, src, ws, *arrays[:2]):
-                    return order, ends, arrays
+                    return order, ends, arrays, _closed(ws, arrays) if outer else None
     # each layer is what one block call on the layer before reaches
     # first: its targets with b > 0, in row order, first occurrence
     # only, minus every vertex seen so far
@@ -636,11 +638,20 @@ def _ball(g: WeightedGraph, root: int, radii: tuple[int, ...], max_vertices: int
     order = np.concatenate(layers)
     ends = np.cumsum([layer.size for layer in layers])
     if not outer:
-        return order, ends, None
+        return order, ends, None, None
     # the blocks of the layers read as one block of their vertices
     src = np.concatenate([blk[0] + k for blk, k in zip(blocks, [0, *ends.tolist()])])
     ys, ws, m, deg = (np.concatenate(parts) for parts in list(zip(*blocks))[1:])
-    return order, ends, _assemble(order, (src, ys, ws, m, deg))
+    arrays = _assemble(order, (src, ys, ws, m, deg))
+    return order, ends, arrays, _closed(ws, arrays)
+
+
+def _closed(ws: np.ndarray, arrays) -> bool:
+    """Whether every edge with b > 0 of a block of a ball's rows (weights
+    ``ws``) lies in the ball: whether its ``_assemble`` arrays kept them
+    all.  A block holds no negative weight, so those are the nonzero
+    ones, which are counted without a temporary array."""
+    return bool(np.count_nonzero(ws) == arrays[0].size)
 
 
 def ball(

@@ -22,6 +22,11 @@ has the smaller energy: near the boundary the solution follows one
 profile in the distance to it, which the extension by zero solves again
 on every ball; on a ball that covers the root's component it takes
 u = alpha with no solve.  ``extended_resolvent`` keeps the one start.
+
+The defect's alpha grid is solved in one pass over the balls: each ball
+once, on the disjoint union of one copy of it per alpha, listed layer by
+layer (``_copies``), so that one Newton solve with one set of numpy calls
+serves every alpha; large balls take the alphas in groups (``_UNION``).
 """
 
 from __future__ import annotations
@@ -68,7 +73,10 @@ class Exhaustion(NamedTuple):
     ball of radius r, and ``sizes`` are the sizes at the scheduled radii.
     ``order`` is an int64 array, and ``rows`` to ``deg`` hold the graph
     on it as ``graphs._assemble`` builds it, once per exhaustion: these
-    arrays are the only per-vertex store of a run.
+    arrays are the only per-vertex store of a run.  ``closed`` says
+    whether no edge leaves the largest ball, read from the rows of its
+    outermost layer: then it covers the root's component, and so does
+    every ball from radius ``len(ends) - 1`` on.
     """
 
     root: int
@@ -80,6 +88,7 @@ class Exhaustion(NamedTuple):
     b: np.ndarray
     m: np.ndarray
     deg: np.ndarray
+    closed: bool
 
     # compared by identity: a tuple's comparisons would reach the arrays,
     # whose truth value is ambiguous
@@ -127,13 +136,15 @@ def make_exhaustion(
     for a, b in zip(radii, radii[1:]):
         if b <= a:
             raise ValueError(f"schedule must be strictly increasing, got {a} then {b}")
-    order, ends, arrays = _ball(g, r0, radii, max_vertices, True, True)
-    return Exhaustion(r0, radii, tuple(ends.tolist()), order, *arrays)
+    order, ends, arrays, closed = _ball(g, r0, radii, max_vertices, True, True)
+    return Exhaustion(r0, radii, tuple(ends.tolist()), order, *arrays, closed)
 
 
 class StepRecord(NamedTuple):
     """Per-step diagnostics; sweeps is 0 when a saturated set reused the
-    previous solution."""
+    previous solution, or a closed one took u = alpha.  Where several
+    problems were solved together (classify's alpha grid), the sweeps
+    and the residual are those of their joint solve."""
 
     n: int
     radius: int
@@ -217,7 +228,12 @@ def extended_resolvent(
     """
     at = _probe_index(ex, probes)
     w, fv = (_sample(g, fn, ex.order, ex.m, ex.deg) for fn in (W.fn, f))
-    return _extend(ex, nl, W.W0, w, fv, at, opts)
+    try:
+        return _extend(ex, nl, W.W0, w, fv[None], at, opts)[0]
+    except SolveError as exc:
+        if exc.partial is not None:
+            exc.partial = exc.partial[0]
+        raise
 
 
 def _probe_index(ex: Exhaustion, probes: Iterable[int] | None) -> dict[int, int]:
@@ -243,73 +259,183 @@ def _extend(
     fv: np.ndarray,
     at: dict[int, int],
     opts: SolveOptions | None,
-    alpha: float | None = None,
-) -> ResolventEstimate:
-    """extended_resolvent with W and f already sampled on ``ex.order``
-    and the probes mapped to their indices there (``_probe_index``).
-    With ``alpha``, f is alpha * W: each ball after the first may also
-    start from the last solution's ``_shifted_profile``, where its energy
-    is smaller, and a ball of a radius at which the exhaustion saturated
-    before its largest one covers the root's component, so no edge leaves
-    it, A alpha = 0 and u = alpha solves it exactly, with no sweep."""
-    order = ex.order
-    closed = len(ex.ends) - 1 if alpha is not None and len(ex.ends) - 1 < ex.radii[-1] else None
-    _check(order, ex.m, ex.deg, w, fv, W0)
-    neg = np.flatnonzero(fv < 0.0)
-    if neg.size:
-        x = int(order[neg[0]])
-        raise ValueError(f"extended resolvent needs f >= 0, got f({x}) = {fv[neg[0]]}")
+    alphas: tuple[float, ...] | None = None,
+) -> tuple[ResolventEstimate, ...]:
+    """extended_resolvent for each row of the (k, n) data ``fv``, with W
+    and fv already sampled on ``ex.order`` and the probes mapped to their
+    indices there (``_probe_index``): one estimate per row.
 
-    values: dict[int, list[float]] = {p: [] for p in at}
-    steps: list[StepRecord] = []
+    The rows are solved together, ball by ball: each ball once, on the
+    disjoint union of copies of it, one per row (``_copies``), and where
+    that union would hold more than ``_UNION`` vertices, on the unions of
+    groups of as many consecutive rows as fit, one group after another.
+    So a step's sweeps and residual are those of its group's joint solve
+    for every row of the group, the residual an upper bound on each
+    row's, and so is the solver's part of ``max_decrease``; the budget
+    ``max_sweeps`` caps each joint solve, and a SolveError's ``partial``
+    holds every row's estimate over the balls before the failing one.
+    With ``alphas``, row c is alphas[c] * W (see ``_solves``)."""
+    for col in fv:
+        _check(ex.order, ex.m, ex.deg, w, col, W0)
+        neg = np.flatnonzero(col < 0.0)
+        if neg.size:
+            x = int(ex.order[neg[0]])
+            raise ValueError(f"extended resolvent needs f >= 0, got f({x}) = {col[neg[0]]}")
+    k = len(fv)
+    per = max(1, min(k, _UNION // ex.order.size))  # rows per group
+    groups = []
+    for s in range(0, k, per):
+        pos, arrays = _copies(ex, w, fv[s:s + per])
+        group_alphas = None if alphas is None else alphas[s:s + per]
+        groups.append((pos, _solves(ex, nl, W0, pos, arrays, group_alphas, opts)))
+
+    values: list[dict[int, list[float]]] = [{p: [] for p in at} for _ in range(k)]
+    steps: list[list[StepRecord]] = [[] for _ in groups]
+    solved = [(np.zeros(0), 0.0)] * len(groups)  # each group's last solution and max_decrease
+
+    def estimates() -> tuple[ResolventEstimate, ...]:
+        out = []
+        for c, vals in enumerate(values):
+            g, j = divmod(c, per)
+            (u, dec), pos = solved[g], groups[g][0]
+            out.append(_estimate(vals, steps[g], dec, u[pos[j, :u.size // len(pos)]]))
+        return tuple(out)
+
+    for n in range(len(ex)):
+        try:
+            balls = [next(solves) for _, solves in groups]
+        except SolveError as exc:
+            exc.partial = estimates() if n else None
+            raise
+        for g, ((pos, _), (u, step, dec)) in enumerate(zip(groups, balls)):
+            solved[g] = u, dec
+            steps[g].append(step)
+            for p, i in at.items():
+                for j, spot in enumerate(pos[:, i].tolist()):
+                    values[g * per + j][p].append(float(u[spot]) if spot < u.size else 0.0)
+    return estimates()
+
+
+# The most vertices in a union of copies of a ball (``_copies``).  A joint
+# solve saves numpy's per-call cost on every Newton step but takes as many
+# steps as the slowest copy, and its arrays outgrow the caches: classify,
+# phi = t^3, 5 alphas, all in one union, in-process against one solve per
+# alpha: 0.78x on tree:2 to radius 11 (4,095 vertices), 0.98x to 12, 1.15x
+# to 13 and 1.42x to 14 (32,767), and 1.10x on lattice-z to 3,200 (6,401).
+_UNION = 2**13
+
+
+def _solves(
+    ex: Exhaustion,
+    nl: Nonlinearity,
+    W0: float,
+    pos: np.ndarray,
+    arrays: tuple,
+    alphas: tuple[float, ...] | None,
+    opts: SolveOptions | None,
+):
+    """The solves on the union ``arrays`` of k = len(pos) copies of each
+    ball (``_copies``, whose positions are ``pos``), ball by ball: yields
+    each ball's solution, its StepRecord and the largest decrease so far,
+    and raises SolveError where a solve fails.
+
+    Each ball starts from the last solution, extended by zero.  With
+    ``alphas``, copy c carries alphas[c] * W: each ball after the first
+    may also start from the last solution's ``_shifted_profile``, where
+    the total energy is smaller, and a ball of a radius from which the
+    exhaustion is ``closed`` covers the root's component, so no edge
+    leaves it, A alpha = 0 and u = alpha solves it exactly, with no sweep.
+    """
+    k = len(pos)
+    closed = len(ex.ends) - 1 if alphas is not None and ex.closed else None
+    if closed is not None:
+        exact = np.empty(pos.size)
+        exact[pos] = np.array(alphas)[:, None]
     max_dec, resid, u, last = 0.0, 0.0, np.zeros(0), 0
-
     for n, (r, size) in enumerate(zip(ex.radii, ex.sizes)):
-        if size == u.size:
+        if k * size == u.size:
             sweeps = 0  # nested sets of equal size are identical: reuse the solve
         elif closed is not None and r >= closed:
-            sys_ = _System(order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, fv, size)
-            max_dec = max(max_dec, float((u - alpha).max(initial=0.0)))
-            u = np.full(size, alpha)
+            sys_ = _System(*arrays, k * size)
+            max_dec = max(max_dec, float((u - exact[:u.size]).max(initial=0.0)))
+            u = exact[:k * size]
             sweeps, resid, last = 0, sys_.residual(nl, u)[0], r
         else:
-            sys_ = _System(order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, fv, size)
-            start = np.zeros(size)  # the last solve, extended by 0
+            sys_ = _System(*arrays, k * size)
+            start = np.zeros(k * size)  # the last solve, extended by 0
             start[:u.size] = u
-            alt = _shifted_profile(ex.ends, u, last, r) if alpha is not None and u.size else None
+            alt = _shifted_profile(ex.ends, u, last, r) if alphas is not None and u.size else None
             res = _solve(sys_, nl, W0, start, opts, alt)
             if not res.converged:
                 raise SolveError(
                     f"solve did not converge at exhaustion step {n} "
                     f"(radius {r}, {size} vertices): residual {res.residual_inf:.3g} "
-                    f"after {res.sweeps_used} sweeps",
-                    partial=_estimate(values, steps, max_dec, u) if steps else None,
-                )
+                    f"after {res.sweeps_used} sweeps")
             sweeps, resid, u, last = res.sweeps_used, res.residual_inf, res.u, r
             max_dec = max(max_dec, res.max_decrease)
-        for p, i in at.items():
-            values[p].append(float(u[i]) if i < size else 0.0)
-        steps.append(StepRecord(n=n, radius=r, set_size=size,
-                                sweeps=sweeps, residual_inf=resid))
-    return _estimate(values, steps, max_dec, u)
+        yield u, StepRecord(n=n, radius=r, set_size=size, sweeps=sweeps, residual_inf=resid), max_dec
+
+
+def _copies(ex: Exhaustion, w: np.ndarray, fv: np.ndarray):
+    """``pos, arrays`` of the disjoint union of k = len(fv) copies of the
+    largest ball, copy c carrying the data fv[c]: ``pos[c, i]`` is the
+    position of vertex i of copy c, and ``arrays`` are ``_System``'s
+    order to f on the union, edges in the order ``_assemble`` gives.
+
+    The union lists the copies layer by layer: layer l of copy 0, then of
+    copy 1, and so on.  So the union of k copies of each ball is a leading
+    block of it, as ``_System`` takes it, and the parents of a forest stay
+    non-decreasing, with layers k times as wide.  For k = 1 the union is
+    the ball, and its arrays are passed through with no copy.
+    """
+    k, n = fv.shape
+    if k == 1:
+        return np.arange(n)[None], (ex.order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, fv[0])
+    ends = np.array(ex.ends)
+    counts = np.diff(ends, prepend=0)
+    # vertex i of a layer that starts at s and holds w vertices goes to
+    # i + (k - 1) s in copy 0, and w further on in each next copy
+    pos = (np.arange(n) + np.repeat((k - 1) * (ends - counts), counts)
+           + np.arange(k)[:, None] * np.repeat(counts, counts))
+    at, off = _interleave(ends, k, n)
+    e_at, e_off = _interleave(ex.rows.searchsorted(ends), k, n)
+    spots = pos.ravel()
+    return pos, (ex.order[at], spots[e_off + ex.rows[e_at]], spots[e_off + ex.cols[e_at]],
+                 ex.b[e_at], ex.m[at], ex.deg[at], w[at], fv.ravel()[off + at])
+
+
+def _interleave(ends: np.ndarray, k: int, n: int):
+    """``at, off`` for k copies of a sequence cut into consecutive layers
+    with these ends, listed layer by layer and in each layer copy by
+    copy: each place's index in the sequence, and c n for its copy c."""
+    counts = np.diff(ends, prepend=0)
+    runs = np.repeat(counts, k)  # layer l of copy c is run l k + c
+    first = np.cumsum(runs) - runs
+    at = np.arange(k * ends[-1]) + np.repeat(np.repeat(ends - counts, k) - first, runs)
+    return at, np.repeat(np.tile(np.arange(0, k * n, n), counts.size), runs)
 
 
 def _shifted_profile(ends: tuple[int, ...], u: np.ndarray, r_old: int, r_new: int) -> np.ndarray:
     """The solution u on the ball of radius ``r_old``, averaged over its
-    breadth-first layers and moved out to the ball of radius ``r_new``.
+    breadth-first layers and moved out to the ball of radius ``r_new``,
+    copy by copy where u lives on the union of k copies of the ball, k
+    the ratio of their sizes, laid out as ``_copies`` lays them out.
 
     ``ends`` are the exhaustion's layer ends.  The mean of u over layer
-    k, at distance r_old - k from the old boundary, goes to every vertex
-    of layer k + r_new - r_old, at the same distance from the new one;
-    the layers inside those take the root's value.  A new ball that
-    saturates before ``r_new`` keeps its layers where they are, so it
-    reads the root's value farther out."""
+    l, at distance r_old - l from the old boundary, goes to every vertex
+    of layer l + r_new - r_old of the same copy, at the same distance from
+    the new boundary; the layers inside those take the root's value.  A
+    new ball that saturates before ``r_new`` keeps its layers where they
+    are, so it reads the root's value farther out."""
     old = np.array(ends[:r_old + 1])
-    first = np.concatenate(([0], old[:-1]))
-    means = np.add.reduceat(u, first) / (old - first)
-    counts = np.diff(ends[:r_new + 1], prepend=0)
-    layer = np.repeat(np.arange(counts.size), counts)
-    return means[np.maximum(layer - (r_new - r_old), 0)]
+    k = u.size // old[-1]
+    counts = np.diff(old, prepend=0)
+    # each copy's layer in u: layer by layer, and copy by copy in each
+    first = k * (old - counts)[:, None] + np.arange(k) * counts[:, None]
+    means = (np.add.reduceat(u, first.ravel()) / np.repeat(counts, k)).reshape(-1, k)
+    sizes = np.diff(ends[:r_new + 1], prepend=0)
+    moved = means[np.maximum(np.arange(sizes.size) - (r_new - r_old), 0)]
+    return np.repeat(moved.ravel(), np.repeat(sizes, k))
 
 
 def _estimate(

@@ -178,7 +178,10 @@ class SolveOptions(_SolveOptionsFields):
     iteration, or where U spans a forest one elimination, that is one
     exact Newton step; an inverse-form step whose rows all read
     W d = -r counts one too, and one that solves two systems counts
-    both.  ``max_sweeps`` caps their total.
+    both.  ``max_sweeps`` caps their total.  classify solves its alpha
+    grid on the union of one copy of each ball per alpha (see
+    ``resolvent._extend``): there a sweep is a pass over that union, and
+    ``max_sweeps`` caps each joint solve, not each alpha's share of it.
     ``sweep_tol`` bounds the error left after the last step, which
     Newton estimates from the ratio of successive steps; a first step
     leaves none only where phi' at f - W u is unchanged by it, as where
@@ -259,6 +262,13 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # Mean breadth-first layer width from which a forest is eliminated a
 # layer at a time; thinner forests take a loop over the vertices
 _WIDE = 16
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product of a and b by numpy's pairwise sum, which runs
+    on one thread: ``a @ b`` hands large vectors to BLAS, whose result
+    depends in its last bits on the number of threads it runs on."""
+    return float((a * b).sum())
 
 
 def _sample(g: WeightedGraph, fn: Callable[[int], float], xs: np.ndarray, m, deg) -> np.ndarray:
@@ -384,14 +394,14 @@ def _pcg(sys_: _System, c: np.ndarray, rhs: np.ndarray, budget: int, eta: float)
     r = rhs.copy()
     z = inv_diag * r
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     stop = (_NOISE * _NOISE) * rz
-    rr = float(r @ r)
+    rr = _dot(r, r)
     forced = (eta * eta) * rr
     its = 0
     while its < budget and rz > stop and rr > forced:
         q = sys_.apply(p) + c * p
-        pq = float(p @ q)
+        pq = _dot(p, q)
         if not pq > 0.0:
             break
         a = rz / pq
@@ -399,7 +409,7 @@ def _pcg(sys_: _System, c: np.ndarray, rhs: np.ndarray, budget: int, eta: float)
         r -= a * q
         its += 1
         z = inv_diag * r
-        rz, rz_old, rr = float(r @ z), rz, float(r @ r)
+        rz, rz_old, rr = _dot(r, z), rz, _dot(r, r)
         p = z + (rz / rz_old) * p
     return x, its, r
 
@@ -456,7 +466,7 @@ def _linear(sys_: _System, c: np.ndarray, rhs: np.ndarray, budget: int, eta: flo
     if d is not None:
         return d, 1, 0.0
     d, its, r = _pcg(sys_, c, rhs, budget, eta)
-    return d, its, math.sqrt(r @ r)
+    return d, its, math.sqrt(_dot(r, r))
 
 
 def _held(sys_: _System, c: np.ndarray, rhs: np.ndarray, held: np.ndarray):
@@ -485,10 +495,10 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions,
 
     def point(v):  # A v, f - W v and E(v) up to a constant
         av, fw = sys_.apply(v), f - w * v
-        return av, fw, v @ av + (arr.antideriv(fw) * m / w).sum()
+        return av, fw, _dot(v, av) + (arr.antideriv(fw) * m / w).sum()
 
     def rounding(v, fw):  # the size of the rounding of E(v), fw = f - W v
-        return sys_.deg @ (v * v) + np.abs(arr.antideriv(fw) * m / w).sum()
+        return _dot(sys_.deg, v * v) + np.abs(arr.antideriv(fw) * m / w).sum()
 
     def misfit(av, fw):  # sup of the equations a step linearizes, at A v and f - W v
         if inverse:
@@ -536,7 +546,7 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions,
             del c_g, swap
         del fwu, dphi
         rhs = systems[0][4] if inverse else -g
-        g_norm, g_last = math.sqrt(rhs @ rhs), g_norm
+        g_norm, g_last = math.sqrt(_dot(rhs, rhs)), g_norm
         # inexact Newton: the first step is exact, later ones take the
         # forcing term of Eisenstat & Walker's choice 1 with its safeguard
         if g_last is not None:
@@ -562,7 +572,7 @@ def _newton(sys_: _System, nl: Nonlinearity, u: np.ndarray, opts: SolveOptions,
         del rhs
         # backtracking on E where the step descends, else on the misfit;
         # where E cannot tell the points apart, a smaller misfit decides
-        slope = min(2.0 * float(g @ d), 0.0)
+        slope = min(2.0 * _dot(g, d), 0.0)
         on_e = not inverse or slope < 0.0
         g0 = np.abs(r if inverse else g).max(initial=0.0)
         del c, g

@@ -811,6 +811,20 @@ def test_a_chain_with_a_zero_weight_stops_where_the_search_does():
     assert ball(birth_death(stops_at_7), 0, 5) == list(range(6))
 
 
+def test_an_exhaustion_is_closed_where_no_edge_leaves_its_largest_ball(counted):
+    # the edge 7 - 8 has weight 0: the rows of the outermost layer show that
+    # the ball of radius 7 is closed, also where it is the largest, read in
+    # one call on the ball rule's ball, as at radius 6, which is not closed
+    for r, closed in ((6, False), (7, True)):
+        counted["block"] = 0
+        assert make_exhaustion(birth_death(stops_at_7), 0, (3, r)).closed is closed
+        assert counted["block"] == 1
+    # past radius 7 the rule's ball is wrong, and the search finds the closed one
+    assert make_exhaustion(birth_death(stops_at_7), 0, (3, 12)).closed is True
+    assert make_exhaustion(lattice_z(), 0, (3, 12)).closed is False
+    assert make_exhaustion(RuleGraph(0, lattice_rule), 0, (3, 12)).closed is False
+
+
 def lattice_ball(root, radius, cap):
     return lattice_z()._ball_rule(root, radius, cap)
 

@@ -93,11 +93,13 @@ CYCLIC = "random-sparse:n=60,density=0.06,seed=0"
 
 # an exhaustion of CYCLIC whose step 0 (radius 1, 7 vertices) converges
 # and whose step 1 (radius 3, 50 of the 60 vertices) runs out of sweeps;
-# the completed step's rows must equal those of a run that stops at radius 1
+# the completed step's rows must equal those of a run that stops at radius 1,
+# for every alpha of a grid, which is solved ball by ball
 @pytest.mark.parametrize("mode, args", [
     ("resolve", ("--f", "delta:0")),
     ("classify", ("--alpha", "1")),
-], ids=["resolve", "classify"])
+    ("classify", ("--alpha", "0.5,1")),
+], ids=["resolve", "classify", "classify-grid"])
 def test_exit_3_keeps_completed_steps(tmp_path, capsys, mode, args):
     common = ("--graph", CYCLIC, "--max-sweeps", "8", *args)
     code, _, _ = run_cli(capsys, mode, *common, "--radii", "1,3",

@@ -33,9 +33,11 @@ from nlresolvent import (
     make_exhaustion,
     odd_log,
     odd_power,
+    parse_phi,
     path_criterion,
     symmetric_tree,
 )
+from nlresolvent.completeness import _report
 from nlresolvent.solver import _System
 
 ID = identity()
@@ -163,25 +165,23 @@ def test_classify_propagates_solve_error(chain4, unit_potential, chain_ex):
                  probes=(0,), opts=SolveOptions(max_sweeps=1))
 
 
-def test_classify_partial_keeps_completed_alphas_and_steps(cyclic, unit_potential):
-    # the budget is the sweeps that alpha 0.5 needs at its costliest step
-    # and alpha 8.0 at step 0 (radius 1), unbudgeted; alpha 8.0 needs more
-    # at step 1 (radius 3, 50 of the 60 vertices), and runs out there
-    nl, probes = odd_log(), (0, 10)  # 10 is a neighbor of 0
+def test_classify_partial_keeps_every_alpha_for_the_completed_balls(cyclic, unit_potential):
+    # the grid is solved ball by ball, jointly: the budget is what the joint
+    # solve needs at step 0 (radius 1), and at step 1 (radius 3, 50 of the
+    # 60 vertices) it needs more and runs out, so the partial holds both
+    # alphas' rows for step 0, those of a run that stops at radius 1
+    nl, probes, grid = odd_log(), (0, 10), (0.5, 8.0)  # 10 is a neighbor of 0
     ex = make_exhaustion(cyclic, 0, [1, 3])
-    need = {a: [s.sweeps for s in conservation_defect(cyclic, unit_potential, nl, a, ex,
-                                                      probes=probes).resolvent.steps]
-            for a in (0.5, 8.0)}
-    budget = max(*need[0.5], need[8.0][0])
-    assert need[8.0][1] > budget
-    opts = SolveOptions(max_sweeps=budget)
+    rep = classify(cyclic, unit_potential, nl, ex, alpha_grid=grid, probes=probes)
+    need = [st.sweeps for st in rep.estimates[0].resolvent.steps]
+    assert need[1] > need[0]
+    opts = SolveOptions(max_sweeps=need[0])
     with pytest.raises(SolveError) as info:
-        classify(cyclic, unit_potential, nl, ex, alpha_grid=(0.5, 8.0),
-                 probes=probes, opts=opts)
-    done = conservation_defect(cyclic, unit_potential, nl, 0.5, ex, probes=probes, opts=opts)
-    cut = conservation_defect(cyclic, unit_potential, nl, 8.0,
-                              make_exhaustion(cyclic, 0, [1]), probes=probes, opts=opts)
-    assert info.value.partial.csv_rows() == done.csv_rows() + cut.csv_rows()
+        classify(cyclic, unit_potential, nl, ex, alpha_grid=grid, probes=probes, opts=opts)
+    cut = classify(cyclic, unit_potential, nl, make_exhaustion(cyclic, 0, [1]), alpha_grid=grid,
+                   probes=probes, opts=opts)
+    assert [est.alpha for est in info.value.partial.estimates] == list(grid)
+    assert info.value.partial.csv_rows() == cut.csv_rows()
     assert not hasattr(info.value.partial, "verdict")
 
 
@@ -458,6 +458,35 @@ def test_resolve_keeps_the_one_padded_start(lattice, unit_potential):
     assert all(p > s for p, s in zip(padded[1:], shifted[1:]))
 
 
+# --- the alpha grid, solved jointly --------------------------------------------
+
+
+@pytest.mark.parametrize("spec, phi, radii, grid", [
+    ("lattice-z", "power:3", (12, 25, 50), (0.5, 1.0, 2.0)),
+    ("birth-death:4", "power:3", (5, 10, 20, 40), None),
+    ("tree:2", "power:3", (4, 8, 12), None),  # one union per alpha
+    ("tree:2", "power:3", (4, 8, 10), None),  # a union of 4 alphas, then 1
+    ("random-sparse:n=60,density=0.06,seed=0", "log", (1, 2, 3), None),  # conjugate gradients
+    ("lattice-z", "power:0.5", (25, 50, 100), None),  # the inverse form
+    ("lattice-z", "atan", (25, 50, 100), None),
+])
+def test_classify_agrees_with_one_defect_per_alpha(spec, phi, radii, grid):
+    # the grid's joint solve meets each alpha's residual test, as each
+    # alpha's own solve does: their defects differ by at most residual_tol / W0
+    g, nl, W, opts = generate(spec), parse_phi(phi), Potential.constant(1.0), SolveOptions()
+    ex = make_exhaustion(g, g.root, radii)
+    probes = default_probes(ex)
+    rep = classify(g, W, nl, ex, alpha_grid=grid, probes=probes, opts=opts)
+    alone = tuple(conservation_defect(g, W, nl, a, ex, probes=probes, opts=opts)
+                  for a in rep.alpha_grid)
+    for est, ref in zip(rep.estimates, alone):
+        for p in probes:
+            assert est.defects[p] == pytest.approx(ref.defects[p], rel=0.0,
+                                                   abs=opts.residual_tol / W.W0)
+    ref = _report(ex, rep.alpha_grid, rep.thresholds, alone)
+    assert (rep.verdict, rep.reason) == (ref.verdict, ref.reason)
+
+
 # --- a ball that covers its component ------------------------------------------
 
 
@@ -484,10 +513,15 @@ def test_a_ball_that_covers_its_component_is_solved_exactly(cyclic, unit_potenti
     assert res.steps[0].sweeps > 0
 
 
-def test_a_ball_that_saturates_at_the_largest_radius_is_solved_by_newton(cyclic,
-                                                                         unit_potential):
-    # the exhaustion read no layer past radius 4, so it cannot tell that the
-    # ball is closed
-    est = conservation_defect(cyclic, unit_potential, ID, 1.0, make_exhaustion(cyclic, 0, [1, 4]))
-    assert est.resolvent.steps[-1].sweeps > 0
-    assert abs(est.final[0]) <= 1e-9
+def test_a_ball_that_saturates_at_the_largest_radius_is_solved_exactly(cyclic, unit_potential):
+    # radius 4 is the largest and its ball covers all 60 vertices: the rows
+    # of its outer layer, read for the assembly, show that no edge leaves
+    # it, where Newton on t^3 stalled (residual 2.06e-5 after 526 sweeps)
+    assert not make_exhaustion(cyclic, 0, [1, 3]).closed
+    ex = make_exhaustion(cyclic, 0, [1, 4])
+    assert ex.closed and ex.sizes == (7, 60)
+    rep = classify(cyclic, unit_potential, odd_power(3.0), ex, probes=(0,))
+    for est in rep.estimates:
+        assert est.final == {0: 0.0}
+        assert (est.resolvent.u == est.alpha).all()
+        assert est.resolvent.steps[-1].sweeps == 0

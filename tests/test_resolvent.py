@@ -25,12 +25,14 @@ from nlresolvent import (
     identity,
     lattice_z,
     make_exhaustion,
+    generate,
     odd_power,
     solve_dirichlet,
     star,
     symmetric_tree,
 )
-from nlresolvent.resolvent import _shifted_profile
+from nlresolvent.resolvent import _copies, _shifted_profile
+from nlresolvent.solver import _System
 
 ID = identity()
 
@@ -284,6 +286,19 @@ def test_shifted_profile_on_a_lattice_ball(lattice):
     assert start.size == ex.sizes[1]
 
 
+def test_shifted_profile_moves_each_copy_on_its_own(lattice):
+    # the lattice ball of radius 2 in 2 copies, the second twice the first
+    ex = make_exhaustion(lattice, 0, [2, 4])
+    u = np.array([5.0, 3.0, 1.0, 2.0, 0.0])
+    pos, _ = _copies(ex, np.ones(9), np.ones((2, 9)))
+    union = np.empty(10)
+    union[pos[:, :5]] = [u, 2.0 * u]
+    start = _shifted_profile(ex.ends, union, 2, 4)
+    one = [5.0, 5.0, 5.0, 5.0, 5.0, 2.0, 2.0, 1.0, 1.0]
+    assert start[pos[0]].tolist() == one
+    assert start[pos[1]].tolist() == [2.0 * v for v in one]
+
+
 def test_shifted_profile_on_a_ball_that_saturates():
     # the path 0 - 1 - 2 - 3 - 4 has 5 layers, so the ball of radius 5 is
     # the ball of radius 4: the shift by 3 layers still reads radius 5
@@ -294,3 +309,48 @@ def test_shifted_profile_on_a_ball_that_saturates():
     # classify runs through it to the exact answer on the finite graph
     rep = classify(finite_path(5), Potential.constant(1.0), ID, ex, alpha_grid=[1.0], probes=[0])
     assert rep.estimates[0].defects[0][-1] == pytest.approx(0.0, abs=1e-12)
+
+
+# --- copies of a ball -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec, radii", [
+    ("tree:2", (2, 4, 5)), ("lattice-z", (3, 6)),
+    ("random-sparse:n=60,density=0.06,seed=0", (1, 2, 3)), ("finite-path:5", (2, 6)),
+])
+def test_copies_of_each_ball_are_a_leading_block_of_the_union(spec, radii):
+    g = generate(spec)
+    ex = make_exhaustion(g, g.root, radii)
+    n, k = ex.order.size, 3
+    w = np.linspace(1.0, 2.0, n)
+    fv = np.outer([0.5, 1.0, 2.0], w)
+    pos, arrays = _copies(ex, w, fv)
+    order, rows, cols, b, m, deg, wu, f = arrays
+    assert sorted(pos.ravel().tolist()) == list(range(k * n))
+    which = np.empty(k * n, dtype=np.int64)  # the copy and vertex at each place
+    vertex = np.empty(k * n, dtype=np.int64)
+    which[pos], vertex[pos] = np.arange(k)[:, None], np.arange(n)
+    for c in range(k):
+        for got, want in ((order, ex.order), (m, ex.m), (deg, ex.deg), (wu, w), (f, fv[c])):
+            assert (got[pos[c]] == want).all()
+    for size in ex.sizes:
+        assert (np.sort(pos[:, :size].ravel()) == np.arange(k * size)).all()
+        joint = _System(*arrays, k * size)
+        one = _System(ex.order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, fv[0], size)
+        assert (joint.forest is None) == (one.forest is None)
+        for c in range(k):  # each copy's edges, in order, are the ball's
+            mine = which[joint.rows] == c
+            assert (which[joint.cols[mine]] == c).all()
+            assert vertex[joint.rows[mine]].tolist() == one.rows.tolist()
+            assert vertex[joint.cols[mine]].tolist() == one.cols.tolist()
+            assert joint.b[mine].tolist() == one.b.tolist()
+        assert mine.sum() * k == joint.rows.size
+
+
+def test_one_copy_is_the_ball_itself(lattice):
+    ex = make_exhaustion(lattice, 0, [3, 6])
+    w = np.ones(ex.order.size)
+    pos, arrays = _copies(ex, w, w[None])
+    assert pos.tolist() == [list(range(13))]
+    assert all(a is b for a, b in zip(arrays[:7], (ex.order, ex.rows, ex.cols, ex.b, ex.m,
+                                                    ex.deg, w)))
