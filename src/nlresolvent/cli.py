@@ -529,7 +529,8 @@ def _run_resolve(cfg: RunConfig, resolved: dict) -> tuple[int, list | None, dict
     opts = cfg.solve_options()
     g, nl, W, ex, probes = _exhaustion(cfg, resolved)
     est = extended_resolvent(g, W, nl, f, ex, probes=probes, opts=opts)
-    converged = {p: est.stabilization_error(p) <= cfg.tol for p in est.probes}
+    # a closed exhaustion's last ball is the root's component: its solve is the limit
+    converged = {p: ex.closed or est.stabilization_error(p) <= cfg.tol for p in est.probes}
     for p in est.probes:
         tag = "converged" if converged[p] else "still increasing"
         print(f"probe {p}: estimate {est.final[p]:.10g} ({tag})")

@@ -202,7 +202,7 @@ def _defects(grid: tuple[float, ...], ex: Exhaustion, nl: Nonlinearity, W0: floa
     with np.errstate(all="ignore"):
         fv = np.multiply.outer(grid, w)
     try:
-        ests = _extend(ex, nl, W0, w, fv, at, opts, grid)
+        ests = _extend(ex, nl, W0, w, fv, at, opts, shifted=True)
     except SolveError as exc:
         if exc.partial is not None:
             exc.partial = tuple(map(_defect_estimate, grid, exc.partial))
@@ -296,21 +296,18 @@ def classify(
     """Run the defect over an alpha grid and issue a verdict.
 
     Complete-at-infinity requires every (alpha, probe) defect to be
-    stabilized and below complete_tol; incomplete-at-infinity requires
-    some stabilized defect at or above incomplete_floor that also changed
-    by at most stabilization_tol since the largest scheduled radius
-    <= R/2, R the last one; anything else is inconclusive (a verdict, not
-    an error), and where only that doubling check withheld an incomplete
-    verdict the report's ``reason`` says so.  The alphas pose
-    independent problems, and are solved together (see ``resolvent._extend``):
-    each ball once, on the disjoint union of one copy of it per alpha,
-    where that union holds at most 8,192 vertices (in groups of as many
-    alphas as fit, one after another, on larger balls).  So a trace row's
-    sweeps and residual are its group's joint solve's, the residual
-    bounding each alpha's own, the solve starts from the padded or the
-    shifted previous solution by the group's total energy, and
-    ``max_sweeps`` caps each joint solve; the defects agree with
-    per-alpha ``conservation_defect`` runs to within the residual test.
+    below complete_tol and stabilized, or the exhaustion ``closed``, its
+    last ball the root's whole component, where the defects are exact;
+    incomplete-at-infinity requires some stabilized defect at or above
+    incomplete_floor that also changed by at most stabilization_tol since
+    the largest scheduled radius <= R/2, R the last one; anything else is
+    inconclusive (a verdict, not an error), and where only that doubling
+    check withheld an incomplete verdict the report's ``reason`` says so.
+    The alphas are solved together (see ``resolvent._extend``): a trace
+    row's sweeps and residual are its group's joint solve's, the residual
+    bounding each alpha's own, the start is chosen by the group's total
+    energy, and ``max_sweeps`` caps each joint solve; the defects agree
+    with per-alpha ``conservation_defect`` runs to within the residual test.
 
     W is sampled once, on the exhaustion's largest ball, for the whole
     grid.  A failed solve raises SolveError whose ``partial`` holds every
@@ -352,7 +349,7 @@ def _report(ex: Exhaustion, grid: tuple[float, ...], th: Thresholds,
                 if stable(est, p) and est.final[p] >= th.incomplete_floor]
     reason = ""
     if all(
-        stable(est, p) and est.final[p] <= th.complete_tol
+        (ex.closed or stable(est, p)) and est.final[p] <= th.complete_tol
         for est in ests
         for p in est.probes
     ):

@@ -20,8 +20,9 @@ solution's boundary profile moved out to the new boundary
 (``_shifted_profile``), and the solve starts from whichever of the two
 has the smaller energy: near the boundary the solution follows one
 profile in the distance to it, which the extension by zero solves again
-on every ball; on a ball that covers the root's component it takes
-u = alpha with no solve.  ``extended_resolvent`` keeps the one start.
+on every ball.  ``extended_resolvent`` keeps the one start.  A closed
+exhaustion's largest ball is the root's component, which the solve core
+solves as u = c with no sweep where f = c W, in classify and resolve alike.
 
 The defect's alpha grid is solved in one pass over the balls: each ball
 once, on the disjoint union of one copy of it per alpha, listed layer by
@@ -75,8 +76,7 @@ class Exhaustion(NamedTuple):
     on it as ``graphs._assemble`` builds it, once per exhaustion: these
     arrays are the only per-vertex store of a run.  ``closed`` says
     whether no edge leaves the largest ball, read from the rows of its
-    outermost layer: then it covers the root's component, and so does
-    every ball from radius ``len(ends) - 1`` on.
+    outermost layer: then it covers the root's component.
     """
 
     root: int
@@ -142,7 +142,7 @@ def make_exhaustion(
 
 class StepRecord(NamedTuple):
     """Per-step diagnostics; sweeps is 0 when a saturated set reused the
-    previous solution, or a closed one took u = alpha.  Where several
+    previous solution, or a closed one was solved exactly.  Where several
     problems were solved together (classify's alpha grid), the sweeps
     and the residual are those of their joint solve."""
 
@@ -259,7 +259,7 @@ def _extend(
     fv: np.ndarray,
     at: dict[int, int],
     opts: SolveOptions | None,
-    alphas: tuple[float, ...] | None = None,
+    shifted: bool = False,
 ) -> tuple[ResolventEstimate, ...]:
     """extended_resolvent for each row of the (k, n) data ``fv``, with W
     and fv already sampled on ``ex.order`` and the probes mapped to their
@@ -274,7 +274,7 @@ def _extend(
     row's, and so is the solver's part of ``max_decrease``; the budget
     ``max_sweeps`` caps each joint solve, and a SolveError's ``partial``
     holds every row's estimate over the balls before the failing one.
-    With ``alphas``, row c is alphas[c] * W (see ``_solves``)."""
+    ``shifted`` offers the ``_shifted_profile`` start (see ``_solves``)."""
     for col in fv:
         _check(ex.order, ex.m, ex.deg, w, col, W0)
         neg = np.flatnonzero(col < 0.0)
@@ -286,8 +286,7 @@ def _extend(
     groups = []
     for s in range(0, k, per):
         pos, arrays = _copies(ex, w, fv[s:s + per])
-        group_alphas = None if alphas is None else alphas[s:s + per]
-        groups.append((pos, _solves(ex, nl, W0, pos, arrays, group_alphas, opts)))
+        groups.append((pos, _solves(ex, nl, W0, pos, arrays, shifted, opts)))
 
     values: list[dict[int, list[float]]] = [{p: [] for p in at} for _ in range(k)]
     steps: list[list[StepRecord]] = [[] for _ in groups]
@@ -331,7 +330,7 @@ def _solves(
     W0: float,
     pos: np.ndarray,
     arrays: tuple,
-    alphas: tuple[float, ...] | None,
+    shifted: bool,
     opts: SolveOptions | None,
 ):
     """The solves on the union ``arrays`` of k = len(pos) copies of each
@@ -339,32 +338,20 @@ def _solves(
     each ball's solution, its StepRecord and the largest decrease so far,
     and raises SolveError where a solve fails.
 
-    Each ball starts from the last solution, extended by zero.  With
-    ``alphas``, copy c carries alphas[c] * W: each ball after the first
-    may also start from the last solution's ``_shifted_profile``, where
-    the total energy is smaller, and a ball of a radius from which the
-    exhaustion is ``closed`` covers the root's component, so no edge
-    leaves it, A alpha = 0 and u = alpha solves it exactly, with no sweep.
+    Each ball starts from the last solution, extended by zero, or with
+    ``shifted`` from its ``_shifted_profile`` where the total energy is
+    smaller; the largest union is closed where ``ex`` is (see ``_solve``).
     """
     k = len(pos)
-    closed = len(ex.ends) - 1 if alphas is not None and ex.closed else None
-    if closed is not None:
-        exact = np.empty(pos.size)
-        exact[pos] = np.array(alphas)[:, None]
     max_dec, resid, u, last = 0.0, 0.0, np.zeros(0), 0
     for n, (r, size) in enumerate(zip(ex.radii, ex.sizes)):
         if k * size == u.size:
             sweeps = 0  # nested sets of equal size are identical: reuse the solve
-        elif closed is not None and r >= closed:
-            sys_ = _System(*arrays, k * size)
-            max_dec = max(max_dec, float((u - exact[:u.size]).max(initial=0.0)))
-            u = exact[:k * size]
-            sweeps, resid, last = 0, sys_.residual(nl, u)[0], r
         else:
-            sys_ = _System(*arrays, k * size)
+            sys_ = _System(*arrays, k * size, ex.closed)
             start = np.zeros(k * size)  # the last solve, extended by 0
             start[:u.size] = u
-            alt = _shifted_profile(ex.ends, u, last, r) if alphas is not None and u.size else None
+            alt = _shifted_profile(ex.ends, u, last, r) if shifted and u.size else None
             res = _solve(sys_, nl, W0, start, opts, alt)
             if not res.converged:
                 raise SolveError(

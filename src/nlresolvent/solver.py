@@ -21,7 +21,10 @@ solves each ball as a leading block of those arrays (see ``resolvent``);
 ``solve_dirichlet`` assembles U and runs the same core.  The gradient
 of E is 2(A u - m phi(f - W u)) and its Hessian
 2(A + diag(m W phi'(f - W u))) is symmetric positive definite once each
-component of U has an edge leaving U or a vertex where phi' > 0.  Each
+component of U has an edge leaving U or a vertex where phi' > 0.  Where
+no edge leaves U and f/W agrees across each edge in it to rounding,
+f = c W with c constant on each component: u = f/W solves U exactly,
+A u = 0, with no sweep, where E's Hessian is singular if phi'(0) = 0.  Each
 Newton step is solved by Jacobi-preconditioned conjugate gradients
 and damped by a backtracking line search on E (Nocedal & Wright,
 Numerical Optimization, 2006, ch. 3); since E is strictly convex this
@@ -78,7 +81,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import VertexFunction, WeightedGraph, _assemble, _ids, energy
+from .graphs import VertexFunction, WeightedGraph, _assemble, _closed, _ids, energy
 from .nonlinearity import Nonlinearity, RangeError, _array_forms
 
 __all__ = [
@@ -205,7 +208,8 @@ class SolveResult(NamedTuple):
 
     ``sweeps_used`` counts passes over the arrays as ``SolveOptions``
     defines them (conjugate-gradient iterations, and on a forest
-    eliminations, one per Newton step), for every phi.
+    eliminations, one per Newton step), for every phi; it is 0 where a
+    closed set was solved exactly (see the module text).
     ``max_decrease`` is the largest decrease of any vertex value from
     the given start (zero, or the warm start) to the returned solution,
     also where the solve core began from a second start of smaller
@@ -340,11 +344,13 @@ class _System:
     ``forest`` is its ``_forest`` structure, or None.  Where the block is
     the whole of ``order`` (a set ``solve_dirichlet`` assembles, or an
     exhaustion's largest ball), every edge already lies in it, and the
-    edge arrays are kept as they are, with no copy.
+    edge arrays are kept as they are, with no copy.  ``closed``, that no
+    edge leaves ``order``, is kept for the whole block only.
     """
 
-    def __init__(self, order: np.ndarray, rows, cols, b, m, deg, w, f, n: int):
+    def __init__(self, order: np.ndarray, rows, cols, b, m, deg, w, f, n: int, closed=False):
         self.order = order
+        self.closed = closed and n == len(order)
         if n == len(order):
             self.rows, self.cols, self.b = rows, cols, b
         else:
@@ -629,18 +635,24 @@ def _solve(sys_: _System, nl: Nonlinearity, W0: float, u0: np.ndarray,
     """The solve core: Newton on sys_ from u0, or from ``alt`` where its
     energy is smaller, on the gradient of E where phi'(0) is finite and
     on the inverse form where it is not, with the residual at the
-    returned iterate.  ``max_decrease`` is measured from u0 either way."""
+    returned iterate.  ``max_decrease`` is measured from u0 either way.
+    A closed set with data c W takes u = c, with no sweep."""
     opts = opts or SolveOptions()
     with np.errstate(all="ignore"):
-        inverse = not np.isfinite(_array_forms(nl).deriv(np.zeros(1))).all()
-        k_bound = float(np.abs(sys_.f).max()) / W0
-        # clamp into the certified box, where the solution lies
-        u = u0.clip(-k_bound, k_bound)
-        if alt is not None:
-            alt = alt.clip(-k_bound, k_bound)
-        u, sweeps, converged, (resid_inf, _, violations) = _newton(sys_, nl, u, opts, inverse, alt)
+        u = sys_.f / sys_.w if sys_.closed else None
+        if u is not None and (abs(u[sys_.rows] - u[sys_.cols]) <= _NOISE * abs(u[sys_.rows])).all():
+            sweeps, rep = 0, sys_.residual(nl, u)
+            converged = not rep[2]
+        else:
+            inverse = not np.isfinite(_array_forms(nl).deriv(np.zeros(1))).all()
+            k_bound = float(np.abs(sys_.f).max()) / W0
+            # clamp into the certified box, where the solution lies
+            u = u0.clip(-k_bound, k_bound)
+            if alt is not None:
+                alt = alt.clip(-k_bound, k_bound)
+            u, sweeps, converged, rep = _newton(sys_, nl, u, opts, inverse, alt)
         max_dec = max(float((u0 - u).max()), 0.0)
-    return _Solved(u, resid_inf, sweeps, converged, max_dec, violations)
+    return _Solved(u, rep[0], sweeps, converged, max_dec, rep[2])
 
 
 def solve_dirichlet(
@@ -659,17 +671,18 @@ def solve_dirichlet(
     test still failed, or when L u left ran phi at some vertex.  Raises
     ValueError, naming the vertex, when m, deg, W or f is not finite
     there or W falls below W0.  U is materialized, in one ``g.block``
-    call, as a side effect.
+    call, as a side effect; that block also tells whether U is closed,
+    no edge leaving it, so that data c W take u = c with no sweep.
     """
     order = list(dict.fromkeys(U))
     if not order:
         return SolveResult(u=VertexFunction.zero(), residual_inf=0.0, sweeps_used=0,
                            converged=True)
     xs = _ids(order)
-    rows, cols, b, m, deg = _assemble(xs, g.block(xs))
+    arrays = rows, cols, b, m, deg = _assemble(xs, blk := g.block(xs))
     w, fv = _sample(g, W.fn, xs, m, deg), _sample(g, f, xs, m, deg)
     _check(xs, m, deg, w, fv, W.W0)
-    sys_ = _System(xs, rows, cols, b, m, deg, w, fv, len(order))
+    sys_ = _System(xs, rows, cols, b, m, deg, w, fv, len(order), _closed(blk[2], arrays))
     u0 = np.array([0.0 if start is None else start(x) for x in order], dtype=float)
     res = _solve(sys_, nl, W.W0, u0, opts)
     return SolveResult(VertexFunction(dict(zip(order, res.u.tolist()))), *res[1:])

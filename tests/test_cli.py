@@ -73,9 +73,10 @@ def test_validate_rejects_asymmetric_file(tmp_path, capsys):
 
 
 def test_solve_starved_of_sweeps_exits_3_with_artifacts(tmp_path, capsys):
+    # delta data: const data on all of CYCLIC, a closed set, take no sweep
     out_dir = tmp_path / "run"
     code, _, err = run_cli(capsys, "solve", "--graph", CYCLIC,
-                           "--f", "const:1", "--U", "all",
+                           "--f", "delta:0", "--U", "all",
                            "--max-sweeps", "3", "--out", str(out_dir))
     assert code == 3
     assert "did not converge" in err
@@ -353,6 +354,46 @@ def test_classify_solves_a_ball_that_covers_its_component_exactly(tmp_path, caps
     with open(tmp_path / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["value"], r["sweeps"]) for r in rows if r["probe_id"] == "0"] == [("0", "0")] * 3
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "--graph", "star:8", "--f", "const:2", "--U", "all"),
+    ("resolve", "--graph", "random-sparse:n=3000,density=0.002,seed=0", "--f", "const:1",
+     "--radii", "2,4,8"),
+    ("resolve", "--graph", "finite-path:5", "--f", "const:1", "--radii", "2,5"),
+], ids=["solve-star", "resolve-random-sparse", "resolve-path"])
+def test_a_closed_set_with_data_c_w_takes_u_c_with_no_sweep(tmp_path, capsys, args):
+    # the last set covers its component and f = c W there: u = c, where
+    # Newton on t^3 stalls (phi'(0) = 0) and exhausts the capped budget
+    code, _, _ = run_cli(capsys, *args, "--phi", "power:3", "--max-sweeps", "100",
+                         "--out", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    c = args[args.index("--f") + 1].split(":")[1]
+    last = [r for r in rows if r["n"] == rows[-1]["n"]]
+    assert {(r["value"], r["sweeps"]) for r in last} == {(c, "0")}
+    result = json.loads((tmp_path / "result.json").read_text())
+    # a closed exhaustion's last solve is the limit: resolve tags it converged
+    assert result.get("all_converged", result.get("converged")) is True
+
+
+@pytest.mark.parametrize("args", [
+    ("--graph", "finite-path:5", "--phi", "power:3", "--radii", "2,5", "--alpha", "1"),
+    ("--graph", "complete:6", "--phi", "power:3", "--radii", "1,2"),
+    ("--graph", "finite-path:30", "--phi", "power:3", "--radii", "5,10,20,40"),
+    ("--graph", "random-sparse:n=200,density=0.02,seed=1", "--phi", "identity",
+     "--radii", "1,2,3,4"),
+], ids=["path-5", "complete-6", "path-30", "random-sparse"])
+def test_a_closed_exhaustion_decides_with_no_stabilization_test(tmp_path, capsys, args):
+    # the last ball is the root's component, so its defects are exact: the
+    # verdict needs no two steps that agree, and here none do
+    code, out, _ = run_cli(capsys, "classify", *args, "--out", str(tmp_path))
+    assert code == 0
+    assert out.startswith("verdict: complete-at-infinity\n")
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert all(d == 0.0 for per in doc["defect"].values() for d in per.values())
+    assert max(e for per in doc["stabilization"].values() for e in per.values()) > 1e-6
 
 
 def test_classify_starts_each_lattice_ball_from_the_shifted_profile(tmp_path, capsys):

@@ -10,6 +10,7 @@ from nlresolvent import (
     CLASSIFY_CSV_HEADER,
     CSV_HEADER,
     DEFAULT_ALPHA_GRID,
+    DefectEstimate,
     Potential,
     RangeError,
     SolveError,
@@ -183,6 +184,29 @@ def test_classify_partial_keeps_every_alpha_for_the_completed_balls(cyclic, unit
     assert [est.alpha for est in info.value.partial.estimates] == list(grid)
     assert info.value.partial.csv_rows() == cut.csv_rows()
     assert not hasattr(info.value.partial, "verdict")
+
+
+def test_conservation_defect_partial_is_the_estimate_of_the_completed_steps(
+        cyclic, unit_potential):
+    # the budget is what step 0 (radius 1) needs, and step 1 (radius 3, 50 of
+    # the 60 vertices) needs more: the partial is the DefectEstimate of
+    # step 0, that of a run that stops at radius 1
+    nl, probes = odd_log(), (0, 10)
+    ex = make_exhaustion(cyclic, 0, [1, 3])
+    need = [st.sweeps for st in
+            conservation_defect(cyclic, unit_potential, nl, 2.0, ex, probes=probes).resolvent.steps]
+    assert need[1] > need[0]
+    opts = SolveOptions(max_sweeps=need[0])
+    with pytest.raises(SolveError) as info:
+        conservation_defect(cyclic, unit_potential, nl, 2.0, ex, probes=probes, opts=opts)
+    cut = conservation_defect(cyclic, unit_potential, nl, 2.0, make_exhaustion(cyclic, 0, [1]),
+                              probes=probes, opts=opts)
+    part = info.value.partial
+    assert isinstance(part, DefectEstimate)
+    assert part._replace(resolvent=None) == cut._replace(resolvent=None)
+    assert part.resolvent.steps == cut.resolvent.steps
+    assert part.resolvent.u.tobytes() == cut.resolvent.u.tobytes()
+    assert part.csv_rows() == cut.csv_rows()
 
 
 def test_thresholds_validation():
@@ -505,12 +529,14 @@ def test_a_ball_that_covers_its_component_is_solved_exactly(cyclic, unit_potenti
         w = np.ones(60)
         sys_ = _System(ex.order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, alpha * w, 60)
         assert last.residual_inf == sys_.residual(nl, est.resolvent.u)[0]
-    # from the first ball on, and only in the defect: resolve keeps Newton
+    # from the first ball on, in the defect and in resolve alike: the rule
+    # lives in the solve core, and reads only the data f = 1 W
     ex = make_exhaustion(cyclic, 0, [4, 5])
     est = conservation_defect(cyclic, unit_potential, ID, 1.0, ex, probes=(0,))
     assert [st.sweeps for st in est.resolvent.steps] == [0, 0]
     res = extended_resolvent(cyclic, unit_potential, ID, lambda x: 1.0, ex, probes=(0,))
-    assert res.steps[0].sweeps > 0
+    assert [st.sweeps for st in res.steps] == [0, 0]
+    assert (res.u == 1.0).all()
 
 
 def test_a_ball_that_saturates_at_the_largest_radius_is_solved_exactly(cyclic, unit_potential):

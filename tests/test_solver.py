@@ -24,6 +24,7 @@ from nlresolvent import (
     energy_functional,
     extended_resolvent,
     finite_path,
+    generate,
     identity,
     lattice_z,
     make_exhaustion,
@@ -68,6 +69,27 @@ def test_isolated_vertex_is_f_over_w():
         res = solve_dirichlet(g, Potential.constant(2.0), nl, VertexFunction({7: 3.0}), [7])
         assert res.converged
         assert res.u(7) == pytest.approx(1.5, abs=1e-10)
+
+
+def test_a_closed_set_with_data_c_w_is_solved_exactly():
+    # no edge leaves all of star:8, and f = 2 W: u = 2 solves it with no
+    # sweep, where Newton on t^3 meets a singular Hessian, phi'(0) = 0, and
+    # ran out of 100,000 sweeps; the cap fails the Newton run fast
+    g, W = generate("star:8"), Potential.constant(0.5)
+    res = solve_dirichlet(g, W, odd_power(3.0), lambda x: 1.0, range(9),
+                          opts=SolveOptions(max_sweeps=50))
+    assert res.converged and res.sweeps_used == 0 and res.residual_inf == 0.0
+    assert res.u.as_dict() == dict.fromkeys(range(9), 2.0)
+
+
+def test_each_closed_component_takes_its_own_constant(unit_potential):
+    # two components, both closed in U: f / W is constant along each edge,
+    # not on U, and each component takes its constant
+    g = ExplicitGraph.from_edges([(0, 1, 1.0), (2, 3, 2.0), (3, 4, 1.0)])
+    f = VertexFunction({0: 3.0, 1: 3.0, 2: -1.5, 3: -1.5, 4: -1.5})
+    res = solve_dirichlet(g, unit_potential, odd_power(3.0), f, range(5))
+    assert res.converged and res.sweeps_used == 0
+    assert res.u.as_dict() == f.as_dict()
 
 
 def test_zero_data_gives_zero(path3, unit_potential):
@@ -466,6 +488,20 @@ def test_pcg_stops_at_the_forcing_tolerance(seed):
     assert np.max(np.abs(x - exact)) <= 1e-10 * np.max(np.abs(exact))
     _, its, _ = solver._pcg(sys_, c, rhs, 7, 0.0)
     assert its == 7
+
+
+def test_pcg_stops_where_the_direction_has_no_curvature():
+    # on a closed component with c = 0 and rhs = deg, the first direction is
+    # p = deg / deg = 1, in the null space of A: p.Ap = 0, and CG must stop
+    # at x = 0 before it divides by it
+    ex = make_exhaustion(generate("complete:6"), 0, [1])
+    n = len(ex.order)
+    ones = np.ones(n)
+    sys_ = solver._System(ex.order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, ones, ones, n)
+    assert ex.closed and not sys_.apply(ones).any()
+    x, its, r = solver._pcg(sys_, np.zeros(n), ex.deg.copy(), 100, 0.0)
+    assert its == 0 and not x.any()
+    assert np.isfinite(r).all() and np.array_equal(r, ex.deg)
 
 
 @pytest.fixture
