@@ -2,8 +2,10 @@
 
 A graph with potential W and nonlinearity phi conserves at infinity
 when the resolvent of alpha*W equals alpha for every alpha > 0.  The
-classifier estimates the defect alpha - R(alpha*W) at probe vertices
-along an exhaustion and turns the numbers into a verdict.  Because the
+classifier, ``classify``, estimates the defect alpha - R(alpha*W) at
+probe vertices along an exhaustion, for a whole alpha grid in one pass
+(one alpha is a grid of one), and turns the numbers into a verdict,
+once they pass their bounds and monotonicity certificates.  Because the
 truncated resolvent sits below the true one, the computed defect sits
 above the true defect: small defects certify completeness robustly,
 while a large defect supports an incompleteness verdict only once the
@@ -45,7 +47,6 @@ __all__ = [
     "ClassificationReport",
     "PathCriterionReport",
     "default_probes",
-    "conservation_defect",
     "classify",
     "path_criterion",
     "large_potential",
@@ -109,7 +110,8 @@ class DefectEstimate(NamedTuple):
     alpha in front, so they are the negatives of the resolvent value
     increments and ``stabilization_error`` is the resolvent's.
     bounds_ok certifies 0 <= defect <= alpha and monotone_ok certifies
-    non-increase, both up to 1e-9 slack.
+    non-increase, both up to 1e-9 slack; ``classify`` gives a verdict
+    other than inconclusive only where both hold for every alpha.
     """
 
     alpha: float
@@ -145,69 +147,17 @@ def default_probes(ex: Exhaustion, seed: int = 0) -> tuple[int, ...]:
     return (ex.root, *sorted(picked))
 
 
-def conservation_defect(
-    g: WeightedGraph,
-    W: Potential,
-    nl: Nonlinearity,
-    alpha: float,
-    ex: Exhaustion,
-    probes: Iterable[int] | None = None,
-    opts: SolveOptions | None = None,
-) -> DefectEstimate:
-    """Defect sequences d_n = alpha - R_n(alpha*W) at the probes.
-
-    Needs a finite alpha >= 0 (ValueError otherwise) and W bounded on
-    the materialized sets (the data alpha*W is sampled there).  Solver
-    non-convergence propagates from the resolvent, its ``partial``
-    turned into the DefectEstimate of the completed steps; the values
-    of an unconverged solve would certify nothing.
-    """
-    alpha = _alpha(alpha)
-    w = _sample(g, W.fn, ex.order, ex.m, ex.deg)
-    try:
-        return _defects((alpha,), ex, nl, W.W0, w, _probe_index(ex, probes), opts)[0]
-    except SolveError as exc:
-        if exc.partial is not None:
-            exc.partial = exc.partial[0]
-        raise
-
-
-def _alpha(alpha: float) -> float:
-    """alpha as a float; ValueError unless it is finite and >= 0."""
-    alpha = float(alpha)
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    return alpha
-
-
 def _alpha_grid(alpha_grid: Iterable[float] | None) -> tuple[float, ...]:
-    """The alpha grid as floats (the default one for None); ValueError
-    unless it is non-empty, positive and finite."""
-    grid = tuple(float(a) for a in (DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid))
+    """The distinct alphas of the grid as floats, in first-seen order (the
+    default grid for None); ValueError unless it is non-empty, positive
+    and finite."""
+    grid = tuple(dict.fromkeys(
+        float(a) for a in (DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid)))
     if not grid:
         raise ValueError("alpha grid must be non-empty")
     if not all(0.0 < a < math.inf for a in grid):
         raise ValueError(f"alpha grid must be positive and finite, got {grid}")
     return grid
-
-
-def _defects(grid: tuple[float, ...], ex: Exhaustion, nl: Nonlinearity, W0: float,
-             w: np.ndarray, at: dict[int, int],
-             opts: SolveOptions | None) -> tuple[DefectEstimate, ...]:
-    """conservation_defect for each alpha of ``grid``, in one solve of the
-    grid (see ``resolvent._extend``), with W already sampled on
-    ``ex.order``: the data alpha*W are ``alpha * w``, which is bitwise
-    alpha * W(x).  A SolveError's ``partial`` holds every alpha's
-    estimate over the balls before the failing one."""
-    with np.errstate(all="ignore"):
-        fv = np.multiply.outer(grid, w)
-    try:
-        ests = _extend(ex, nl, W0, w, fv, at, opts, shifted=True)
-    except SolveError as exc:
-        if exc.partial is not None:
-            exc.partial = tuple(map(_defect_estimate, grid, exc.partial))
-        raise
-    return tuple(map(_defect_estimate, grid, ests))
 
 
 def _defect_estimate(alpha: float, est: ResolventEstimate) -> DefectEstimate:
@@ -244,9 +194,10 @@ class _DefectRows(NamedTuple):
 
 
 class ClassificationReport(NamedTuple):
-    """A verdict and its evidence.  ``reason`` says why an incomplete
-    verdict was withheld by the doubling check, and is empty otherwise;
-    the CLI prints it, and ``to_json_doc`` leaves it out."""
+    """A verdict and its evidence.  ``reason`` says which alpha failed a
+    certificate of its defects, or why an incomplete verdict was withheld
+    by the doubling check, and is empty otherwise; the CLI prints it, and
+    ``to_json_doc`` leaves it out."""
 
     verdict: str
     alpha_grid: tuple[float, ...]
@@ -293,9 +244,13 @@ def classify(
     thresholds: Thresholds | None = None,
     opts: SolveOptions | None = None,
 ) -> ClassificationReport:
-    """Run the defect over an alpha grid and issue a verdict.
+    """The defect sequences d_n = alpha - R_n(alpha*W) at the probes for
+    each alpha of the grid, and a verdict on them.
 
-    Complete-at-infinity requires every (alpha, probe) defect to be
+    Each alpha is taken once.  A failed bounds or monotonicity
+    certificate of some alpha's defects (``DefectEstimate``) makes the
+    verdict inconclusive, its ``reason`` naming the alpha.  Otherwise
+    complete-at-infinity requires every (alpha, probe) defect to be
     below complete_tol and stabilized, or the exhaustion ``closed``, its
     last ball the root's whole component, where the defects are exact;
     incomplete-at-infinity requires some stabilized defect at or above
@@ -307,7 +262,7 @@ def classify(
     row's sweeps and residual are its group's joint solve's, the residual
     bounding each alpha's own, the start is chosen by the group's total
     energy, and ``max_sweeps`` caps each joint solve; the defects agree
-    with per-alpha ``conservation_defect`` runs to within the residual test.
+    with one one-alpha ``classify`` per alpha to within the residual test.
 
     W is sampled once, on the exhaustion's largest ball, for the whole
     grid.  A failed solve raises SolveError whose ``partial`` holds every
@@ -319,13 +274,15 @@ def classify(
     th = thresholds or Thresholds()
     at = _probe_index(ex, tuple(probes) if probes is not None else default_probes(ex))
     w = _sample(g, W.fn, ex.order, ex.m, ex.deg)
+    with np.errstate(all="ignore"):
+        fv = np.multiply.outer(grid, w)  # bitwise alpha * W(x)
     try:
-        ests = _defects(grid, ex, nl, W.W0, w, at, opts)
+        ests = _extend(ex, nl, W.W0, w, fv, at, opts, shifted=True)
     except SolveError as exc:
         if exc.partial is not None:
-            exc.partial = _DefectRows(exc.partial)
+            exc.partial = _DefectRows(tuple(map(_defect_estimate, grid, exc.partial)))
         raise
-    return _report(ex, grid, th, ests)
+    return _report(ex, grid, th, tuple(map(_defect_estimate, grid, ests)))
 
 
 def _report(ex: Exhaustion, grid: tuple[float, ...], th: Thresholds,
@@ -347,8 +304,15 @@ def _report(ex: Exhaustion, grid: tuple[float, ...], th: Thresholds,
     half = max((k for k, r in enumerate(ex.radii) if 2 * r <= R), default=None)
     positive = [(est, p) for est in ests for p in est.probes
                 if stable(est, p) and est.final[p] >= th.incomplete_floor]
+    broken = [(est.alpha, name) for est in ests
+              for name, ok in (("bounds", est.bounds_ok), ("monotonicity", est.monotone_ok))
+              if not ok]
     reason = ""
-    if all(
+    if broken:
+        verdict = VERDICT_INCONCLUSIVE
+        a, name = broken[0]
+        reason = f"the defect at alpha = {a} fails its {name} certificate"
+    elif all(
         (ex.closed or stable(est, p)) and est.final[p] <= th.complete_tol
         for est in ests
         for p in est.probes

@@ -201,7 +201,8 @@ class ExplicitGraph(WeightedGraph):
         """Build a graph from undirected edge triples (u, v, b).
 
         Each triple is stored in both directions, so the result is
-        symmetric by construction.  Vertices not mentioned in
+        symmetric by construction; a self-loop, or a weight that is not
+        finite or is negative, raises GraphError.  Vertices not mentioned in
         ``measures`` get measure 1; ``vertices`` may add isolated ones.
         """
         adj: dict[int, dict[int, float]] = {}
@@ -210,6 +211,8 @@ class ExplicitGraph(WeightedGraph):
             u, v, w = int(u), int(v), float(w)
             if u == v:
                 raise GraphError(f"self-loop at {u} (diagonal must be zero)")
+            if not math.isfinite(w):
+                raise GraphError(f"weight b({u},{v}) = {w} is not finite")
             if w < 0:
                 raise GraphError(f"negative weight b({u},{v}) = {w}")
             seen.add(u)
@@ -260,7 +263,7 @@ class ProceduralGraph(WeightedGraph):
     default).
 
     Every row is read through :meth:`block`, which checks it (no
-    self-loop, no negative weight) and keeps nothing: a scalar
+    self-loop, every weight finite and >= 0) and keeps nothing: a scalar
     ``neighbors``, ``measure`` or ``degree`` costs one block call.  The
     rule must be symmetric; :func:`validate` can spot-check that on any
     probe set.
@@ -300,12 +303,15 @@ class ProceduralGraph(WeightedGraph):
         xs = _ids(xs)
         src, ys, ws = self._rule(xs)
         bad = ys == xs[src]
-        bad |= ws < 0
+        bad |= ~(ws >= 0.0)  # negative or NaN
+        bad |= ws == np.inf
         if bad.any():
             e = np.flatnonzero(bad)[0]
             x, y, w = int(xs[src[e]]), int(ys[e]), float(ws[e])
             if y == x:
                 raise GraphError(f"neighbor rule produced a self-loop at {x}")
+            if not math.isfinite(w):
+                raise GraphError(f"neighbor rule produced b({x},{y}) = {w}, which is not finite")
             raise GraphError(f"neighbor rule produced b({x},{y}) = {w} < 0")
         deg = _row_sums(src, ws, np.bincount(src, minlength=xs.size))
         if self._m_rule is None:

@@ -15,8 +15,8 @@ solves a leading block of them, warm-started from the previous solution
 extended by zero.  For f >= 0 that extension lies below the new
 solution, so the solver's ``max_decrease``, always measured from it,
 certifies the monotonicity vertex by vertex.  The conservation defect
-(``completeness``) also offers each step after the first the previous
-solution's boundary profile moved out to the new boundary
+(``completeness.classify``) also offers each step after the first the
+previous solution's boundary profile moved out to the new boundary
 (``_shifted_profile``), and the solve starts from whichever of the two
 has the smaller energy: near the boundary the solution follows one
 profile in the distance to it, which the extension by zero solves again
@@ -26,8 +26,10 @@ solves as u = c with no sweep where f = c W, in classify and resolve alike.
 
 The defect's alpha grid is solved in one pass over the balls: each ball
 once, on the disjoint union of one copy of it per alpha, listed layer by
-layer (``_copies``), so that one Newton solve with one set of numpy calls
-serves every alpha; large balls take the alphas in groups (``_UNION``).
+layer, so that one Newton solve with one set of numpy calls serves every
+alpha; large balls take the alphas in groups (``_UNION``).  The union's
+layout is one array, ``pos``, the places of each copy's vertices, from
+one stable sort (``_copies``); every reader of the union goes through it.
 """
 
 from __future__ import annotations
@@ -351,7 +353,7 @@ def _solves(
             sys_ = _System(*arrays, k * size, ex.closed)
             start = np.zeros(k * size)  # the last solve, extended by 0
             start[:u.size] = u
-            alt = _shifted_profile(ex.ends, u, last, r) if shifted and u.size else None
+            alt = _shifted_profile(ex.ends, pos, u, last, r) if shifted and u.size else None
             res = _solve(sys_, nl, W0, start, opts, alt)
             if not res.converged:
                 raise SolveError(
@@ -370,43 +372,36 @@ def _copies(ex: Exhaustion, w: np.ndarray, fv: np.ndarray):
     order to f on the union, edges in the order ``_assemble`` gives.
 
     The union lists the copies layer by layer: layer l of copy 0, then of
-    copy 1, and so on.  So the union of k copies of each ball is a leading
-    block of it, as ``_System`` takes it, and the parents of a forest stay
-    non-decreasing, with layers k times as wide.  For k = 1 the union is
-    the ball, and its arrays are passed through with no copy.
+    copy 1, and so on, each in ball order, which one stable sort on the
+    key (layer, copy) gives.  So the union of k copies of each ball is a
+    leading block of it, as ``_System`` takes it, and the parents of a
+    forest stay non-decreasing, with layers k times as wide.  The copies'
+    edges follow their rows' places, and a stable sort keeps each row's
+    entries in neighbor order.  For k = 1 the union is the ball, and its
+    arrays are passed through with no copy.
     """
     k, n = fv.shape
     if k == 1:
         return np.arange(n)[None], (ex.order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, fv[0])
-    ends = np.array(ex.ends)
-    counts = np.diff(ends, prepend=0)
-    # vertex i of a layer that starts at s and holds w vertices goes to
-    # i + (k - 1) s in copy 0, and w further on in each next copy
-    pos = (np.arange(n) + np.repeat((k - 1) * (ends - counts), counts)
-           + np.arange(k)[:, None] * np.repeat(counts, counts))
-    at, off = _interleave(ends, k, n)
-    e_at, e_off = _interleave(ex.rows.searchsorted(ends), k, n)
-    spots = pos.ravel()
-    return pos, (ex.order[at], spots[e_off + ex.rows[e_at]], spots[e_off + ex.cols[e_at]],
-                 ex.b[e_at], ex.m[at], ex.deg[at], w[at], fv.ravel()[off + at])
+    layer = np.repeat(np.arange(len(ex.ends)), np.diff(ex.ends, prepend=0))
+    # place p of the union holds entry at[p] = c n + i of the copies: vertex i of copy c
+    at = np.argsort(k * layer + np.arange(k)[:, None], axis=None, kind="stable")
+    pos = np.empty(k * n, dtype=np.int64)
+    pos[at] = np.arange(k * n)
+    pos = pos.reshape(k, n)
+    rows = pos[:, ex.rows].ravel()
+    e = np.argsort(rows, kind="stable")
+    i = at % n
+    return pos, (ex.order[i], rows[e], pos[:, ex.cols].ravel()[e], np.tile(ex.b, k)[e],
+                 ex.m[i], ex.deg[i], w[i], fv.ravel()[at])
 
 
-def _interleave(ends: np.ndarray, k: int, n: int):
-    """``at, off`` for k copies of a sequence cut into consecutive layers
-    with these ends, listed layer by layer and in each layer copy by
-    copy: each place's index in the sequence, and c n for its copy c."""
-    counts = np.diff(ends, prepend=0)
-    runs = np.repeat(counts, k)  # layer l of copy c is run l k + c
-    first = np.cumsum(runs) - runs
-    at = np.arange(k * ends[-1]) + np.repeat(np.repeat(ends - counts, k) - first, runs)
-    return at, np.repeat(np.tile(np.arange(0, k * n, n), counts.size), runs)
-
-
-def _shifted_profile(ends: tuple[int, ...], u: np.ndarray, r_old: int, r_new: int) -> np.ndarray:
+def _shifted_profile(ends: tuple[int, ...], pos: np.ndarray, u: np.ndarray,
+                     r_old: int, r_new: int) -> np.ndarray:
     """The solution u on the ball of radius ``r_old``, averaged over its
     breadth-first layers and moved out to the ball of radius ``r_new``,
-    copy by copy where u lives on the union of k copies of the ball, k
-    the ratio of their sizes, laid out as ``_copies`` lays them out.
+    copy by copy where u lives on the union of k = len(pos) copies of the
+    ball at the positions ``pos`` (see ``_copies``).
 
     ``ends`` are the exhaustion's layer ends.  The mean of u over layer
     l, at distance r_old - l from the old boundary, goes to every vertex
@@ -415,14 +410,14 @@ def _shifted_profile(ends: tuple[int, ...], u: np.ndarray, r_old: int, r_new: in
     new ball that saturates before ``r_new`` keeps its layers where they
     are, so it reads the root's value farther out."""
     old = np.array(ends[:r_old + 1])
-    k = u.size // old[-1]
     counts = np.diff(old, prepend=0)
-    # each copy's layer in u: layer by layer, and copy by copy in each
-    first = k * (old - counts)[:, None] + np.arange(k) * counts[:, None]
-    means = (np.add.reduceat(u, first.ravel()) / np.repeat(counts, k)).reshape(-1, k)
+    means = np.add.reduceat(u[pos[:, :old[-1]]], old - counts, axis=1) / counts
     sizes = np.diff(ends[:r_new + 1], prepend=0)
-    moved = means[np.maximum(np.arange(sizes.size) - (r_new - r_old), 0)]
-    return np.repeat(moved.ravel(), np.repeat(sizes, k))
+    moved = means[:, np.maximum(np.arange(sizes.size) - (r_new - r_old), 0)]
+    at = pos[:, :sizes.sum()]
+    out = np.empty(at.size)
+    out[at] = np.repeat(moved, sizes, axis=1)
+    return out
 
 
 def _estimate(

@@ -18,7 +18,6 @@ from nlresolvent import (
     bounded_atan,
     brute_force_minimizer,
     classify,
-    conservation_defect,
     energy,
     energy_functional,
     generate,
@@ -245,8 +244,8 @@ def test_criterion_5_incomplete_case_with_golden_value():
     g = _chain4()
     W = Potential.constant(1.0)
     ex = make_exhaustion(g, 0, golden["radii"])
-    est = conservation_defect(g, W, identity(), golden["alpha"], ex,
-                              probes=(golden["probe"],))
+    est = classify(g, W, identity(), ex, alpha_grid=[golden["alpha"]],
+                   probes=(golden["probe"],)).estimates[0]
     d = est.final[golden["probe"]]
     stab = est.stabilization_error(golden["probe"])
 
@@ -304,7 +303,7 @@ def test_criterion_7_structural_invariants():
     W = Potential.constant(1.0)
     ex = make_exhaustion(g, 0, [4, 8, 16])
     for alpha in (0.5, 2.0):
-        est = conservation_defect(g, W, identity(), alpha, ex, probes=(0, 1))
+        est = classify(g, W, identity(), ex, alpha_grid=[alpha], probes=(0, 1)).estimates[0]
         if not est.bounds_ok:
             failures.append(f"defect bounds violated at alpha={alpha}")
         if not est.monotone_ok:

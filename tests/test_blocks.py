@@ -73,6 +73,8 @@ class RuleGraph(WeightedGraph):
         for y, w in nbrs:
             if y == x:
                 raise GraphError(f"neighbor rule produced a self-loop at {x}")
+            if not math.isfinite(w):
+                raise GraphError(f"neighbor rule produced b({x},{y}) = {w}, which is not finite")
             if w < 0:
                 raise GraphError(f"neighbor rule produced b({x},{y}) = {w} < 0")
         self._m[x] = 1.0 if self._m_rule is None else float(self._m_rule(x))
@@ -294,6 +296,11 @@ def negative_at_5(x):
     return tuple((y, -0.5 if {x, y} == {5, 6} else 1.0) for y, _ in lattice_rule(x))
 
 
+def weight_at_5(w):
+    # lattice-z with b(5, 6) = w
+    return lambda x: tuple((y, w if {x, y} == {5, 6} else 1.0) for y, _ in lattice_rule(x))
+
+
 # name -> (array-path graph, reference graph, root, radii, max_vertices)
 FAULTS = {
     "self-loop": (lambda: ProceduralGraph(0, block_rule=as_block_rule(self_loop_at_7)),
@@ -307,6 +314,10 @@ FAULTS = {
         lambda: RuleGraph(0, self_loop_at_7), 0, (3, 7), None),
     "negative-weight": (lambda: ProceduralGraph(0, block_rule=as_block_rule(negative_at_5)),
                         lambda: RuleGraph(0, negative_at_5), 0, (1, 4, 9), None),
+    "nan-weight": (lambda: ProceduralGraph(0, block_rule=as_block_rule(weight_at_5(math.nan))),
+                   lambda: RuleGraph(0, weight_at_5(math.nan)), 0, (1, 4, 9), None),
+    "inf-weight": (lambda: ProceduralGraph(0, block_rule=as_block_rule(weight_at_5(math.inf))),
+                   lambda: RuleGraph(0, weight_at_5(math.inf)), 0, (1, 4, 9), None),
     "negative-tree-id": (lambda: symmetric_tree(2),
                          lambda: RuleGraph(0, tree_rule(2)), -3, (0, 2), None),
     "negative-chain-id": (lambda: birth_death(chain15),
@@ -436,6 +447,10 @@ def degree_bits(row):
 def test_block_degree_is_fsum_bit_for_bit(weights, xs):
     rule = weighted_rule(weights)
     g = ProceduralGraph(0, block_rule=as_block_rule(rule))
+    if not all(math.isfinite(w) for x in xs for _, w in rule(x)):
+        with pytest.raises(GraphError, match="which is not finite"):
+            g.block(np.array(xs, dtype=np.int64))
+        return
     want = [degree_bits([w for _, w in rule(x)]) for x in xs]
     deg = g.block(np.array(xs, dtype=np.int64))[4]
     assert [struct.pack("<d", d) for d in deg] == want

@@ -335,6 +335,21 @@ def test_alpha_grid_error_is_the_library_error(capsys):
     assert err == f"error: {lib.value}\n"
 
 
+def test_classify_solves_a_repeated_alpha_once(tmp_path, capsys):
+    # alpha 1 is given twice: one solve and one set of trace rows for it,
+    # and the trace, the grid and the defect map list the same alphas
+    code, _, _ = run_cli(capsys, "classify", "--graph", "birth-death:4", "--radii", "5,10",
+                         "--alpha", "1,1,2", "--probes", "root", "--out", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 2  # 2 alphas, 2 radii, 1 probe
+    assert [r["alpha"] for r in rows] == ["1", "1", "2", "2"]
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["alpha"] == [1.0, 2.0]
+    assert list(doc["defect"]) == [repr(a) for a in doc["alpha"]]
+
+
 def test_classify_inconclusive_is_a_result_not_an_error(capsys):
     # two steps only: the stabilization window cannot clear 1e-6 yet
     code, out, _ = run_cli(capsys, "classify", "--graph", "birth-death:4",

@@ -24,7 +24,6 @@ from nlresolvent import (
     bounded_atan,
     classify,
     complete_graph,
-    conservation_defect,
     default_probes,
     extended_resolvent,
     generate,
@@ -56,39 +55,30 @@ def chain_ex(chain4):
 # --- conservation defect -----------------------------------------------------
 
 
-def test_alpha_zero_gives_zero_defect(chain4, unit_potential):
-    ex = make_exhaustion(chain4, 0, [3, 6])
-    est = conservation_defect(chain4, unit_potential, ID, 0.0, ex)
-    assert est.final[0] == 0.0
-    assert est.bounds_ok and est.monotone_ok
-
-
 def test_negative_alpha_rejected(chain4, unit_potential):
     ex = make_exhaustion(chain4, 0, [3, 6])
-    with pytest.raises(ValueError):
-        conservation_defect(chain4, unit_potential, ID, -1.0, ex)
+    with pytest.raises(ValueError, match="alpha grid must be positive"):
+        classify(chain4, unit_potential, ID, ex, alpha_grid=[-1.0], probes=[0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_alpha_rejected(chain4, unit_potential, bad):
     # alpha*W would reach the solver as non-finite data, blamed on f
     ex = make_exhaustion(chain4, 0, [3, 6])
-    with pytest.raises(ValueError, match="alpha must be finite"):
-        conservation_defect(chain4, unit_potential, ID, bad, ex)
     with pytest.raises(ValueError, match="alpha grid"):
         classify(chain4, unit_potential, ID, ex, alpha_grid=(1.0, bad), probes=(0,))
 
 
 def test_lattice_defect_vanishes(lattice, unit_potential):
     ex = make_exhaustion(lattice, 0, [5, 10, 20, 40, 80])
-    est = conservation_defect(lattice, unit_potential, ID, 1.0, ex)
+    est = classify(lattice, unit_potential, ID, ex, alpha_grid=[1.0], probes=[0]).estimates[0]
     assert est.bounds_ok and est.monotone_ok
     assert abs(est.final[0]) <= 1e-8
     assert est.stabilization_error(0) <= 1e-8
 
 
 def test_chain_defect_frozen_value(chain4, unit_potential, chain_ex):
-    est = conservation_defect(chain4, unit_potential, ID, 1.0, chain_ex)
+    est = classify(chain4, unit_potential, ID, chain_ex, alpha_grid=[1.0], probes=[0]).estimates[0]
     assert est.bounds_ok and est.monotone_ok
     assert est.final[0] == pytest.approx(CHAIN_DEFECT, abs=1e-12)
     assert est.stabilization_error(0) <= 1e-6
@@ -101,14 +91,14 @@ def test_chain_defect_matches_linear_oracle(chain4, unit_potential, chain_ex):
 
     f = VertexFunction({x: 1.0 for x in U})
     exact = linear_oracle(chain4, unit_potential, f, U, cap=5000)
-    est = conservation_defect(chain4, unit_potential, ID, 1.0, chain_ex)
+    est = classify(chain4, unit_potential, ID, chain_ex, alpha_grid=[1.0], probes=[0]).estimates[0]
     assert est.final[0] == pytest.approx(1.0 - exact(0), abs=1e-9)
 
 
 def test_defect_is_alpha_minus_value(chain4, unit_potential):
     ex = make_exhaustion(chain4, 0, [4, 8])
     alpha = 2.0
-    est = conservation_defect(chain4, unit_potential, ID, alpha, ex)
+    est = classify(chain4, unit_potential, ID, ex, alpha_grid=[alpha], probes=[0]).estimates[0]
     vals = est.resolvent.values[0]
     for d, v in zip(est.defects[0], vals):
         assert d == pytest.approx(alpha - v, abs=1e-15)
@@ -159,6 +149,20 @@ def test_short_schedule_is_inconclusive(lattice, unit_potential):
     assert rep.verdict == VERDICT_INCONCLUSIVE
 
 
+@pytest.mark.parametrize("field, certificate", [("bounds_ok", "bounds"),
+                                                ("monotone_ok", "monotonicity")])
+def test_a_failed_certificate_makes_the_verdict_inconclusive(chain4, unit_potential, chain_ex,
+                                                             field, certificate):
+    # the chain's defects are certified and stabilized: incomplete, until a
+    # hand-made estimate of alpha = 1 fails one of its certificates
+    rep = classify(chain4, unit_potential, ID, chain_ex, alpha_grid=(0.25, 1.0), probes=(0,))
+    assert (rep.verdict, rep.reason) == (VERDICT_INCOMPLETE, "")
+    ests = (rep.estimates[0], rep.estimates[1]._replace(**{field: False}))
+    got = _report(chain_ex, rep.alpha_grid, rep.thresholds, ests)
+    assert got.verdict == VERDICT_INCONCLUSIVE
+    assert got.reason == f"the defect at alpha = 1.0 fails its {certificate} certificate"
+
+
 def test_classify_propagates_solve_error(chain4, unit_potential, chain_ex):
     # phi = t^3 needs more than one Newton step, each one sweep on the chain
     with pytest.raises(SolveError):
@@ -186,22 +190,22 @@ def test_classify_partial_keeps_every_alpha_for_the_completed_balls(cyclic, unit
     assert not hasattr(info.value.partial, "verdict")
 
 
-def test_conservation_defect_partial_is_the_estimate_of_the_completed_steps(
+def test_one_alpha_classify_partial_is_the_estimate_of_the_completed_steps(
         cyclic, unit_potential):
     # the budget is what step 0 (radius 1) needs, and step 1 (radius 3, 50 of
-    # the 60 vertices) needs more: the partial is the DefectEstimate of
+    # the 60 vertices) needs more: the partial holds the DefectEstimate of
     # step 0, that of a run that stops at radius 1
     nl, probes = odd_log(), (0, 10)
     ex = make_exhaustion(cyclic, 0, [1, 3])
-    need = [st.sweeps for st in
-            conservation_defect(cyclic, unit_potential, nl, 2.0, ex, probes=probes).resolvent.steps]
+    rep = classify(cyclic, unit_potential, nl, ex, alpha_grid=[2.0], probes=probes)
+    need = [st.sweeps for st in rep.estimates[0].resolvent.steps]
     assert need[1] > need[0]
     opts = SolveOptions(max_sweeps=need[0])
     with pytest.raises(SolveError) as info:
-        conservation_defect(cyclic, unit_potential, nl, 2.0, ex, probes=probes, opts=opts)
-    cut = conservation_defect(cyclic, unit_potential, nl, 2.0, make_exhaustion(cyclic, 0, [1]),
-                              probes=probes, opts=opts)
-    part = info.value.partial
+        classify(cyclic, unit_potential, nl, ex, alpha_grid=[2.0], probes=probes, opts=opts)
+    cut = classify(cyclic, unit_potential, nl, make_exhaustion(cyclic, 0, [1]), alpha_grid=[2.0],
+                   probes=probes, opts=opts).estimates[0]
+    (part,) = info.value.partial.estimates
     assert isinstance(part, DefectEstimate)
     assert part._replace(resolvent=None) == cut._replace(resolvent=None)
     assert part.resolvent.steps == cut.resolvent.steps
@@ -403,8 +407,8 @@ def test_classify_samples_w_once_whatever_the_grid(grid):
     rep = classify(g, Potential.from_callable(w, W0=1.0), ID, ex, alpha_grid=grid, probes=[0, 5])
     assert len(calls) == len(ex.order) == ex.sizes[-1]
     for est in rep.estimates:
-        ref = conservation_defect(g, Potential.from_callable(w, W0=1.0), ID, est.alpha, ex,
-                                  probes=[0, 5])
+        ref = classify(g, Potential.from_callable(w, W0=1.0), ID, ex, alpha_grid=[est.alpha],
+                       probes=[0, 5]).estimates[0]
         assert est.defects == ref.defects
 
 
@@ -464,7 +468,8 @@ def test_a_first_newton_step_counts_as_exact_only_on_a_quadratic_energy(unit_pot
     g = generate("finite-path:30")
     ex = make_exhaustion(g, 0, [5, 10, 20])
     for nl, sweeps in ((odd_log(), 2), (ID, 1)):
-        step = conservation_defect(g, unit_potential, nl, 1.0, ex).resolvent.steps[-1]
+        rep = classify(g, unit_potential, nl, ex, alpha_grid=[1.0], probes=[0])
+        step = rep.estimates[0].resolvent.steps[-1]
         assert step.sweeps == sweeps
         assert step.residual_inf <= 1e-15
 
@@ -501,7 +506,7 @@ def test_classify_agrees_with_one_defect_per_alpha(spec, phi, radii, grid):
     ex = make_exhaustion(g, g.root, radii)
     probes = default_probes(ex)
     rep = classify(g, W, nl, ex, alpha_grid=grid, probes=probes, opts=opts)
-    alone = tuple(conservation_defect(g, W, nl, a, ex, probes=probes, opts=opts)
+    alone = tuple(classify(g, W, nl, ex, alpha_grid=[a], probes=probes, opts=opts).estimates[0]
                   for a in rep.alpha_grid)
     for est, ref in zip(rep.estimates, alone):
         for p in probes:
@@ -521,7 +526,8 @@ def test_a_ball_that_covers_its_component_is_solved_exactly(cyclic, unit_potenti
     # rounding of A u
     nl, ex = odd_power(3.0), make_exhaustion(cyclic, 0, [1, 40])
     for alpha in (0.5, 4.0):
-        est = conservation_defect(cyclic, unit_potential, nl, alpha, ex, probes=(0, 10))
+        est = classify(cyclic, unit_potential, nl, ex, alpha_grid=[alpha],
+                       probes=(0, 10)).estimates[0]
         assert est.final == {0: 0.0, 10: 0.0}
         assert (est.resolvent.u == alpha).all()
         last = est.resolvent.steps[-1]
@@ -532,7 +538,7 @@ def test_a_ball_that_covers_its_component_is_solved_exactly(cyclic, unit_potenti
     # from the first ball on, in the defect and in resolve alike: the rule
     # lives in the solve core, and reads only the data f = 1 W
     ex = make_exhaustion(cyclic, 0, [4, 5])
-    est = conservation_defect(cyclic, unit_potential, ID, 1.0, ex, probes=(0,))
+    est = classify(cyclic, unit_potential, ID, ex, alpha_grid=[1.0], probes=(0,)).estimates[0]
     assert [st.sweeps for st in est.resolvent.steps] == [0, 0]
     res = extended_resolvent(cyclic, unit_potential, ID, lambda x: 1.0, ex, probes=(0,))
     assert [st.sweeps for st in res.steps] == [0, 0]

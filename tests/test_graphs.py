@@ -242,6 +242,12 @@ def test_from_edges_rejects_negative_weight():
         ExplicitGraph.from_edges([(0, 1, -0.5)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_edges_rejects_non_finite_weight(bad):
+    with pytest.raises(GraphError, match=re.escape(f"weight b(0,1) = {bad} is not finite")):
+        ExplicitGraph.from_edges([(0, 1, bad)])
+
+
 def test_from_edges_zero_weight_is_no_edge():
     g = ExplicitGraph.from_edges([(0, 1, 0.0)], vertices=[0, 1])
     assert edge_weight(g, 0, 1) == 0.0
@@ -297,12 +303,15 @@ def test_json_keeps_conflicting_rows_for_validate():
     assert any("symmetry" in f for f in rep.failures)
 
 
+# the graphs with a weight that is not finite are tables: a rule's block
+# rejects such a weight, the table keeps it as handed in
+
+
 def _inf_edge_graph():
     # b(1, 2) = inf, which json spells Infinity
-    def rule(x):
-        out = [(y, math.inf if {x, y} == {1, 2} else 1.0) for y in (x - 1, x + 1)]
-        return [(y, w) for y, w in out if 0 <= y <= 3]
-    return ProceduralGraph(0, rule), [0, 1, 2, 3]
+    adj = {x: {y: math.inf if {x, y} == {1, 2} else 1.0 for y in (x - 1, x + 1) if 0 <= y <= 3}
+           for x in range(4)}
+    return ExplicitGraph({x: 1.0 for x in range(4)}, adj, root=0), [0, 1, 2, 3]
 
 
 # distinct float spellings: a signed zero, NaN, +-inf, the least subnormal
@@ -312,10 +321,8 @@ _SPELLED = {0: -0.0, 1: 0.0, 2: math.nan, 3: math.inf, 4: 5e-324, 5: 0.1, 6: -ma
 def _spelled_floats_graph():
     # a path 0..6 whose measures and weights each need their own spelling
     weights = {0: 0.1, 1: 5e-324, 2: math.inf, 3: 0.1, 4: 1e300, 5: 2.5}
-
-    def rule(x):
-        return [(y, weights[min(x, y)]) for y in (x - 1, x + 1) if 0 <= y <= 6]
-    return ProceduralGraph(0, rule, measure_rule=_SPELLED.__getitem__), list(range(7))
+    adj = {x: {y: weights[min(x, y)] for y in (x - 1, x + 1) if 0 <= y <= 6} for x in range(7)}
+    return ExplicitGraph(_SPELLED, adj, root=0), list(range(7))
 
 
 # (m, b) of a path whose measures and whose weights each have one value,
@@ -326,9 +333,8 @@ _UNIFORM = {"m=-0.0": (-0.0, 1.0), "m=5e-324": (5e-324, 1.0), "m=inf": (math.inf
 
 def _path(measure_rule, b):
     # the path 0..6 with every weight b
-    def rule(x):
-        return [(y, b) for y in (x - 1, x + 1) if 0 <= y <= 6]
-    return ProceduralGraph(0, rule, measure_rule=measure_rule), list(range(7))
+    adj = {x: {y: b for y in (x - 1, x + 1) if 0 <= y <= 6} for x in range(7)}
+    return ExplicitGraph({x: measure_rule(x) for x in range(7)}, adj, root=0), list(range(7))
 
 
 def _lattice_with_last_measure(m):

@@ -274,14 +274,59 @@ def test_non_finite_data_raises_value_error_naming_the_vertex(x, bad, where):
         extended_resolvent(lattice_z(), W, ID, f, _LATTICE_EX)
 
 
-# --- the shifted start ---------------------------------------------------------
+# --- the union of copies of a ball and the shifted start ------------------------
+
+# every shipped family; the finite ones saturate before their largest
+# radius, and are closed there
+_UNION_CASES = [
+    ("tree:2", (2, 4, 5)), ("lattice-z", (3, 6)),
+    ("random-sparse:n=60,density=0.06,seed=0", (1, 2, 3)), ("finite-path:5", (2, 6)),
+    ("birth-death:4", (3, 7)), ("star:8", (1, 3)), ("complete:6", (1, 2)),
+    ("random-sparse:n=200,density=0.02,seed=1", (1, 2, 4, 9)), ("finite-path:30", (5, 10, 40)),
+]
+
+
+def _union_copy_by_copy(ex, w, fv):
+    """The union of k = len(fv) copies of the largest ball of ``ex``, built
+    in plain Python: layer by layer, in each layer copy by copy, and in
+    each copy in ball order; each place's edges are its vertex's, in
+    neighbor order, moved into its copy.  ``pos, arrays`` as lists, as
+    ``_copies`` gives them."""
+    k, n = fv.shape
+    places = [(c, i) for lo, hi in zip((0, *ex.ends), ex.ends)
+              for c in range(k) for i in range(lo, hi)]
+    pos = [[0] * n for _ in range(k)]
+    for p, (c, i) in enumerate(places):
+        pos[c][i] = p
+    row = {i: [] for i in range(n)}
+    for i, j, b in zip(ex.rows.tolist(), ex.cols.tolist(), ex.b.tolist()):
+        row[i].append((j, b))
+    edges = [(p, pos[c][j], b) for p, (c, i) in enumerate(places) for j, b in row[i]]
+
+    def vertex(a):
+        a = a.tolist()
+        return [a[i] for _, i in places]
+
+    return pos, (vertex(ex.order), [e[0] for e in edges], [e[1] for e in edges],
+                 [e[2] for e in edges], vertex(ex.m), vertex(ex.deg), vertex(w),
+                 [fv[c, i] for c, i in places])
+
+
+def _layer_means_moved(ends, u, r_old, r_new):
+    """The shifted profile of one copy, in plain Python: the mean of u over
+    each layer of the ball of radius ``r_old``, moved out by r_new - r_old
+    layers over the ball of radius ``r_new``, the root's inside."""
+    old, new = ends[:r_old + 1], ends[:r_new + 1]
+    means = [math.fsum(u[lo:hi]) / (hi - lo) for lo, hi in zip((0, *old), old)]
+    return [means[max(layer - (r_new - r_old), 0)]
+            for layer, (lo, hi) in enumerate(zip((0, *new), new)) for _ in range(lo, hi)]
 
 
 def test_shifted_profile_on_a_lattice_ball(lattice):
     # ball 2 is 0, -1, 1, -2, 2: layer means 5, 2 and 1, moved out by 2 layers
     ex = make_exhaustion(lattice, 0, [2, 4])
     u = np.array([5.0, 3.0, 1.0, 2.0, 0.0])
-    start = _shifted_profile(ex.ends, u, 2, 4)
+    start = _shifted_profile(ex.ends, np.arange(ex.order.size)[None], u, 2, 4)
     assert start.tolist() == [5.0, 5.0, 5.0, 5.0, 5.0, 2.0, 2.0, 1.0, 1.0]
     assert start.size == ex.sizes[1]
 
@@ -293,10 +338,31 @@ def test_shifted_profile_moves_each_copy_on_its_own(lattice):
     pos, _ = _copies(ex, np.ones(9), np.ones((2, 9)))
     union = np.empty(10)
     union[pos[:, :5]] = [u, 2.0 * u]
-    start = _shifted_profile(ex.ends, union, 2, 4)
+    start = _shifted_profile(ex.ends, pos, union, 2, 4)
     one = [5.0, 5.0, 5.0, 5.0, 5.0, 2.0, 2.0, 1.0, 1.0]
     assert start[pos[0]].tolist() == one
     assert start[pos[1]].tolist() == [2.0 * v for v in one]
+    # k = 2, 3 and 5 copies on every family, also out to a radius past
+    # saturation: each copy's profile is its own, bit for bit, and the
+    # copy-by-copy means to rounding
+    rng = np.random.default_rng(0)
+    for spec, radii in _UNION_CASES:
+        g = generate(spec)
+        ex = make_exhaustion(g, g.root, radii)
+        n = ex.order.size
+        for k in (2, 3, 5):
+            pos, _ = _copies(ex, np.ones(n), np.ones((k, n)))
+            for r_old, r_new in (*zip(radii, radii[1:]), (radii[0], radii[-1] + 3)):
+                old, new = ex.size(r_old), ex.size(r_new)
+                union = rng.random(k * old)
+                start = _shifted_profile(ex.ends, pos, union, r_old, r_new)
+                assert start.size == k * new
+                for c in range(k):
+                    mine = union[pos[c, :old]]
+                    alone = _shifted_profile(ex.ends, np.arange(n)[None], mine, r_old, r_new)
+                    assert start[pos[c, :new]].tobytes() == alone.tobytes()
+                    assert alone.tolist() == pytest.approx(
+                        _layer_means_moved(ex.ends, mine.tolist(), r_old, r_new), rel=1e-14)
 
 
 def test_shifted_profile_on_a_ball_that_saturates():
@@ -304,47 +370,45 @@ def test_shifted_profile_on_a_ball_that_saturates():
     # the ball of radius 4: the shift by 3 layers still reads radius 5
     ex = make_exhaustion(finite_path(5), 0, [2, 5])
     assert ex.ends == (1, 2, 3, 4, 5)
-    start = _shifted_profile(ex.ends, np.array([6.0, 4.0, 1.0]), 2, 5)
+    start = _shifted_profile(ex.ends, np.arange(5)[None], np.array([6.0, 4.0, 1.0]), 2, 5)
     assert start.tolist() == [6.0, 6.0, 6.0, 6.0, 4.0]
     # classify runs through it to the exact answer on the finite graph
     rep = classify(finite_path(5), Potential.constant(1.0), ID, ex, alpha_grid=[1.0], probes=[0])
     assert rep.estimates[0].defects[0][-1] == pytest.approx(0.0, abs=1e-12)
 
 
-# --- copies of a ball -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("spec, radii", [
-    ("tree:2", (2, 4, 5)), ("lattice-z", (3, 6)),
-    ("random-sparse:n=60,density=0.06,seed=0", (1, 2, 3)), ("finite-path:5", (2, 6)),
-])
+@pytest.mark.parametrize("spec, radii", _UNION_CASES)
 def test_copies_of_each_ball_are_a_leading_block_of_the_union(spec, radii):
     g = generate(spec)
     ex = make_exhaustion(g, g.root, radii)
-    n, k = ex.order.size, 3
+    n = ex.order.size
     w = np.linspace(1.0, 2.0, n)
-    fv = np.outer([0.5, 1.0, 2.0], w)
-    pos, arrays = _copies(ex, w, fv)
-    order, rows, cols, b, m, deg, wu, f = arrays
-    assert sorted(pos.ravel().tolist()) == list(range(k * n))
-    which = np.empty(k * n, dtype=np.int64)  # the copy and vertex at each place
-    vertex = np.empty(k * n, dtype=np.int64)
-    which[pos], vertex[pos] = np.arange(k)[:, None], np.arange(n)
-    for c in range(k):
-        for got, want in ((order, ex.order), (m, ex.m), (deg, ex.deg), (wu, w), (f, fv[c])):
-            assert (got[pos[c]] == want).all()
-    for size in ex.sizes:
-        assert (np.sort(pos[:, :size].ravel()) == np.arange(k * size)).all()
-        joint = _System(*arrays, k * size)
-        one = _System(ex.order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, fv[0], size)
-        assert (joint.forest is None) == (one.forest is None)
-        for c in range(k):  # each copy's edges, in order, are the ball's
-            mine = which[joint.rows] == c
-            assert (which[joint.cols[mine]] == c).all()
-            assert vertex[joint.rows[mine]].tolist() == one.rows.tolist()
-            assert vertex[joint.cols[mine]].tolist() == one.cols.tolist()
-            assert joint.b[mine].tolist() == one.b.tolist()
-        assert mine.sum() * k == joint.rows.size
+    for k in (2, 3, 5):
+        fv = np.outer(np.arange(1, k + 1) / 2.0, w)
+        pos, arrays = _copies(ex, w, fv)
+        want_pos, want = _union_copy_by_copy(ex, w, fv)
+        assert pos.tolist() == want_pos
+        assert [a.tolist() for a in arrays] == list(want)
+        order, rows, cols, b, m, deg, wu, f = arrays
+        assert sorted(pos.ravel().tolist()) == list(range(k * n))
+        which = np.empty(k * n, dtype=np.int64)  # the copy and vertex at each place
+        vertex = np.empty(k * n, dtype=np.int64)
+        which[pos], vertex[pos] = np.arange(k)[:, None], np.arange(n)
+        for c in range(k):
+            for got, want in ((order, ex.order), (m, ex.m), (deg, ex.deg), (wu, w), (f, fv[c])):
+                assert (got[pos[c]] == want).all()
+        for size in ex.sizes:
+            assert (np.sort(pos[:, :size].ravel()) == np.arange(k * size)).all()
+            joint = _System(*arrays, k * size)
+            one = _System(ex.order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, w, fv[0], size)
+            assert (joint.forest is None) == (one.forest is None)
+            for c in range(k):  # each copy's edges, in order, are the ball's
+                mine = which[joint.rows] == c
+                assert (which[joint.cols[mine]] == c).all()
+                assert vertex[joint.rows[mine]].tolist() == one.rows.tolist()
+                assert vertex[joint.cols[mine]].tolist() == one.cols.tolist()
+                assert joint.b[mine].tolist() == one.b.tolist()
+            assert mine.sum() * k == joint.rows.size
 
 
 def test_one_copy_is_the_ball_itself(lattice):

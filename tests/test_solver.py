@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 import time
 import warnings
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from nlresolvent import (
     ExplicitGraph,
+    GraphError,
     Nonlinearity,
     Potential,
     ProceduralGraph,
@@ -251,8 +253,20 @@ def test_non_finite_potential_rejected(path3, nl, bad):
 
 def test_non_finite_weight_rejected(unit_potential):
     g = ProceduralGraph(0, lambda x: [(x + 1, math.inf if x == 2 else 1.0)])
-    with pytest.raises(ValueError, match=r"deg\(2\) = inf is not finite"):
+    with pytest.raises(GraphError, match=re.escape("b(2,3) = inf, which is not finite")):
         solve_dirichlet(g, unit_potential, ID, VertexFunction.delta(0), [0, 1, 2])
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: ball(g, 0, 5),
+    lambda g: make_exhaustion(g, 0, [2, 5]),
+    lambda g: solve_dirichlet(g, Potential.constant(1.0), ID, VertexFunction.delta(0), [0, 1, 2]),
+], ids=["ball", "make_exhaustion", "solve_dirichlet"])
+def test_nan_weight_rejected_where_rows_enter(call):
+    # a search would drop a NaN edge as one of weight 0, and stop short
+    g = ProceduralGraph(0, lambda x: [(x + 1, math.nan if x == 2 else 1.0)])
+    with pytest.raises(GraphError, match=re.escape("b(2,3) = nan, which is not finite")):
+        call(g)
 
 
 # --- array forms mapped from the scalar calculus -----------------------------

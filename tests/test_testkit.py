@@ -16,8 +16,8 @@ from nlresolvent import (
     ball,
     birth_death,
     brute_force_minimizer,
+    classify,
     complete_graph,
-    conservation_defect,
     finite_path,
     generate,
     geometric_chain,
@@ -309,7 +309,8 @@ def lattice_cubic_defects():
 
 def _root_defects(g, nl, radii, alpha=1.0, W0=1.0):
     W = Potential.constant(W0)
-    est = conservation_defect(g, W, nl, alpha, make_exhaustion(g, 0, radii), probes=(0,))
+    est = classify(g, W, nl, make_exhaustion(g, 0, radii), alpha_grid=[alpha],
+                   probes=(0,)).estimates[0]
     return est.defects[0], SolveOptions().residual_tol / W.W0
 
 
