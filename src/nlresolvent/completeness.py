@@ -258,11 +258,13 @@ def classify(
     the largest scheduled radius <= R/2, R the last one; anything else is
     inconclusive (a verdict, not an error), and where only that doubling
     check withheld an incomplete verdict the report's ``reason`` says so.
-    The alphas are solved together (see ``resolvent._extend``): a trace
-    row's sweeps and residual are its group's joint solve's, the residual
-    bounding each alpha's own, the start is chosen by the group's total
-    energy, and ``max_sweeps`` caps each joint solve; the defects agree
-    with one one-alpha ``classify`` per alpha to within the residual test.
+    The alphas are solved together, in groups of consecutive alphas within
+    a factor 16 of each other (scale groups, see ``resolvent._extend``):
+    a trace row's sweeps and residual are its group's joint solve's, the
+    residual bounding each alpha's own, the start is chosen by the group's
+    total energy, and ``max_sweeps`` caps each joint solve; the defects
+    agree with one one-alpha ``classify`` per alpha to within the residual
+    test.
 
     W is sampled once, on the exhaustion's largest ball, for the whole
     grid.  A failed solve raises SolveError whose ``partial`` holds every

@@ -27,6 +27,13 @@ state: it reads every row, measure and degree through its block rule,
 so a family whose rule works on arrays is materialized without a
 Python call per vertex, and each scalar ``neighbors``, ``measure`` or
 ``degree`` costs one block call.
+
+Every degree, of either backend, is one rule: ``np.bincount(src, ws)``,
+each row's weights added in neighbor order from 0.0, as the solver adds
+a row's terms b u(y).  So A c = deg c - sum_y b c is exactly 0 on a row
+whose neighbors all lie in a set, for c a power of two, and deg is never
+below a row's in-set sum (rounding is monotone, no weight is negative);
+a correctly rounded degree would give up both.
 """
 
 from __future__ import annotations
@@ -138,8 +145,9 @@ class WeightedGraph:
         ``xs[src[e]]`` to ``ys[e]`` with weight ``ws[e]``, ``src`` is
         non-decreasing and each vertex's entries come in its
         ``neighbors`` order; ``m`` and ``deg`` hold the measure and the
-        weighted degree of each vertex of xs.  This version reads
-        ``neighbors``, ``measure`` and ``degree`` vertex by vertex.
+        weighted degree of each vertex of xs, its row's weights added in
+        that order from 0.0 (see the module docstring).  This version
+        reads ``neighbors``, ``measure`` and ``degree`` vertex by vertex.
         """
         xl = _ids(xs).tolist()
         src, ys, ws = _pack([self.neighbors(x) for x in xl])
@@ -162,7 +170,9 @@ class ExplicitGraph(WeightedGraph):
     The table is kept exactly as handed in, so a malformed document
     (asymmetric weights, nonpositive measures) survives construction
     and is caught by :func:`validate`.  Use :meth:`from_edges` for the
-    symmetrizing programmatic path.
+    symmetrizing programmatic path.  The degrees are summed once, at
+    construction, by the block rule's bincount over the packed table, so
+    a table and a rule with the same rows agree bit for bit.
     """
 
     def __init__(
@@ -185,7 +195,10 @@ class ExplicitGraph(WeightedGraph):
             for y, _ in nbrs:
                 if y not in self._m:
                     raise GraphError(f"edge ({x}, {y}) points at unknown vertex {y}")
-        self._deg = {x: _fsum([w for _, w in self._adj.get(x, ())]) for x in self._m}
+        rows = [self._adj.get(x, ()) for x in self._m]
+        src = np.arange(len(rows)).repeat([len(r) for r in rows])
+        ws = np.array([w for r in rows for _, w in r], dtype=float)
+        self._deg = dict(zip(self._m, np.bincount(src, ws, minlength=len(rows)).tolist()))
         self.root = int(root) if root is not None else min(self._m)
         if self.root not in self._m:
             raise GraphError(f"root {self.root} is not a vertex")
@@ -263,7 +276,8 @@ class ProceduralGraph(WeightedGraph):
     default).
 
     Every row is read through :meth:`block`, which checks it (no
-    self-loop, every weight finite and >= 0) and keeps nothing: a scalar
+    self-loop, every weight finite and >= 0), sums each row into its
+    degree with one bincount, in row order, and keeps nothing: a scalar
     ``neighbors``, ``measure`` or ``degree`` costs one block call.  The
     rule must be symmetric; :func:`validate` can spot-check that on any
     probe set.
@@ -313,51 +327,12 @@ class ProceduralGraph(WeightedGraph):
             if not math.isfinite(w):
                 raise GraphError(f"neighbor rule produced b({x},{y}) = {w}, which is not finite")
             raise GraphError(f"neighbor rule produced b({x},{y}) = {w} < 0")
-        deg = _row_sums(src, ws, np.bincount(src, minlength=xs.size))
+        deg = np.bincount(src, ws, minlength=xs.size)
         if self._m_rule is None:
             m = np.ones(xs.size)
         else:
             m = np.array([float(self._m_rule(x)) for x in xs.tolist()], dtype=float)
         return src, ys, ws, m, deg
-
-
-def _row_sums(src: np.ndarray, ws: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """math.fsum of the weights of each row (``counts`` long), bit for bit.
-
-    The weights are those of a block, so none is negative.  bincount
-    adds a row's weights in order, starting from 0.0.  That is exact,
-    and so equal to fsum, for a row of at most two terms whenever the
-    sum comes out finite, and for integer terms with a total below
-    2**53.  Where every row passes one of these tests as a whole (at
-    most two terms each, or every weight an integer and every total
-    below 2**53) the bincount is returned as it is; otherwise each row
-    is tested on its own, and every row that passes neither takes
-    ``_fsum``.
-    """
-    n = counts.size
-    deg = np.bincount(src, ws, minlength=n)
-    if counts.max(initial=0) <= 2 and np.isfinite(deg).all():
-        return deg
-    # a NaN total fails the comparison, so no NaN row is returned here
-    if deg.max(initial=0.0) < 2.0**53 and (ws == np.floor(ws)).all():
-        return deg
-    fraction = np.bincount(src, ws != np.floor(ws), minlength=n) > 0
-    slow = ~np.isfinite(deg) | ((counts > 2) & (fraction | (deg >= 2.0**53)))
-    rows = np.flatnonzero(slow)
-    if rows.size:
-        starts = np.cumsum(counts) - counts
-        for i in rows.tolist():
-            deg[i] = _fsum(ws[starts[i]:starts[i] + counts[i]].tolist())
-    return deg
-
-
-def _fsum(ws: list[float]) -> float:
-    """math.fsum of ws, or their float sum (+-inf, as bincount gives it)
-    where fsum overflows."""
-    try:
-        return math.fsum(ws)
-    except OverflowError:
-        return sum(ws)
 
 
 class VertexFunction:

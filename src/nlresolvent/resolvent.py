@@ -27,9 +27,10 @@ solves as u = c with no sweep where f = c W, in classify and resolve alike.
 The defect's alpha grid is solved in one pass over the balls: each ball
 once, on the disjoint union of one copy of it per alpha, listed layer by
 layer, so that one Newton solve with one set of numpy calls serves every
-alpha; large balls take the alphas in groups (``_UNION``).  The union's
-layout is one array, ``pos``, the places of each copy's vertices, from
-one stable sort (``_copies``); every reader of the union goes through it.
+alpha; large balls, and alphas more than ``_SPREAD`` apart, take the
+alphas in groups.  The union's layout is one array, ``pos``, the places
+of each copy's vertices, from one stable sort (``_copies``); every
+reader of the union goes through it.
 """
 
 from __future__ import annotations
@@ -268,9 +269,12 @@ def _extend(
     indices there (``_probe_index``): one estimate per row.
 
     The rows are solved together, ball by ball: each ball once, on the
-    disjoint union of copies of it, one per row (``_copies``), and where
-    that union would hold more than ``_UNION`` vertices, on the unions of
-    groups of as many consecutive rows as fit, one group after another.
+    disjoint union of copies of it, one per row (``_copies``), one union
+    per group of consecutive rows.  A group takes rows while its union
+    holds at most ``_UNION`` vertices and its rows' scales (the largest
+    datum of each) lie within a factor ``_SPREAD`` of each other: a
+    joint solve's line search and stall test read the total energy, which
+    the largest copy dominates.  The groups are solved one after another.
     So a step's sweeps and residual are those of its group's joint solve
     for every row of the group, the residual an upper bound on each
     row's, and so is the solver's part of ``max_decrease``; the budget
@@ -284,10 +288,16 @@ def _extend(
             x = int(ex.order[neg[0]])
             raise ValueError(f"extended resolvent needs f >= 0, got f({x}) = {col[neg[0]]}")
     k = len(fv)
-    per = max(1, min(k, _UNION // ex.order.size))  # rows per group
+    per = _UNION // ex.order.size  # the most rows a union holds
+    scale = fv.max(axis=1)
+    starts = [0]  # the first row of each group
+    for c in range(1, k):
+        s = scale[starts[-1]:c + 1]
+        if c - starts[-1] >= per or s.max() > _SPREAD * s.min():
+            starts.append(c)
     groups = []
-    for s in range(0, k, per):
-        pos, arrays = _copies(ex, w, fv[s:s + per])
+    for a, b in zip(starts, starts[1:] + [k]):
+        pos, arrays = _copies(ex, w, fv[a:b])
         groups.append((pos, _solves(ex, nl, W0, pos, arrays, shifted, opts)))
 
     values: list[dict[int, list[float]]] = [{p: [] for p in at} for _ in range(k)]
@@ -296,10 +306,9 @@ def _extend(
 
     def estimates() -> tuple[ResolventEstimate, ...]:
         out = []
-        for c, vals in enumerate(values):
-            g, j = divmod(c, per)
-            (u, dec), pos = solved[g], groups[g][0]
-            out.append(_estimate(vals, steps[g], dec, u[pos[j, :u.size // len(pos)]]))
+        for g, ((u, dec), (pos, _)) in enumerate(zip(solved, groups)):
+            for j, vals in enumerate(values[starts[g]:starts[g] + len(pos)]):
+                out.append(_estimate(vals, steps[g], dec, u[pos[j, :u.size // len(pos)]]))
         return tuple(out)
 
     for n in range(len(ex)):
@@ -313,7 +322,7 @@ def _extend(
             steps[g].append(step)
             for p, i in at.items():
                 for j, spot in enumerate(pos[:, i].tolist()):
-                    values[g * per + j][p].append(float(u[spot]) if spot < u.size else 0.0)
+                    values[starts[g] + j][p].append(float(u[spot]) if spot < u.size else 0.0)
     return estimates()
 
 
@@ -324,6 +333,13 @@ def _extend(
 # alpha: 0.78x on tree:2 to radius 11 (4,095 vertices), 0.98x to 12, 1.15x
 # to 13 and 1.42x to 14 (32,767), and 1.10x on lattice-z to 3,200 (6,401).
 _UNION = 2**13
+
+# The widest ratio of scales in one union (see ``_extend``).  classify,
+# phi = t^3, radii 12,25,50, grid (1, s) as one union: on lattice-z it
+# fails at radius 50 from s = 1e5, where each alpha alone converges, and
+# below that takes the Newton steps of alpha = s alone (26 at s = 16, 43
+# at 1e4, against 19 for alpha = 1).  16 keeps the default grid in one union.
+_SPREAD = 16.0
 
 
 def _solves(

@@ -3,9 +3,9 @@
 The reference is the breadth-first loop and the assembly that walked
 ``neighbors`` one vertex at a time, run on graphs that read the
 families' per-vertex neighbor rules one vertex at a time (``RuleGraph``,
-with its own checks and ``math.fsum``); the array path runs ``block`` on
-the families themselves.  Orders, sizes and arrays must agree bit for
-bit.
+with its own checks and its own loop for the degree); the array path
+runs ``block`` on the families themselves.  Orders, sizes and arrays
+must agree bit for bit.
 """
 
 import json
@@ -50,17 +50,25 @@ from nlresolvent import (
     write_graph_json,
 )
 from nlresolvent import cli
-from nlresolvent.graphs import _positions, _row_sums
+from nlresolvent.graphs import _positions
 from nlresolvent.nonlinearity import RangeError
 from nlresolvent.solver import _Ratio
 
 # --- per-vertex reference --------------------------------------------------
 
 
+def row_sum(ws):
+    """The weights ws added in their order, from 0.0: the degree rule."""
+    acc = 0.0
+    for w in ws:
+        acc += w
+    return acc
+
+
 class RuleGraph(WeightedGraph):
     """A graph read from a per-vertex neighbor rule one vertex at a time:
-    each row converted to (int, float) pairs, checked, summed with
-    math.fsum and memoized."""
+    each row converted to (int, float) pairs, checked, summed in
+    neighbor order from 0.0 and memoized."""
 
     def __init__(self, root, rule, measure_rule=None):
         self.root, self._rule, self._m_rule = root, rule, measure_rule
@@ -78,7 +86,7 @@ class RuleGraph(WeightedGraph):
             if w < 0:
                 raise GraphError(f"neighbor rule produced b({x},{y}) = {w} < 0")
         self._m[x] = 1.0 if self._m_rule is None else float(self._m_rule(x))
-        self._deg[x] = math.fsum([w for _, w in nbrs])
+        self._deg[x] = row_sum([w for _, w in nbrs])
         self._rows[x] = nbrs
 
     def neighbors(self, x):
@@ -387,7 +395,7 @@ def test_validate_reports_a_mirror_row_error():
     assert validate(g, [3, 4, 5, 6]).failures == ("no row at 5",) * 3
 
 
-# --- block against neighbors, fsum and int64 -----------------------------------
+# --- block against neighbors, row sums and int64 -------------------------------
 
 
 def weighted_rule(weights):
@@ -410,6 +418,10 @@ def fsum_bits(values):
     return struct.pack("<d", math.fsum(values))
 
 
+def row_sum_bits(values):
+    return struct.pack("<d", row_sum(values))
+
+
 def row_bits(row):
     return [(y, struct.pack("<d", w)) for y, w in row]
 
@@ -421,6 +433,8 @@ def row_bits(row):
     xs=st.lists(st.integers(min_value=0, max_value=3000), max_size=40),
 )
 def test_block_rows_equal_neighbors_and_fsum(family, xs):
+    # rows of at most two entries, or of integer weights, sum exactly in
+    # any order: there the degree is also the correctly rounded fsum
     fast, ref, _ = FAMILIES[family]
     g, r = fast(), ref()
     src, ys, ws, m, deg = g.block(np.array(xs, dtype=np.int64))
@@ -432,26 +446,19 @@ def test_block_rows_equal_neighbors_and_fsum(family, xs):
         assert m[i] == r.measure(x)
 
 
-def degree_bits(row):
-    # fsum, or +inf where the exact sum of the nonnegative row passes the float range
-    try:
-        return fsum_bits(row)
-    except OverflowError:
-        return struct.pack("<d", math.inf)
-
-
 @settings(max_examples=60, deadline=None)
 @example(weights=[1e308, 1.0], xs=[0, 1, 2])  # the row of 1, 1e308 + 1 + 1e308 + 1, overflows
+@example(weights=[2.0**53, 1.0, 1.0], xs=[2])  # 2**53 + 1 + 1 rounds to 2**53, fsum is 2**53 + 2
 @given(weights=st.lists(weight, min_size=1, max_size=8),
        xs=st.lists(st.integers(min_value=0, max_value=50), max_size=12))
-def test_block_degree_is_fsum_bit_for_bit(weights, xs):
+def test_block_degree_is_the_row_sum_in_neighbor_order(weights, xs):
     rule = weighted_rule(weights)
     g = ProceduralGraph(0, block_rule=as_block_rule(rule))
     if not all(math.isfinite(w) for x in xs for _, w in rule(x)):
         with pytest.raises(GraphError, match="which is not finite"):
             g.block(np.array(xs, dtype=np.int64))
         return
-    want = [degree_bits([w for _, w in rule(x)]) for x in xs]
+    want = [row_sum_bits([w for _, w in rule(x)]) for x in xs]
     deg = g.block(np.array(xs, dtype=np.int64))[4]
     assert [struct.pack("<d", d) for d in deg] == want
     for x, d in zip(xs, want):
@@ -459,18 +466,19 @@ def test_block_degree_is_fsum_bit_for_bit(weights, xs):
         assert row_bits(g.neighbors(x)) == row_bits(rule(x))
 
 
-@pytest.mark.parametrize("row", [
-    [2.0**53, 1.0, 1.0],  # bincount rounds after the first term
-    [2.0**52, 2.0**52, 1.0],  # a total of 2**53 exactly
-    [1.0, math.inf, 1.0],
-    [2.0**52, 0.5, 0.5],  # bincount rounds each half away
-], ids=["2^53+1+1", "2^52+2^52+1", "inf", "2^52+0.5+0.5"])
-def test_row_sums_are_fsum_beside_integer_rows(row):
-    rows = [[1.0, 2.0, 3.0], row, [4.0, 4.0, 4.0, 4.0]]
-    src = np.arange(3).repeat([len(r) for r in rows])
-    ws = np.array([w for r in rows for w in r])
-    deg = _row_sums(src, ws, np.bincount(src, minlength=3))
-    assert [struct.pack("<d", d) for d in deg] == [fsum_bits(r) for r in rows]
+@settings(max_examples=60, deadline=None)
+@example(weights=[2.0**53, 1.0, 1.0])
+@example(weights=[0.1, 0.2, 0.3, 0.7])
+@given(weights=st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=8))
+def test_block_degrees_equal_table_degrees_on_the_same_table(weights):
+    # one rule for both backends: a table's degree is its row summed in
+    # neighbor order from 0.0, as a rule's block sums it
+    rule, xs = weighted_rule(weights), list(range(12))
+    table = ExplicitGraph(dict.fromkeys(range(16), 1.0), {x: dict(rule(x)) for x in xs})
+    want = [row_sum_bits([w for _, w in rule(x)]) for x in xs]
+    for g in (ProceduralGraph(0, block_rule=as_block_rule(rule)), table):
+        assert [struct.pack("<d", d) for d in g.block(np.array(xs))[4]] == want
+    assert [struct.pack("<d", table.degree(x)) for x in xs] == want
 
 
 @pytest.mark.parametrize("call, vertex", [

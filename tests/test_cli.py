@@ -350,6 +350,22 @@ def test_classify_solves_a_repeated_alpha_once(tmp_path, capsys):
     assert list(doc["defect"]) == [repr(a) for a in doc["alpha"]]
 
 
+@pytest.mark.parametrize("big", ["1e6", "1e12"])
+def test_a_wide_alpha_grid_solves_each_scale_on_its_own(tmp_path, capsys, big):
+    # a joint solve's line search and stall test read the total energy,
+    # which the largest copy dominates: as one union this grid exited 3 at
+    # radius 50 (1e6) or 25 (1e12); alphas more than a factor 16 apart take
+    # their own unions, and every trace row is its one-alpha run's
+    args = ("classify", "--graph", "lattice-z", "--phi", "power:3", "--radii", "12,25,50",
+            "--probes", "root")
+    rows = {}
+    for grid in ("1", big, f"1,{big}"):
+        code, _, _ = run_cli(capsys, *args, "--alpha", grid, "--out", str(tmp_path / grid))
+        assert code == 0
+        rows[grid] = (tmp_path / grid / "trace.csv").read_text().splitlines()
+    assert rows[f"1,{big}"] == rows["1"] + rows[big][1:]
+
+
 def test_classify_inconclusive_is_a_result_not_an_error(capsys):
     # two steps only: the stabilization window cannot clear 1e-6 yet
     code, out, _ = run_cli(capsys, "classify", "--graph", "birth-death:4",
@@ -391,6 +407,24 @@ def test_a_closed_set_with_data_c_w_takes_u_c_with_no_sweep(tmp_path, capsys, ar
     result = json.loads((tmp_path / "result.json").read_text())
     # a closed exhaustion's last solve is the limit: resolve tags it converged
     assert result.get("all_converged", result.get("converged")) is True
+
+
+@pytest.mark.parametrize("args", [
+    ("classify", "--graph", CYCLIC, "--radii", "1,40"),
+    ("resolve", "--graph", "random-sparse:n=3000,density=0.002,seed=0", "--f", "const:1",
+     "--radii", "2,4,8"),
+], ids=["classify", "resolve"])
+def test_an_exact_step_reads_residual_0(tmp_path, capsys, args):
+    # the last ball covers its component, and u = c solves it exactly: deg
+    # sums each row in neighbor order, as A u sums its in-set terms, so
+    # A c = 0 for the constants c here, where the cube root of the rounding
+    # of a correctly rounded deg read 1.92e-5
+    code, _, _ = run_cli(capsys, *args, "--phi", "power:3", "--out", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    last = [r for r in rows if r["n"] == rows[-1]["n"]]
+    assert {(r["sweeps"], r["residual"]) for r in last} == {("0", "0")}
 
 
 @pytest.mark.parametrize("args", [
@@ -914,6 +948,29 @@ def test_file_graph_with_a_degree_past_the_float_range_exits_2(tmp_path, capsys)
     code, out, err = run_cli(capsys, "validate", "--graph", f"file:{path}")
     assert (code, out) == (2, "")
     assert err == f"error: graph file {path} is invalid:\n  - degree at 1 is not finite\n"
+
+
+def test_file_graph_with_opposite_infinite_weights_at_one_vertex_exits_2(tmp_path, capsys):
+    # deg(0) = inf + -inf is NaN: the table loads and validate lists the
+    # degree and each bad weight, where a correctly rounded degree raised
+    # ValueError("-inf + inf in fsum") on load
+    doc = {"vertices": [{"id": x, "m": 1.0} for x in range(3)],
+           "edges": [{"u": 0, "v": 1, "b": math.inf}, {"u": 0, "v": 2, "b": -math.inf}]}
+    g = graph_from_json(doc)
+    assert validate(g, [0]).failures == (
+        "degree at 0 is not finite", "weight at (0,1): b = inf", "weight at (0,2): b = -inf")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", "--graph", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert err == (f"error: graph file {path} is invalid:\n"
+                   "  - degree at 0 is not finite\n"
+                   "  - weight at (0,1): b = inf\n"
+                   "  - weight at (0,2): b = -inf\n"
+                   "  - degree at 1 is not finite\n"
+                   "  - weight at (1,0): b = inf\n"
+                   "  - degree at 2 is not finite\n"
+                   "  - weight at (2,0): b = -inf\n")
 
 
 def test_gen_negative_radius_exits_2_without_output(tmp_path, capsys):

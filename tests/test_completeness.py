@@ -516,6 +516,52 @@ def test_classify_agrees_with_one_defect_per_alpha(spec, phi, radii, grid):
     assert (rep.verdict, rep.reason) == (ref.verdict, ref.reason)
 
 
+# --- the comparison principle ---------------------------------------------------
+
+
+@pytest.mark.parametrize("spec, radii", [
+    ("birth-death:4", (5, 10, 20, 40)),
+    ("lattice-z", (25, 50, 100)),
+    ("tree:2", (4, 8)),
+    ("random-sparse:n=200,density=0.02,seed=1", (1, 2, 3, 4)),
+])
+@pytest.mark.parametrize("phi, convex", [
+    ("identity", True), ("power:3", True), ("power:0.5", False), ("log", False), ("atan", False),
+])
+def test_defects_obey_the_comparison_principle(spec, radii, phi, convex):
+    # w = alpha - u solves L w + phi(W w) = 0 on each ball, w = alpha outside.
+    # In alpha: for alpha <= beta the data are ordered, so d_alpha <= d_beta;
+    # with t = alpha / beta, phi(t s) <= t phi(s) for convex phi (>= for
+    # concave) makes t w_beta a subsolution (supersolution) of alpha's
+    # problem, so d_beta <= d_alpha / t for convex phi, d_alpha / t <= d_beta
+    # for concave.  Linear: with W = 1, phi(s) <= c s on [0, alpha] for convex
+    # phi (>= for concave), c = phi(alpha) / alpha, makes w_alpha a super-
+    # (sub)solution of the identity problem with potential c, so d_alpha >=
+    # d_lin for convex phi, <= for concave.  The grid spans 256: two unions.
+    g, W, nl, opts = generate(spec), Potential.constant(1.0), parse_phi(phi), SolveOptions()
+    ex, root = make_exhaustion(g, g.root, radii), g.root
+    grid = (*DEFAULT_ALPHA_GRID, 64.0)
+    rep = classify(g, W, nl, ex, alpha_grid=grid, probes=[root], opts=opts)
+    slack = opts.residual_tol / W.W0
+    for i, lo in enumerate(rep.estimates):
+        for hi in rep.estimates[i + 1:]:
+            scale = hi.alpha / lo.alpha
+            for d_lo, d_hi in zip(lo.defects[root], hi.defects[root]):
+                assert d_lo <= d_hi + slack
+                if convex:
+                    assert d_hi <= scale * d_lo + slack
+                else:
+                    assert scale * d_lo <= d_hi + slack
+        c = nl(lo.alpha) / lo.alpha
+        lin = classify(g, Potential.constant(c), ID, ex, alpha_grid=[lo.alpha], probes=[root],
+                       opts=opts).estimates[0]
+        for d, d_lin in zip(lo.defects[root], lin.defects[root]):
+            if convex:
+                assert d_lin <= d + slack + opts.residual_tol / c
+            else:
+                assert d <= d_lin + slack + opts.residual_tol / c
+
+
 # --- a ball that covers its component ------------------------------------------
 
 

@@ -750,6 +750,29 @@ def test_a_system_is_the_cut_of_its_block(make, radius):
             assert sys_.forest[2] == want[2]
 
 
+@pytest.mark.parametrize("spec, radius", [
+    ("finite-path:30", 29),
+    ("complete:12", 1),
+    ("star:8", 1),
+    ("random-sparse:n=60,density=0.06,seed=0", 40),
+    ("random-sparse:n=3000,density=0.002,seed=0", 8),
+])
+def test_a_closed_system_sends_constants_to_zero(spec, radius):
+    # deg is each row's weights added in neighbor order from 0.0, as apply
+    # adds the in-set terms b c: with c a power of two, c b is exact, so
+    # every row of a closed set cancels exactly (with correctly rounded
+    # degrees, 12 of the 60 and 1,104 of the 3,000 random-sparse rows left
+    # up to 1.8e-15 and 7.1e-15 at c = 1)
+    g = generate(spec)
+    ex = make_exhaustion(g, g.root, [radius])
+    assert ex.closed
+    n = len(ex.order)
+    ones = np.ones(n)
+    sys_ = solver._System(ex.order, ex.rows, ex.cols, ex.b, ex.m, ex.deg, ones, ones, n)
+    for c in (0.25, 1.0, 4.0):
+        assert not sys_.apply(np.full(n, c)).any()
+
+
 def test_two_earlier_neighbors_are_not_a_forest():
     # the path 0 - 1 - 2 given in the order 0, 2, 1: vertex 1 comes last
     # and has both others before it; a cycle has such a vertex as well
